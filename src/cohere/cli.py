@@ -56,16 +56,38 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
+def _integer(text: str, source: str) -> int:
+    """An integer from text, accepting integer-valued literals such as 1e9."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value.is_integer():
+        raise UsageError(f"{source} must be an integer, got {text!r}")
+    return int(value)
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
     """Fill options still at None from the config file, then from the
     built-in defaults."""
     config = _load_config(args.config) if getattr(args, "config", None) else {}
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
-            if key in config:
-                setattr(args, key, type(fallback)(config[key]) if fallback is not None else config[key])
-            else:
+            if key not in config:
                 setattr(args, key, fallback)
+            elif isinstance(fallback, int):
+                setattr(args, key, _integer(config[key], f"config value {key}"))
+            elif fallback is None:
+                setattr(args, key, config[key])
+            else:
+                try:
+                    setattr(args, key, type(fallback)(config[key]))
+                except ValueError:
+                    raise UsageError(f"config value {key}={config[key]!r} is not valid") from None
 
 
 def _weight_from_args(args) -> "object":
@@ -164,8 +186,8 @@ def cmd_solve(args) -> int:
     })
     if args.alpha <= 0:
         raise UsageError("--alpha must be positive")
-    if args.mean <= 0:
-        raise UsageError("--mean must be positive")
+    if args.mean <= 1:
+        raise UsageError("--mean is a mean principal quantum number and must exceed 1")
     if not 0.0 <= args.eccentricity < 1.0:
         raise UsageError("--eccentricity must lie in [0, 1)")
 
@@ -241,7 +263,8 @@ def cmd_grid(args) -> int:
     env_budget = os.environ.get("COHERE_GRID_BUDGET")
     _merge_config(args, {
         "times": None, "format": "csv",
-        "budget": int(env_budget) if env_budget else DEFAULT_GRID_BUDGET,
+        "budget": (_integer(env_budget, "COHERE_GRID_BUDGET") if env_budget
+                   else DEFAULT_GRID_BUDGET),
     })
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")

@@ -18,6 +18,21 @@ which puts the scaled Runge-Lenz expectation along +x (perihelion toward
 direction.  (+z would require the parameter at the excluded pole; the -z
 representative is the mirror image through the orbital plane and has
 identical ellipse geometry.)
+
+Orbit traces never form the wavefunction on the 3-D quadrature.  The
+product rule (Gauss-Legendre in r and cos(theta), trapezoid in phi) is an
+exact tensor product, and x = r sin(theta) cos(phi), y = r sin(theta)
+sin(phi) factor the same way, so each level-pair moment
+
+    M[n, n'] = sum over l, l' of  (radial Gram)[nl, n'l'] * (angular Gram)[nl, n'l']
+
+splits into a radial Gram of R_{n,l} R_{n',l'} with weight r^2 (norm) or
+r^3 (x, y) and an angular Gram of A_{n,l} = sum_m g_n(l, m) Y_{l,m} with
+weight 1, sin(theta) cos(phi) or sin(theta) sin(phi).  The angular Gram
+is accumulated over chunks of polar nodes, so memory grows with the
+number of (n, l) rows squared, not with the number of 3-D nodes.  Each
+time step of a trace is then the quadratic form c(t)^H M c(t) over the L
+occupied levels.
 """
 from __future__ import annotations
 
@@ -39,6 +54,9 @@ from cohere.su2 import (
 
 #: default ceiling on (max level)^2 * samples^2 for planar grid runs
 DEFAULT_GRID_BUDGET = 10**9
+
+# complex elements per working array when building level moments (4 MB)
+_CHUNK_ELEMENTS = 2**18
 
 
 class BudgetExceededError(RuntimeError):
@@ -291,46 +309,71 @@ class SpatialQuadrature:
         return np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
 
 
-def _level_fields_on_quadrature(state: CoherentState, quad: SpatialQuadrature):
-    """Per-level wavefunctions on the product-rule nodes.
+def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
+    """Level-pair moment matrices of the state's occupied levels.
 
-    Returns (fields, volume_weights, x_grid, y_grid); fields[i] has shape
-    (Nr, Ntheta, Nphi) for the i-th occupied level.
+    Returns an array of shape (3, L, L) holding the Hermitian matrices
+    X, Y and N over the L occupied levels: entry [i, k] is the quadrature
+    of conj(psi_i) psi_k times x, y and 1, where psi_i is the i-th
+    level's eigenfunction with its recoupled angular amplitudes.  Each
+    entry is a sum of radial-Gram times angular-Gram products over the
+    levels' (n, l) rows; see the module docstring.
     """
+    levels = [int(n) for n in state.coeffs.levels]
     tables = _spherical_amp_tables(state)
+    n_top = max(levels)
+    rows = [(n, l) for n in levels for l in range(n)]
+    k = len(rows)
+
+    # radial Grams with weights r^2 (norm) and r^3 (x, y)
+    r = quad.r_nodes
+    radial_rows = np.array([radial(n, l, r) for n, l in rows])
+    w_r = quad.r_weights * r * r
+    radial_norm = (radial_rows * w_r) @ radial_rows.T
+    radial_first = (radial_rows * (w_r * r)) @ radial_rows.T
+
+    # amp[a, n_top - 1 + m] = g_n(l, m) for row a = (n, l), zero for |m| > l,
+    # with the (-1)^m of Y_{l,-m} = (-1)^m conj(Y_{l,m}) folded in
+    m_values = np.arange(-(n_top - 1), n_top)
+    amp = np.zeros((k, m_values.size), dtype=complex)
+    for a, (n, l) in enumerate(rows):
+        amp[a, n_top - 1 - l:n_top + l] = tables[n][l, :2 * l + 1]
+    amp *= np.where((m_values < 0) & (m_values % 2 == 1), -1.0, 1.0)
+
     cos_t = quad.cos_nodes
     sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+    # theta part of Y_{l,|m|} at [|m|, l]: one recurrence per |m|
+    legendre = np.zeros((n_top, n_top, cos_t.size))
+    for m in range(n_top):
+        legendre[m, m:] = legendre_normalized(n_top - 1, m, cos_t, sin_t)
+    row_legendre = (np.abs(m_values)[None, :], np.array([l for _, l in rows])[:, None])
     phi = quad.phi_nodes
-    e_imphi = {m: np.exp(1j * m * phi) for m in range(-(max(tables) - 1), max(tables))}
+    e_imphi = np.exp(1j * np.outer(m_values, phi))
+    w_phi = 2.0 * math.pi / quad.n_phi
 
-    fields = []
-    for n in state.coeffs.levels:
-        n = int(n)
-        g = tables[n]
-        field = np.zeros((quad.r_nodes.size, cos_t.size, phi.size), dtype=complex)
-        for l in range(n):
-            r_part = radial(n, l, quad.r_nodes)
-            angular = np.zeros((cos_t.size, phi.size), dtype=complex)
-            for m in range(-l, l + 1):
-                amp = g[l, l + m]
-                if amp == 0:
-                    continue
-                p = legendre_normalized(l, abs(m), cos_t, sin_t)[-1]
-                if m < 0:
-                    p = p * (-1.0) ** (abs(m) % 2)
-                angular += amp * np.outer(p, e_imphi[m])
-            field += r_part[:, None, None] * angular[None, :, :]
-        fields.append(field)
+    # angular Grams with weights 1 and sin(theta) e^{i phi}, accumulated over
+    # chunks of polar nodes so that no (rows, all angular nodes) array exists
+    ang_norm = np.zeros((k, k), dtype=complex)
+    ang_plus = np.zeros((k, k), dtype=complex)
+    chunk = max(1, _CHUNK_ELEMENTS // (k * max(m_values.size, quad.n_phi)))
+    for lo in range(0, cos_t.size, chunk):
+        sl = slice(lo, lo + chunk)
+        theta_coeffs = amp[:, :, None] * legendre[row_legendre + (sl,)]
+        values = (theta_coeffs.transpose(0, 2, 1) @ e_imphi).reshape(k, -1)
+        conj_values = values.conj()
+        w = quad.cos_weights[sl] * w_phi
+        ang_norm += (conj_values * np.repeat(w, quad.n_phi)) @ values.T
+        ang_plus += (conj_values * np.outer(w * sin_t[sl], np.exp(1j * phi)).ravel()) @ values.T
+    # cos(phi) and sin(phi) parts of the e^{i phi} Gram
+    ang_x = 0.5 * (ang_plus + ang_plus.conj().T)
+    ang_y = -0.5j * (ang_plus - ang_plus.conj().T)
 
-    r = quad.r_nodes
-    w3 = (
-        (quad.r_weights * r * r)[:, None, None]
-        * quad.cos_weights[None, :, None]
-        * np.full(quad.n_phi, 2.0 * math.pi / quad.n_phi)[None, None, :]
-    )
-    x3 = r[:, None, None] * sin_t[None, :, None] * np.cos(phi)[None, None, :]
-    y3 = r[:, None, None] * sin_t[None, :, None] * np.sin(phi)[None, None, :]
-    return fields, w3, x3, y3
+    # sum the (n, l) x (n', l') products over the block of each level pair
+    starts = np.cumsum([0] + levels[:-1])
+    return np.stack([
+        np.add.reduceat(np.add.reduceat(rad * ang, starts, axis=0), starts, axis=1)
+        for rad, ang in ((radial_first, ang_x), (radial_first, ang_y), (radial_norm, ang_norm))
+    ])
 
 
 def position_trace(
@@ -343,28 +386,24 @@ def position_trace(
 ) -> np.ndarray:
     """(<x>, <y>, norm) rows for each requested time.
 
-    The per-level spatial fields are built once; each time step only
-    recombines them with the evolved coefficients, so dense orbit traces
-    cost little more than a single evaluation.
+    The level-pair moment matrices are built once on the product-rule
+    quadrature; each time step is then the quadratic form c(t)^H M c(t)
+    of the evolved level coefficients, so dense orbit traces cost little
+    more than a single evaluation and memory stays independent of the
+    number of 3-D nodes.
     """
     n_top = int(state.coeffs.levels.max())
     quad = SpatialQuadrature.for_levels(
         n_top, radial_order, polar_order, azimuthal_count, r_max
     )
-    fields, w3, x3, y3 = _level_fields_on_quadrature(state, quad)
+    moments = level_moments(state, quad)
     energies = state.level_energies
     base = state.coeffs.values
 
     rows = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        phase = np.exp(1j * reduced_phases(-t, energies))
-        c = base * phase
-        psi = np.zeros_like(fields[0])
-        for amp, field in zip(c, fields):
-            psi += amp * field
-        dens = (psi.real**2 + psi.imag**2) * w3
-        norm = float(dens.sum())
-        rows.append((float((dens * x3).sum()), float((dens * y3).sum()), norm))
+        c = base * np.exp(1j * reduced_phases(-t, energies))
+        rows.append(np.einsum("i,kij,j->k", c.conj(), moments, c).real)
     return np.asarray(rows)
 
 
@@ -419,30 +458,29 @@ def spin_vector_gap(params: AngularParams, n: int) -> float:
     return float(np.linalg.norm(m_vec - n_vec) / (2.0 * j))
 
 
-def orbital_angular_momentum(state: CoherentState) -> np.ndarray:
-    """<L> = <M> + <N> summed over the level distribution."""
-    total = np.zeros(3)
+def _spin_expectations(state: CoherentState) -> tuple[np.ndarray, np.ndarray]:
+    """(<M>, <N>): the two spin expectations averaged over the levels."""
+    m_total = np.zeros(3)
+    n_total = np.zeros(3)
     for n, p in zip(state.coeffs.levels, state.coeffs.probabilities):
         j = (int(n) - 1) / 2.0
         if j == 0:
             continue
-        m_vec = spin_expectation(j, su2_amplitudes(j, state.angular.zeta1))
-        n_vec = spin_expectation(j, su2_amplitudes(j, state.angular.zeta2))
-        total += p * (m_vec + n_vec)
-    return total
+        m_total += p * spin_expectation(j, su2_amplitudes(j, state.angular.zeta1))
+        n_total += p * spin_expectation(j, su2_amplitudes(j, state.angular.zeta2))
+    return m_total, n_total
+
+
+def orbital_angular_momentum(state: CoherentState) -> np.ndarray:
+    """<L> = <M> + <N> summed over the level distribution."""
+    m_vec, n_vec = _spin_expectations(state)
+    return m_vec + n_vec
 
 
 def runge_lenz_expectation(state: CoherentState) -> np.ndarray:
     """<A> = <M> - <N> summed over the level distribution."""
-    total = np.zeros(3)
-    for n, p in zip(state.coeffs.levels, state.coeffs.probabilities):
-        j = (int(n) - 1) / 2.0
-        if j == 0:
-            continue
-        m_vec = spin_expectation(j, su2_amplitudes(j, state.angular.zeta1))
-        n_vec = spin_expectation(j, su2_amplitudes(j, state.angular.zeta2))
-        total += p * (m_vec - n_vec)
-    return total
+    m_vec, n_vec = _spin_expectations(state)
+    return m_vec - n_vec
 
 
 # --- field export ---------------------------------------------------------

@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from cohere import position as P
 from cohere.position import (
     BudgetExceededError,
     GridSpec,
+    SpatialQuadrature,
     ellipse_to_angular,
     field_on_grid,
     legendre_normalized,
+    level_moments,
     orbital_angular_momentum,
     position_expectation,
     position_trace,
@@ -23,8 +27,8 @@ from cohere.position import (
     write_field_binary,
     write_field_csv,
 )
-from cohere.state import build_state, solve_scale_ln
-from cohere.su2 import AngularParams
+from cohere.state import build_state, evolve, reduced_phases, solve_scale_ln
+from cohere.su2 import AngularParams, so4_amplitudes, so4_to_spherical
 from cohere.weights import WeightSpec
 
 
@@ -36,6 +40,54 @@ def ellipse_state():
         WeightSpec.stretched(1.0 / 32.0), None, 0.0,
         ellipse_to_angular(0.385, 20), ln_s=ln_s,
     )
+
+
+def small_orbit_state(eccentricity):
+    """A packet over levels 1..10 with several occupied levels."""
+    return build_state(
+        WeightSpec.stretched(0.25), None, 0.0,
+        ellipse_to_angular(eccentricity, 3), ln_s=solve_scale_ln(0.25, 3.0),
+    )
+
+
+def dense_position_trace(state, times):
+    """Reference trace: every level's wavefunction on every 3-D node at
+    default orders, recombined and integrated at each time."""
+    n_top = int(state.coeffs.levels.max())
+    quad_rule = SpatialQuadrature.for_levels(n_top)
+    cos_t = quad_rule.cos_nodes
+    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+    phi = quad_rule.phi_nodes
+    fields = []
+    for n in state.coeffs.levels:
+        n = int(n)
+        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        field = np.zeros((quad_rule.r_nodes.size, cos_t.size, phi.size), dtype=complex)
+        for l in range(n):
+            angular = np.zeros((cos_t.size, phi.size), dtype=complex)
+            for m in range(-l, l + 1):
+                p = legendre_normalized(l, abs(m), cos_t, sin_t)[-1]
+                if m < 0:
+                    p = p * (-1.0) ** (abs(m) % 2)
+                angular += g[l, l + m] * np.outer(p, np.exp(1j * m * phi))
+            field += radial(n, l, quad_rule.r_nodes)[:, None, None] * angular[None, :, :]
+        fields.append(field)
+
+    r = quad_rule.r_nodes
+    w3 = (
+        (quad_rule.r_weights * r * r)[:, None, None]
+        * quad_rule.cos_weights[None, :, None]
+        * np.full(quad_rule.n_phi, 2.0 * math.pi / quad_rule.n_phi)[None, None, :]
+    )
+    x3 = r[:, None, None] * sin_t[None, :, None] * np.cos(phi)[None, None, :]
+    y3 = r[:, None, None] * sin_t[None, :, None] * np.sin(phi)[None, None, :]
+    rows = []
+    for t in times:
+        c = state.coeffs.values * np.exp(1j * reduced_phases(-t, state.level_energies))
+        psi = sum(amp * field for amp, field in zip(c, fields))
+        dens = (psi.real**2 + psi.imag**2) * w3
+        rows.append(((dens * x3).sum(), (dens * y3).sum(), dens.sum()))
+    return np.asarray(rows)
 
 
 class TestRadial:
@@ -123,6 +175,16 @@ class TestSphericalHarmonics:
             rows = legendre_normalized(25, m, nodes, np.sqrt(1 - nodes**2))
             gram = 2 * math.pi * (rows * w) @ rows.T
             assert np.max(np.abs(gram - np.eye(rows.shape[0]))) <= 1e-10
+
+    def test_rows_do_not_depend_on_top_degree(self):
+        # the orbit moments take row l - m of one top-degree table per m
+        nodes, _ = np.polynomial.legendre.leggauss(16)
+        sin_t = np.sqrt(1 - nodes**2)
+        for m in (0, 3, 9):
+            table = legendre_normalized(20, m, nodes, sin_t)
+            for l in range(m, 21):
+                np.testing.assert_array_equal(
+                    table[l - m], legendre_normalized(l, m, nodes, sin_t)[-1])
 
     def test_cross_order_orthogonality_on_product_grid(self):
         nodes, w = np.polynomial.legendre.leggauss(64)
@@ -250,6 +312,43 @@ class TestExpectations:
             )
         mags = np.abs(psi)
         assert mags.std() / mags.mean() <= 0.02
+
+
+class TestLevelMoments:
+    @pytest.mark.parametrize("eccentricity", [0.0, 0.385, 0.8])
+    def test_trace_matches_dense_fields(self, eccentricity):
+        st = small_orbit_state(eccentricity)
+        n_top = int(st.coeffs.levels.max())
+        assert n_top <= 10
+        period = 2.0 * math.pi * 3.0**3
+        times = [0.0] + list(np.random.default_rng(7).uniform(0.0, 3.0 * period, 4))
+        got = position_trace(st, times)
+        want = dense_position_trace(st, times)
+        assert np.max(np.abs(got[:, :2] - want[:, :2])) <= 1e-12 * n_top**2
+        assert np.max(np.abs(got[:, 2] - want[:, 2])) <= 1e-12
+
+    def test_moments_are_hermitian(self):
+        st = small_orbit_state(0.385)
+        moments = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))
+        assert moments.shape == (3, st.coeffs.levels.size, st.coeffs.levels.size)
+        for m in moments:
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
+
+    def test_distinct_levels_are_orthonormal(self):
+        st = small_orbit_state(0.385)
+        norm = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))[2]
+        assert np.max(np.abs(norm - np.eye(norm.shape[0]))) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        t1=hst.floats(min_value=-1e4, max_value=1e4),
+        t2=hst.floats(min_value=-1e4, max_value=1e4),
+    )
+    def test_evolution_group_law(self, t1, t2):
+        st = small_orbit_state(0.385)
+        direct = position_trace(st, [t1 + t2])
+        stepped = position_trace(evolve(st, t1), [t2])
+        np.testing.assert_allclose(stepped, direct, rtol=0.0, atol=1e-10)
 
 
 class TestEllipseMapping:
