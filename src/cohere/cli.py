@@ -10,7 +10,10 @@ refusal.
 Environment: COHERE_THREADS caps the linear-algebra thread pools;
 COHERE_GRID_BUDGET overrides the planar-grid resource budget.  An optional
 --config file holds flat key=value lines whose keys are the long option
-names (dashes or underscores); explicit flags win.
+names (dashes or underscores); explicit flags win, and a key that names
+no option of the subcommand is a usage error.  Integer options accept
+integer-valued literals such as 1e9 from flags, configs and the
+environment alike.
 """
 from __future__ import annotations
 
@@ -71,10 +74,21 @@ def _integer(text: str, source: str) -> int:
     return int(value)
 
 
+def _int_option(text: str) -> int:
+    """argparse type of every integer option, built on _integer."""
+    try:
+        return _integer(text, "value")
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
     """Fill options still at None from the config file, then from the
     built-in defaults."""
     config = _load_config(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(config) - set(vars(args)) - {"command"})
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
             if key not in config:
@@ -124,8 +138,8 @@ def build_parser() -> _Parser:
     p.add_argument("--descriptor", required=True)
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-end", type=float, default=None, help="defaults to 1.1x the revival time")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--refine-near-revivals", type=int, default=None,
+    p.add_argument("--samples", type=_int_option, default=None)
+    p.add_argument("--refine-near-revivals", type=_int_option, default=None,
                    help="extra samples added around each fractional revival time")
     p.add_argument("--config", default=None)
     p.add_argument("--output", "-o", required=True)
@@ -133,11 +147,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("grid", help="planar field files at selected times")
     p.add_argument("--descriptor", required=True)
     p.add_argument("--width", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_option, required=True)
     p.add_argument("--times", default=None,
                    help="comma-separated times; default: the fractional revival times")
     p.add_argument("--format", choices=("csv", "bin"), default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_option, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--output-prefix", "-o", required=True)
 
@@ -148,10 +162,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="resolution-of-identity verification suite")
     p.add_argument("--family", choices=("exponential", "stretched"), default="exponential")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--su2-max-two-j", type=int, default=None)
-    p.add_argument("--polar-order", type=int, default=None)
-    p.add_argument("--azimuthal-count", type=int, default=None)
+    p.add_argument("--n-max", type=_int_option, default=None)
+    p.add_argument("--su2-max-two-j", type=_int_option, default=None)
+    p.add_argument("--polar-order", type=_int_option, default=None)
+    p.add_argument("--azimuthal-count", type=_int_option, default=None)
     p.add_argument("--full-tol", type=float, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
@@ -161,7 +175,7 @@ def build_parser() -> _Parser:
     m = wsub.add_parser("moments", help="log-moment table")
     m.add_argument("--family", choices=("exponential", "stretched"), default="exponential")
     m.add_argument("--alpha", type=float, default=None)
-    m.add_argument("--n-max", type=int, required=True)
+    m.add_argument("--n-max", type=_int_option, required=True)
     m.add_argument("--output", "-o", default=None, help="CSV path (stdout if omitted)")
 
     return parser

@@ -14,7 +14,14 @@ Time evolution is closure under a shift of gamma: the state at time t has
 gamma + t, every coefficient picking up exp(-i e_{n+1} t).  Phase products
 like t * e_{n+1} are reduced mod 2 pi in extended precision because at
 t ~ 1e9 a double-precision reduction would cost several digits of phase
-coherence, visible in the revival structure.
+coherence, visible in the revival structure.  One helper, reduced_phases,
+does that reduction for state assembly, evolution, the planar field and
+the autocorrelation.
+
+The autocorrelation streams its times through a fixed working set: one
+long-double and two float64 buffers of _BLOCK_ELEMENTS (times x levels)
+elements each, allocated once per call, so its memory beyond the output
+array does not grow with the number of times.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import logsumexp
 
 from cohere import hydrogen
 from cohere.su2 import AngularParams, su2_overlap
@@ -38,11 +46,29 @@ from cohere.weights import (
 # 2*pi as a double-double sum, giving ~32 accurate digits in long double
 _TWO_PI_LD = np.longdouble(6.283185307179586) + np.longdouble(2.4492935982947064e-16)
 
+# Elements (times x levels) per autocorrelation block: 1 MB of long double
+# and two 512 kB float64 buffers, small enough to stay in cache.
+_BLOCK_ELEMENTS = 2**16
 
-def reduced_phases(scale: float, values: np.ndarray) -> np.ndarray:
-    """(scale * values) mod 2 pi, accumulated in extended precision."""
-    prod = np.longdouble(scale) * np.asarray(values, dtype=np.longdouble)
-    return np.mod(prod, _TWO_PI_LD).astype(np.float64)
+
+def reduced_phases(scale, values, out=None, work=None) -> np.ndarray:
+    """(scale * values) mod 2 pi, accumulated in extended precision.
+
+    scale and values broadcast against each other.  The product is formed
+    and reduced in long double, then rounded to float64.  out (float64)
+    and work (long double), both of the broadcast shape, let a caller that
+    reduces many blocks reuse its buffers instead of allocating new ones.
+    """
+    prod = np.multiply(
+        np.asarray(scale, dtype=np.longdouble),
+        np.asarray(values, dtype=np.longdouble),
+        out=work,
+    )
+    np.mod(prod, _TWO_PI_LD, out=prod)
+    if out is None:
+        return prod.astype(np.float64)
+    out[...] = prod
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,7 +135,7 @@ def _distribution_window(
     n_hi = truncation_level(spec, None, tail_eps=tail_eps / 2.0, ln_s=ln_s)
     n_values = np.arange(n_hi + 1)
     w = _log_weights(spec, ln_s, n_values)
-    w = w - _logsumexp(w)
+    w = w - logsumexp(w)
     p = np.exp(w)
     # trim the negligible lower tail as well
     lower = np.cumsum(p)
@@ -119,13 +145,6 @@ def _distribution_window(
         n_values, p = n_values[n_lo:], p[n_lo:]
         p = p / p.sum()
     return n_values, p
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = np.max(values)
-    if not np.isfinite(peak):
-        return float(peak)
-    return float(peak + np.log(np.sum(np.exp(values - peak))))
 
 
 def build_state(
@@ -297,21 +316,32 @@ def autocorrelation(state: CoherentState, t) -> complex | np.ndarray:
 
     The angular factors cancel because evolution only shifts gamma.
     Accepts a scalar t or an array of times.
+
+    Times are streamed in blocks of _BLOCK_ELEMENTS // levels rows through
+    three buffers allocated once: the product t * (-e) and its mod-2 pi
+    reduction stay in long double, as in reduced_phases, and the reduced
+    phases are rounded to float64 before cos and sin.  The real and
+    imaginary parts are then two real matrix-vector products with p, so
+    no complex temporaries are formed and the working set beyond the
+    output does not grow with the number of times.
     """
     p = state.coeffs.probabilities
-    energies = state.level_energies
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    neg_energies = -state.level_energies.astype(np.longdouble)
+    t_arr = np.asarray(t, dtype=float)
+    times = t_arr.reshape(-1)
     out = np.empty(t_arr.shape, dtype=complex)
-    chunk = max(1, int(4e6 / max(1, energies.size)))
-    for start in range(0, t_arr.size, chunk):
-        block = t_arr[start : start + chunk]
-        prod = (
-            -np.asarray(block, dtype=np.longdouble)[:, None]
-            * energies.astype(np.longdouble)[None, :]
-        )
-        phases = np.mod(prod, _TWO_PI_LD).astype(np.float64)
-        out[start : start + chunk] = np.exp(1j * phases) @ p
-    return complex(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    flat = out.reshape(-1)
+    rows = max(1, min(times.size, _BLOCK_ELEMENTS // neg_energies.size))
+    work = np.empty((rows, neg_energies.size), dtype=np.longdouble)
+    phases = np.empty(work.shape)
+    trig = np.empty(work.shape)
+    for start in range(0, times.size, rows):
+        block = times[start : start + rows, None]
+        count = block.shape[0]
+        phi = reduced_phases(block, neg_energies, out=phases[:count], work=work[:count])
+        flat.real[start : start + count] = np.cos(phi, out=trig[:count]) @ p
+        flat.imag[start : start + count] = np.sin(phi, out=trig[:count]) @ p
+    return complex(out) if t_arr.ndim == 0 else out
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:

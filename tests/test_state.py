@@ -1,11 +1,15 @@
 """State assembly, level statistics, dynamics, serialization."""
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from cohere import hydrogen
 from cohere.state import (
+    _BLOCK_ELEMENTS,
+    _TWO_PI_LD,
     autocorrelation,
     build_state,
     evolve,
@@ -28,6 +32,17 @@ from cohere.weights import WeightSpec
 
 LN_S_PAPER = math.log(2.209e59)
 ALPHA_PAPER = 1.0 / 32.0
+
+
+def one_shot_autocorrelation(state, t):
+    """Reference kernel: every time in one (times x levels) block, the
+    long-double reduction followed by a complex exponential."""
+    prod = (
+        -np.atleast_1d(np.asarray(t, dtype=np.longdouble))[:, None]
+        * state.level_energies.astype(np.longdouble)[None, :]
+    )
+    phases = np.mod(prod, _TWO_PI_LD).astype(np.float64)
+    return np.exp(1j * phases) @ state.coeffs.probabilities
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +77,9 @@ class TestBuild:
         pairs = level_distribution(paper_state)
         assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-10)
         assert pairs[0][0] == paper_state.coeffs.n_min + 1
+
+    def test_paper_window_is_levels_144_to_176(self, paper_state):
+        np.testing.assert_array_equal(paper_state.coeffs.levels, np.arange(144, 177))
 
     def test_window_covers_tail_budget(self, paper_state):
         # at least 1 - tail_eps of the weight lies inside the window
@@ -194,6 +212,55 @@ class TestAutocorrelation:
         assert overlap(paper_state, evolve(paper_state, t)) == pytest.approx(
             autocorrelation(paper_state, t), abs=1e-12
         )
+
+    def test_scalar_matches_one_shot_kernel(self, paper_state):
+        t = 0.37 * hydrogen.revival_time(160.0)
+        got = autocorrelation(paper_state, t)
+        assert isinstance(got, complex)
+        assert abs(got - one_shot_autocorrelation(paper_state, t)[0]) <= 1e-14
+
+    @pytest.mark.parametrize("extra, scale", [
+        (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1), (7, 3),
+    ])
+    def test_blocks_match_one_shot_kernel(self, paper_state, extra, scale):
+        # counts 0, 1, rows - 1, rows, rows + 1 and 3 rows + 7 cover an
+        # empty call, a single partial block and partial trailing blocks
+        rows = _BLOCK_ELEMENTS // paper_state.coeffs.levels.size
+        count = scale * rows + extra
+        ts = np.random.default_rng(count).uniform(0.0, 2e9, size=count)
+        got = autocorrelation(paper_state, ts)
+        assert got.shape == (count,)
+        if count:
+            assert np.max(np.abs(got - one_shot_autocorrelation(paper_state, ts))) <= 1e-14
+
+    def test_keeps_the_shape_of_the_times(self, paper_state):
+        ts = np.linspace(0.0, 2e9, 6)
+        got = autocorrelation(paper_state, ts.reshape(2, 3))
+        np.testing.assert_array_equal(got, autocorrelation(paper_state, ts).reshape(2, 3))
+
+    def test_matches_mpmath_at_revival_times(self, paper_state):
+        # sum_n p_n exp(i t / 2n^2) to 40 digits, with the exact energies
+        t_revival = hydrogen.revival_time(160.0)
+        times = [t_revival * f for f in (0.2, 0.25, 1.0 / 3.0, 0.5, 1.0)] + [1.5e9]
+        got = autocorrelation(paper_state, np.array(times))
+        levels = paper_state.coeffs.levels.tolist()
+        probs = paper_state.coeffs.probabilities.tolist()
+        with mpmath.workdps(40):
+            for t, value in zip(times, got):
+                ref = mpmath.fsum(
+                    p * mpmath.expj(mpmath.mpf(t) / (2 * n * n)) for n, p in zip(levels, probs)
+                )
+                assert abs(ref - mpmath.mpc(value.real, value.imag)) <= 1e-12
+
+    def test_working_set_is_fixed(self, paper_state):
+        ts = np.linspace(0.0, 2e9, 200_001)
+        tracemalloc.start()
+        try:
+            out = autocorrelation(paper_state, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * 2**20
 
 
 class TestOverlap:
