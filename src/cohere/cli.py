@@ -26,8 +26,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_BUDGET = 3
 
-_FMT = "%.17g"
-
 
 class UsageError(Exception):
     pass
@@ -43,20 +41,6 @@ def _apply_thread_env() -> None:
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, threads)
-
-
-def _load_config(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"malformed config line: {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
 
 
 def _integer(text: str, source: str) -> int:
@@ -85,7 +69,14 @@ def _int_option(text: str) -> int:
 def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
     """Fill options still at None from the config file, then from the
     built-in defaults."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    from cohere.state import parse_descriptor
+
+    config = {}
+    if getattr(args, "config", None):
+        try:
+            config = {k.replace("-", "_"): v for k, v in parse_descriptor(args.config).items()}
+        except ValueError as exc:
+            raise UsageError(f"{exc} in {args.config}") from None
     unknown = sorted(set(config) - set(vars(args)) - {"command"})
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
@@ -185,6 +176,7 @@ def cmd_solve(args) -> int:
     from cohere import hydrogen
     from cohere.position import ellipse_to_angular
     from cohere.state import (
+        _FMT,
         build_state,
         level_spread,
         mean_level,
@@ -247,12 +239,16 @@ def cmd_autocorr(args) -> int:
         raise UsageError("--samples must be at least 2")
     times = np.linspace(args.t_start, args.t_end, args.samples)
     if args.refine_near_revivals > 0:
-        extras = []
-        for _, t in hydrogen.fractional_revival_times(t_revival):
-            if args.t_start <= t <= args.t_end and t > 0:
-                extras.append(np.linspace(0.99 * t, 1.01 * t, args.refine_near_revivals))
-        if extras:
-            times = np.unique(np.concatenate([times] + extras))
+        windows = [
+            np.linspace(0.99 * t, 1.01 * t, args.refine_near_revivals)
+            for _, t in hydrogen.fractional_revival_times(t_revival)
+            if args.t_start <= t <= args.t_end and t > 0
+        ]
+        if windows:
+            # a window straddling an end of the range keeps only its inside part
+            extras = np.concatenate(windows)
+            extras = extras[(args.t_start <= extras) & (extras <= args.t_end)]
+            times = np.unique(np.concatenate([times, extras]))
     values = autocorrelation(state, times)
     write_trace_csv(args.output, times, values)
     print(f"wrote {times.size} rows to {args.output}")
@@ -272,7 +268,7 @@ def cmd_grid(args) -> int:
         write_field_binary,
         write_field_csv,
     )
-    from cohere.state import mean_level, read_descriptor
+    from cohere.state import _FMT, mean_level, read_descriptor
 
     env_budget = os.environ.get("COHERE_GRID_BUDGET")
     _merge_config(args, {
@@ -310,39 +306,50 @@ def cmd_grid(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    from cohere.state import level_distribution, read_descriptor
+    from cohere.state import _FMT, level_distribution, read_descriptor
 
-    state = read_descriptor(args.descriptor)
+    rows = level_distribution(read_descriptor(args.descriptor))
     with open(args.output, "w") as fh:
         fh.write("n,p_n\n")
-        for n, p in level_distribution(state):
+        for n, p in rows:
             fh.write(f"{n},{_FMT % p}\n")
-    print(f"wrote {len(level_distribution(state))} rows to {args.output}")
+    print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    from cohere.identity import report_json, report_text, standard_verification
+    from cohere.identity import (
+        MAX_LEVELS,
+        InsufficientOrderError,
+        report_json,
+        report_text,
+        standard_verification,
+    )
     from cohere.weights import WeightSpec
 
     _merge_config(args, {
         "n_max": 3, "su2_max_two_j": 10, "polar_order": 24,
         "azimuthal_count": 48, "full_tol": 1e-8,
     })
+    if not 1 <= args.n_max <= MAX_LEVELS:
+        raise UsageError(f"--n-max must lie in 1..{MAX_LEVELS}")
     if args.family == "stretched":
         if args.alpha is None:
             raise UsageError("the stretched family requires --alpha")
         spec = WeightSpec.stretched(args.alpha)
     else:
         spec = WeightSpec.exponential()
-    results = standard_verification(
-        spec=spec,
-        n_max=args.n_max,
-        su2_max_two_j=args.su2_max_two_j,
-        polar_order=args.polar_order,
-        azimuthal_count=args.azimuthal_count,
-        full_tol=args.full_tol,
-    )
+    try:
+        results = standard_verification(
+            spec=spec,
+            n_max=args.n_max,
+            su2_max_two_j=args.su2_max_two_j,
+            polar_order=args.polar_order,
+            azimuthal_count=args.azimuthal_count,
+            full_tol=args.full_tol,
+        )
+    except InsufficientOrderError as exc:
+        raise UsageError(str(exc)) from None
     print(report_text(results))
     if args.output:
         with open(args.output, "w") as fh:
@@ -352,6 +359,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_weights_moments(args) -> int:
+    from cohere.state import _FMT
     from cohere.weights import log_moment
 
     if args.n_max < 0:

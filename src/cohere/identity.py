@@ -14,6 +14,11 @@ Three layers, verified separately and then composed:
     analytically) and a finite-window mode (the sinc factor at half-width
     Gamma) are provided.  Finite-window off-diagonal entries are bounded
     by 1/(Gamma |e_a - e_b|).
+
+The sphere rule evaluates su2.su2_amplitudes on its nodes, and the
+combined Gram is assembled from Kronecker blocks: for a level pair it is
+the radial cross integral times the phase average times kron(S, S), S
+being the sphere overlap of the two spin multiplets.
 """
 from __future__ import annotations
 
@@ -27,6 +32,10 @@ from scipy.integrate import quad
 from cohere import hydrogen
 from cohere.su2 import _check_two_j, su2_amplitudes
 from cohere.weights import WeightFamily, WeightSpec, log_moment
+
+
+#: largest level count full_identity_matrix assembles (dimension sum n^2 = 91)
+MAX_LEVELS = 6
 
 
 class InsufficientOrderError(ValueError):
@@ -63,29 +72,14 @@ def _sphere_nodes(polar_order: int, azimuthal_count: int):
 
 
 def _amplitude_stack(j: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """su2 amplitudes at every (theta, phi) node; shape (2j+1, Nu, Nphi)."""
-    two_j = _check_two_j(j)
-    k = np.arange(two_j + 1)
-    tan_half = np.tan(theta / 2.0)
-    from scipy.special import gammaln
+    """su2 amplitudes at every (theta, phi) node; shape (2j+1, Nu, Nphi).
 
-    log_binom_sqrt = 0.5 * (
-        gammaln(two_j + 1.0) - gammaln(k + 1.0) - gammaln(two_j - k + 1.0)
-    )
-    with np.errstate(divide="ignore"):
-        log_tan = np.where(tan_half > 0, np.log(np.where(tan_half > 0, tan_half, 1.0)), -np.inf)
-    # magnitude: binom^(1/2) tan^(k) / (1+tan^2)^j, computed in logs
-    log_mag = (
-        log_binom_sqrt[:, None]
-        + k[:, None] * log_tan[None, :]
-        - (two_j / 2.0) * np.log1p(tan_half * tan_half)[None, :]
-    )
-    mag = np.exp(log_mag)
-    if two_j >= 0:
-        mag[np.isnan(mag)] = 0.0
-    # zeta = -tan(theta/2) exp(-i phi): phase (-1)^k exp(-i k phi)
-    phase = np.exp(-1j * np.outer(k, phi)) * np.where(k % 2 == 0, 1.0, -1.0)[:, None]
-    return mag[:, :, None] * phase[:, None, :]
+    zeta = -tan(theta/2) exp(-i phi): su2_amplitudes at the real polar
+    factor -tan(theta/2), times exp(-i k phi) for component k.
+    """
+    polar = np.stack([su2_amplitudes(j, z) for z in -np.tan(theta / 2.0)], axis=1)
+    k = np.arange(polar.shape[0])
+    return polar[:, :, None] * np.exp(-1j * np.outer(k, phi))[:, None, :]
 
 
 def verify_su2_identity(
@@ -202,92 +196,64 @@ def full_identity_matrix(
     spec: WeightSpec,
     n_max: int,
     quad_spec: QuadratureSpec = QuadratureSpec(),
-    *,
-    hard_cap: int = 6,
 ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Gram matrix of the truncated identity in the |n, m1, m2> basis.
 
     Entry (a, b) assembles the coherent-state projector integral between
     basis vectors a and b; the phase average enters analytically (as the
     level delta in exact-limit mode, as the sinc factor at finite window).
+    The block of levels (n_a, n_b) is radial * phase * kron(S, S), with S
+    the sphere overlap of spins (n_a-1)/2 and (n_b-1)/2; blocks with
+    n_a <= n_b are computed and the rest filled by conjugate transpose,
+    with the diagonal taken real, so the result is exactly Hermitian.
     Returns (matrix, labels) with labels (n, k1, k2), k = j + m.
     """
     if n_max < 1:
         raise ValueError("need at least one level")
-    if n_max > hard_cap:
+    if n_max > MAX_LEVELS:
         raise ValueError(
-            f"truncation {n_max} exceeds the desk-scale cap {hard_cap}"
+            f"truncation {n_max} exceeds the desk-scale cap {MAX_LEVELS}"
         )
-    labels = [
-        (n, k1, k2)
-        for n in range(1, n_max + 1)
-        for k1 in range(n)
-        for k2 in range(n)
-    ]
-    dim = len(labels)
-    exact_limit = quad_spec.gamma_halfwidth is None
+    levels = range(1, n_max + 1)
+    labels = [(n, k1, k2) for n in levels for k1 in range(n) for k2 in range(n)]
+    offset = {n: sum(m * m for m in range(1, n)) for n in levels}
+    alpha = 1.0 if spec.family is WeightFamily.EXPONENTIAL else spec.alpha
 
-    # spectral factors n / sqrt(rho_{n-1}) and radial cross integrals
-    log_rho = {n: log_moment(spec, n - 1) for n in range(1, n_max + 1)}
-    sphere_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def sphere(j_a: float, j_b: float) -> np.ndarray:
-        key = (round(2 * j_a), round(2 * j_b))
-        if key not in sphere_cache:
-            sphere_cache[key] = _sphere_overlap_matrix(
-                j_a, j_b, quad_spec.polar_order, quad_spec.azimuthal_count
-            )
-        return sphere_cache[key]
-
-    radial_cache: dict[tuple[int, int], float] = {}
-
-    def radial_factor(n_a: int, n_b: int) -> float:
-        key = (min(n_a, n_b), max(n_a, n_b))
-        if key not in radial_cache:
-            exponent = (n_a + n_b) / 2.0 - 1.0
-            ratio = _moment_ratio_by_quadrature(
-                spec, exponent, quad_spec.radial_rule, quad_spec.radial_order
-            )
-            if spec.family is WeightFamily.EXPONENTIAL:
-                alpha = 1.0
-            else:
-                alpha = spec.alpha
-            log_integral = (
-                math.log(ratio)
-                - math.log(alpha)
-                + math.lgamma((exponent + 1.0) / alpha)
-            )
-            radial_cache[key] = math.exp(
-                log_integral
-                - 0.5 * (log_rho[n_a] + log_rho[n_b])
-                + math.log(n_a)
-                + math.log(n_b)
-            )
-        return radial_cache[key]
-
-    gram = np.zeros((dim, dim), dtype=complex)
-    energies = {n: hydrogen.energy(n) for n in range(1, n_max + 1)}
-    for a, (n_a, k1a, k2a) in enumerate(labels):
-        j_a = (n_a - 1) / 2.0
-        for b, (n_b, k1b, k2b) in enumerate(labels):
-            if b < a:
-                gram[a, b] = np.conj(gram[b, a])
-                continue
-            if exact_limit:
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for n_a in levels:
+        for n_b in range(n_a, n_max + 1):
+            if quad_spec.gamma_halfwidth is None:
                 if n_a != n_b:
                     continue
                 gamma_factor = 1.0
             else:
                 gamma_factor = gamma_average(
-                    quad_spec.gamma_halfwidth, energies[n_a], energies[n_b]
+                    quad_spec.gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)
                 )
                 if gamma_factor == 0.0:
                     continue
-            j_b = (n_b - 1) / 2.0
-            s1 = sphere(j_a, j_b)[k1a, k1b]
-            s2 = sphere(j_a, j_b)[k2a, k2b]
-            gram[a, b] = radial_factor(n_a, n_b) * gamma_factor * s1 * s2
-    return gram, labels
+            # radial cross integral times the spectral factors n / sqrt(rho_{n-1})
+            exponent = (n_a + n_b) / 2.0 - 1.0
+            ratio = _moment_ratio_by_quadrature(
+                spec, exponent, quad_spec.radial_rule, quad_spec.radial_order
+            )
+            radial_factor = math.exp(
+                math.log(ratio)
+                - math.log(alpha)
+                + math.lgamma((exponent + 1.0) / alpha)
+                - 0.5 * (log_moment(spec, n_a - 1) + log_moment(spec, n_b - 1))
+                + math.log(n_a)
+                + math.log(n_b)
+            )
+            sphere = _sphere_overlap_matrix(
+                (n_a - 1) / 2.0, (n_b - 1) / 2.0,
+                quad_spec.polar_order, quad_spec.azimuthal_count,
+            )
+            rows = slice(offset[n_a], offset[n_a] + n_a * n_a)
+            cols = slice(offset[n_b], offset[n_b] + n_b * n_b)
+            gram[rows, cols] = radial_factor * gamma_factor * np.kron(sphere, sphere)
+    upper = np.triu(gram, 1)
+    return upper + upper.conj().T + np.diag(gram.diagonal().real), labels
 
 
 def verify_full_identity(

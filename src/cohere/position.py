@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohere import hydrogen
-from cohere.state import CoherentState, evolve, reduced_phases
+from cohere.state import _FMT, CoherentState, evolve, reduced_phases
 from cohere.su2 import (
     AngularParams,
     so4_amplitudes,
@@ -484,9 +484,6 @@ def runge_lenz_expectation(state: CoherentState) -> np.ndarray:
 
 
 # --- field export ---------------------------------------------------------
-
-_FMT = "%.17g"
-
 
 def write_field_csv(path, field: GridField) -> None:
     """CSV rows (x, y, abs_psi, re_psi, im_psi), x varying fastest."""

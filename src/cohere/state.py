@@ -38,8 +38,8 @@ from cohere.weights import (
     NEG_INF,
     WeightFamily,
     WeightSpec,
+    _log_series_terms,
     _resolve_ln_s,
-    log_moment,
     truncation_level,
 )
 
@@ -118,23 +118,13 @@ class CoherentState:
         return hydrogen.energy(self.coeffs.levels)
 
 
-def _log_weights(spec: WeightSpec, ln_s: float, n_values: np.ndarray) -> np.ndarray:
-    """log of s^{2n} (n+1)^2 / rho_n over the given indices."""
-    log_rho = log_moment(spec, n_values)
-    if ln_s == NEG_INF:
-        power = np.where(n_values == 0, 0.0, NEG_INF)
-    else:
-        power = 2.0 * n_values * ln_s
-    return power + 2.0 * np.log(n_values + 1.0) - log_rho
-
-
 def _distribution_window(
     spec: WeightSpec, ln_s: float, tail_eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window indices and normalized probabilities covering 1 - tail_eps."""
     n_hi = truncation_level(spec, None, tail_eps=tail_eps / 2.0, ln_s=ln_s)
     n_values = np.arange(n_hi + 1)
-    w = _log_weights(spec, ln_s, n_values)
+    w = _log_series_terms(spec, ln_s, n_values)
     w = w - logsumexp(w)
     p = np.exp(w)
     # trim the negligible lower tail as well
@@ -409,7 +399,11 @@ def write_descriptor(path, state: CoherentState, include_coeffs: bool = False) -
 
 
 def parse_descriptor(path) -> dict:
-    """Read a flat key=value descriptor into a dict (values as strings)."""
+    """Read flat key=value lines into a dict (values as strings).
+
+    Blank lines and # comments are skipped.  The one reader of both state
+    descriptors and command-line config files.
+    """
     entries: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
@@ -417,7 +411,7 @@ def parse_descriptor(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed descriptor line: {line!r}")
+                raise ValueError(f"malformed key=value line: {line!r}")
             key, value = line.split("=", 1)
             entries[key.strip()] = value.strip()
     return entries

@@ -11,13 +11,17 @@ Conventions:
   - the exponential family rho(u) = exp(-u) has rho_n = n!
   - the stretched family rho(u) = exp(-u**alpha) has
     rho_n = (1/alpha) * Gamma((n+1)/alpha)
+  - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
+    level multiplicity (n+1)^2 at summation index n; it is fixed, not a
+    parameter, and _log_series_terms is the one place its log terms are
+    formed (state builds its level window from the same helper)
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -33,41 +37,6 @@ DEFAULT_TAIL_EPS = 1e-12
 
 class DivergentSeriesError(ArithmeticError):
     """The configured weight/scale pair does not yield a convergent series."""
-
-
-@dataclass(frozen=True)
-class LogMagnitude:
-    """A nonnegative magnitude stored as its natural log.
-
-    ``value = -inf`` encodes an exact zero.  Addition goes through
-    log-sum-exp and multiplication adds logs, so no finite pair of operands
-    can produce a NaN.
-    """
-
-    value: float
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogMagnitude":
-        if x < 0:
-            raise ValueError("magnitude must be nonnegative")
-        return cls(math.log(x) if x > 0 else NEG_INF)
-
-    def to_linear(self) -> float:
-        return math.exp(self.value) if self.value > NEG_INF else 0.0
-
-    def __add__(self, other: "LogMagnitude") -> "LogMagnitude":
-        a, b = self.value, other.value
-        if a == NEG_INF:
-            return LogMagnitude(b)
-        if b == NEG_INF:
-            return LogMagnitude(a)
-        hi, lo = (a, b) if a >= b else (b, a)
-        return LogMagnitude(hi + math.log1p(math.exp(lo - hi)))
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if NEG_INF in (self.value, other.value):
-            return LogMagnitude(NEG_INF)
-        return LogMagnitude(self.value + other.value)
 
 
 class WeightFamily(Enum):
@@ -149,19 +118,8 @@ def log_density(spec: WeightSpec, u) -> np.ndarray | float:
     return float(out) if np.isscalar(u) else out
 
 
-def default_degeneracy(n: int) -> int:
-    """Level multiplicity used throughout: (n+1)^2 at summation index n."""
-    return (n + 1) ** 2
-
-
-def _log_series_terms(
-    spec: WeightSpec,
-    ln_s: float,
-    degeneracy: Callable[[int], int],
-    n_values: np.ndarray,
-) -> np.ndarray:
-    """log of s^{2n} d_n / rho_n for each n (the norm-series terms)."""
-    log_d = np.log([float(degeneracy(int(k))) for k in n_values])
+def _log_series_terms(spec: WeightSpec, ln_s: float, n_values: np.ndarray) -> np.ndarray:
+    """log of s^{2n} (n+1)^2 / rho_n for each n (the norm-series terms)."""
     log_rho = log_moment(spec, n_values)
     if ln_s == NEG_INF:
         # s = 0: only the n = 0 term survives
@@ -169,18 +127,17 @@ def _log_series_terms(
     else:
         with np.errstate(invalid="ignore"):
             power = 2.0 * n_values * ln_s
-    return power + log_d - log_rho
+    return power + 2.0 * np.log(n_values + 1.0) - log_rho
 
 
 def log_norm_factor(
     spec: WeightSpec,
     s: float | None,
-    degeneracy: Callable[[int], int] = default_degeneracy,
     n_max: int | None = None,
     *,
     ln_s: float | None = None,
 ) -> float:
-    """ln N(s^2) with N^2 * sum_n s^{2n} d_n / rho_n = 1.
+    """ln N(s^2) with N^2 * sum_n s^{2n} (n+1)^2 / rho_n = 1.
 
     Pass either ``s`` or ``ln_s``; the latter admits scales whose linear
     value overflows a double.  ``n_max`` defaults to a truncation level
@@ -188,9 +145,9 @@ def log_norm_factor(
     """
     ln_s = _resolve_ln_s(s, ln_s)
     if n_max is None:
-        n_max = truncation_level(spec, None, degeneracy, 1e-16, ln_s=ln_s)
+        n_max = truncation_level(spec, None, 1e-16, ln_s=ln_s)
     n_values = np.arange(n_max + 1)
-    terms = _log_series_terms(spec, ln_s, degeneracy, n_values)
+    terms = _log_series_terms(spec, ln_s, n_values)
     total = logsumexp(terms)
     if not np.isfinite(total):
         raise DivergentSeriesError("norm series did not converge")
@@ -252,7 +209,6 @@ def companion_density(spec: WeightSpec, norm_sq_log: float, u: float) -> float:
 def truncation_level(
     spec: WeightSpec,
     s: float | None,
-    degeneracy: Callable[[int], int] = default_degeneracy,
     tail_eps: float = DEFAULT_TAIL_EPS,
     *,
     ln_s: float | None = None,
@@ -282,7 +238,7 @@ def truncation_level(
         new_hi = min(limit, hi + block)
         n_values = np.arange(hi, new_hi)
         terms = np.concatenate(
-            [terms, _log_series_terms(spec, ln_s, degeneracy, n_values)]
+            [terms, _log_series_terms(spec, ln_s, n_values)]
         )
         hi = new_hi
         block = min(2 * block, 1 << 16)

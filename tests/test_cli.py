@@ -1,9 +1,12 @@
 """Command-line exit codes for malformed input, and a descriptor pipeline."""
+import json
+
 import numpy as np
 import pytest
 
-from cohere import cli
-from cohere.state import autocorrelation, level_distribution, read_descriptor
+from cohere import cli, hydrogen
+from cohere.identity import MAX_LEVELS
+from cohere.state import autocorrelation, level_distribution, mean_level, read_descriptor
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +139,76 @@ class TestPipeline:
         assert header == "n,p_n"
         expected = level_distribution(read_descriptor(desc))
         assert rows == [f"{n},{'%.17g' % p}" for n, p in expected]
+
+
+class TestConfigReader:
+    def test_malformed_line_is_a_usage_error(self, descriptor, tmp_path, capsys):
+        config = tmp_path / "autocorr.cfg"
+        config.write_text("samples 7\n")
+        assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
+        assert "samples 7" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_comments_blank_lines_and_dashed_keys(self, descriptor, tmp_path):
+        config = tmp_path / "autocorr.cfg"
+        config.write_text("# a short trace\n\nsamples = 5\n   \n# t-end=1\nt-end=50\nt_start=10\n")
+        assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_OK
+        times = [float(row.split(",")[0]) for row in trace_rows(tmp_path)]
+        assert times == [10.0, 20.0, 30.0, 40.0, 50.0]
+
+    def test_flag_wins_over_config(self, descriptor, tmp_path):
+        config = tmp_path / "autocorr.cfg"
+        config.write_text("samples=5\n")
+        argv = autocorr_argv(descriptor, tmp_path, "--config", str(config), "--samples", "3")
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(trace_rows(tmp_path)) == 3
+
+
+class TestAutocorrRefinement:
+    def test_windows_stop_at_t_end(self, descriptor, tmp_path):
+        t_revival = hydrogen.revival_time(mean_level(read_descriptor(descriptor), principal=True))
+        argv = autocorr_argv(descriptor, tmp_path, "--t-end", "%.17g" % t_revival,
+                             "--samples", "11", "--refine-near-revivals", "5")
+        assert cli.main(argv) == cli.EXIT_OK
+        times = np.array([float(row.split(",")[0]) for row in trace_rows(tmp_path)])
+        assert np.all(np.diff(times) > 0)
+        assert times[0] == 0.0
+        assert times[-1] == t_revival
+        # the window around T_r keeps the part at or below T_r
+        window = np.linspace(0.99 * t_revival, 1.01 * t_revival, 5)
+        assert set(window[window <= t_revival]) <= set(times)
+
+    def test_windows_stop_at_t_start(self, descriptor, tmp_path):
+        t_revival = hydrogen.revival_time(mean_level(read_descriptor(descriptor), principal=True))
+        t_start = 0.2 * t_revival  # the first fractional revival, T_r / 5
+        argv = autocorr_argv(descriptor, tmp_path, "--t-start", "%.17g" % t_start,
+                             "--t-end", "%.17g" % (0.22 * t_revival),
+                             "--samples", "3", "--refine-near-revivals", "5")
+        assert cli.main(argv) == cli.EXIT_OK
+        times = np.array([float(row.split(",")[0]) for row in trace_rows(tmp_path)])
+        assert times.min() == t_start
+        assert times.max() == 0.22 * t_revival
+
+
+class TestVerify:
+    @pytest.mark.parametrize("flags", [
+        ["--n-max", "0"],
+        ["--n-max", str(MAX_LEVELS + 1)],
+        ["--polar-order", "3"],
+        ["--azimuthal-count", "5"],
+    ])
+    def test_bad_orders_are_usage_errors(self, tmp_path, capsys, flags):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", *flags, "-o", str(report)]) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_defaults_pass(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "-o", str(report)]) == cli.EXIT_OK
+        assert json.loads(report.read_text())["passed"] is True
+
+    def test_missed_tolerance_is_a_numerical_failure(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--full-tol", "1e-300", "-o", str(report)]) == cli.EXIT_NUMERICAL
+        assert json.loads(report.read_text())["passed"] is False

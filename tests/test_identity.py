@@ -1,0 +1,153 @@
+"""Resolution-of-identity checks: sphere rule, block assembly, report."""
+import math
+
+import numpy as np
+import pytest
+
+from cohere import hydrogen
+from cohere.identity import (
+    MAX_LEVELS,
+    InsufficientOrderError,
+    QuadratureSpec,
+    _amplitude_stack,
+    _moment_ratio_by_quadrature,
+    _sphere_nodes,
+    _sphere_overlap_matrix,
+    full_identity_matrix,
+    gamma_average,
+    standard_verification,
+    verify_su2_identity,
+)
+from cohere.weights import WeightFamily, WeightSpec, log_moment
+
+FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
+MODES = [None, 1e3]  # exact-limit phase average, finite window
+
+
+def loop_identity_matrix(spec, n_max, quad_spec):
+    """Entry-by-entry oracle: one double loop over the |n, k1, k2> labels.
+
+    Each upper-triangle entry is radial * phase * S[k1a, k1b] * S[k2a, k2b]
+    and each lower-triangle entry the conjugate of its mirror.
+    """
+    labels = [(n, k1, k2) for n in range(1, n_max + 1) for k1 in range(n) for k2 in range(n)]
+    log_rho = {n: log_moment(spec, n - 1) for n in range(1, n_max + 1)}
+    alpha = 1.0 if spec.family is WeightFamily.EXPONENTIAL else spec.alpha
+    sphere_cache, radial_cache = {}, {}
+
+    def sphere(n_a, n_b):
+        if (n_a, n_b) not in sphere_cache:
+            sphere_cache[n_a, n_b] = _sphere_overlap_matrix(
+                (n_a - 1) / 2.0, (n_b - 1) / 2.0, quad_spec.polar_order, quad_spec.azimuthal_count
+            )
+        return sphere_cache[n_a, n_b]
+
+    def radial_factor(n_a, n_b):
+        if (n_a, n_b) not in radial_cache:
+            exponent = (n_a + n_b) / 2.0 - 1.0
+            ratio = _moment_ratio_by_quadrature(
+                spec, exponent, quad_spec.radial_rule, quad_spec.radial_order
+            )
+            log_integral = math.log(ratio) - math.log(alpha) + math.lgamma((exponent + 1.0) / alpha)
+            radial_cache[n_a, n_b] = math.exp(
+                log_integral - 0.5 * (log_rho[n_a] + log_rho[n_b]) + math.log(n_a) + math.log(n_b)
+            )
+        return radial_cache[n_a, n_b]
+
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for a, (n_a, k1a, k2a) in enumerate(labels):
+        for b, (n_b, k1b, k2b) in enumerate(labels):
+            if b < a:
+                gram[a, b] = np.conj(gram[b, a])
+                continue
+            if quad_spec.gamma_halfwidth is None:
+                if n_a != n_b:
+                    continue
+                gamma_factor = 1.0
+            else:
+                gamma_factor = gamma_average(
+                    quad_spec.gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)
+                )
+                if gamma_factor == 0.0:
+                    continue
+            s = sphere(n_a, n_b)
+            gram[a, b] = radial_factor(n_a, n_b) * gamma_factor * s[k1a, k1b] * s[k2a, k2b]
+    return gram, labels
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("two_j", [0, 1, 4, 9])
+    def test_amplitude_stack_matches_closed_form(self, two_j):
+        theta, _, phi, _ = _sphere_nodes(12, 24)
+        stack = _amplitude_stack(two_j / 2.0, theta, phi)
+        assert stack.shape == (two_j + 1, theta.size, phi.size)
+        t = np.tan(theta / 2.0)
+        for k in range(two_j + 1):
+            # binom(2j, k)^(1/2) zeta^k / (1 + |zeta|^2)^j at zeta = -t exp(-i phi)
+            polar = math.sqrt(math.comb(two_j, k)) * (-t) ** k / (1.0 + t * t) ** (two_j / 2.0)
+            expected = polar[:, None] * np.exp(-1j * k * phi)[None, :]
+            np.testing.assert_allclose(stack[k], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("two_j", [0, 1, 6, 10])
+    def test_multiplet_resolved_at_exact_order(self, two_j):
+        assert verify_su2_identity(two_j / 2.0, two_j + 1, 2 * two_j + 2) <= 1e-13
+
+    def test_polar_order_below_degree(self):
+        with pytest.raises(InsufficientOrderError):
+            verify_su2_identity(2.0, polar_order=4, azimuthal_count=16)
+
+    def test_aliasing_azimuthal_count(self):
+        with pytest.raises(InsufficientOrderError):
+            verify_su2_identity(2.0, polar_order=8, azimuthal_count=4)
+
+    def test_cross_spin_orders_checked(self):
+        with pytest.raises(InsufficientOrderError):
+            _sphere_overlap_matrix(2.0, 3.0, polar_order=5, azimuthal_count=16)
+        with pytest.raises(InsufficientOrderError):
+            _sphere_overlap_matrix(2.0, 3.0, polar_order=8, azimuthal_count=6)
+
+
+class TestFullIdentity:
+    @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
+    @pytest.mark.parametrize("gamma_halfwidth", MODES, ids=["exact", "finite"])
+    def test_blocks_match_entry_loop(self, spec, gamma_halfwidth):
+        quad_spec = QuadratureSpec(gamma_halfwidth=gamma_halfwidth)
+        gram, labels = full_identity_matrix(spec, 4, quad_spec)
+        oracle, oracle_labels = loop_identity_matrix(spec, 4, quad_spec)
+        assert labels == oracle_labels
+        assert np.max(np.abs(gram - oracle)) <= 1e-14
+        assert np.array_equal(gram, gram.conj().T)
+
+    def test_exact_limit_is_block_diagonal(self):
+        gram, labels = full_identity_matrix(WeightSpec.exponential(), 3)
+        levels = np.array([n for n, _, _ in labels])
+        assert np.all(gram[levels[:, None] != levels[None, :]] == 0)
+        assert np.max(np.abs(gram - np.eye(len(labels)))) <= 1e-8
+
+    @pytest.mark.parametrize("gamma_halfwidth", [1e3, 1e4, 1e5])
+    def test_finite_window_sinc_bound(self, gamma_halfwidth):
+        quad_spec = QuadratureSpec(gamma_halfwidth=gamma_halfwidth)
+        gram, labels = full_identity_matrix(WeightSpec.exponential(), 2, quad_spec)
+        energies = hydrogen.energy(np.array([n for n, _, _ in labels]))
+        gap = np.abs(energies[:, None] - energies[None, :])
+        off = gap > 0
+        assert np.any(off)
+        bound = 1.0 / (gamma_halfwidth * gap[off])
+        assert np.all(np.abs(gram[off]) <= bound + 1e-12)
+
+    @pytest.mark.parametrize("n_max", [0, MAX_LEVELS + 1])
+    def test_truncation_outside_cap_rejected(self, n_max):
+        with pytest.raises(ValueError):
+            full_identity_matrix(WeightSpec.exponential(), n_max)
+
+
+class TestStandardVerification:
+    def test_passes_at_defaults(self):
+        results = standard_verification()
+        assert len(results) == 4
+        for result in results:
+            assert result.passed, result.as_dict()
+
+    def test_low_polar_order_is_insufficient(self):
+        with pytest.raises(InsufficientOrderError):
+            standard_verification(polar_order=3)

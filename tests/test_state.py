@@ -5,6 +5,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from cohere import hydrogen
 from cohere.state import (
@@ -294,6 +296,26 @@ class TestSerialization:
         np.testing.assert_allclose(
             back.coeffs.values, paper_state.coeffs.values, atol=1e-12
         )
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        ln_s=hst.floats(min_value=-135.0, max_value=135.0),
+        alpha=hst.floats(min_value=1.0 / 40.0, max_value=1.0 / 28.0),
+        gamma=hst.floats(min_value=-1e9, max_value=1e9),
+        zetas=hst.lists(hst.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path, ln_s, alpha, gamma, zetas):
+        angular = AngularParams(complex(*zetas[:2]), complex(*zetas[2:]))
+        st = build_state(WeightSpec.stretched(alpha), None, gamma, angular, ln_s=ln_s)
+        path = tmp_path / "state.desc"
+        write_descriptor(path, st)
+        back = read_descriptor(path)
+        assert (back.weight, back.ln_s, back.gamma, back.angular, back.tail_eps) == (
+            st.weight, st.ln_s, st.gamma, st.angular, st.tail_eps)
+        assert (back.coeffs.n_min, back.coeffs.n_max) == (st.coeffs.n_min, st.coeffs.n_max)
+        assert back.coeffs.log_mag.tobytes() == st.coeffs.log_mag.tobytes()
+        assert back.coeffs.phase.tobytes() == st.coeffs.phase.tobytes()
 
     def test_round_trip_zero_scale(self, tmp_path):
         st = build_state(WeightSpec.exponential(), 0.0, 0.3, AngularParams(0.1, 0.2j))

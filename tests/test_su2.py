@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cohere.su2 import (
     AngularAmplitudes,
@@ -89,6 +91,17 @@ class TestAmplitudes:
             zeta = scale * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             norm = np.sum(np.abs(su2_amplitudes(j, zeta)) ** 2)
             assert abs(norm - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        two_j=hst.integers(min_value=0, max_value=200),
+        log10_r=hst.floats(min_value=-8.0, max_value=8.0),
+        arg=hst.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_unit_norm_at_extreme_modulus(self, two_j, log10_r, arg):
+        amps = su2_amplitudes(two_j / 2.0, cmath.rect(10.0**log10_r, arg))
+        assert np.all(np.isfinite(amps))
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-12
 
     def test_bad_spin_rejected(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from cohere import weights as W
 from cohere.weights import (
     DivergentSeriesError,
-    LogMagnitude,
     WeightSpec,
     companion_density,
     hydrogen_companion_closed_form,
@@ -22,34 +23,6 @@ from cohere.weights import (
 )
 
 LN_S_PAPER = math.log(2.209e59)
-
-
-class TestLogMagnitude:
-    def test_round_trip(self):
-        assert LogMagnitude.from_linear(3.5).to_linear() == pytest.approx(3.5, rel=1e-15)
-
-    def test_zero_encoding(self):
-        zero = LogMagnitude.from_linear(0.0)
-        assert zero.value == -math.inf
-        assert zero.to_linear() == 0.0
-
-    def test_add_is_log_sum_exp(self):
-        a, b = LogMagnitude.from_linear(2.0), LogMagnitude.from_linear(5.0)
-        assert (a + b).to_linear() == pytest.approx(7.0, rel=1e-14)
-
-    def test_mul_adds_logs(self):
-        a, b = LogMagnitude.from_linear(2.0), LogMagnitude.from_linear(5.0)
-        assert (a * b).to_linear() == pytest.approx(10.0, rel=1e-14)
-
-    def test_no_nan_with_zero_operand(self):
-        zero = LogMagnitude.from_linear(0.0)
-        one = LogMagnitude.from_linear(1.0)
-        for combo in (zero + one, one + zero, zero + zero, zero * one, zero * zero):
-            assert not math.isnan(combo.value)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LogMagnitude.from_linear(-1.0)
 
 
 class TestLogMoment:
@@ -225,3 +198,18 @@ class TestTruncation:
         monkeypatch.setattr(W, "MAX_TERMS", 64)
         with pytest.raises(DivergentSeriesError):
             truncation_level(WeightSpec.exponential(), 1e6, tail_eps=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=hst.floats(min_value=1.0 / 32.0, max_value=1.0),
+        log_mean=hst.floats(min_value=-3.0, max_value=math.log(200.0)),
+        log_eps=hst.lists(hst.floats(min_value=-36.0, max_value=-0.7), min_size=2, max_size=2),
+    )
+    def test_monotone_in_tail_eps(self, alpha, log_mean, log_eps):
+        # scales whose leading-order mean index alpha s^(2 alpha) is exp(log_mean)
+        ln_s = (log_mean - math.log(alpha)) / (2.0 * alpha)
+        spec = WeightSpec.stretched(alpha)
+        tight, loose = sorted(math.exp(v) for v in log_eps)
+        n_tight = truncation_level(spec, None, tail_eps=tight, ln_s=ln_s)
+        n_loose = truncation_level(spec, None, tail_eps=loose, ln_s=ln_s)
+        assert n_tight >= n_loose
