@@ -333,6 +333,8 @@ def cmd_verify(args) -> int:
     })
     if not 1 <= args.n_max <= MAX_LEVELS:
         raise UsageError(f"--n-max must lie in 1..{MAX_LEVELS}")
+    if args.su2_max_two_j < 0:
+        raise UsageError("--su2-max-two-j must be nonnegative")
     if args.family == "stretched":
         if args.alpha is None:
             raise UsageError("the stretched family requires --alpha")

@@ -15,10 +15,13 @@ Three layers, verified separately and then composed:
     Gamma) are provided.  Finite-window off-diagonal entries are bounded
     by 1/(Gamma |e_a - e_b|).
 
-The sphere rule evaluates su2.su2_amplitudes on its nodes, and the
-combined Gram is assembled from Kronecker blocks: for a level pair it is
-the radial cross integral times the phase average times kron(S, S), S
-being the sphere overlap of the two spin multiplets.
+The sphere rule never forms the amplitudes on the full (theta, phi)
+grid.  They factor as polar(k, theta) exp(-i k phi), with the polar
+factor from su2.su2_amplitudes on each polar node, so a sphere overlap
+is a weighted polar Gram times an azimuthal sum taken on the phi nodes.
+The combined Gram is assembled from Kronecker blocks: for a level pair
+it is the radial cross integral times the phase average times kron(S, S),
+S being the sphere overlap of the two spin multiplets.
 """
 from __future__ import annotations
 
@@ -71,15 +74,13 @@ def _sphere_nodes(polar_order: int, azimuthal_count: int):
     return theta, wu, phi, w_phi
 
 
-def _amplitude_stack(j: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """su2 amplitudes at every (theta, phi) node; shape (2j+1, Nu, Nphi).
+def _polar_factor(j: float, theta: np.ndarray) -> np.ndarray:
+    """Polar part of the su2 amplitudes on the polar nodes; shape (2j+1, Nu).
 
-    zeta = -tan(theta/2) exp(-i phi): su2_amplitudes at the real polar
-    factor -tan(theta/2), times exp(-i k phi) for component k.
+    The amplitude of component k at zeta = -tan(theta/2) exp(-i phi) is
+    this factor times exp(-i k phi).
     """
-    polar = np.stack([su2_amplitudes(j, z) for z in -np.tan(theta / 2.0)], axis=1)
-    k = np.arange(polar.shape[0])
-    return polar[:, :, None] * np.exp(-1j * np.outer(k, phi))[:, None, :]
+    return np.stack([su2_amplitudes(j, z) for z in -np.tan(theta / 2.0)], axis=1)
 
 
 def verify_su2_identity(
@@ -87,26 +88,15 @@ def verify_su2_identity(
 ) -> float:
     """Max deviation of the spin-j sphere integral from the identity.
 
-    Evaluates (2j+1)/pi * d^2 zeta/(1+|zeta|^2)^2 |j,zeta><j,zeta| on the
-    product rule and compares with the unit matrix.
+    The integral of (2j+1)/pi * d^2 zeta/(1+|zeta|^2)^2 |j,zeta><j,zeta|
+    is 2j+1 times the same-spin sphere overlap, so it inherits that rule's
+    order checks: InsufficientOrderError below 2j+1 polar nodes or 2j+1
+    azimuthal nodes.
     """
     two_j = _check_two_j(j)
     if azimuthal_count is None:
         azimuthal_count = max(4, 2 * polar_order)
-    if polar_order < two_j + 1:
-        raise InsufficientOrderError(
-            f"polar order {polar_order} cannot resolve degree {two_j}; need >= {two_j + 1}"
-        )
-    if azimuthal_count < two_j + 1:
-        raise InsufficientOrderError(
-            f"azimuthal count {azimuthal_count} aliases m-differences up to {two_j}"
-        )
-    theta, wu, phi, w_phi = _sphere_nodes(polar_order, azimuthal_count)
-    amps = _amplitude_stack(j, theta, phi)
-    flat = amps.reshape(two_j + 1, -1)
-    weights = (wu[:, None] * np.full(phi.size, w_phi)[None, :]).ravel()
-    gram = (flat * weights) @ flat.conj().T
-    gram *= (two_j + 1.0) / (4.0 * math.pi)
+    gram = (two_j + 1.0) * _sphere_overlap_matrix(j, j, polar_order, azimuthal_count)
     return float(np.max(np.abs(gram - np.eye(two_j + 1))))
 
 
@@ -115,22 +105,32 @@ def _sphere_overlap_matrix(
 ) -> np.ndarray:
     """(1/pi) integral d^2 zeta/(1+|zeta|^2)^2 a^(ja) conj(a^(jb)).
 
-    For j_a = j_b this is the unit matrix over 2j+1; cross-spin blocks
-    feed the finite-window identity assembly.
+    The amplitudes factor as polar(k, theta) exp(-i k phi), so the product
+    rule's sum splits: entry (k_a, k_b) is the weighted polar Gram times the
+    azimuthal sum A[k_a - k_b], A[d] = sum over the phi nodes of
+    w_phi exp(-i d phi).  A is summed on the nodes rather than replaced by
+    its exact value 2 pi delta_d0, so the checks measure the rule instead
+    of assuming it.  For j_a = j_b the result is the unit matrix over 2j+1;
+    cross-spin blocks feed the finite-window identity assembly.
     """
     two_a, two_b = _check_two_j(j_a), _check_two_j(j_b)
     need = (two_a + two_b) // 2 + 1
     if polar_order < need:
         raise InsufficientOrderError(
-            f"polar order {polar_order} below exactness {need} for spins {j_a}, {j_b}"
+            f"polar order {polar_order} cannot resolve spins {j_a}, {j_b}; need >= {need}"
         )
     if azimuthal_count < max(two_a, two_b) + 1:
-        raise InsufficientOrderError("azimuthal count aliases the phase harmonics")
+        raise InsufficientOrderError(
+            f"azimuthal count {azimuthal_count} aliases m-differences up to "
+            f"{max(two_a, two_b)}"
+        )
     theta, wu, phi, w_phi = _sphere_nodes(polar_order, azimuthal_count)
-    amps_a = _amplitude_stack(j_a, theta, phi).reshape(two_a + 1, -1)
-    amps_b = _amplitude_stack(j_b, theta, phi).reshape(two_b + 1, -1)
-    weights = (wu[:, None] * np.full(phi.size, w_phi)[None, :]).ravel()
-    return ((amps_a * weights) @ amps_b.conj().T) / (4.0 * math.pi)
+    polar_a = _polar_factor(j_a, theta)
+    polar_b = polar_a if two_a == two_b else _polar_factor(j_b, theta)
+    d = np.arange(-two_b, two_a + 1)
+    azimuthal = np.exp(-1j * np.outer(d, phi)).sum(axis=1) * w_phi
+    diff = np.subtract.outer(np.arange(two_a + 1), np.arange(two_b + 1)) + two_b
+    return ((polar_a * wu) @ polar_b.conj().T) * azimuthal[diff] / (4.0 * math.pi)
 
 
 def _moment_ratio_by_quadrature(

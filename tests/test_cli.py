@@ -6,7 +6,9 @@ import pytest
 
 from cohere import cli, hydrogen
 from cohere.identity import MAX_LEVELS
+from cohere.position import read_field_binary
 from cohere.state import autocorrelation, level_distribution, mean_level, read_descriptor
+from cohere.weights import WeightSpec, log_moment
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,8 @@ class TestVerify:
         ["--n-max", str(MAX_LEVELS + 1)],
         ["--polar-order", "3"],
         ["--azimuthal-count", "5"],
+        ["--su2-max-two-j", "-1"],
+        ["--su2-max-two-j", "-7"],
     ])
     def test_bad_orders_are_usage_errors(self, tmp_path, capsys, flags):
         report = tmp_path / "report.json"
@@ -212,3 +216,49 @@ class TestVerify:
         report = tmp_path / "report.json"
         assert cli.main(["verify", "--full-tol", "1e-300", "-o", str(report)]) == cli.EXIT_NUMERICAL
         assert json.loads(report.read_text())["passed"] is False
+
+
+class TestWeightsMoments:
+    @pytest.mark.parametrize("family, spec", [
+        ([], WeightSpec.exponential()),
+        (["--family", "stretched", "--alpha", "0.25"], WeightSpec.stretched(0.25)),
+    ])
+    def test_stdout_and_file_hold_the_log_moments(self, tmp_path, capsys, family, spec):
+        argv = ["weights", "moments", *family, "--n-max", "4"]
+        assert cli.main(argv) == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        expected = "n,log_moment\n" + "".join(
+            f"{n},{'%.17g' % log_moment(spec, n)}\n" for n in range(5))
+        assert printed == expected
+        path = tmp_path / "moments.csv"
+        assert cli.main([*argv, "-o", str(path)]) == cli.EXIT_OK
+        assert path.read_text() == expected
+        assert str(path) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-max", "-1"],
+        ["--family", "stretched", "--n-max", "3"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, flags):
+        path = tmp_path / "moments.csv"
+        assert cli.main(["weights", "moments", *flags, "-o", str(path)]) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not path.exists()
+
+
+class TestGridBinary:
+    def test_binary_frame_round_trips_to_the_csv_frame(self, descriptor, tmp_path):
+        prefix = tmp_path / "frame"
+        argv = ["grid", "--descriptor", str(descriptor), "--width", "20", "--samples", "7",
+                "--times", "0,150"]
+        assert cli.main([*argv, "-o", str(prefix)]) == cli.EXIT_OK
+        assert cli.main([*argv, "--format", "bin", "-o", str(prefix)]) == cli.EXIT_OK
+        for label, t in (("t0", 0.0), ("t1", 150.0)):
+            field = read_field_binary(f"{prefix}_{label}.bin")
+            assert (field.spec.width, field.spec.samples, field.t) == (20.0, 7, t)
+            x, y, _, re_psi, im_psi = np.loadtxt(
+                f"{prefix}_{label}.csv", delimiter=",", skiprows=1).T
+            assert np.array_equal(x.reshape(7, 7)[0], field.spec.axis())
+            assert np.array_equal(y.reshape(7, 7)[:, 0], field.spec.axis())
+            assert np.array_equal(field.values.real.ravel(), re_psi)
+            assert np.array_equal(field.values.imag.ravel(), im_psi)

@@ -1,5 +1,6 @@
 """Resolution-of-identity checks: sphere rule, block assembly, report."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from cohere.identity import (
     MAX_LEVELS,
     InsufficientOrderError,
     QuadratureSpec,
-    _amplitude_stack,
     _moment_ratio_by_quadrature,
+    _polar_factor,
     _sphere_nodes,
     _sphere_overlap_matrix,
     full_identity_matrix,
@@ -22,6 +23,22 @@ from cohere.weights import WeightFamily, WeightSpec, log_moment
 
 FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
+
+
+def amplitude_stack(j, theta, phi):
+    """su2 amplitudes at every (theta, phi) node; shape (2j+1, Nu, Nphi)."""
+    polar = _polar_factor(j, theta)
+    k = np.arange(polar.shape[0])
+    return polar[:, :, None] * np.exp(-1j * np.outer(k, phi))[:, None, :]
+
+
+def dense_sphere_overlap(j_a, j_b, polar_order, azimuthal_count):
+    """Sphere overlap as one Gram over the flattened (theta, phi) grid."""
+    theta, wu, phi, w_phi = _sphere_nodes(polar_order, azimuthal_count)
+    amps_a = amplitude_stack(j_a, theta, phi).reshape(round(2 * j_a) + 1, -1)
+    amps_b = amplitude_stack(j_b, theta, phi).reshape(round(2 * j_b) + 1, -1)
+    weights = (wu[:, None] * np.full(phi.size, w_phi)[None, :]).ravel()
+    return ((amps_a * weights) @ amps_b.conj().T) / (4.0 * math.pi)
 
 
 def loop_identity_matrix(spec, n_max, quad_spec):
@@ -79,14 +96,55 @@ class TestSphereRule:
     @pytest.mark.parametrize("two_j", [0, 1, 4, 9])
     def test_amplitude_stack_matches_closed_form(self, two_j):
         theta, _, phi, _ = _sphere_nodes(12, 24)
-        stack = _amplitude_stack(two_j / 2.0, theta, phi)
+        stack = amplitude_stack(two_j / 2.0, theta, phi)
         assert stack.shape == (two_j + 1, theta.size, phi.size)
+        factor = _polar_factor(two_j / 2.0, theta)
+        assert factor.shape == (two_j + 1, theta.size)
         t = np.tan(theta / 2.0)
         for k in range(two_j + 1):
             # binom(2j, k)^(1/2) zeta^k / (1 + |zeta|^2)^j at zeta = -t exp(-i phi)
             polar = math.sqrt(math.comb(two_j, k)) * (-t) ** k / (1.0 + t * t) ** (two_j / 2.0)
+            np.testing.assert_allclose(factor[k], polar, rtol=0, atol=1e-14)
             expected = polar[:, None] * np.exp(-1j * k * phi)[None, :]
             np.testing.assert_allclose(stack[k], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("orders", ["minimal", "default"])
+    def test_factored_overlap_matches_dense_same_spin(self, orders):
+        for two_j in range(21):
+            polar, azimuthal = (two_j + 1, two_j + 1) if orders == "minimal" else (24, 48)
+            got = _sphere_overlap_matrix(two_j / 2.0, two_j / 2.0, polar, azimuthal)
+            oracle = dense_sphere_overlap(two_j / 2.0, two_j / 2.0, polar, azimuthal)
+            assert np.max(np.abs(got - oracle)) <= 1e-14, two_j
+
+    @pytest.mark.parametrize("orders", ["minimal", "default"])
+    def test_factored_overlap_matches_dense_cross_spin(self, orders):
+        for two_a in range(6):
+            for two_b in range(6):
+                if orders == "minimal":
+                    polar, azimuthal = (two_a + two_b) // 2 + 1, max(two_a, two_b) + 1
+                else:
+                    polar, azimuthal = 24, 48
+                got = _sphere_overlap_matrix(two_a / 2.0, two_b / 2.0, polar, azimuthal)
+                oracle = dense_sphere_overlap(two_a / 2.0, two_b / 2.0, polar, azimuthal)
+                assert got.shape == (two_a + 1, two_b + 1)
+                assert np.max(np.abs(got - oracle)) <= 1e-14, (two_a, two_b)
+
+    def test_verify_matches_dense_gram(self):
+        for two_j in (0, 3, 10, 20):
+            oracle = (two_j + 1.0) * dense_sphere_overlap(two_j / 2.0, two_j / 2.0, 24, 48)
+            expected = np.max(np.abs(oracle - np.eye(two_j + 1)))
+            assert abs(verify_su2_identity(two_j / 2.0, 24, 48) - expected) <= 1e-14
+
+    def test_working_set_is_small(self):
+        # the dense (2j+1, Nu, Nphi) stack alone is 24 MB at these orders
+        tracemalloc.start()
+        try:
+            deviation = verify_su2_identity(40.0, 96, 192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert deviation <= 1e-12
+        assert peak <= 2 * 2**20
 
     @pytest.mark.parametrize("two_j", [0, 1, 6, 10])
     def test_multiplet_resolved_at_exact_order(self, two_j):

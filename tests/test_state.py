@@ -285,6 +285,33 @@ class TestOverlap:
         assert abs(got - expected) <= 1e-7
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        exponential=hst.booleans(),
+        alpha=hst.floats(min_value=1.0 / 40.0, max_value=1.0 / 28.0),
+        ln_s=hst.floats(min_value=-135.0, max_value=135.0),
+        shift=hst.floats(min_value=-2.0, max_value=2.0),
+        gammas=hst.lists(hst.floats(min_value=-1e9, max_value=1e9), min_size=2, max_size=2),
+        zetas=hst.lists(hst.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+        nudge=hst.lists(hst.floats(min_value=-0.1, max_value=0.1), min_size=4, max_size=4),
+    )
+    def test_hermitian_and_bounded(self, exponential, alpha, ln_s, shift, gammas, zetas, nudge):
+        if exponential:
+            # <n> ~ s^2 here, so a short window needs |ln_s| of a few units
+            spec, ln_s = WeightSpec.exponential(), ln_s / 60.0
+        else:
+            spec = WeightSpec.stretched(alpha)
+        # nearby zetas keep the per-level angular overlaps away from zero
+        near = [z + d for z, d in zip(zetas, nudge)]
+        a = build_state(spec, None, gammas[0],
+                        AngularParams(complex(*zetas[:2]), complex(*zetas[2:])), ln_s=ln_s)
+        b = build_state(spec, None, gammas[1],
+                        AngularParams(complex(*near[:2]), complex(*near[2:])), ln_s=ln_s + shift)
+        ab, ba = overlap(a, b), overlap(b, a)
+        assert abs(ab - ba.conjugate()) <= 1e-12
+        assert abs(ab) <= 1.0 + 1e-12
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, paper_state):
         path = tmp_path / "state.desc"

@@ -1,20 +1,25 @@
-"""The benchmark's layer tracer must find every binding it wraps."""
+"""The benchmark's tracer and oracles must match what the package exposes."""
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from cohere.identity import standard_verification
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the defining module here
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_binding_resolves():
-    wrapped = load_spans().WRAPPED
+    wrapped = load_bench("spans").WRAPPED
     assert wrapped
     missing = [
         f"{module}.{attr}"
@@ -22,3 +27,14 @@ def test_every_wrapped_binding_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_identity_report_matches_the_oracle():
+    oracles = load_bench("oracles")
+    results = standard_verification(n_max=2, su2_max_two_j=3, polar_order=6,
+                                    azimuthal_count=8, gamma_halfwidths=(1e3,))
+    assert {r.name for r in results} == oracles.IDENTITY_CHECKS
+    truncations = {r.truncation for r in results}
+    # the oracle looks up the spin and level truncations in exactly this form
+    assert {"2j <= 3", "levels <= 2"} <= truncations
+    assert all(re.fullmatch(r"(2j|n|levels) <= \d+", t) for t in truncations)
