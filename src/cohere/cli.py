@@ -13,7 +13,8 @@ COHERE_GRID_BUDGET overrides the planar-grid resource budget.  An optional
 names (dashes or underscores); explicit flags win, and a key that names
 no option of the subcommand is a usage error.  Integer options accept
 integer-valued literals such as 1e9 from flags, configs and the
-environment alike.
+environment alike; float options, their config values and each --times
+entry must be finite numbers.
 """
 from __future__ import annotations
 
@@ -58,12 +59,29 @@ def _integer(text: str, source: str) -> int:
     return int(value)
 
 
-def _int_option(text: str) -> int:
-    """argparse type of every integer option, built on _integer."""
+def _real(text: str, source: str) -> float:
+    """A finite float from text; nan, inf and malformed text are usage errors."""
     try:
-        return _integer(text, "value")
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not abs(value) < float("inf"):  # false for nan as well
+        raise UsageError(f"{source} must be a finite number, got {text!r}")
+    return value
+
+
+def _option(read):
+    """argparse type built on a reader that raises UsageError."""
+    def parse(text: str):
+        try:
+            return read(text, "value")
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_int_option = _option(_integer)
+_real_option = _option(_real)
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
@@ -86,13 +104,10 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
                 setattr(args, key, fallback)
             elif isinstance(fallback, int):
                 setattr(args, key, _integer(config[key], f"config value {key}"))
-            elif fallback is None:
+            elif isinstance(fallback, float):
+                setattr(args, key, _real(config[key], f"config value {key}"))
+            else:  # text options, and those without a default
                 setattr(args, key, config[key])
-            else:
-                try:
-                    setattr(args, key, type(fallback)(config[key]))
-                except ValueError:
-                    raise UsageError(f"config value {key}={config[key]!r} is not valid") from None
 
 
 def _weight_from_args(args) -> "object":
@@ -116,19 +131,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve for the scale matching a target mean level")
-    p.add_argument("--alpha", type=float, required=True, help="stretch exponent of the weight")
-    p.add_argument("--mean", type=float, required=True, help="target mean principal quantum number")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eccentricity", type=float, default=None, help="Kepler eccentricity for the angular factor")
-    p.add_argument("--tail-eps", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance on the mean")
+    p.add_argument("--alpha", type=_real_option, required=True, help="stretch exponent of the weight")
+    p.add_argument("--mean", type=_real_option, required=True, help="target mean principal quantum number")
+    p.add_argument("--gamma", type=_real_option, default=None)
+    p.add_argument("--eccentricity", type=_real_option, default=None, help="Kepler eccentricity for the angular factor")
+    p.add_argument("--tail-eps", type=_real_option, default=None)
+    p.add_argument("--tol", type=_real_option, default=None, help="relative tolerance on the mean")
     p.add_argument("--config", default=None)
     p.add_argument("--output", "-o", default=None, help="state descriptor path")
 
     p = sub.add_parser("autocorr", help="autocorrelation trace to CSV")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--t-start", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None, help="defaults to 1.1x the revival time")
+    p.add_argument("--t-start", type=_real_option, default=None)
+    p.add_argument("--t-end", type=_real_option, default=None, help="defaults to 1.1x the revival time")
     p.add_argument("--samples", type=_int_option, default=None)
     p.add_argument("--refine-near-revivals", type=_int_option, default=None,
                    help="extra samples added around each fractional revival time")
@@ -137,7 +152,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="planar field files at selected times")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--width", type=float, required=True)
+    p.add_argument("--width", type=_real_option, required=True)
     p.add_argument("--samples", type=_int_option, required=True)
     p.add_argument("--times", default=None,
                    help="comma-separated times; default: the fractional revival times")
@@ -152,12 +167,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="resolution-of-identity verification suite")
     p.add_argument("--family", choices=("exponential", "stretched"), default="exponential")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_real_option, default=None)
     p.add_argument("--n-max", type=_int_option, default=None)
     p.add_argument("--su2-max-two-j", type=_int_option, default=None)
     p.add_argument("--polar-order", type=_int_option, default=None)
     p.add_argument("--azimuthal-count", type=_int_option, default=None)
-    p.add_argument("--full-tol", type=float, default=None)
+    p.add_argument("--full-tol", type=_real_option, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
 
@@ -165,7 +180,7 @@ def build_parser() -> _Parser:
     wsub = p.add_subparsers(dest="weights_command", required=True)
     m = wsub.add_parser("moments", help="log-moment table")
     m.add_argument("--family", choices=("exponential", "stretched"), default="exponential")
-    m.add_argument("--alpha", type=float, default=None)
+    m.add_argument("--alpha", type=_real_option, default=None)
     m.add_argument("--n-max", type=_int_option, required=True)
     m.add_argument("--output", "-o", default=None, help="CSV path (stdout if omitted)")
 
@@ -264,7 +279,7 @@ def cmd_grid(args) -> int:
     from cohere.position import (
         DEFAULT_GRID_BUDGET,
         GridSpec,
-        field_on_grid,
+        field_frames,
         write_field_binary,
         write_field_csv,
     )
@@ -280,27 +295,25 @@ def cmd_grid(args) -> int:
         raise UsageError("--samples must be at least 2")
     if args.width <= 0:
         raise UsageError("--width must be positive")
+    if args.format not in ("csv", "bin"):
+        raise UsageError(f"--format must be csv or bin, got {args.format!r}")
 
     state = read_descriptor(args.descriptor)
     grid = GridSpec(width=args.width, samples=args.samples)
     if args.times:
         schedule = [
-            (f"t{i}", float(v)) for i, v in enumerate(str(args.times).split(","))
+            (f"t{i}", _real(v, "each --times entry"))
+            for i, v in enumerate(str(args.times).split(","))
         ]
     else:
         t_revival = hydrogen.revival_time(mean_level(state, principal=True))
         schedule = hydrogen.fractional_revival_times(t_revival)
 
-    written = []
-    for label, t in schedule:
-        field = field_on_grid(state, grid, t, budget=args.budget)
-        suffix = "csv" if args.format == "csv" else "bin"
-        path = f"{args.output_prefix}_{_safe_label(label)}.{suffix}"
-        if args.format == "csv":
-            write_field_csv(path, field)
-        else:
-            write_field_binary(path, field)
-        written.append(path)
+    write = write_field_csv if args.format == "csv" else write_field_binary
+    frames = field_frames(state, grid, [t for _, t in schedule], budget=args.budget)
+    for (label, t), field in zip(schedule, frames):
+        path = f"{args.output_prefix}_{_safe_label(label)}.{args.format}"
+        write(path, field)
         print(f"wrote {path} (t={_FMT % t})")
     return EXIT_OK
 

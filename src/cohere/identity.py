@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -66,9 +67,17 @@ def gamma_average(gamma_halfwidth: float, ea: float, eb: float) -> float:
     return float(np.sinc(gamma_halfwidth * (ea - eb) / math.pi))
 
 
-def _sphere_nodes(polar_order: int, azimuthal_count: int):
+@lru_cache(maxsize=8)
+def _polar_rule(polar_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre polar angles and weights, read-only: callers share them."""
     u, wu = np.polynomial.legendre.leggauss(polar_order)
     theta = np.arccos(u)
+    theta.flags.writeable = wu.flags.writeable = False
+    return theta, wu
+
+
+def _sphere_nodes(polar_order: int, azimuthal_count: int):
+    theta, wu = _polar_rule(polar_order)
     phi = np.arange(azimuthal_count) * (2.0 * math.pi / azimuthal_count)
     w_phi = 2.0 * math.pi / azimuthal_count
     return theta, wu, phi, w_phi

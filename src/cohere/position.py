@@ -19,6 +19,13 @@ direction.  (+z would require the parameter at the excluded pole; the -z
 representative is the mirror image through the orbital plane and has
 identical ellipse geometry.)
 
+Planar frames and orbit traces take time only through the evolved level
+coefficients c(t).  A grid frame is c(t) . Phi, where row n of Phi is
+level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
+g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii, summed over m
+by Horner's rule in e^{i phi}.  Phi (levels x points) is built once for a
+whole schedule; beyond it the working set is O(points).
+
 Orbit traces never form the wavefunction on the 3-D quadrature.  The
 product rule (Gauss-Legendre in r and cos(theta), trapezoid in phi) is an
 exact tensor product, and x = r sin(theta) cos(phi), y = r sin(theta)
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohere import hydrogen
-from cohere.state import _FMT, CoherentState, evolve, reduced_phases
+from cohere.state import _FMT, CoherentState, reduced_phases
 from cohere.su2 import (
     AngularParams,
     so4_amplitudes,
@@ -203,24 +210,34 @@ def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray | complex:
 
 
 def _spherical_amp_tables(state: CoherentState):
-    """so4 -> (l, m) amplitude table per occupied level."""
-    tables = {}
-    for n in state.coeffs.levels:
-        tables[int(n)] = so4_to_spherical(so4_amplitudes(int(n), state.angular))
-    return tables
+    """Per occupied level, in order, the (n, 2n-1) table whose entry
+    [l, n-1+m] multiplies P_l^|m|(cos theta) e^{i m phi}: g_n(l, m), with
+    the (-1)^m of Y_{l,-m} = (-1)^m conj(Y_{l,m}) folded in for m < 0."""
+    for n in state.coeffs.levels.tolist():
+        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        # row l of g holds m = -l..l from column 0; only zeros wrap around
+        shifted = np.array([np.roll(row, n - 1 - l) for l, row in enumerate(g)])
+        yield shifted * (-1.0) ** np.minimum(np.arange(1 - n, n), 0)
 
 
-def field_on_grid(
-    state: CoherentState,
-    grid: GridSpec,
-    t: float,
-    budget: int = DEFAULT_GRID_BUDGET,
-) -> GridField:
-    """The wavefunction on the z = 0 plane at time t.
+def _legendre_table(n_top: int, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
+    """theta part of Y_{l,|m|} at [|m|, l, node], zero for |m| > l."""
+    table = np.zeros((n_top, n_top, cos_t.size))
+    for m in range(n_top):
+        table[m, m:] = legendre_normalized(n_top - 1, m, cos_t, sin_t)
+    return table
 
-    psi(x, y, 0, t) = sum_n c_n(t) sum_{l,m} g_n(l,m) R_{n,l}(r)
-    Y_{l,m}(pi/2, phi) with g_n the recoupled angular amplitudes.
-    """
+
+def _coefficients_at(state: CoherentState, t: float) -> np.ndarray:
+    """The level coefficients c(t) of the state evolved to time t."""
+    return state.coeffs.values * np.exp(1j * reduced_phases(-t, state.level_energies))
+
+
+def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFAULT_GRID_BUDGET):
+    """The wavefunction on the z = 0 plane at each of the given times.
+
+    Checks the budget and builds Phi (see the module docstring) at the
+    call; the returned iterator yields one GridField per time."""
     levels = state.coeffs.levels
     n_top = int(levels.max())
     cost = n_top * n_top * grid.samples * grid.samples
@@ -229,43 +246,33 @@ def field_on_grid(
 
     axis = grid.axis()
     xx, yy = np.meshgrid(axis, axis)  # values[iy, ix]
-    r = np.hypot(xx, yy).ravel()
+    r_unique, inverse = np.unique(np.hypot(xx, yy).ravel(), return_inverse=True)
     phi = np.arctan2(yy, xx).ravel()
-    r_unique, inverse = np.unique(r, return_inverse=True)
+    e_iphi = np.exp(1j * phi)
+    plane = _legendre_table(n_top, np.zeros(1), np.ones(1))[:, :, 0]  # P_l^|m|(0)
+    fields = np.empty((levels.size, phi.size), dtype=complex)
+    for field, n, table in zip(fields, levels.tolist(), _spherical_amp_tables(state)):
+        radials = np.array([radial(n, l, r_unique) for l in range(n)], dtype=complex)
+        g = table.T * plane[np.abs(np.arange(1 - n, n)), :n]  # F_n[m] = g[n-1+m] @ radials
+        # sum_m F_n[m] e^{i m phi} by Horner's rule, one F_n[m] row at a time
+        field[:] = (g[-1] @ radials)[inverse]
+        for row in g[-2::-1]:
+            field *= e_iphi
+            field += (row @ radials)[inverse]
+        field *= np.exp(-1j * (n - 1) * phi)
+    shape = (grid.samples, grid.samples)
+    return (GridField(spec=grid, t=t, values=(_coefficients_at(state, t) @ fields).reshape(shape))
+            for t in times)
 
-    coeffs = evolve(state, t).coeffs.values
-    tables = _spherical_amp_tables(state)
-    # theta part of Y_{l,m} on the plane, evaluated once per (l, m)
-    plane_legendre = {
-        m: legendre_normalized(n_top - 1, m, np.array(0.0), np.array(1.0))
-        for m in range(n_top)
-    }
 
-    total = np.zeros(r.size, dtype=complex)
-    for c_n, n in zip(coeffs, levels):
-        n = int(n)
-        g = tables[n]
-        level_field = np.zeros(r.size, dtype=complex)
-        for l in range(n):
-            angular = np.zeros(r.size, dtype=complex)
-            nonzero = False
-            for m in range(-l, l + 1):
-                amp = g[l, l + m]
-                if amp == 0:
-                    continue
-                theta_part = plane_legendre[abs(m)][l - abs(m)]
-                if m < 0:
-                    theta_part = theta_part * (-1.0) ** (abs(m) % 2)
-                factor = amp * theta_part
-                if factor == 0:
-                    continue
-                angular += factor * np.exp(1j * m * phi)
-                nonzero = True
-            if not nonzero:
-                continue
-            level_field += radial(n, l, r_unique)[inverse] * angular
-        total += c_n * level_field
-    return GridField(spec=grid, t=t, values=total.reshape(grid.samples, grid.samples))
+def field_on_grid(
+    state: CoherentState,
+    grid: GridSpec,
+    t: float,
+    budget: int = DEFAULT_GRID_BUDGET,
+) -> GridField:
+    """The wavefunction on the z = 0 plane at time t; see field_frames."""
+    return next(field_frames(state, grid, [t], budget))
 
 
 # --- full 3-D quadrature -------------------------------------------------
@@ -320,7 +327,6 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     levels' (n, l) rows; see the module docstring.
     """
     levels = [int(n) for n in state.coeffs.levels]
-    tables = _spherical_amp_tables(state)
     n_top = max(levels)
     rows = [(n, l) for n in levels for l in range(n)]
     k = len(rows)
@@ -332,20 +338,16 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     radial_norm = (radial_rows * w_r) @ radial_rows.T
     radial_first = (radial_rows * (w_r * r)) @ radial_rows.T
 
-    # amp[a, n_top - 1 + m] = g_n(l, m) for row a = (n, l), zero for |m| > l,
-    # with the (-1)^m of Y_{l,-m} = (-1)^m conj(Y_{l,m}) folded in
+    # amp[a, n_top - 1 + m] = coefficient of P_l^|m| e^{i m phi} for row a = (n, l)
     m_values = np.arange(-(n_top - 1), n_top)
     amp = np.zeros((k, m_values.size), dtype=complex)
-    for a, (n, l) in enumerate(rows):
-        amp[a, n_top - 1 - l:n_top + l] = tables[n][l, :2 * l + 1]
-    amp *= np.where((m_values < 0) & (m_values % 2 == 1), -1.0, 1.0)
+    starts = np.cumsum([0] + levels[:-1])
+    for start, n, table in zip(starts, levels, _spherical_amp_tables(state)):
+        amp[start:start + n, n_top - n:n_top - 1 + n] = table
 
     cos_t = quad.cos_nodes
     sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    # theta part of Y_{l,|m|} at [|m|, l]: one recurrence per |m|
-    legendre = np.zeros((n_top, n_top, cos_t.size))
-    for m in range(n_top):
-        legendre[m, m:] = legendre_normalized(n_top - 1, m, cos_t, sin_t)
+    legendre = _legendre_table(n_top, cos_t, sin_t)
     row_legendre = (np.abs(m_values)[None, :], np.array([l for _, l in rows])[:, None])
     phi = quad.phi_nodes
     e_imphi = np.exp(1j * np.outer(m_values, phi))
@@ -369,7 +371,6 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     ang_y = -0.5j * (ang_plus - ang_plus.conj().T)
 
     # sum the (n, l) x (n', l') products over the block of each level pair
-    starts = np.cumsum([0] + levels[:-1])
     return np.stack([
         np.add.reduceat(np.add.reduceat(rad * ang, starts, axis=0), starts, axis=1)
         for rad, ang in ((radial_first, ang_x), (radial_first, ang_y), (radial_norm, ang_norm))
@@ -397,12 +398,9 @@ def position_trace(
         n_top, radial_order, polar_order, azimuthal_count, r_max
     )
     moments = level_moments(state, quad)
-    energies = state.level_energies
-    base = state.coeffs.values
-
     rows = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        c = base * np.exp(1j * reduced_phases(-t, energies))
+        c = _coefficients_at(state, t)
         rows.append(np.einsum("i,kij,j->k", c.conj(), moments, c).real)
     return np.asarray(rows)
 

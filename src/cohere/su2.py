@@ -29,6 +29,12 @@ import numpy as np
 from scipy.special import gammaln
 
 
+#: largest level n = 2j + 1 that so4_to_spherical recouples: up to here
+#: every coefficient of every level stays within 1e-9 of a 60-digit
+#: Racah sum (see clebsch_gordan)
+MAX_RECOUPLING_LEVEL = 60
+
+
 def _check_two_j(j: float, name: str = "j") -> int:
     two_j = round(2 * j)
     if abs(2 * j - two_j) > 1e-9 or two_j < 0:
@@ -173,8 +179,13 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, L: float, M: floa
     """Condon-Shortley Clebsch-Gordan coefficient <j1 m1 j2 m2 | L M>.
 
     Evaluated from the Racah single-sum closed form with log-factorials
-    and explicit sign bookkeeping, stable to j of order 100.  Selection
-    rule violations give exactly 0.
+    and explicit sign bookkeeping.  The alternating sum cancels more as j
+    grows.  Against a 60-digit sum, the largest error over every
+    coefficient of level n = 2j + 1 (j1 = j2 = j) is 9.6e-10 at n = 60
+    and 1.5e-9 at n = 61; 300 sampled coefficients reach 2.6e-6 at n = 100
+    and 4.7e-5 at n = 120, and at n = 176 some values exceed 1 by far.
+    so4_to_spherical therefore refuses levels above MAX_RECOUPLING_LEVEL.
+    Selection rule violations give exactly 0.
     """
     two = [_check_two_j(x, name) for x, name in
            ((j1, "j1"), (j2, "j2"), (L, "L"))]
@@ -261,8 +272,15 @@ def so4_to_spherical(amps: AngularAmplitudes) -> np.ndarray:
 
     Returns a complex array ``c`` of shape (n, 2n-1) with ``c[l, l+m]``
     the amplitude on angular momentum (l, m); a unitary change of basis.
+    Raises ArithmeticError, before any work, for a level above
+    MAX_RECOUPLING_LEVEL, where the Racah sum is no longer accurate.
     """
     n = amps.n
+    if n > MAX_RECOUPLING_LEVEL:
+        raise ArithmeticError(
+            f"level {n} is above {MAX_RECOUPLING_LEVEL}, the largest level whose "
+            "Clebsch-Gordan recoupling stays within 1e-9"
+        )
     two_j = n - 1
     out = np.zeros((n, 2 * n - 1), dtype=complex)
     for l in range(n):

@@ -1,12 +1,13 @@
 """Command-line exit codes for malformed input, and a descriptor pipeline."""
 import json
+import time
 
 import numpy as np
 import pytest
 
 from cohere import cli, hydrogen
 from cohere.identity import MAX_LEVELS
-from cohere.position import read_field_binary
+from cohere.position import GridSpec, field_on_grid, read_field_binary
 from cohere.state import autocorrelation, level_distribution, mean_level, read_descriptor
 from cohere.weights import WeightSpec, log_moment
 
@@ -72,6 +73,12 @@ class TestConfigValues:
         assert cli.main(grid_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
         assert "budgt" in capsys.readouterr().err
         assert not (tmp_path / "frame_t0.csv").exists()
+
+    def test_unknown_grid_format_is_a_usage_error(self, descriptor, tmp_path):
+        config = tmp_path / "grid.cfg"
+        config.write_text("format=txt\n")
+        assert cli.main(grid_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
+        assert not list(tmp_path.glob("frame*"))
 
     def test_autocorr_key_typo_is_a_usage_error(self, descriptor, tmp_path):
         config = tmp_path / "autocorr.cfg"
@@ -262,3 +269,62 @@ class TestGridBinary:
             assert np.array_equal(y.reshape(7, 7)[:, 0], field.spec.axis())
             assert np.array_equal(field.values.real.ravel(), re_psi)
             assert np.array_equal(field.values.imag.ravel(), im_psi)
+
+    def test_default_schedule_writes_the_fractional_revival_frames(self, descriptor, tmp_path):
+        argv = ["grid", "--descriptor", str(descriptor), "--width", "20", "--samples", "7",
+                "--format", "bin", "-o", str(tmp_path / "frame")]
+        assert cli.main(argv) == cli.EXIT_OK
+        state = read_descriptor(descriptor)
+        schedule = hydrogen.fractional_revival_times(
+            hydrogen.revival_time(mean_level(state, principal=True)))
+        names = ["0", "Tr_over_5", "Tr_over_4", "Tr_over_3", "Tr_over_2", "Tr"]
+        assert [label for label, _ in schedule] == ["0", "Tr/5", "Tr/4", "Tr/3", "Tr/2", "Tr"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"frame_{n}.bin" for n in names)
+        for name, (_, t) in zip(names, schedule):
+            field = read_field_binary(tmp_path / f"frame_{name}.bin")
+            assert field.t == t
+            want = field_on_grid(state, GridSpec(width=20.0, samples=7), t).values
+            assert field.values.tobytes() == want.tobytes()
+
+    def test_paper_scale_is_refused_before_any_frame(self, tmp_path, capsys):
+        desc = tmp_path / "paper.desc"
+        assert cli.main(["solve", "--alpha", "0.03125", "--mean", "160", "--eccentricity",
+                         "0.385", "-o", str(desc)]) == cli.EXIT_OK
+        # 101 samples pass the default budget; the recoupling limit refuses the levels
+        argv = ["grid", "--descriptor", str(desc), "--width", "40000", "--samples", "101",
+                "--times", "0", "-o", str(tmp_path / "frame")]
+        start = time.perf_counter()
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert time.perf_counter() - start < 10.0
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("frame*"))
+
+
+class TestFloatInput:
+    @pytest.mark.parametrize("command, flags", [
+        ("autocorr", ["--t-end", "nan"]),
+        ("autocorr", ["--t-start", "inf"]),
+        ("grid", ["--times", "0,abc"]),
+        ("grid", ["--times", "0,,1"]),
+        ("grid", ["--width", "nan"]),
+        ("grid", ["--times", "nan"]),
+        ("solve", ["--alpha", "nan"]),
+        ("solve", ["--mean", "nan"]),
+    ])
+    def test_non_finite_or_malformed_is_a_usage_error(self, descriptor, tmp_path, capsys,
+                                                      command, flags):
+        argv = {
+            "autocorr": autocorr_argv(descriptor, tmp_path, "--samples", "5"),
+            "grid": grid_argv(descriptor, tmp_path),
+            "solve": ["solve", "--alpha", "0.25", "--mean", "3", "-o", str(tmp_path / "s.desc")],
+        }[command]
+        assert cli.main([*argv, *flags]) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_config_value_is_a_usage_error(self, descriptor, tmp_path, capsys):
+        config = tmp_path / "autocorr.cfg"
+        config.write_text("samples=5\nt_end=nan\n")
+        assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
+        assert "t_end" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()

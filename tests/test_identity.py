@@ -12,6 +12,7 @@ from cohere.identity import (
     QuadratureSpec,
     _moment_ratio_by_quadrature,
     _polar_factor,
+    _polar_rule,
     _sphere_nodes,
     _sphere_overlap_matrix,
     full_identity_matrix,
@@ -145,6 +146,21 @@ class TestSphereRule:
             tracemalloc.stop()
         assert deviation <= 1e-12
         assert peak <= 2 * 2**20
+
+    def test_polar_rule_computed_once_per_order(self, monkeypatch):
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda order: orders.append(order) or leggauss(order))
+        _polar_rule.cache_clear()
+        try:
+            for polar_order in (12, 16, 12):
+                results = standard_verification(n_max=2, su2_max_two_j=8, polar_order=polar_order,
+                                                azimuthal_count=24, gamma_halfwidths=(1e3,))
+                assert all(r.passed for r in results)
+        finally:
+            _polar_rule.cache_clear()
+        assert orders == [12, 16]
 
     @pytest.mark.parametrize("two_j", [0, 1, 6, 10])
     def test_multiplet_resolved_at_exact_order(self, two_j):

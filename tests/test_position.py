@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import quad
 
+from cohere import hydrogen
 from cohere import position as P
 from cohere.position import (
     BudgetExceededError,
     GridSpec,
     SpatialQuadrature,
     ellipse_to_angular,
+    field_frames,
     field_on_grid,
     legendre_normalized,
     level_moments,
@@ -27,7 +29,7 @@ from cohere.position import (
     write_field_binary,
     write_field_csv,
 )
-from cohere.state import build_state, evolve, reduced_phases, solve_scale_ln
+from cohere.state import build_state, evolve, mean_level, reduced_phases, solve_scale_ln
 from cohere.su2 import AngularParams, so4_amplitudes, so4_to_spherical
 from cohere.weights import WeightSpec
 
@@ -48,6 +50,27 @@ def small_orbit_state(eccentricity):
         WeightSpec.stretched(0.25), None, 0.0,
         ellipse_to_angular(eccentricity, 3), ln_s=solve_scale_ln(0.25, 3.0),
     )
+
+
+def dense_field_on_grid(state, grid, t):
+    """Reference planar field: every (n, l, m) term applied to every grid
+    point, with the coefficients of the evolved state."""
+    axis = grid.axis()
+    xx, yy = np.meshgrid(axis, axis)
+    r, phi = np.hypot(xx, yy).ravel(), np.arctan2(yy, xx).ravel()
+    r_unique, inverse = np.unique(r, return_inverse=True)
+    total = np.zeros(r.size, dtype=complex)
+    for c_n, n in zip(evolve(state, t).coeffs.values, state.coeffs.levels.tolist()):
+        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        for l in range(n):
+            angular = np.zeros(r.size, dtype=complex)
+            for m in range(-l, l + 1):
+                theta_part = legendre_normalized(l, abs(m), np.array(0.0), np.array(1.0))[-1]
+                if m < 0:
+                    theta_part = theta_part * (-1.0) ** (abs(m) % 2)
+                angular += g[l, l + m] * theta_part * np.exp(1j * m * phi)
+            total += c_n * radial(n, l, r_unique)[inverse] * angular
+    return total.reshape(grid.samples, grid.samples)
 
 
 def dense_position_trace(state, times):
@@ -224,6 +247,40 @@ class TestPlanarField:
             field_on_grid(ellipse_state, GridSpec(width=100.0, samples=64), 0.0, budget=10)
         assert err.value.cost > 10
         assert "raise the budget" in str(err.value)
+        # the budget is checked when the frames are requested, not at the first frame
+        with pytest.raises(BudgetExceededError):
+            field_frames(ellipse_state, GridSpec(width=100.0, samples=64), [0.0], budget=10)
+
+    @pytest.mark.parametrize("eccentricity", [0.0, 0.385, 0.8])
+    def test_frames_match_dense_oracle(self, eccentricity):
+        st = small_orbit_state(eccentricity)
+        assert int(st.coeffs.levels.max()) <= 10
+        t_revival = hydrogen.revival_time(mean_level(st, principal=True))
+        times = [0.0, t_revival / 5, t_revival,
+                 float(np.random.default_rng(3).uniform(0.0, t_revival))]
+        grid = GridSpec(width=80.0, samples=41)
+        frames = list(field_frames(st, grid, times))
+        assert [f.t for f in frames] == times
+        for t, frame in zip(times, frames):
+            want = dense_field_on_grid(st, grid, t)
+            peak = np.max(np.abs(want))
+            assert np.max(np.abs(frame.values - want)) <= 1e-12 * peak
+            single = field_on_grid(st, grid, t).values
+            assert np.max(np.abs(single - want)) <= 1e-12 * peak
+        # real angular parameters: |psi(x, -y)| = |psi(x, y)| at t = 0
+        mag = np.abs(frames[0].values)
+        assert np.max(np.abs(mag - mag[::-1, :])) <= 1e-12 * np.max(mag)
+
+    def test_level_work_is_done_once_per_schedule(self, monkeypatch):
+        st = small_orbit_state(0.385)
+        calls, rows = [], []
+        recouple, radial_rows = P.so4_to_spherical, P.radial
+        monkeypatch.setattr(P, "so4_to_spherical", lambda a: calls.append(a.n) or recouple(a))
+        monkeypatch.setattr(P, "radial", lambda n, l, r: rows.append((n, l)) or radial_rows(n, l, r))
+        frames = list(field_frames(st, GridSpec(width=40.0, samples=9), [0.0, 1.0, 2.0]))
+        assert len(frames) == 3
+        assert calls == st.coeffs.levels.tolist()
+        assert len(rows) == len(set(rows)) == sum(calls)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

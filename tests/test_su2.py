@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from cohere import su2
 from cohere.su2 import (
+    MAX_RECOUPLING_LEVEL,
     AngularAmplitudes,
     AngularParams,
     SpinParam,
     clebsch_gordan,
+    _cg_from_ints,
     coupling_matrix,
     so4_amplitudes,
     so4_to_spherical,
@@ -64,6 +67,25 @@ def cg_table_recursion(j1: float, j2: float) -> dict:
             table[(two_L, two_M - 2)] = {k: v / denom for k, v in nxt.items()}
             two_M -= 2
     return table
+
+
+def racah_sum_mp(two_j, two_m1, two_m2, two_l):
+    """<j m1 j m2 | l m1+m2> from the Racah single sum in 60-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    f = lambda two_x: mpmath.factorial(two_x // 2)  # noqa: E731
+    two_M = two_m1 + two_m2
+    with mpmath.workdps(60):
+        pref = (two_l + 1) * f(2 * two_j - two_l) * f(two_l) ** 2 / f(2 * two_j + two_l + 2)
+        pref *= f(two_l + two_M) * f(two_l - two_M)
+        pref *= f(two_j - two_m1) * f(two_j + two_m1) * f(two_j - two_m2) * f(two_j + two_m2)
+        total = mpmath.mpf(0)
+        for k in range(two_j - two_l // 2 + 1):
+            args = (2 * k, 2 * two_j - two_l - 2 * k, two_j - two_m1 - 2 * k,
+                    two_j + two_m2 - 2 * k, two_l - two_j + two_m1 + 2 * k,
+                    two_l - two_j - two_m2 + 2 * k)
+            if min(args) >= 0:
+                total += (-1) ** k / mpmath.fprod(f(a) for a in args)
+        return float(mpmath.sqrt(pref) * total)
 
 
 class TestAmplitudes:
@@ -262,3 +284,37 @@ class TestRecoupling:
 
     def test_coupling_matrix_cached(self):
         assert coupling_matrix(4, 2) is coupling_matrix(4, 2)
+
+    def test_recoupling_stops_at_the_accurate_levels(self, monkeypatch):
+        tables = []
+
+        def zero_table(two_j, two_l):
+            tables.append(two_l)
+            return np.zeros((two_j + 1, two_j + 1))
+
+        monkeypatch.setattr(su2, "coupling_matrix", zero_table)
+        params = AngularParams(0.3, -0.2j)
+        n = MAX_RECOUPLING_LEVEL
+        assert so4_to_spherical(so4_amplitudes(n, params)).shape == (n, 2 * n - 1)
+        assert len(tables) == n
+        with pytest.raises(ArithmeticError, match=str(MAX_RECOUPLING_LEVEL)):
+            so4_to_spherical(so4_amplitudes(n + 1, params))
+        assert len(tables) == n
+
+    def test_racah_sum_within_1e9_up_to_the_limit(self):
+        def error(two_j, two_m1, two_m2, two_l):
+            got = _cg_from_ints(two_j, two_m1, two_j, two_m2, two_l, two_m1 + two_m2)
+            return abs(got - racah_sum_mp(two_j, two_m1, two_m2, two_l))
+
+        two_j = MAX_RECOUPLING_LEVEL - 1
+        rng = np.random.default_rng(60)
+        for _ in range(40):
+            l = int(rng.integers(0, two_j + 1))
+            t = int(rng.integers(-l, l + 1)) + two_j  # k1 + k2 for M = t - 2j
+            k1 = int(rng.integers(max(0, t - two_j), min(two_j, t) + 1))
+            assert error(two_j, 2 * k1 - two_j, 2 * (t - k1) - two_j, 2 * l) <= 1e-9
+        # the worst coefficient of level 60 (9.6e-10) and one of level 61 (1.5e-9),
+        # found by scanning every coefficient of both levels
+        assert MAX_RECOUPLING_LEVEL == 60
+        assert error(59, 1, -7, 68) <= 1e-9
+        assert error(60, -4, -2, 74) > 1e-9
