@@ -252,6 +252,8 @@ def cmd_autocorr(args) -> int:
     })
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
+    if not args.t_start < args.t_end:
+        raise UsageError("--t-end must exceed --t-start")
     times = np.linspace(args.t_start, args.t_end, args.samples)
     if args.refine_near_revivals > 0:
         windows = [

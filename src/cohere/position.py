@@ -26,20 +26,22 @@ g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii, summed over m
 by Horner's rule in e^{i phi}.  Phi (levels x points) is built once for a
 whole schedule; beyond it the working set is O(points).
 
-Orbit traces never form the wavefunction on the 3-D quadrature.  The
-product rule (Gauss-Legendre in r and cos(theta), trapezoid in phi) is an
-exact tensor product, and x = r sin(theta) cos(phi), y = r sin(theta)
-sin(phi) factor the same way, so each level-pair moment
+Orbit traces never form the wavefunction in 3-D.  Each level-pair moment
+takes its angular factor from algebra: <l m|l' m'> = delta_ll' delta_mm',
+and sin(theta) e^{i phi} takes (l, m) only to (l+1, m+1) and (l-1, m+1)
+(the dipole selection rules, with the Condon-Shortley ladder coefficients
+of _raising_ladder).  Only the radial integrals use a quadrature.  A loop
+over l then adds, into the L x L level matrices (L occupied levels),
 
-    M[n, n'] = sum over l, l' of  (radial Gram)[nl, n'l'] * (angular Gram)[nl, n'l']
+    N += (r^2 Gram of the degree-l rows R_{n,l}) * (g_l^H g_l)
+    P += (r^3 Gram of degrees l-1 and l) * (g_{l-1}^H . ladder-shifted g_l)
+         and the same with l-1 and l exchanged
 
-splits into a radial Gram of R_{n,l} R_{n',l'} with weight r^2 (norm) or
-r^3 (x, y) and an angular Gram of A_{n,l} = sum_m g_n(l, m) Y_{l,m} with
-weight 1, sin(theta) cos(phi) or sin(theta) sin(phi).  The angular Gram
-is accumulated over chunks of polar nodes, so memory grows with the
-number of (n, l) rows squared, not with the number of 3-D nodes.  Each
-time step of a trace is then the quadratic form c(t)^H M c(t) over the L
-occupied levels.
+where g_l holds every level's recoupled amplitudes g_n(l, -l..l) and *
+is the elementwise product.  Then X = (P + P^H)/2 and Y = (P - P^H)/(2i)
+are the x and y moments.  Beyond the recoupled amplitude tables, memory
+is O(L^2 + L * radial nodes), with no array over angular nodes.  Each
+time step of a trace is the quadratic form c(t)^H M c(t).
 """
 from __future__ import annotations
 
@@ -61,9 +63,6 @@ from cohere.su2 import (
 
 #: default ceiling on (max level)^2 * samples^2 for planar grid runs
 DEFAULT_GRID_BUDGET = 10**9
-
-# complex elements per working array when building level moments (4 MB)
-_CHUNK_ELEMENTS = 2**18
 
 
 class BudgetExceededError(RuntimeError):
@@ -280,7 +279,10 @@ def field_on_grid(
 
 @dataclass(frozen=True)
 class SpatialQuadrature:
-    """Product rule: Gauss-Legendre in r and cos(theta), trapezoid in phi."""
+    """Product rule: Gauss-Legendre in r and cos(theta), trapezoid in phi.
+
+    Orbit moments use only the radial rule; the angular rule serves
+    callers that integrate on the full 3-D product grid."""
 
     r_nodes: np.ndarray
     r_weights: np.ndarray
@@ -297,10 +299,12 @@ class SpatialQuadrature:
         azimuthal_count: int | None = None,
         r_max: float | None = None,
     ) -> "SpatialQuadrature":
+        # the cutoff holds the l = 0 tail of level n_top; the order then
+        # still resolves level 1 near r = 0 (rows integrate to ~1e-12 or better)
         if r_max is None:
-            r_max = 2.5 * n_top * n_top + 10.0 * n_top
+            r_max = 4.0 * n_top * n_top + 16.0 * n_top
         if radial_order is None:
-            radial_order = max(96, 6 * n_top)
+            radial_order = max(96, 12 * n_top)
         if polar_order is None:
             polar_order = 2 * n_top + 12
         if azimuthal_count is None:
@@ -316,87 +320,63 @@ class SpatialQuadrature:
         return np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
 
 
+def _raising_ladder(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down) over m = -l..l with sin(theta) e^{i phi} Y_{l,m} =
+    up[m] Y_{l+1,m+1} + down[m] Y_{l-1,m+1} (Condon-Shortley phase)."""
+    m = np.arange(-l, l + 1)
+    up = -np.sqrt((l + m + 1) * (l + m + 2) / ((2 * l + 1) * (2 * l + 3)))
+    down = np.sqrt((l - m) * (l - m - 1) / ((2 * l - 1) * (2 * l + 1)))
+    return up, down
+
+
 def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     """Level-pair moment matrices of the state's occupied levels.
 
     Returns an array of shape (3, L, L) holding the Hermitian matrices
-    X, Y and N over the L occupied levels: entry [i, k] is the quadrature
+    X, Y and N over the L occupied levels: entry [i, k] is the integral
     of conj(psi_i) psi_k times x, y and 1, where psi_i is the i-th
-    level's eigenfunction with its recoupled angular amplitudes.  Each
-    entry is a sum of radial-Gram times angular-Gram products over the
-    levels' (n, l) rows; see the module docstring.
+    level's eigenfunction with its recoupled angular amplitudes.  The
+    angular integrals are the dipole selection rules and only the radial
+    integrals use the quadrature's radial rule; see the module docstring.
     """
-    levels = [int(n) for n in state.coeffs.levels]
-    n_top = max(levels)
-    rows = [(n, l) for n in levels for l in range(n)]
-    k = len(rows)
-
-    # radial Grams with weights r^2 (norm) and r^3 (x, y)
+    levels = state.coeffs.levels.tolist()
+    tables = [so4_to_spherical(so4_amplitudes(n, state.angular)) for n in levels]
     r = quad.r_nodes
-    radial_rows = np.array([radial(n, l, r) for n, l in rows])
-    w_r = quad.r_weights * r * r
-    radial_norm = (radial_rows * w_r) @ radial_rows.T
-    radial_first = (radial_rows * (w_r * r)) @ radial_rows.T
-
-    # amp[a, n_top - 1 + m] = coefficient of P_l^|m| e^{i m phi} for row a = (n, l)
-    m_values = np.arange(-(n_top - 1), n_top)
-    amp = np.zeros((k, m_values.size), dtype=complex)
-    starts = np.cumsum([0] + levels[:-1])
-    for start, n, table in zip(starts, levels, _spherical_amp_tables(state)):
-        amp[start:start + n, n_top - n:n_top - 1 + n] = table
-
-    cos_t = quad.cos_nodes
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    legendre = _legendre_table(n_top, cos_t, sin_t)
-    row_legendre = (np.abs(m_values)[None, :], np.array([l for _, l in rows])[:, None])
-    phi = quad.phi_nodes
-    e_imphi = np.exp(1j * np.outer(m_values, phi))
-    w_phi = 2.0 * math.pi / quad.n_phi
-
-    # angular Grams with weights 1 and sin(theta) e^{i phi}, accumulated over
-    # chunks of polar nodes so that no (rows, all angular nodes) array exists
-    ang_norm = np.zeros((k, k), dtype=complex)
-    ang_plus = np.zeros((k, k), dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // (k * max(m_values.size, quad.n_phi)))
-    for lo in range(0, cos_t.size, chunk):
-        sl = slice(lo, lo + chunk)
-        theta_coeffs = amp[:, :, None] * legendre[row_legendre + (sl,)]
-        values = (theta_coeffs.transpose(0, 2, 1) @ e_imphi).reshape(k, -1)
-        conj_values = values.conj()
-        w = quad.cos_weights[sl] * w_phi
-        ang_norm += (conj_values * np.repeat(w, quad.n_phi)) @ values.T
-        ang_plus += (conj_values * np.outer(w * sin_t[sl], np.exp(1j * phi)).ravel()) @ values.T
-    # cos(phi) and sin(phi) parts of the e^{i phi} Gram
-    ang_x = 0.5 * (ang_plus + ang_plus.conj().T)
-    ang_y = -0.5j * (ang_plus - ang_plus.conj().T)
-
-    # sum the (n, l) x (n', l') products over the block of each level pair
-    return np.stack([
-        np.add.reduceat(np.add.reduceat(rad * ang, starts, axis=0), starts, axis=1)
-        for rad, ang in ((radial_first, ang_x), (radial_first, ang_y), (radial_norm, ang_norm))
-    ])
+    w_norm = quad.r_weights * r * r
+    w_first = w_norm * r
+    norm = np.zeros((len(levels), len(levels)), dtype=complex)
+    plus = np.zeros_like(norm)  # sin(theta) e^{i phi} moment, x + i y
+    for l in range(max(levels)):
+        # degree-l radial rows and amplitudes g_n(l, -l..l); zero for levels n <= l
+        rad = np.array([radial(n, l, r) if n > l else np.zeros_like(r) for n in levels])
+        amp = np.array([g[l, :2 * l + 1] if n > l else np.zeros(2 * l + 1)
+                        for n, g in zip(levels, tables)])
+        up, down = _raising_ladder(l)
+        norm += ((rad * w_norm) @ rad.T) * (amp.conj() @ amp.T)
+        if l:
+            cross = (rad_below * w_first) @ rad.T  # [i, k]: R_{n_i,l-1} R_{n_k,l} r^3
+            # <l-1, m+1| from |l, m>, m = -l..l-2, and <l, m+1| from |l-1, m>
+            plus += cross * (amp_below.conj() @ (amp * down)[:, :-2].T)
+            plus += cross.T * (amp[:, 2:].conj() @ raised_below.T)
+        rad_below, amp_below, raised_below = rad, amp, amp * up
+    return np.stack([0.5 * (plus + plus.conj().T), -0.5j * (plus - plus.conj().T), norm])
 
 
 def position_trace(
     state: CoherentState,
     times,
     radial_order: int | None = None,
-    polar_order: int | None = None,
-    azimuthal_count: int | None = None,
     r_max: float | None = None,
 ) -> np.ndarray:
     """(<x>, <y>, norm) rows for each requested time.
 
-    The level-pair moment matrices are built once on the product-rule
-    quadrature; each time step is then the quadratic form c(t)^H M c(t)
-    of the evolved level coefficients, so dense orbit traces cost little
-    more than a single evaluation and memory stays independent of the
-    number of 3-D nodes.
+    The level-pair moment matrices are built once from the radial rule
+    and the dipole selection rules; each time step is then the quadratic
+    form c(t)^H M c(t) of the evolved level coefficients, so dense orbit
+    traces cost little more than a single evaluation.
     """
     n_top = int(state.coeffs.levels.max())
-    quad = SpatialQuadrature.for_levels(
-        n_top, radial_order, polar_order, azimuthal_count, r_max
-    )
+    quad = SpatialQuadrature.for_levels(n_top, radial_order=radial_order, r_max=r_max)
     moments = level_moments(state, quad)
     rows = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
@@ -409,15 +389,13 @@ def position_expectation(
     state: CoherentState,
     t: float,
     radial_order: int | None = None,
-    polar_order: int | None = None,
-    azimuthal_count: int | None = None,
     r_max: float | None = None,
 ) -> tuple[float, float]:
-    """(<x>, <y>) at time t by full 3-D quadrature of the density."""
-    row = position_trace(state, [t], radial_order, polar_order, azimuthal_count, r_max)[0]
+    """(<x>, <y>) at time t from the normalized orbit trace row."""
+    row = position_trace(state, [t], radial_order, r_max)[0]
     if row[2] < 0.5:
         raise ArithmeticError(
-            f"quadrature norm {row[2]:.3g} is far from 1; raise the orders"
+            f"quadrature norm {row[2]:.3g} is far from 1; raise radial_order or r_max"
         )
     return row[0] / row[2], row[1] / row[2]
 

@@ -198,6 +198,16 @@ class TestAutocorrRefinement:
         assert times.min() == t_start
         assert times.max() == 0.22 * t_revival
 
+    @pytest.mark.parametrize("t_start, t_end", [("100", "0"), ("50", "50")])
+    def test_empty_or_reversed_range_is_a_usage_error(self, descriptor, tmp_path, capsys,
+                                                       t_start, t_end):
+        argv = autocorr_argv(descriptor, tmp_path, "--t-start", t_start, "--t-end", t_end,
+                             "--samples", "4")
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--t-start" in err and "--t-end" in err
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize("flags", [

@@ -143,6 +143,21 @@ class TestRadial:
             gram = (rows * (w * r * r)) @ rows.T
             assert np.max(np.abs(gram - np.eye(rows.shape[0]))) <= 1e-8
 
+    def test_default_rule_integrates_every_row(self):
+        # the cutoff must hold the l = 0 tail of the top level ...
+        for n in range(1, 41):
+            rule = SpatialQuadrature.for_levels(n)
+            w = rule.r_weights * rule.r_nodes**2
+            norms = np.array([w @ radial(n, l, rule.r_nodes) ** 2 for l in range(n)])
+            assert np.max(np.abs(norms - 1.0)) <= 1e-13, n
+        # ... while the nodes near r = 0 still resolve the lowest levels
+        for n_top in (10, 16, 26, 40):
+            rule = SpatialQuadrature.for_levels(n_top)
+            w = rule.r_weights * rule.r_nodes**2
+            norms = np.array([w @ radial(n, l, rule.r_nodes) ** 2
+                              for n in range(1, n_top + 1) for l in range(n)])
+            assert np.max(np.abs(norms - 1.0)) <= 1e-11, n_top
+
     @pytest.mark.parametrize("n", [60, 120, 160])
     def test_high_n_against_extended_precision(self, n):
         mpmath = pytest.importorskip("mpmath")
@@ -325,8 +340,7 @@ class TestFieldExport:
 class TestExpectations:
     def test_ground_state_centered(self):
         st = build_state(WeightSpec.exponential(), 0.0, 0.0, AngularParams(0.0, 0.0))
-        x, y = position_expectation(st, 0.0, radial_order=64, polar_order=8,
-                                    azimuthal_count=8, r_max=40.0)
+        x, y = position_expectation(st, 0.0, radial_order=64, r_max=40.0)
         assert abs(x) <= 1e-10 and abs(y) <= 1e-10
 
     def test_circular_orbit_radius(self):
@@ -338,8 +352,7 @@ class TestExpectations:
             ln_s=ln_s,
         )
         x, y = position_expectation(
-            st, 0.0, radial_order=140, polar_order=72, azimuthal_count=132,
-            r_max=3.2 * float(st.coeffs.levels.max()) ** 2,
+            st, 0.0, radial_order=140, r_max=3.2 * float(st.coeffs.levels.max()) ** 2,
         )
         assert math.hypot(x, y) == pytest.approx(256.0, rel=0.10)
 
@@ -391,10 +404,37 @@ class TestLevelMoments:
         for m in moments:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
 
+    def test_raising_ladder_matches_quadrature(self):
+        # sin(theta) e^{i phi} Y_{l,m} projected on every Y_{l',m+1} with l' <= l + 2;
+        # the integrands are polynomials in cos(theta) of degree <= 25
+        nodes, w = np.polynomial.legendre.leggauss(24)
+        tt, pp = np.meshgrid(np.arccos(nodes), np.arange(48) * (2 * math.pi / 48), indexing="ij")
+        ww = np.outer(w, np.full(48, 2 * math.pi / 48))
+        for l in range(12):
+            up, down = P._raising_ladder(l)
+            for m in range(-l, l + 1):
+                raised = np.sin(tt) * np.exp(1j * pp) * spherical_harmonic(l, m, tt, pp)
+                for l2 in range(abs(m + 1), l + 3):
+                    got = np.sum(ww * np.conj(spherical_harmonic(l2, m + 1, tt, pp)) * raised)
+                    want = {l + 1: up[l + m], l - 1: down[l + m]}.get(l2, 0.0)
+                    assert abs(got - want) <= 1e-14, (l, m, l2)
+                if abs(m + 1) > l - 1:
+                    assert down[l + m] == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(eccentricity=hst.floats(min_value=0.0, max_value=0.9, exclude_max=True))
+    def test_pauli_relation_on_each_level(self, eccentricity):
+        # within level n, r = -(3/2) n A, and the state's <A> is eccentricity * (n - 1) along +x
+        st = small_orbit_state(eccentricity)
+        x, y, _ = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))
+        n = st.coeffs.levels.astype(float)
+        assert np.max(np.abs(np.diag(x) + 1.5 * n * (n - 1) * eccentricity) / n**2) <= 1e-13
+        assert np.max(np.abs(np.diag(y)) / n**2) <= 1e-13
+
     def test_distinct_levels_are_orthonormal(self):
         st = small_orbit_state(0.385)
         norm = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))[2]
-        assert np.max(np.abs(norm - np.eye(norm.shape[0]))) <= 1e-9
+        assert np.max(np.abs(norm - np.eye(norm.shape[0]))) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -5,7 +5,10 @@ import re
 import sys
 from pathlib import Path
 
+from cohere import position
 from cohere.identity import standard_verification
+from cohere.state import build_state, solve_scale_ln
+from cohere.weights import WeightSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,6 +30,24 @@ def test_every_wrapped_binding_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
+    spans = load_bench("spans")
+    for module, attr, _ in spans.WRAPPED:  # monkeypatch restores every binding afterwards
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    state = build_state(WeightSpec.stretched(0.25), None, 0.0,
+                        position.ellipse_to_angular(0.385, 3), ln_s=solve_scale_ln(0.25, 3.0))
+    rows = position.position_trace(state, [0.0, 1.0, 2.0])  # as the orbit workload calls it
+    assert rows.shape == (3, 3)
+    [trace] = [s for s in tracer.spans if s[0] == "position.position_trace"]
+    assert trace[4]["times"] == 3
+    quad = position.SpatialQuadrature.for_levels(int(state.coeffs.levels.max()))
+    nodes = quad.r_nodes.size * quad.cos_nodes.size * quad.n_phi
+    assert tracer.layer_metrics()["position.quadrature.nodes"] == nodes > 0
 
 
 def test_identity_report_matches_the_oracle():
