@@ -16,14 +16,12 @@ from cohere.weights import (
     WeightSpec,
     log_moment,
     log_norm_factor,
-    hydrogen_norm_closed_form,
     companion_density,
     truncation_level,
 )
 from cohere.su2 import (
     AngularParams,
     AngularAmplitudes,
-    SpinParam,
     su2_amplitudes,
     stereographic,
     clebsch_gordan,
@@ -33,7 +31,6 @@ from cohere.su2 import (
 from cohere.hydrogen import (
     energy,
     degeneracy,
-    energy_expansion,
     revival_time,
     revival_ratio,
     fractional_revival_times,

@@ -6,7 +6,6 @@ in hbar/Hartree, lengths in Bohr radii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,39 +24,6 @@ def degeneracy(n: int) -> int:
     if n < 1:
         raise ValueError("principal quantum number must be >= 1")
     return n * n
-
-
-@dataclass(frozen=True)
-class EnergyExpansion:
-    """Cubic Taylor expansion of the spectrum about a (real) center level.
-
-    energy(n) ~ c0 + c1 (n - center) + c2 (n - center)^2 + c3 (n - center)^3
-    """
-
-    center: float
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-    def evaluate(self, n, order: int = 3):
-        d = np.asarray(n, dtype=float) - self.center
-        coeffs = [self.c0, self.c1, self.c2, self.c3][: order + 1]
-        out = sum(c * d**k for k, c in enumerate(coeffs))
-        return float(out) if np.isscalar(n) else out
-
-
-def energy_expansion(center: float) -> EnergyExpansion:
-    """Expansion coefficients of -1/(2 n^2) about n = center."""
-    if center <= 0:
-        raise ValueError("expansion center must be positive")
-    return EnergyExpansion(
-        center=center,
-        c0=-0.5 / center**2,
-        c1=1.0 / center**3,
-        c2=-1.5 / center**4,
-        c3=2.0 / center**5,
-    )
 
 
 def revival_time(mean_n: float) -> float:
@@ -98,10 +64,3 @@ def fractional_revival_times(t_revival: float) -> list[tuple[str, float]]:
     if t_revival <= 0:
         raise ValueError("revival time must be positive")
     return [(label, frac * t_revival) for label, frac in REVIVAL_FRACTIONS]
-
-
-def classical_period(mean_n: float) -> float:
-    """Kepler orbital period 2 pi <n>^3 of the correspondence-limit orbit."""
-    if mean_n <= 0:
-        raise ValueError("mean level must be positive")
-    return 2.0 * math.pi * mean_n**3

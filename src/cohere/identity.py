@@ -7,7 +7,11 @@ Three layers, verified separately and then composed:
     the sphere, so Gauss-Legendre in cos(theta) times a trapezoid in phi
     integrates the polynomial integrand exactly at sufficient order;
   - the radial measure reproduces the weight moments:
-    integral of u^n rho(u) du = rho_n;
+    integral of u^n rho(u) du = rho_n.  After v = u^alpha each moment is
+    a gamma-density integral, taken either by Gauss-Laguerre or by the
+    trapezoid rule in x = ln v, where the density is analytic in the
+    strip |Im x| < pi/2 and decays on both sides, so a uniform step
+    converges geometrically;
   - averaging over the phase parameter suppresses cross-level terms.
     No finite quadrature realizes the limit of an infinite phase window,
     so both an exact-limit mode (the level Kronecker delta substituted
@@ -17,11 +21,12 @@ Three layers, verified separately and then composed:
 
 The sphere rule never forms the amplitudes on the full (theta, phi)
 grid.  They factor as polar(k, theta) exp(-i k phi), with the polar
-factor from su2.su2_amplitudes on each polar node, so a sphere overlap
-is a weighted polar Gram times an azimuthal sum taken on the phi nodes.
-The combined Gram is assembled from Kronecker blocks: for a level pair
-it is the radial cross integral times the phase average times kron(S, S),
-S being the sphere overlap of the two spin multiplets.
+factor from one su2.su2_amplitudes call over the polar nodes, so a
+sphere overlap is a weighted polar Gram times an azimuthal sum taken on
+the phi nodes.  The combined Gram is assembled from Kronecker blocks:
+for a level pair it is the radial cross integral times the phase
+average times kron(S, S), S being the sphere overlap of the two spin
+multiplets.
 """
 from __future__ import annotations
 
@@ -31,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from cohere import hydrogen
 from cohere.su2 import _check_two_j, su2_amplitudes
@@ -50,7 +54,7 @@ class InsufficientOrderError(ValueError):
 class QuadratureSpec:
     """Orders for the combined identity check."""
 
-    radial_rule: str = "adaptive"  # "adaptive" or "laguerre"
+    radial_rule: str = "log-trapezoid"  # or "laguerre"
     radial_order: int = 64
     polar_order: int = 24
     azimuthal_count: int = 48
@@ -89,7 +93,7 @@ def _polar_factor(j: float, theta: np.ndarray) -> np.ndarray:
     The amplitude of component k at zeta = -tan(theta/2) exp(-i phi) is
     this factor times exp(-i k phi).
     """
-    return np.stack([su2_amplitudes(j, z) for z in -np.tan(theta / 2.0)], axis=1)
+    return su2_amplitudes(j, -np.tan(theta / 2.0))
 
 
 def verify_su2_identity(
@@ -148,7 +152,19 @@ def _moment_ratio_by_quadrature(
     """integral of u^exponent rho(u) du divided by the analytic moment.
 
     The analytic moment generalizes to real exponents through the same
-    Gamma-function expression that defines the integer moments.
+    Gamma-function expression that defines the integer moments.  After
+    v = u^alpha the ratio is the integral of the gamma density
+    v^(beta-1) e^(-v) / Gamma(beta), beta = (exponent+1)/alpha.
+
+    "laguerre" takes it by order-point Gauss-Laguerre, exact only while
+    v^(beta-1) is a low-degree polynomial.  "log-trapezoid" substitutes
+    v = e^x, giving exp(beta x - e^x) / Gamma(beta): analytic in
+    |Im x| < pi/2 and decaying on both sides, so the trapezoid rule on a
+    uniform grid converges geometrically (order is not used).  The step
+    h = min(0.2, 0.4/sqrt(beta)) resolves the peak of width 1/sqrt(beta)
+    at x = ln beta, and the window drops tails below e^-40.  For
+    beta >= 1 that is 52-271 nodes; the ratio is within 5e-13 of 1 up to
+    beta = 400 and at the lgamma rounding floor beyond.
     """
     if spec.family is WeightFamily.EXPONENTIAL:
         alpha = 1.0
@@ -157,28 +173,18 @@ def _moment_ratio_by_quadrature(
     else:
         raise ValueError("quadrature checks need a pointwise density")
     beta = (exponent + 1.0) / alpha
-    # substitute v = u^alpha: integral = (1/alpha) Gamma(beta) *
-    # [normalized gamma-density integral], computed below
+    log_gamma_beta = math.lgamma(beta)
     if rule == "laguerre":
         nodes, weights = np.polynomial.laguerre.laggauss(order)
-        log_gamma_beta = math.lgamma(beta)
         vals = np.exp((beta - 1.0) * np.log(nodes) - log_gamma_beta)
         return float(np.sum(weights * vals))
-    if rule == "adaptive":
-        log_gamma_beta = math.lgamma(beta)
-
-        def integrand(v: float) -> float:
-            if v <= 0:
-                return 0.0
-            return math.exp((beta - 1.0) * math.log(v) - v - log_gamma_beta)
-
-        peak = max(beta - 1.0, 0.0)
-        if peak > 0:
-            head, _ = quad(integrand, 0.0, peak, limit=300, epsabs=1e-13, epsrel=1e-13)
-            tail, _ = quad(integrand, peak, np.inf, limit=300, epsabs=1e-13, epsrel=1e-13)
-            return float(head + tail)
-        result, _ = quad(integrand, 0.0, np.inf, limit=300, epsabs=1e-13, epsrel=1e-13)
-        return float(result)
+    if rule == "log-trapezoid":
+        root = math.sqrt(beta)
+        h = min(0.2, 0.4 / root)
+        lo = math.log(beta) - 40.0 / beta - 10.0 / root
+        hi = math.log(beta + 40.0 + 10.0 * root)
+        x = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
+        return float(h * np.sum(np.exp(beta * x - np.exp(x) - log_gamma_beta)))
     raise ValueError(f"unknown radial rule {rule!r}")
 
 
@@ -189,7 +195,7 @@ def verify_radial_identity(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if rule == "auto":
-        rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "adaptive"
+        rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "log-trapezoid"
     if order is None:
         order = max(n_max + 1, 16)
     worst = 0.0
@@ -358,7 +364,7 @@ def standard_verification(
         )
     )
 
-    rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "adaptive"
+    rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "log-trapezoid"
     radial_order = max(radial_n_max + 1, 16)
     results.append(
         CheckResult(

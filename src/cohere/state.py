@@ -190,22 +190,6 @@ def level_spread(state: CoherentState) -> float:
     return math.sqrt(max(0.0, float(np.sum(n * n * p)) - mean * mean))
 
 
-def exponential_mean_closed_form(s_sq: float) -> float:
-    """Mean summation index for the plain exponential weight:
-    s^2 (s^4 + 5 s^2 + 4) / (s^4 + 3 s^2 + 1)."""
-    x = s_sq
-    return x * (x * x + 5 * x + 4) / (x * x + 3 * x + 1)
-
-
-def exponential_variance_closed_form(s_sq: float) -> float:
-    """Index variance for the plain exponential weight:
-    s^2 (s^8 + 6 s^6 + 14 s^4 + 10 s^2 + 4) / (s^8 + 6 s^6 + 11 s^4 + 6 s^2 + 1)."""
-    x = s_sq
-    num = x**4 + 6 * x**3 + 14 * x * x + 10 * x + 4
-    den = x**4 + 6 * x**3 + 11 * x * x + 6 * x + 1
-    return x * num / den
-
-
 def leading_order_stats(alpha: float, s: float | None = None, *, ln_s: float | None = None) -> tuple[float, float]:
     """Large-scale asymptotics for the stretched family:
     mean ~ alpha s^(2 alpha), spread ~ alpha s^alpha."""

@@ -43,19 +43,6 @@ def _check_two_j(j: float, name: str = "j") -> int:
 
 
 @dataclass(frozen=True)
-class SpinParam:
-    """A stereographic parameter together with its spin length."""
-
-    zeta: complex
-    j: float
-
-    def __post_init__(self):
-        _check_two_j(self.j)
-        if not (math.isfinite(self.zeta.real) and math.isfinite(self.zeta.imag)):
-            raise ValueError("zeta must be finite")
-
-
-@dataclass(frozen=True)
 class AngularParams:
     """The pair of stereographic parameters fixing the two spin factors."""
 
@@ -95,26 +82,35 @@ def _log1p_abs_sq(zeta: complex) -> float:
     return 2.0 * math.log(r) + math.log1p(1.0 / (r * r))
 
 
-def su2_amplitudes(j: float, zeta: complex) -> np.ndarray:
+def su2_amplitudes(j: float, zeta) -> np.ndarray:
     """Amplitude vector of |j,zeta> over m = -j .. j (index k = j + m).
 
+    A 1-D array of parameters gives one column per entry, shape (2j+1, N).
     Binomial square roots go through log-gamma so the result stays finite
-    for large j and extreme |zeta|; the vector is unit-norm by
+    for large j and extreme |zeta|; each column is unit-norm by
     construction, not renormalized.
     """
     two_j = _check_two_j(j)
-    k = np.arange(two_j + 1)
-    zeta = complex(zeta)
-    if zeta == 0:
-        amps = np.zeros(two_j + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
+    zetas = np.asarray(zeta, dtype=complex)
+    if zetas.ndim > 1:
+        raise ValueError("zeta must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(zetas)):
+        raise ValueError("zeta must be finite")
+    # the per-parameter logs go through math, so a scalar zeta gives the
+    # same bits as a one-point array
+    params = [complex(z) for z in zetas.reshape(-1)]
+    log_r, log_norm, arg = np.array([
+        (math.log(abs(z)), _log1p_abs_sq(z), cmath.phase(z)) if z else (0.0, 0.0, 0.0)
+        for z in params
+    ]).reshape(-1, 3).T
+    k = np.arange(two_j + 1)[:, None]
     log_binom_sqrt = 0.5 * (
         gammaln(two_j + 1.0) - gammaln(k + 1.0) - gammaln(two_j - k + 1.0)
     )
-    log_mag = log_binom_sqrt + k * math.log(abs(zeta)) - (two_j / 2.0) * _log1p_abs_sq(zeta)
-    phase = k * cmath.phase(zeta)
-    return np.exp(log_mag + 1j * phase)
+    log_mag = log_binom_sqrt + k * log_r - (two_j / 2.0) * log_norm
+    amps = np.exp(log_mag + 1j * (k * arg))
+    amps[:, [z == 0 for z in params]] = k == 0  # |j,0> is the lowest weight
+    return amps[:, 0] if zetas.ndim == 0 else amps
 
 
 def stereographic(theta: float, phi: float) -> complex:

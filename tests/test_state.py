@@ -15,8 +15,6 @@ from cohere.state import (
     autocorrelation,
     build_state,
     evolve,
-    exponential_mean_closed_form,
-    exponential_variance_closed_form,
     leading_order_stats,
     level_distribution,
     level_spread,
@@ -93,6 +91,22 @@ class TestBuild:
             ln_s=solve_scale_ln(1.0, 160.0),
         )
         assert level_spread(paper_state) < level_spread(wide) / 5.0
+
+
+def exponential_mean_closed_form(s_sq: float) -> float:
+    """Mean summation index for the plain exponential weight:
+    s^2 (s^4 + 5 s^2 + 4) / (s^4 + 3 s^2 + 1)."""
+    x = s_sq
+    return x * (x * x + 5 * x + 4) / (x * x + 3 * x + 1)
+
+
+def exponential_variance_closed_form(s_sq: float) -> float:
+    """Index variance for the plain exponential weight:
+    s^2 (s^8 + 6 s^6 + 14 s^4 + 10 s^2 + 4) / (s^8 + 6 s^6 + 11 s^4 + 6 s^2 + 1)."""
+    x = s_sq
+    num = x**4 + 6 * x**3 + 14 * x * x + 10 * x + 4
+    den = x**4 + 6 * x**3 + 11 * x * x + 6 * x + 1
+    return x * num / den
 
 
 class TestClosedFormStatistics:
@@ -186,6 +200,38 @@ class TestEvolution:
             assert evolve(paper_state, t).coeffs.probabilities.sum() == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponential=hst.booleans(),
+        alpha=hst.floats(min_value=1.0 / 40.0, max_value=1.0 / 28.0),
+        ln_s=hst.floats(min_value=-135.0, max_value=135.0),
+        gamma=hst.floats(min_value=-1e9, max_value=1e9),
+        ticks=hst.lists(hst.integers(min_value=-2**40, max_value=2**40), min_size=2, max_size=2),
+        zetas=hst.lists(hst.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+    )
+    def test_group_law_and_norm_on_small_states(self, exponential, alpha, ln_s, gamma, ticks, zetas):
+        spec, ln_s = (WeightSpec.exponential(), ln_s / 60.0) if exponential else (
+            WeightSpec.stretched(alpha), ln_s)
+        st = build_state(spec, None, gamma,
+                         AngularParams(complex(*zetas[:2]), complex(*zetas[2:])), ln_s=ln_s)
+        # times on a 2^-10 grid up to 2^30 ~ 1.07e9, so t1 + t2 is exact and
+        # any mismatch is the evolution's own rounding
+        t1, t2 = (k / 1024.0 for k in ticks)
+        a = evolve(evolve(st, t1), t2)
+        b = evolve(st, t1 + t2)
+        # Rounding budget in radians.  Each long-double reduction of t e
+        # rounds the product and 2 pi (2^-64 relative each).  Each evolve
+        # then rounds to float64 below 2 pi (2^-51), adds phases below 4 pi
+        # (2^-50) and subtracts 2 pi as a double (2^-52): 7 * 2^-52, three
+        # evolves on the two sides, and a few ulp more from exp.
+        e = np.abs(st.level_energies)
+        bound = 2 * (abs(t1) + abs(t2) + abs(t1 + t2)) * e * 2.0**-64 + 32 * 2.0**-52
+        diff = np.abs(a.coeffs.values - b.coeffs.values)
+        assert np.all(diff <= bound * np.abs(b.coeffs.values))
+        assert a.gamma == pytest.approx(b.gamma, rel=1e-15, abs=1e-6)
+        for evolved in (a, b):
+            assert abs(np.sum(np.abs(evolved.coeffs.values) ** 2) - 1.0) <= 1e-13
 
 
 class TestAutocorrelation:

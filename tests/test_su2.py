@@ -12,7 +12,6 @@ from cohere.su2 import (
     MAX_RECOUPLING_LEVEL,
     AngularAmplitudes,
     AngularParams,
-    SpinParam,
     clebsch_gordan,
     _cg_from_ints,
     coupling_matrix,
@@ -128,6 +127,21 @@ class TestAmplitudes:
     def test_bad_spin_rejected(self):
         with pytest.raises(ValueError):
             su2_amplitudes(0.3, 0.0)
+
+    def test_parameter_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(80)
+        moduli = np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, 12), [1e-150, 1.0, 1e150]])
+        zetas = np.concatenate([[0.0], moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, 15)),
+                                -np.tan(np.linspace(0.1, 3.0, 6) / 2.0), [0.0]])
+        for two_j in range(81):
+            stacked = np.stack([su2_amplitudes(two_j / 2.0, z) for z in zetas], axis=1)
+            amps = su2_amplitudes(two_j / 2.0, zetas)
+            assert amps.shape == (two_j + 1, zetas.size)
+            assert np.max(np.abs(amps - stacked)) <= 1e-15, two_j
+        assert su2_amplitudes(2.0, np.complex128(0.5j)).shape == (5,)
+        assert su2_amplitudes(2.0, np.array([])).shape == (5, 0)
+        with pytest.raises(ValueError):
+            su2_amplitudes(2.0, np.zeros((2, 2)))
 
 
 class TestStereographic:
@@ -258,7 +272,9 @@ class TestProducts:
         with pytest.raises(ValueError):
             AngularParams(complex("inf"), 0.0)
         with pytest.raises(ValueError):
-            SpinParam(0.0, 0.7)
+            su2_amplitudes(0.7, 0.0)
+        with pytest.raises(ValueError):
+            su2_amplitudes(1.0, np.array([0.5, complex("inf")]))
 
 
 class TestRecoupling:

@@ -13,16 +13,29 @@ from cohere.weights import (
     DivergentSeriesError,
     WeightSpec,
     companion_density,
-    hydrogen_companion_closed_form,
-    hydrogen_norm_closed_form,
     log_density,
-    log_hydrogen_norm_closed_form,
     log_moment,
     log_norm_factor,
     truncation_level,
 )
 
 LN_S_PAPER = math.log(2.209e59)
+
+
+def log_hydrogen_norm_closed_form(s: float) -> float:
+    """ln N(s) = -s^2/2 - ln(1 + 3 s^2 + s^4)/2 for the exponential weight
+    with (n+1)^2 degeneracies."""
+    s_sq = s * s
+    return -0.5 * s_sq - 0.5 * math.log1p(3.0 * s_sq + s_sq * s_sq)
+
+
+def hydrogen_norm_closed_form(s: float) -> float:
+    return math.exp(log_hydrogen_norm_closed_form(s))
+
+
+def hydrogen_companion_closed_form(u: float) -> float:
+    """k(u) = 1 + 3u + u^2 for the same weight and degeneracies."""
+    return 1.0 + 3.0 * u + u * u
 
 
 class TestLogMoment:
@@ -131,9 +144,10 @@ class TestNormFactor:
 class TestCompanionDensity:
     def test_hydrogen_values(self):
         spec = WeightSpec.exponential()
-        for u, expected in [(0.0, 1.0), (2.0, 11.0)]:
+        for u in (0.0, 0.5, 2.0, 7.0):
             norm_sq_log = 2.0 * log_norm_factor(spec, math.sqrt(u))
-            assert companion_density(spec, norm_sq_log, u) == pytest.approx(expected, rel=1e-12)
+            assert companion_density(spec, norm_sq_log, u) == pytest.approx(
+                hydrogen_companion_closed_form(u), rel=1e-12)
         assert hydrogen_companion_closed_form(2.0) == 11.0
 
     def test_vanishing_density(self):
