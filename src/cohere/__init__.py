@@ -24,7 +24,6 @@ from cohere.su2 import (
     AngularAmplitudes,
     su2_amplitudes,
     stereographic,
-    clebsch_gordan,
     so4_amplitudes,
     so4_to_spherical,
 )

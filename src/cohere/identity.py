@@ -365,12 +365,13 @@ def standard_verification(
     )
 
     rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "log-trapezoid"
-    radial_order = max(radial_n_max + 1, 16)
+    radial_order = max(radial_n_max + 1, 16)  # read by the laguerre rule only
+    radial_orders = {"rule": rule, "order": radial_order} if rule == "laguerre" else {"rule": rule}
     results.append(
         CheckResult(
             name="radial moment identity",
             truncation=f"n <= {radial_n_max}",
-            orders={"rule": rule, "order": radial_order},
+            orders=radial_orders,
             max_deviation=verify_radial_identity(spec, radial_n_max, rule, radial_order),
             tolerance=radial_tol,
         )
@@ -383,7 +384,8 @@ def standard_verification(
         CheckResult(
             name="combined identity (exact-limit phase average)",
             truncation=f"levels <= {n_max}",
-            orders={"polar": polar_order, "azimuthal": azimuthal_count},
+            orders={"polar": polar_order, "azimuthal": azimuthal_count,
+                    "radial_rule": quad_spec.radial_rule},
             max_deviation=verify_full_identity(spec, n_max, quad_spec),
             tolerance=full_tol,
         )

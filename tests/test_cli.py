@@ -300,13 +300,13 @@ class TestGridBinary:
         desc = tmp_path / "paper.desc"
         assert cli.main(["solve", "--alpha", "0.03125", "--mean", "160", "--eccentricity",
                          "0.385", "-o", str(desc)]) == cli.EXIT_OK
-        # 101 samples pass the default budget; the recoupling limit refuses the levels
-        argv = ["grid", "--descriptor", str(desc), "--width", "40000", "--samples", "101",
+        # levels up to 176 on 301^2 samples: 176^2 * 301^2 ~ 2.8e9 > the default 1e9
+        argv = ["grid", "--descriptor", str(desc), "--width", "40000", "--samples", "301",
                 "--times", "0", "-o", str(tmp_path / "frame")]
         start = time.perf_counter()
-        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert cli.main(argv) == cli.EXIT_BUDGET
         assert time.perf_counter() - start < 10.0
-        assert "numerical failure" in capsys.readouterr().err
+        assert "budget refusal" in capsys.readouterr().err
         assert not list(tmp_path.glob("frame*"))
 
 

@@ -263,8 +263,12 @@ class TestVerifyReport:
         assert report["passed"]
         checks = {c["name"]: c for c in report["checks"]}
         assert all(c["passed"] and c["max_deviation"] <= 1e-12 for c in checks.values())
-        rule = "laguerre" if family == "exponential" else "log-trapezoid"
-        assert checks["radial moment identity"]["orders"]["rule"] == rule
+        # each check reports the rule it ran, and an order only for the rule that takes one
+        radial = {"rule": "laguerre", "order": 16} if family == "exponential" else {
+            "rule": "log-trapezoid"}
+        assert checks["radial moment identity"]["orders"] == radial
+        combined_orders = checks["combined identity (exact-limit phase average)"]["orders"]
+        assert combined_orders["radial_rule"] == "log-trapezoid"
         combined = checks["combined identity (exact-limit phase average)"]["max_deviation"]
         assert abs(combined - QUAD_COMBINED[family, orders]) <= 1e-14
 

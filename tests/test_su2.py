@@ -4,16 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from cohere import su2
 from cohere.su2 import (
-    MAX_RECOUPLING_LEVEL,
     AngularAmplitudes,
     AngularParams,
-    clebsch_gordan,
-    _cg_from_ints,
     coupling_matrix,
     so4_amplitudes,
     so4_to_spherical,
@@ -172,61 +168,79 @@ class TestStereographic:
             np.testing.assert_allclose(vec, target, atol=1e-12)
 
 
+def cg(j: float, m1: float, m2: float, L: float) -> float:
+    """<j m1 j m2 | L, m1+m2> read from the coupling table."""
+    return coupling_matrix(round(2 * j), round(2 * L))[round(j + m1), round(j + m2)]
+
+
+def sampled_entries(n: int, count: int, seed: int):
+    """(k1, k2, 2l) of level n: a third each from the recurrence half
+    (M >= 0, k1 >= k2), the exchange half (M >= 0, k1 < k2) and M < 0."""
+    two_j = n - 1
+    rng = np.random.default_rng(seed)
+    picks = []
+    for i in range(count):
+        l = int(rng.integers(1, n))
+        m = int(rng.integers(1, l + 1)) if i % 3 < 2 else -int(rng.integers(1, l + 1))
+        t = m + two_j  # k1 + k2
+        k1 = int(rng.integers(max(0, t - two_j), min(two_j, t) + 1))
+        if (i % 3 == 0) != (2 * k1 >= t):
+            k1 = t - k1
+        picks.append((k1, t - k1, 2 * l))
+    return picks
+
+
 class TestClebschGordan:
     def test_examples(self):
         inv_sqrt2 = 1 / math.sqrt(2)
-        assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 1, 0) == pytest.approx(inv_sqrt2, rel=1e-14)
-        assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 0, 0) == pytest.approx(inv_sqrt2, rel=1e-14)
+        assert cg(0.5, 0.5, -0.5, 1) == pytest.approx(inv_sqrt2, rel=1e-14)
+        assert cg(0.5, 0.5, -0.5, 0) == pytest.approx(inv_sqrt2, rel=1e-14)
+        assert cg(0.5, -0.5, 0.5, 0) == pytest.approx(-inv_sqrt2, rel=1e-14)
         for j in (0.5, 1, 2.5, 7):
-            assert clebsch_gordan(j, j, j, j, 2 * j, 2 * j) == pytest.approx(1.0, abs=1e-12)
+            assert cg(j, j, j, 2 * j) == pytest.approx(1.0, abs=1e-12)
 
     def test_selection_rules_give_zero(self):
-        assert clebsch_gordan(1, 0, 1, 0, 3, 0) == 0.0  # triangle violated
-        assert clebsch_gordan(1, 1, 1, 1, 2, 0) == 0.0  # M mismatch
-        assert clebsch_gordan(1, 2, 1, 0, 2, 2) == 0.0  # projection out of range
+        assert cg(1, 1, 1, 1) == 0.0  # |m1 + m2| > L
+        assert cg(1, -1, 0, 0) == 0.0
+        assert cg(1, 0, 0, 1) == 0.0  # exchange-odd L at m1 = m2
+        assert cg(2.5, 0.5, 0.5, 4) == 0.0
 
     def test_malformed_inputs_raise(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan(0.3, 0.3, 1, 0, 1, 0.3)
-        with pytest.raises(ValueError):
-            clebsch_gordan(1, 0.5, 1, 0, 1, 0.5)
+        for two_j, two_l in ((2, 1), (2, 6), (2, -2), (-1, 0)):
+            with pytest.raises(ValueError):
+                coupling_matrix(two_j, two_l)
 
-    @pytest.mark.parametrize("j1,j2", [(0.5, 0.5), (1, 0.5), (1.5, 1.5), (2, 1), (4, 3)])
+    @pytest.mark.parametrize("j1,j2", [(0.5, 0.5), (1, 1), (1.5, 1.5), (3, 3)])
     def test_against_recursion_oracle(self, j1, j2):
         oracle = cg_table_recursion(j1, j2)
-        for (two_L, two_M), vec in oracle.items():
-            for (tm1, tm2), expected in vec.items():
-                got = clebsch_gordan(j1, tm1 / 2, j2, tm2 / 2, two_L / 2, two_M / 2)
-                assert got == pytest.approx(expected, abs=1e-12)
+        two_j = round(2 * j1)
+        for two_L in range(0, 2 * two_j + 1, 2):
+            expected = np.zeros((two_j + 1, two_j + 1))
+            for two_M in range(-two_L, two_L + 1, 2):
+                for (tm1, tm2), value in oracle[(two_L, two_M)].items():
+                    expected[(tm1 + two_j) // 2, (tm2 + two_j) // 2] = value
+            assert np.max(np.abs(coupling_matrix(two_j, two_L) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5, 11, 20])
     def test_orthogonality(self, j):
         two_j = round(2 * j)
         dim = two_j + 1
         # rows indexed by (m1, m2), columns by (L, M)
+        m_sum = np.add.outer(np.arange(dim), np.arange(dim)).ravel() - two_j
         cols = []
-        labels = []
         for two_L in range(0, 2 * two_j + 1, 2):
-            for two_M in range(-two_L, two_L + 1, 2):
-                col = np.zeros(dim * dim)
-                for k1 in range(dim):
-                    for k2 in range(dim):
-                        tm1, tm2 = 2 * k1 - two_j, 2 * k2 - two_j
-                        if tm1 + tm2 != two_M:
-                            continue
-                        col[k1 * dim + k2] = clebsch_gordan(
-                            j, tm1 / 2, j, tm2 / 2, two_L / 2, two_M / 2
-                        )
-                cols.append(col)
-                labels.append((two_L, two_M))
+            table = coupling_matrix(two_j, two_L).ravel()
+            cols.extend(np.where(m_sum == two_M // 2, table, 0.0)
+                        for two_M in range(-two_L, two_L + 1, 2))
         u = np.column_stack(cols)
         gram = u.T @ u
-        assert np.max(np.abs(gram - np.eye(gram.shape[1]))) <= 1e-10
+        assert np.max(np.abs(gram - np.eye(gram.shape[1]))) <= 1e-13
 
     def test_large_spin_stability(self):
-        # values stay finite and bounded by 1 up to j ~ 100
-        val = clebsch_gordan(100, 3, 100, -3, 40, 0)
-        assert math.isfinite(val) and abs(val) <= 1.0
+        # j = 100 (level 201): finite, bounded by 1 and on the 60-digit sum
+        table = coupling_matrix(200, 80)
+        assert np.all(np.isfinite(table)) and np.max(np.abs(table)) <= 1.0
+        assert abs(cg(100, 3, -3, 40) - racah_sum_mp(200, 6, -6, 80)) <= 1e-14
 
 
 class TestOverlap:
@@ -289,48 +303,45 @@ class TestRecoupling:
         assert abs(c[1, 0]) == pytest.approx(1.0, rel=1e-12)
         assert abs(c[0, 0]) <= 1e-14
 
-    def test_unitary_on_random_input(self):
-        rng = np.random.default_rng(11)
-        for n in (3, 7, 16, 40):
-            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            raw /= np.linalg.norm(raw)
-            amps = AngularAmplitudes(n=n, amplitudes=raw)
-            c = so4_to_spherical(amps)
-            assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-10)
+    @settings(max_examples=20, deadline=None)
+    @given(n=hst.integers(min_value=1, max_value=60), seed=hst.integers(0, 2**32 - 1))
+    @example(n=120, seed=11)
+    @example(n=176, seed=11)
+    def test_unitary_on_random_input(self, n, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        raw /= np.linalg.norm(raw)
+        c = so4_to_spherical(AngularAmplitudes(n=n, amplitudes=raw))
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
 
     def test_coupling_matrix_cached(self):
         assert coupling_matrix(4, 2) is coupling_matrix(4, 2)
 
-    def test_recoupling_stops_at_the_accurate_levels(self, monkeypatch):
-        tables = []
+    @pytest.mark.parametrize("n", [21, 60, 61, 120, 176])
+    def test_matches_60_digit_racah_sum(self, n):
+        for k1, k2, two_l in sampled_entries(n, 60, seed=n):
+            expected = racah_sum_mp(n - 1, 2 * k1 - n + 1, 2 * k2 - n + 1, two_l)
+            assert abs(coupling_matrix(n - 1, two_l)[k1, k2] - expected) <= 1e-14
 
-        def zero_table(two_j, two_l):
-            tables.append(two_l)
-            return np.zeros((two_j + 1, two_j + 1))
+    @pytest.mark.parametrize("n", [176, 601])
+    def test_stretched_table_matches_closed_form(self, n):
+        # <j m1 j m2 | 2j M>^2 = C(2j, j+m1) C(2j, j+m2) / C(4j, 2j+M); at n = 601
+        # the recurrence grows by ~1e180 from the edge, so it must rescale
+        mpmath = pytest.importorskip("mpmath")
+        two_j = n - 1
+        table = coupling_matrix(two_j, 2 * two_j)
+        ks = range(0, n, 15)
+        with mpmath.workdps(40):
+            for k1 in ks:
+                for k2 in ks:
+                    exact = mpmath.sqrt(mpmath.binomial(two_j, k1) * mpmath.binomial(two_j, k2)
+                                        / mpmath.binomial(2 * two_j, k1 + k2))
+                    assert abs(table[k1, k2] - float(exact)) <= 1e-14
 
-        monkeypatch.setattr(su2, "coupling_matrix", zero_table)
-        params = AngularParams(0.3, -0.2j)
-        n = MAX_RECOUPLING_LEVEL
-        assert so4_to_spherical(so4_amplitudes(n, params)).shape == (n, 2 * n - 1)
-        assert len(tables) == n
-        with pytest.raises(ArithmeticError, match=str(MAX_RECOUPLING_LEVEL)):
-            so4_to_spherical(so4_amplitudes(n + 1, params))
-        assert len(tables) == n
-
-    def test_racah_sum_within_1e9_up_to_the_limit(self):
-        def error(two_j, two_m1, two_m2, two_l):
-            got = _cg_from_ints(two_j, two_m1, two_j, two_m2, two_l, two_m1 + two_m2)
-            return abs(got - racah_sum_mp(two_j, two_m1, two_m2, two_l))
-
-        two_j = MAX_RECOUPLING_LEVEL - 1
-        rng = np.random.default_rng(60)
-        for _ in range(40):
-            l = int(rng.integers(0, two_j + 1))
-            t = int(rng.integers(-l, l + 1)) + two_j  # k1 + k2 for M = t - 2j
-            k1 = int(rng.integers(max(0, t - two_j), min(two_j, t) + 1))
-            assert error(two_j, 2 * k1 - two_j, 2 * (t - k1) - two_j, 2 * l) <= 1e-9
-        # the worst coefficient of level 60 (9.6e-10) and one of level 61 (1.5e-9),
-        # found by scanning every coefficient of both levels
-        assert MAX_RECOUPLING_LEVEL == 60
-        assert error(59, 1, -7, 68) <= 1e-9
-        assert error(60, -4, -2, 74) > 1e-9
+    def test_each_m_block_is_orthonormal_at_level_176(self):
+        two_j = 175
+        tables = np.array([coupling_matrix(two_j, 2 * l) for l in range(two_j + 1)])
+        for m in range(-two_j, two_j + 1):
+            k1 = np.arange(max(0, m), min(two_j, two_j + m) + 1)
+            block = tables[abs(m):, k1, m + two_j - k1]  # rows l >= |m|, columns m1
+            assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-13

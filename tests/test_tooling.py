@@ -48,6 +48,9 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
     quad = position.SpatialQuadrature.for_levels(int(state.coeffs.levels.max()))
     nodes = quad.r_nodes.size * quad.cos_nodes.size * quad.n_phi
     assert tracer.layer_metrics()["position.quadrature.nodes"] == nodes > 0
+    probe = tracer.reference_probe()  # one uncached reference-level coupling table
+    assert probe["su2.coupling_matrix.ref_table_s"] > 0
+    assert probe["su2.cg.ref_frame_evals"] > 0
 
 
 def test_identity_report_matches_the_oracle():
