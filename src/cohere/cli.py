@@ -7,7 +7,8 @@ without loss; every subcommand is deterministic for a fixed configuration.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 budget
 refusal.
 
-Environment: COHERE_THREADS caps the linear-algebra thread pools;
+Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
+applied when the cohere package is first imported, before numpy loads);
 COHERE_GRID_BUDGET overrides the planar-grid resource budget.  An optional
 --config file holds flat key=value lines whose keys are the long option
 names (dashes or underscores); explicit flags win, and a key that names
@@ -35,13 +36,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("COHERE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def _integer(text: str, source: str) -> int:
@@ -396,7 +390,6 @@ def cmd_weights_moments(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

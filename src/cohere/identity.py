@@ -80,11 +80,18 @@ def _polar_rule(polar_order: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, wu
 
 
-def _sphere_nodes(polar_order: int, azimuthal_count: int):
-    theta, wu = _polar_rule(polar_order)
+@lru_cache(maxsize=8)
+def _azimuthal_sums(azimuthal_count: int) -> np.ndarray:
+    """A[d] = sum over the equally spaced phi nodes of w_phi exp(-i d phi)
+    for |d| < azimuthal_count, at index d + azimuthal_count - 1; read-only,
+    since every sphere overlap with this node count shares it."""
     phi = np.arange(azimuthal_count) * (2.0 * math.pi / azimuthal_count)
     w_phi = 2.0 * math.pi / azimuthal_count
-    return theta, wu, phi, w_phi
+    d = np.arange(1 - azimuthal_count, azimuthal_count)
+    # row by row, so the table costs no (2N-1) x N temporary
+    sums = np.array([np.exp(-1j * (k * phi)).sum() for k in d]) * w_phi
+    sums.flags.writeable = False
+    return sums
 
 
 def _polar_factor(j: float, theta: np.ndarray) -> np.ndarray:
@@ -137,12 +144,11 @@ def _sphere_overlap_matrix(
             f"azimuthal count {azimuthal_count} aliases m-differences up to "
             f"{max(two_a, two_b)}"
         )
-    theta, wu, phi, w_phi = _sphere_nodes(polar_order, azimuthal_count)
+    theta, wu = _polar_rule(polar_order)
     polar_a = _polar_factor(j_a, theta)
     polar_b = polar_a if two_a == two_b else _polar_factor(j_b, theta)
-    d = np.arange(-two_b, two_a + 1)
-    azimuthal = np.exp(-1j * np.outer(d, phi)).sum(axis=1) * w_phi
-    diff = np.subtract.outer(np.arange(two_a + 1), np.arange(two_b + 1)) + two_b
+    azimuthal = _azimuthal_sums(azimuthal_count)
+    diff = np.subtract.outer(np.arange(two_a + 1), np.arange(two_b + 1)) + azimuthal_count - 1
     return ((polar_a * wu) @ polar_b.conj().T) * azimuthal[diff] / (4.0 * math.pi)
 
 

@@ -150,10 +150,10 @@ def _laguerre_log(k_top: int, a: int, x: np.ndarray) -> tuple[np.ndarray, np.nda
     for k in range(1, k_top):
         v, v_prev = ((2 * k + 1 + a - x) * v - (k + a) * v_prev) / (k + 1), v
         pair = np.maximum(np.abs(v), np.abs(v_prev))
-        big = pair > 1e150
-        small = (pair < 1e-150) & (pair > 0)
-        if np.any(big) or np.any(small):
-            shift = np.where(big | small, np.log(np.where(pair > 0, pair, 1.0)), 0.0)
+        # one max and one min decide; the masks are built only when one fires
+        if pair.max() > 1e150 or pair.min() < 1e-150:
+            rescale = (pair > 1e150) | ((pair < 1e-150) & (pair > 0))
+            shift = np.where(rescale, np.log(np.where(pair > 0, pair, 1.0)), 0.0)
             scale = np.exp(-shift)
             v = v * scale
             v_prev = v_prev * scale

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from cohere import hydrogen
 from cohere.su2 import AngularParams, su2_overlap
@@ -39,6 +38,7 @@ from cohere.weights import (
     WeightFamily,
     WeightSpec,
     _log_series_terms,
+    _logsumexp,
     _resolve_ln_s,
     truncation_level,
 )
@@ -125,7 +125,7 @@ def _distribution_window(
     n_hi = truncation_level(spec, None, tail_eps=tail_eps / 2.0, ln_s=ln_s)
     n_values = np.arange(n_hi + 1)
     w = _log_series_terms(spec, ln_s, n_values)
-    w = w - logsumexp(w)
+    w = w - _logsumexp(w)
     p = np.exp(w)
     # trim the negligible lower tail as well
     lower = np.cumsum(p)

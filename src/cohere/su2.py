@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+
+from cohere.weights import _lgamma
 
 
 def _check_two_j(j: float, name: str = "j") -> int:
@@ -104,9 +105,9 @@ def su2_amplitudes(j: float, zeta) -> np.ndarray:
         for z in params
     ]).reshape(-1, 4).T
     k = np.arange(two_j + 1)[:, None]
-    log_binom_sqrt = 0.5 * (
-        gammaln(two_j + 1.0) - gammaln(k + 1.0) - gammaln(two_j - k + 1.0)
-    )
+    # ln k! for k = 0..2j, read backwards for ln (2j - k)!
+    log_fact = _lgamma(k + 1.0)
+    log_binom_sqrt = 0.5 * (log_fact[-1] - log_fact - log_fact[::-1])
     log_mag = log_binom_sqrt + (k - shift) * log_r - (two_j / 2.0) * log_norm
     amps = np.exp(log_mag + 1j * (k * arg))
     amps[:, [z == 0 for z in params]] = k == 0  # |j,0> is the lowest weight

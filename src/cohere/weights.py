@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 NEG_INF = float("-inf")
 
@@ -33,6 +32,31 @@ MAX_TERMS = 10**6
 
 #: default fractional weight allowed beyond the truncation window
 DEFAULT_TAIL_EPS = 1e-12
+
+
+def _lgamma(x) -> np.ndarray:
+    """ln Gamma(x) element-wise for x > 0, through math.lgamma.
+
+    A whole solve at <n> = 2000, alpha = 1/64 takes 135k arguments, so
+    the Python loop costs milliseconds.  An argument past ~2.5e305
+    overflows and raises OverflowError, an ArithmeticError.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    values = [math.lgamma(v) for v in x_arr.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(x_arr.shape)
+
+
+def _logsumexp(terms) -> float:
+    """ln sum(exp(terms)), shifted by the largest term.
+
+    A non-finite maximum is returned as it is: all -inf gives -inf, any
+    +inf gives inf and any NaN gives NaN.
+    """
+    t = np.asarray(terms, dtype=float)
+    top = float(t.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.sum(np.exp(t - top))))
 
 
 class DivergentSeriesError(ArithmeticError):
@@ -87,10 +111,10 @@ def log_moment(spec: WeightSpec, n) -> float:
     if np.any(n_arr < 0):
         raise ValueError("moment index must be nonnegative")
     if spec.family is WeightFamily.EXPONENTIAL:
-        out = gammaln(n_arr + 1.0)
+        out = _lgamma(n_arr + 1.0)
     elif spec.family is WeightFamily.STRETCHED_EXPONENTIAL:
         a = spec.alpha
-        out = -math.log(a) + gammaln((n_arr + 1.0) / a)
+        out = -math.log(a) + _lgamma((n_arr + 1.0) / a)
     else:
         table = np.asarray(spec.log_moments)
         if np.any(n_arr >= table.size):
@@ -148,7 +172,7 @@ def log_norm_factor(
         n_max = truncation_level(spec, None, 1e-16, ln_s=ln_s)
     n_values = np.arange(n_max + 1)
     terms = _log_series_terms(spec, ln_s, n_values)
-    total = logsumexp(terms)
+    total = _logsumexp(terms)
     if not np.isfinite(total):
         raise DivergentSeriesError("norm series did not converge")
     return -0.5 * float(total)
@@ -226,7 +250,7 @@ def truncation_level(
             last_step = terms[-1] - terms[-2]
             if last_step < 0:
                 log_tail_bound = terms[-1] + last_step - math.log1p(-math.exp(last_step))
-                log_total = logsumexp(terms)
+                log_total = _logsumexp(terms)
                 if log_tail_bound < log_total + math.log(tail_eps) - 6.0:
                     break
         if hi >= limit:
@@ -236,7 +260,7 @@ def truncation_level(
                 )
             break
 
-    log_total = logsumexp(terms)
+    log_total = _logsumexp(terms)
     if not np.isfinite(log_total):
         raise DivergentSeriesError("norm series did not converge")
     # exact smallest n_max on the computed window: cumulative tail sums

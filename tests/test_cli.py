@@ -1,6 +1,10 @@
 """Command-line exit codes for malformed input, and a descriptor pipeline."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ from cohere.identity import MAX_LEVELS
 from cohere.position import GridSpec, field_on_grid, read_field_binary
 from cohere.state import autocorrelation, level_distribution, mean_level, read_descriptor
 from cohere.weights import WeightSpec, log_moment
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARS = ("COHERE_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -338,3 +345,55 @@ class TestFloatInput:
         assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
         assert "t_end" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+
+
+def run_fresh(code, tmp_path, **env):
+    """Run code in a new interpreter that imports cohere from this checkout."""
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": path, **env},
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestFreshProcess:
+    def test_cohere_threads_is_set_before_numpy_loads(self, tmp_path):
+        # the BLAS pools are sized when numpy is first imported, so record
+        # OPENBLAS_NUM_THREADS at that moment
+        code = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "        return None\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import cohere.cli\n"
+            "print(seen)\n"
+        )
+        assert run_fresh(code, tmp_path, COHERE_THREADS="1").strip() == "['1']"
+
+    def test_no_subcommand_imports_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import cohere, cohere.cli\n"
+            "from cohere.cli import main\n"
+            "calls = [\n"
+            "    ['solve', '--alpha', '0.25', '--mean', '3', '-o', 'state.desc'],\n"
+            "    ['autocorr', '--descriptor', 'state.desc', '--samples', '5', '-o', 'trace.csv'],\n"
+            "    ['levels', '--descriptor', 'state.desc', '-o', 'levels.csv'],\n"
+            "    ['grid', '--descriptor', 'state.desc', '--width', '20', '--samples', '5',\n"
+            "     '--times', '0', '-o', 'frame'],\n"
+            "    ['verify', '--n-max', '2', '--su2-max-two-j', '2', '--polar-order', '4',\n"
+            "     '--azimuthal-count', '8', '-o', 'report.json'],\n"
+            "    ['weights', 'moments', '--n-max', '3', '-o', 'moments.csv'],\n"
+            "]\n"
+            "for argv in calls:\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "    assert not loaded, (argv[0], loaded[:5])\n"
+        )
+        run_fresh(code, tmp_path)

@@ -16,10 +16,10 @@ from cohere.identity import (
     MAX_LEVELS,
     InsufficientOrderError,
     QuadratureSpec,
+    _azimuthal_sums,
     _moment_ratio_by_quadrature,
     _polar_factor,
     _polar_rule,
-    _sphere_nodes,
     _sphere_overlap_matrix,
     full_identity_matrix,
     gamma_average,
@@ -62,6 +62,13 @@ QUAD_COMBINED = {
 }
 
 
+def sphere_nodes(polar_order, azimuthal_count):
+    """The product rule's nodes: Gauss-Legendre in cos(theta), equally spaced phi."""
+    theta, wu = _polar_rule(polar_order)
+    phi = np.arange(azimuthal_count) * (2.0 * math.pi / azimuthal_count)
+    return theta, wu, phi, 2.0 * math.pi / azimuthal_count
+
+
 def amplitude_stack(j, theta, phi):
     """su2 amplitudes at every (theta, phi) node; shape (2j+1, Nu, Nphi)."""
     polar = _polar_factor(j, theta)
@@ -71,7 +78,7 @@ def amplitude_stack(j, theta, phi):
 
 def dense_sphere_overlap(j_a, j_b, polar_order, azimuthal_count):
     """Sphere overlap as one Gram over the flattened (theta, phi) grid."""
-    theta, wu, phi, w_phi = _sphere_nodes(polar_order, azimuthal_count)
+    theta, wu, phi, w_phi = sphere_nodes(polar_order, azimuthal_count)
     amps_a = amplitude_stack(j_a, theta, phi).reshape(round(2 * j_a) + 1, -1)
     amps_b = amplitude_stack(j_b, theta, phi).reshape(round(2 * j_b) + 1, -1)
     weights = (wu[:, None] * np.full(phi.size, w_phi)[None, :]).ravel()
@@ -132,7 +139,7 @@ def loop_identity_matrix(spec, n_max, quad_spec):
 class TestSphereRule:
     @pytest.mark.parametrize("two_j", [0, 1, 4, 9])
     def test_amplitude_stack_matches_closed_form(self, two_j):
-        theta, _, phi, _ = _sphere_nodes(12, 24)
+        theta, _, phi, _ = sphere_nodes(12, 24)
         stack = amplitude_stack(two_j / 2.0, theta, phi)
         assert stack.shape == (two_j + 1, theta.size, phi.size)
         factor = _polar_factor(two_j / 2.0, theta)
@@ -182,6 +189,15 @@ class TestSphereRule:
             tracemalloc.stop()
         assert deviation <= 1e-12
         assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("count", [4, 7, 24, 192])
+    def test_azimuthal_sums_are_the_node_sums(self, count):
+        # the shared table holds the same bits as one sum per overlap call
+        _, _, phi, w_phi = sphere_nodes(1, count)
+        d = np.arange(1 - count, count)
+        expected = np.exp(-1j * np.outer(d, phi)).sum(axis=1) * w_phi
+        assert np.array_equal(_azimuthal_sums(count), expected)
+        assert abs(_azimuthal_sums(count)[count - 1] - 2.0 * math.pi) <= 1e-14
 
     def test_polar_rule_computed_once_per_order(self, monkeypatch):
         orders = []

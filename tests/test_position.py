@@ -113,7 +113,42 @@ def dense_position_trace(state, times):
     return np.asarray(rows)
 
 
+def laguerre_log_reference(k_top, a, x):
+    """The Laguerre recurrence with its rescale test written out on masks
+    at every step; position._laguerre_log must give the same bits."""
+    x = np.asarray(x, dtype=float)
+    carry = np.zeros_like(x)
+    v_prev = np.ones_like(x)
+    if k_top == 0:
+        return P._log_sign(v_prev, carry)
+    v = 1.0 + a - x
+    for k in range(1, k_top):
+        v, v_prev = ((2 * k + 1 + a - x) * v - (k + a) * v_prev) / (k + 1), v
+        pair = np.maximum(np.abs(v), np.abs(v_prev))
+        big = pair > 1e150
+        small = (pair < 1e-150) & (pair > 0)
+        if np.any(big) or np.any(small):
+            shift = np.where(big | small, np.log(np.where(pair > 0, pair, 1.0)), 0.0)
+            scale = np.exp(-shift)
+            v = v * scale
+            v_prev = v_prev * scale
+            carry += shift
+    return P._log_sign(v, carry)
+
+
 class TestRadial:
+    @pytest.mark.parametrize("n", [1, 2, 20, 150, 176])
+    def test_laguerre_matches_masked_rescale_bitwise(self, n):
+        # radii from 0 to past the cutoff 4n^2 + 16n of the n = 176 radial
+        # rule, where the low-l recurrences pass 1e150 and rescale
+        r = np.concatenate([[0.0, 1e-300], np.geomspace(1e-3, 2e5, 600)])
+        x = 2.0 * r / n
+        for l in sorted({0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n))):
+            k_top, a = n - l - 1, 2 * l + 1
+            got = P._laguerre_log(k_top, a, x)
+            ref = laguerre_log_reference(k_top, a, x)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), (n, l)
+
     def test_ground_state(self):
         for r in (0.0, 1.0, 2.0):
             assert radial(1, 0, r) == pytest.approx(2.0 * math.exp(-r), rel=1e-12)

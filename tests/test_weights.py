@@ -1,6 +1,7 @@
 """Weight functions: moments, normalization, companion density, truncation."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,8 +97,51 @@ class TestLogMoment:
     def test_gammaln_recurrence(self):
         # log-gamma backend must satisfy Gamma(x+1) = x Gamma(x)
         x = np.linspace(0.5, 300.0, 601)
-        resid = gammaln(x + 1.0) - (np.log(x) + gammaln(x))
-        assert np.max(np.abs(resid)) <= 1e-13 * np.max(np.abs(gammaln(x + 1)))
+        resid = W._lgamma(x + 1.0) - (np.log(x) + W._lgamma(x))
+        assert np.max(np.abs(resid)) <= 1e-13 * np.max(np.abs(W._lgamma(x + 1)))
+
+
+def mp_logsumexp(terms):
+    """50-digit ln sum(exp(t)), shifted by the largest term."""
+    with mpmath.workdps(50):
+        top = mpmath.mpf(max(terms))
+        return top + mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(t) - top) for t in terms))
+
+
+class TestLogHelpers:
+    """The log-gamma and log-sum-exp helpers against 50-digit mpmath."""
+
+    # n = 0..99, then geometric up to the series cap MAX_TERMS = 1e6
+    N_VALUES = np.unique(np.concatenate([np.arange(100), np.geomspace(100, 1e6, 120).round()]))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 / 32.0, 1.0 / 64.0])
+    def test_lgamma_at_moment_arguments(self, alpha):
+        x = (self.N_VALUES + 1.0) / alpha
+        got = W._lgamma(x)
+        with mpmath.workdps(50):
+            ref = [mpmath.loggamma(mpmath.mpf(v)) for v in x.tolist()]
+            err = [abs(mpmath.mpf(g) - r) - 1e-15 * abs(r) for g, r in zip(got.tolist(), ref)]
+        assert max(err) <= 0
+
+    def test_lgamma_keeps_shape(self):
+        assert W._lgamma(5.0).shape == ()
+        assert float(W._lgamma(5.0)) == math.lgamma(5.0)
+        assert W._lgamma(np.ones((3, 1))).shape == (3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=12))
+    def test_logsumexp_matches_mpmath(self, terms):
+        # near a zero of the result only an absolute ~1e-16 is attainable,
+        # since the shifted log-sum then cancels the largest term
+        ref = mp_logsumexp(terms)
+        assert abs(W._logsumexp(terms) - ref) <= 1e-15 * max(abs(ref), 1)
+
+    def test_logsumexp_non_finite_maximum_is_returned(self):
+        assert W._logsumexp([-math.inf, -math.inf]) == -math.inf
+        assert W._logsumexp([1.0, math.inf, -3.0]) == math.inf
+        assert math.isnan(W._logsumexp([1.0, math.nan, 2.0]))
+        assert math.isnan(W._logsumexp([math.inf, math.nan]))
+        assert W._logsumexp([-math.inf, 0.0]) == 0.0
 
 
 class TestNormFactor:
