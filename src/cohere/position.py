@@ -1,8 +1,8 @@
 """Position-space evaluation: eigenfunctions, planar fields, orbit traces.
 
-Radial functions use the associated-Laguerre upward recurrence with a
-per-point log-magnitude carry so that principal quantum numbers of order
-a few hundred stay finite; spherical harmonics use the fully normalized
+Radial functions come from one recurrence in l, downward with a per-point
+log-magnitude carry (_radial_by_degree), so that principal quantum numbers
+of a few hundred stay finite; spherical harmonics use the fully normalized
 Legendre recurrence, stable to degree ~200, with the Condon-Shortley
 phase.
 
@@ -31,11 +31,11 @@ takes its angular factor from algebra: <l m|l' m'> = delta_ll' delta_mm',
 and sin(theta) e^{i phi} takes (l, m) only to (l+1, m+1) and (l-1, m+1)
 (the dipole selection rules, with the Condon-Shortley ladder coefficients
 of _raising_ladder).  Only the radial integrals use a quadrature.  A loop
-over l then adds, into the L x L level matrices (L occupied levels),
+down over l then adds, into the L x L level matrices (L occupied levels),
 
     N += (r^2 Gram of the degree-l rows R_{n,l}) * (g_l^H g_l)
-    P += (r^3 Gram of degrees l-1 and l) * (g_{l-1}^H . ladder-shifted g_l)
-         and the same with l-1 and l exchanged
+    P += (r^3 Gram of degrees l and l+1) * (g_l^H . ladder-shifted g_{l+1})
+         and the same with l and l+1 exchanged
 
 where g_l holds every level's recoupled amplitudes g_n(l, -l..l) and *
 is the elementwise product.  Then X = (P + P^H)/2 and Y = (P - P^H)/(2i)
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohere import hydrogen
+
 from cohere.state import _FMT, CoherentState, reduced_phases
 from cohere.su2 import (
     AngularParams,
@@ -60,6 +61,7 @@ from cohere.su2 import (
     stereographic,
     su2_amplitudes,
 )
+from cohere.weights import _lgamma
 
 #: default ceiling on (max level)^2 * samples^2 for planar grid runs
 DEFAULT_GRID_BUDGET = 10**9
@@ -110,61 +112,61 @@ class GridField:
 def radial(n: int, l: int, r) -> np.ndarray | float:
     """Normalized bound radial function R_{n,l}(r) in atomic units.
 
-    Satisfies integral of R^2 r^2 dr = 1.  Evaluated through the
-    associated-Laguerre upward recurrence with log-scaled prefactors and a
-    per-point magnitude carry.
+    Satisfies integral of R^2 r^2 dr = 1; row l of _radial_by_degree([n], r).
     """
     if n < 1 or l < 0 or l > n - 1:
         raise ValueError(f"invalid quantum numbers (n={n}, l={l})")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("r must be nonnegative")
-    x = 2.0 * r_arr / n
-    k_top = n - l - 1
-    log_lag, sign = _laguerre_log(k_top, 2 * l + 1, x)
-    log_pref = (
-        1.5 * math.log(2.0 / n)
-        - 0.5 * math.log(2.0 * n)
-        + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x_pow = np.where(x > 0, l * np.log(np.where(x > 0, x, 1.0)), 0.0 if l == 0 else -np.inf)
-    log_mag = log_pref + log_x_pow - x / 2.0 + log_lag
-    out = sign * np.exp(log_mag)
-    return float(out) if np.isscalar(r) else out
+    for degree, rows in _radial_by_degree(np.array([n]), r_arr.ravel()):
+        if degree == l:
+            out = rows[0].reshape(r_arr.shape)
+            return float(out) if np.isscalar(r) else out
 
 
-def _laguerre_log(k_top: int, a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|L|, sign) of the associated Laguerre polynomial L^(a)_{k_top}(x).
+def _radial_by_degree(levels: np.ndarray, r: np.ndarray):
+    """Yield (l, rows) for l = max(levels) - 1 down to 0: rows[i] is
+    R_{levels[i], l}(r), exactly 0 for levels[i] <= l (levels ascending).
 
-    Upward recurrence in the degree with a per-point carry: whenever the
-    working pair leaves the comfortable magnitude range it is rescaled and
-    the log of the factor accumulates separately.
+    With x = 2r/n, u_l = R_{n,l} / x^l obeys the factorization recurrence
+    (Schroedinger 1940; Infeld & Hull 1951), stable downward in l:
+
+        k_l u_{l-1} = (2l+1)(2/n - x/(l(l+1))) u_l - k_{l+1} x^2 u_{l+1},
+        k_l = sqrt(n^2 - l^2) / (n l).
+
+    Level n joins at its nodeless row u_{n-1} = (2/n)^{3/2} e^{-x/2} /
+    sqrt((2n)!), held in a per-point log carry that also takes each rescale.
     """
-    x = np.asarray(x, dtype=float)
-    carry = np.zeros_like(x)
-    v_prev = np.ones_like(x)
-    if k_top == 0:
-        return _log_sign(v_prev, carry)
-    v = 1.0 + a - x
-    for k in range(1, k_top):
-        v, v_prev = ((2 * k + 1 + a - x) * v - (k + a) * v_prev) / (k + 1), v
-        pair = np.maximum(np.abs(v), np.abs(v_prev))
-        # one max and one min decide; the masks are built only when one fires
-        if pair.max() > 1e150 or pair.min() < 1e-150:
-            rescale = (pair > 1e150) | ((pair < 1e-150) & (pair > 0))
-            shift = np.where(rescale, np.log(np.where(pair > 0, pair, 1.0)), 0.0)
-            scale = np.exp(-shift)
-            v = v * scale
-            v_prev = v_prev * scale
-            carry += shift
-    return _log_sign(v, carry)
-
-
-def _log_sign(v: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = levels.astype(float)[:, None]
+    x = 2.0 * r / n
     with np.errstate(divide="ignore"):
-        log_mag = np.where(v != 0, np.log(np.abs(np.where(v != 0, v, 1.0))), -np.inf)
-    return log_mag + carry, np.sign(v)
+        log_x = np.log(x)
+    carry = 1.5 * np.log(2.0 / n) - 0.5 * _lgamma(2.0 * n + 1.0) - 0.5 * x
+    u = np.zeros_like(x)  # u_l
+    above = np.zeros_like(x)  # u_{l+1}
+    for l in range(int(levels.max()) - 1, -1, -1):
+        live = slice(np.searchsorted(levels, l + 1), None)
+        u[levels == l + 1] = 1.0  # level l + 1 joins at its nodeless row
+        rows = np.zeros_like(x)
+        # x^l is 1 for l = 0, even at r = 0
+        rows[live] = u[live] * np.exp(carry[live] + l * log_x[live] if l else carry[live])
+        yield l, rows
+        if l == 0:
+            return
+        nn = n[live]
+        k_l = np.sqrt(nn * nn - l * l) / (nn * l)
+        k_above = np.sqrt(nn * nn - (l + 1) ** 2) / (nn * (l + 1))
+        below = ((2 * l + 1) * (2.0 / nn - x[live] / (l * (l + 1))) * u[live]
+                 - k_above * x[live] ** 2 * above[live]) / k_l
+        if np.abs(below).max() > 1e150:
+            pair = np.maximum(np.abs(below), np.abs(u[live]))
+            scale = np.where(pair > 1e150, pair, 1.0)
+            below /= scale
+            u[live] /= scale
+            carry[live] += np.log(scale)
+        above[live] = u[live]
+        u[live] = below
 
 
 def legendre_normalized(l_max: int, m: int, cos_theta, sin_theta) -> np.ndarray:
@@ -219,14 +221,6 @@ def _spherical_amp_tables(state: CoherentState):
         yield shifted * (-1.0) ** np.minimum(np.arange(1 - n, n), 0)
 
 
-def _legendre_table(n_top: int, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """theta part of Y_{l,|m|} at [|m|, l, node], zero for |m| > l."""
-    table = np.zeros((n_top, n_top, cos_t.size))
-    for m in range(n_top):
-        table[m, m:] = legendre_normalized(n_top - 1, m, cos_t, sin_t)
-    return table
-
-
 def _coefficients_at(state: CoherentState, t: float) -> np.ndarray:
     """The level coefficients c(t) of the state evolved to time t."""
     return state.coeffs.values * np.exp(1j * reduced_phases(-t, state.level_energies))
@@ -248,10 +242,14 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     r_unique, inverse = np.unique(np.hypot(xx, yy).ravel(), return_inverse=True)
     phi = np.arctan2(yy, xx).ravel()
     e_iphi = np.exp(1j * phi)
-    plane = _legendre_table(n_top, np.zeros(1), np.ones(1))[:, :, 0]  # P_l^|m|(0)
+    plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
+    for m in range(n_top):
+        plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
     fields = np.empty((levels.size, phi.size), dtype=complex)
     for field, n, table in zip(fields, levels.tolist(), _spherical_amp_tables(state)):
-        radials = np.array([radial(n, l, r_unique) for l in range(n)], dtype=complex)
+        radials = np.empty((n, r_unique.size), dtype=complex)
+        for l, rows in _radial_by_degree(np.array([n]), r_unique):
+            radials[l] = rows[0]
         g = table.T * plane[np.abs(np.arange(1 - n, n)), :n]  # F_n[m] = g[n-1+m] @ radials
         # sum_m F_n[m] e^{i m phi} by Horner's rule, one F_n[m] row at a time
         field[:] = (g[-1] @ radials)[inverse]
@@ -299,19 +297,20 @@ class SpatialQuadrature:
         azimuthal_count: int | None = None,
         r_max: float | None = None,
     ) -> "SpatialQuadrature":
-        # the cutoff holds the l = 0 tail of level n_top; the order then
-        # still resolves level 1 near r = 0 (rows integrate to ~1e-12 or better)
+        # the cutoff holds the l = 0 tail of level n_top; nodes at r = r_max u^2,
+        # uniform in u like the WKB phase, still resolve level 1 near r = 0
         if r_max is None:
             r_max = 4.0 * n_top * n_top + 16.0 * n_top
         if radial_order is None:
-            radial_order = max(96, 12 * n_top)
+            radial_order = max(96, 6 * n_top)
         if polar_order is None:
             polar_order = 2 * n_top + 12
         if azimuthal_count is None:
             azimuthal_count = 4 * n_top + 8
         xr, wr = np.polynomial.legendre.leggauss(radial_order)
-        r_nodes = 0.5 * (xr + 1.0) * r_max
-        r_weights = 0.5 * r_max * wr
+        u = 0.5 * (xr + 1.0)
+        r_nodes = r_max * u * u
+        r_weights = r_max * u * wr
         cu, wu = np.polynomial.legendre.leggauss(polar_order)
         return cls(r_nodes, r_weights, cu, wu, azimuthal_count)
 
@@ -339,26 +338,25 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     angular integrals are the dipole selection rules and only the radial
     integrals use the quadrature's radial rule; see the module docstring.
     """
-    levels = state.coeffs.levels.tolist()
-    tables = [so4_to_spherical(so4_amplitudes(n, state.angular)) for n in levels]
+    levels = state.coeffs.levels
+    tables = [so4_to_spherical(so4_amplitudes(n, state.angular)) for n in levels.tolist()]
     r = quad.r_nodes
     w_norm = quad.r_weights * r * r
     w_first = w_norm * r
-    norm = np.zeros((len(levels), len(levels)), dtype=complex)
+    norm = np.zeros((levels.size, levels.size), dtype=complex)
     plus = np.zeros_like(norm)  # sin(theta) e^{i phi} moment, x + i y
-    for l in range(max(levels)):
-        # degree-l radial rows and amplitudes g_n(l, -l..l); zero for levels n <= l
-        rad = np.array([radial(n, l, r) if n > l else np.zeros_like(r) for n in levels])
+    for l, rad in _radial_by_degree(levels, r):
+        # amplitudes g_n(l, -l..l) beside the degree-l rows; zero for levels n <= l
         amp = np.array([g[l, :2 * l + 1] if n > l else np.zeros(2 * l + 1)
-                        for n, g in zip(levels, tables)])
+                        for n, g in zip(levels.tolist(), tables)])
         up, down = _raising_ladder(l)
         norm += ((rad * w_norm) @ rad.T) * (amp.conj() @ amp.T)
-        if l:
-            cross = (rad_below * w_first) @ rad.T  # [i, k]: R_{n_i,l-1} R_{n_k,l} r^3
-            # <l-1, m+1| from |l, m>, m = -l..l-2, and <l, m+1| from |l-1, m>
-            plus += cross * (amp_below.conj() @ (amp * down)[:, :-2].T)
-            plus += cross.T * (amp[:, 2:].conj() @ raised_below.T)
-        rad_below, amp_below, raised_below = rad, amp, amp * up
+        if l < levels.max() - 1:
+            cross = (rad * w_first) @ rad_above.T  # [i, k]: R_{n_i,l} R_{n_k,l+1} r^3
+            # <l, m+1| from |l+1, m>, m = -l-1..l-1, and <l+1, m+1| from |l, m>
+            plus += cross * (amp.conj() @ lowered_above[:, :-2].T)
+            plus += cross.T * (amp_above[:, 2:].conj() @ (amp * up).T)
+        rad_above, amp_above, lowered_above = rad, amp, amp * down
     return np.stack([0.5 * (plus + plus.conj().T), -0.5j * (plus - plus.conj().T), norm])
 
 

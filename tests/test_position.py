@@ -113,14 +113,21 @@ def dense_position_trace(state, times):
     return np.asarray(rows)
 
 
+def _log_sign(v, carry):
+    with np.errstate(divide="ignore"):
+        log_mag = np.where(v != 0, np.log(np.abs(np.where(v != 0, v, 1.0))), -np.inf)
+    return log_mag + carry, np.sign(v)
+
+
 def laguerre_log_reference(k_top, a, x):
-    """The Laguerre recurrence with its rescale test written out on masks
-    at every step; position._laguerre_log must give the same bits."""
+    """(log|L|, sign) of the associated Laguerre polynomial L^(a)_{k_top}(x):
+    the upward recurrence in the degree, with a per-point log carry and its
+    rescale test written out on masks at every step."""
     x = np.asarray(x, dtype=float)
     carry = np.zeros_like(x)
     v_prev = np.ones_like(x)
     if k_top == 0:
-        return P._log_sign(v_prev, carry)
+        return _log_sign(v_prev, carry)
     v = 1.0 + a - x
     for k in range(1, k_top):
         v, v_prev = ((2 * k + 1 + a - x) * v - (k + a) * v_prev) / (k + 1), v
@@ -133,21 +140,56 @@ def laguerre_log_reference(k_top, a, x):
             v = v * scale
             v_prev = v_prev * scale
             carry += shift
-    return P._log_sign(v, carry)
+    return _log_sign(v, carry)
+
+
+def reference_radial(n, l, r):
+    """R_{n,l}(r) from the Laguerre closed form, one degree recurrence per (n, l)."""
+    x = 2.0 * np.asarray(r, dtype=float) / n
+    log_lag, sign = laguerre_log_reference(n - l - 1, 2 * l + 1, x)
+    log_pref = (1.5 * math.log(2.0 / n) - 0.5 * math.log(2.0 * n)
+                + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x_pow = np.where(x > 0, l * np.log(np.where(x > 0, x, 1.0)), 0.0 if l == 0 else -np.inf)
+    return sign * np.exp(log_pref + log_x_pow - x / 2.0 + log_lag)
+
+
+def rows_by_degree(levels, r):
+    """{l: rows} from every step of position._radial_by_degree."""
+    return dict(P._radial_by_degree(np.asarray(levels), r))
 
 
 class TestRadial:
-    @pytest.mark.parametrize("n", [1, 2, 20, 150, 176])
-    def test_laguerre_matches_masked_rescale_bitwise(self, n):
-        # radii from 0 to past the cutoff 4n^2 + 16n of the n = 176 radial
-        # rule, where the low-l recurrences pass 1e150 and rescale
-        r = np.concatenate([[0.0, 1e-300], np.geomspace(1e-3, 2e5, 600)])
-        x = 2.0 * r / n
-        for l in sorted({0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n))):
-            k_top, a = n - l - 1, 2 * l + 1
-            got = P._laguerre_log(k_top, a, x)
-            ref = laguerre_log_reference(k_top, a, x)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), (n, l)
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 60, 120, 150, 176])
+    def test_rows_match_degree_recurrence(self, n):
+        # the default radial rule of level n reaches past its outer turning
+        # point, where the degree recurrence passes 1e150 and rescales
+        r = np.concatenate([[0.0], SpatialQuadrature.for_levels(n).r_nodes])
+        for l, rows in rows_by_degree([n], r).items():
+            want = reference_radial(n, l, r)
+            assert np.max(np.abs(rows[0] - want)) <= 5e-13 * np.max(np.abs(want)), (n, l)
+
+    def test_lockstep_rows_match_single_level_bitwise(self):
+        levels = [3, 7, 8, 20, 33, 40]
+        r = np.concatenate([[0.0], SpatialQuadrature.for_levels(40).r_nodes])
+        together = rows_by_degree(levels, r)
+        assert list(together) == list(range(39, -1, -1))
+        for i, n in enumerate(levels):
+            single = rows_by_degree([n], r)
+            for l, rows in together.items():
+                if n > l:
+                    np.testing.assert_array_equal(rows[i], single[l][0])
+                else:
+                    assert not rows[i].any(), (n, l)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 176, 400])
+    def test_value_at_origin(self, n):
+        # R_{n,0}(0) = 2 n^{-3/2}; every l > 0 row vanishes like r^l
+        for l, rows in rows_by_degree([n], np.zeros(1)).items():
+            if l:
+                assert rows[0, 0] == 0.0
+            else:
+                assert rows[0, 0] == pytest.approx(2.0 * n**-1.5, rel=1e-12)
 
     def test_ground_state(self):
         for r in (0.0, 1.0, 2.0):
@@ -191,14 +233,15 @@ class TestRadial:
             w = rule.r_weights * rule.r_nodes**2
             norms = np.array([w @ radial(n, l, rule.r_nodes) ** 2
                               for n in range(1, n_top + 1) for l in range(n)])
-            assert np.max(np.abs(norms - 1.0)) <= 1e-11, n_top
+            assert np.max(np.abs(norms - 1.0)) <= 2e-13, n_top
 
-    @pytest.mark.parametrize("n", [60, 120, 160])
+    @pytest.mark.parametrize("n", [60, 120, 160, 176, 400])
     def test_high_n_against_extended_precision(self, n):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         for l in (0, n // 2, n - 1):
-            for r in (0.3 * n * n, 0.9 * n * n, 1.6 * n * n):
+            # 2.5 n^2 and 3.5 n^2 lie past the outer turning point
+            for r in (0.3 * n * n, 0.9 * n * n, 1.6 * n * n, 2.5 * n * n, 3.5 * n * n):
                 k, a, x = n - l - 1, 2 * l + 1, mpmath.mpf(2.0 * r / n)
                 log_pref = (
                     1.5 * mpmath.log(mpmath.mpf(2) / n)
@@ -323,14 +366,15 @@ class TestPlanarField:
 
     def test_level_work_is_done_once_per_schedule(self, monkeypatch):
         st = small_orbit_state(0.385)
-        calls, rows = [], []
-        recouple, radial_rows = P.so4_to_spherical, P.radial
+        calls, radial_levels = [], []
+        recouple, by_degree = P.so4_to_spherical, P._radial_by_degree
         monkeypatch.setattr(P, "so4_to_spherical", lambda a: calls.append(a.n) or recouple(a))
-        monkeypatch.setattr(P, "radial", lambda n, l, r: rows.append((n, l)) or radial_rows(n, l, r))
+        monkeypatch.setattr(P, "_radial_by_degree",
+                            lambda levels, r: radial_levels.append(levels.tolist()) or by_degree(levels, r))
         frames = list(field_frames(st, GridSpec(width=40.0, samples=9), [0.0, 1.0, 2.0]))
         assert len(frames) == 3
         assert calls == st.coeffs.levels.tolist()
-        assert len(rows) == len(set(rows)) == sum(calls)
+        assert radial_levels == [[n] for n in calls]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
