@@ -113,6 +113,8 @@ def _weight_from_args(args) -> "object":
     if family == "stretched":
         if args.alpha is None:
             raise UsageError("the stretched family requires --alpha")
+        if not args.alpha > 0:
+            raise UsageError("--alpha must be positive")
         return WeightSpec.stretched(float(args.alpha))
     raise UsageError(f"unknown weight family {family!r}")
 
@@ -334,7 +336,6 @@ def cmd_verify(args) -> int:
         report_text,
         standard_verification,
     )
-    from cohere.weights import WeightSpec
 
     _merge_config(args, {
         "n_max": 3, "su2_max_two_j": 10, "polar_order": 24,
@@ -344,15 +345,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--n-max must lie in 1..{MAX_LEVELS}")
     if args.su2_max_two_j < 0:
         raise UsageError("--su2-max-two-j must be nonnegative")
-    if args.family == "stretched":
-        if args.alpha is None:
-            raise UsageError("the stretched family requires --alpha")
-        spec = WeightSpec.stretched(args.alpha)
-    else:
-        spec = WeightSpec.exponential()
     try:
         results = standard_verification(
-            spec=spec,
+            spec=_weight_from_args(args),
             n_max=args.n_max,
             su2_max_two_j=args.su2_max_two_j,
             polar_order=args.polar_order,

@@ -8,10 +8,10 @@ Three layers, verified separately and then composed:
     integrates the polynomial integrand exactly at sufficient order;
   - the radial measure reproduces the weight moments:
     integral of u^n rho(u) du = rho_n.  After v = u^alpha each moment is
-    a gamma-density integral, taken either by Gauss-Laguerre or by the
-    trapezoid rule in x = ln v, where the density is analytic in the
-    strip |Im x| < pi/2 and decays on both sides, so a uniform step
-    converges geometrically;
+    a gamma-density integral, taken by the trapezoid rule in x = ln v,
+    where the density is analytic in the strip |Im x| < pi/2 and decays
+    on both sides, so a uniform step converges geometrically.  The
+    exponential weight is the alpha = 1 case of the same rule;
   - averaging over the phase parameter suppresses cross-level terms.
     No finite quadrature realizes the limit of an infinite phase window,
     so both an exact-limit mode (the level Kronecker delta substituted
@@ -54,8 +54,6 @@ class InsufficientOrderError(ValueError):
 class QuadratureSpec:
     """Orders for the combined identity check."""
 
-    radial_rule: str = "log-trapezoid"  # or "laguerre"
-    radial_order: int = 64
     polar_order: int = 24
     azimuthal_count: int = 48
     gamma_halfwidth: float | None = None  # None: exact-limit mode
@@ -152,9 +150,7 @@ def _sphere_overlap_matrix(
     return ((polar_a * wu) @ polar_b.conj().T) * azimuthal[diff] / (4.0 * math.pi)
 
 
-def _moment_ratio_by_quadrature(
-    spec: WeightSpec, exponent: float, rule: str, order: int
-) -> float:
+def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     """integral of u^exponent rho(u) du divided by the analytic moment.
 
     The analytic moment generalizes to real exponents through the same
@@ -162,51 +158,33 @@ def _moment_ratio_by_quadrature(
     v = u^alpha the ratio is the integral of the gamma density
     v^(beta-1) e^(-v) / Gamma(beta), beta = (exponent+1)/alpha.
 
-    "laguerre" takes it by order-point Gauss-Laguerre, exact only while
-    v^(beta-1) is a low-degree polynomial.  "log-trapezoid" substitutes
-    v = e^x, giving exp(beta x - e^x) / Gamma(beta): analytic in
-    |Im x| < pi/2 and decaying on both sides, so the trapezoid rule on a
-    uniform grid converges geometrically (order is not used).  The step
+    The substitution v = e^x gives exp(beta x - e^x) / Gamma(beta):
+    analytic in |Im x| < pi/2 and decaying on both sides, so the
+    trapezoid rule on a uniform grid converges geometrically.  The step
     h = min(0.2, 0.4/sqrt(beta)) resolves the peak of width 1/sqrt(beta)
     at x = ln beta, and the window drops tails below e^-40.  For
     beta >= 1 that is 52-271 nodes; the ratio is within 5e-13 of 1 up to
     beta = 400 and at the lgamma rounding floor beyond.
     """
-    if spec.family is WeightFamily.EXPONENTIAL:
-        alpha = 1.0
-    elif spec.family is WeightFamily.STRETCHED_EXPONENTIAL:
-        alpha = spec.alpha
-    else:
+    if spec.family is WeightFamily.TABULATED:
         raise ValueError("quadrature checks need a pointwise density")
-    beta = (exponent + 1.0) / alpha
+    beta = (exponent + 1.0) / spec.alpha
     log_gamma_beta = math.lgamma(beta)
-    if rule == "laguerre":
-        nodes, weights = np.polynomial.laguerre.laggauss(order)
-        vals = np.exp((beta - 1.0) * np.log(nodes) - log_gamma_beta)
-        return float(np.sum(weights * vals))
-    if rule == "log-trapezoid":
-        root = math.sqrt(beta)
-        h = min(0.2, 0.4 / root)
-        lo = math.log(beta) - 40.0 / beta - 10.0 / root
-        hi = math.log(beta + 40.0 + 10.0 * root)
-        x = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
-        return float(h * np.sum(np.exp(beta * x - np.exp(x) - log_gamma_beta)))
-    raise ValueError(f"unknown radial rule {rule!r}")
+    root = math.sqrt(beta)
+    h = min(0.2, 0.4 / root)
+    lo = math.log(beta) - 40.0 / beta - 10.0 / root
+    hi = math.log(beta + 40.0 + 10.0 * root)
+    x = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
+    return float(h * np.sum(np.exp(beta * x - np.exp(x) - log_gamma_beta)))
 
 
-def verify_radial_identity(
-    spec: WeightSpec, n_max: int, rule: str = "auto", order: int | None = None
-) -> float:
+def verify_radial_identity(spec: WeightSpec, n_max: int) -> float:
     """Max over n <= n_max of |integral u^n rho(u) du / rho_n - 1|."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if rule == "auto":
-        rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "log-trapezoid"
-    if order is None:
-        order = max(n_max + 1, 16)
     worst = 0.0
     for n in range(n_max + 1):
-        ratio = _moment_ratio_by_quadrature(spec, float(n), rule, order)
+        ratio = _moment_ratio_by_quadrature(spec, float(n))
         if not math.isfinite(ratio):
             raise ArithmeticError(f"divergent radial quadrature at moment {n}")
         worst = max(worst, abs(ratio - 1.0))
@@ -238,7 +216,6 @@ def full_identity_matrix(
     levels = range(1, n_max + 1)
     labels = [(n, k1, k2) for n in levels for k1 in range(n) for k2 in range(n)]
     offset = {n: sum(m * m for m in range(1, n)) for n in levels}
-    alpha = 1.0 if spec.family is WeightFamily.EXPONENTIAL else spec.alpha
 
     gram = np.zeros((len(labels), len(labels)), dtype=complex)
     for n_a in levels:
@@ -253,15 +230,13 @@ def full_identity_matrix(
                 )
                 if gamma_factor == 0.0:
                     continue
-            # radial cross integral times the spectral factors n / sqrt(rho_{n-1})
+            # radial cross integral times the spectral factors n / sqrt(rho_{n-1});
+            # log_moment's formula at a real exponent, in an order that keeps every bit
             exponent = (n_a + n_b) / 2.0 - 1.0
-            ratio = _moment_ratio_by_quadrature(
-                spec, exponent, quad_spec.radial_rule, quad_spec.radial_order
-            )
             radial_factor = math.exp(
-                math.log(ratio)
-                - math.log(alpha)
-                + math.lgamma((exponent + 1.0) / alpha)
+                math.log(_moment_ratio_by_quadrature(spec, exponent))
+                - math.log(spec.alpha)
+                + math.lgamma((exponent + 1.0) / spec.alpha)
                 - 0.5 * (log_moment(spec, n_a - 1) + log_moment(spec, n_b - 1))
                 + math.log(n_a)
                 + math.log(n_b)
@@ -275,16 +250,6 @@ def full_identity_matrix(
             gram[rows, cols] = radial_factor * gamma_factor * np.kron(sphere, sphere)
     upper = np.triu(gram, 1)
     return upper + upper.conj().T + np.diag(gram.diagonal().real), labels
-
-
-def verify_full_identity(
-    spec: WeightSpec,
-    n_max: int,
-    quad_spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Max |entry - delta_ab| of the assembled truncated identity."""
-    gram, _ = full_identity_matrix(spec, n_max, quad_spec)
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 # --- reporting ------------------------------------------------------------
@@ -370,29 +335,26 @@ def standard_verification(
         )
     )
 
-    rule = "laguerre" if spec.family is WeightFamily.EXPONENTIAL else "log-trapezoid"
-    radial_order = max(radial_n_max + 1, 16)  # read by the laguerre rule only
-    radial_orders = {"rule": rule, "order": radial_order} if rule == "laguerre" else {"rule": rule}
     results.append(
         CheckResult(
             name="radial moment identity",
             truncation=f"n <= {radial_n_max}",
-            orders=radial_orders,
-            max_deviation=verify_radial_identity(spec, radial_n_max, rule, radial_order),
+            orders={"rule": "log-trapezoid"},
+            max_deviation=verify_radial_identity(spec, radial_n_max),
             tolerance=radial_tol,
         )
     )
 
-    quad_spec = QuadratureSpec(
-        polar_order=polar_order, azimuthal_count=azimuthal_count
+    gram, _ = full_identity_matrix(
+        spec, n_max, QuadratureSpec(polar_order=polar_order, azimuthal_count=azimuthal_count)
     )
     results.append(
         CheckResult(
             name="combined identity (exact-limit phase average)",
             truncation=f"levels <= {n_max}",
             orders={"polar": polar_order, "azimuthal": azimuthal_count,
-                    "radial_rule": quad_spec.radial_rule},
-            max_deviation=verify_full_identity(spec, n_max, quad_spec),
+                    "radial_rule": "log-trapezoid"},
+            max_deviation=float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
             tolerance=full_tol,
         )
     )

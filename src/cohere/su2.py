@@ -180,9 +180,15 @@ def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     9.8e-16 at n = 60, 5.8e-16 at n = 120 and 1.6e-15 at n = 176, and
     every fixed-M block at n = 176 is orthonormal within 2e-14.
 
-    Cached because every grid frame and orbit trace reuses the same
-    tables; 256 tables hold every level of an <n> = 20 state, and a
-    level at the paper's n = 176 takes 176 of them.
+    The cache seldom hits.  One recoupling of a state looks each table up
+    once: a field_frames call on the alpha = 1/32, <n> = 20 state makes
+    246 lookups and 0 hits, and the paper's window makes 5,280 lookups
+    and 0 hits.  Only a second recoupling of the same state in the same
+    process hits, as a second position_trace does; at alpha = 1/4,
+    <n> = 20 the 720 tables overflow the 256 slots and even that misses.
+    It stays only because bench/spans.py and tests/test_tooling.py read
+    cache_info() and __wrapped__, until the benchmark is retargeted
+    (ROADMAP item 1).
     """
     if two_j < 0 or two_l % 2 or not 0 <= two_l <= 2 * two_j:
         raise ValueError(f"no coupling of two spins 2j = {two_j} to 2l = {two_l}")

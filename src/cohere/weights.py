@@ -8,9 +8,11 @@ do, so magnitudes only leave log space after the extreme scales cancel.
 Conventions:
   - a weight is a positive function rho(u) on u >= 0
   - its moments are rho_n = integral of u^n rho(u) du over [0, inf)
-  - the exponential family rho(u) = exp(-u) has rho_n = n!
   - the stretched family rho(u) = exp(-u**alpha) has
     rho_n = (1/alpha) * Gamma((n+1)/alpha)
+  - the exponential family rho(u) = exp(-u), rho_n = n!, is the same
+    family at alpha = 1; its spec stores alpha = 1.0 and keeps its own
+    label, so it shares every formula with the stretched family
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
     parameter, and _log_series_terms is the one place its log terms are
@@ -73,9 +75,10 @@ class WeightFamily(Enum):
 class WeightSpec:
     """A weight function rho(u) with log-moment access.
 
-    ``alpha`` is required for the stretched family; ``log_moments`` holds
-    externally computed ln(rho_n) values for the tabulated family, indexed
-    by n.
+    ``alpha`` is the exponent of exp(-u**alpha): required for the
+    stretched family, exactly 1.0 for the exponential one.
+    ``log_moments`` holds externally computed ln(rho_n) values for the
+    tabulated family, indexed by n.
     """
 
     family: WeightFamily
@@ -83,18 +86,20 @@ class WeightSpec:
     log_moments: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family is WeightFamily.STRETCHED_EXPONENTIAL:
-            if self.alpha is None or not (self.alpha > 0):
-                raise ValueError("stretched family requires alpha > 0")
         if self.family is WeightFamily.TABULATED:
             if not self.log_moments:
                 raise ValueError("tabulated family requires log_moments")
             if not all(math.isfinite(v) for v in self.log_moments):
                 raise ValueError("tabulated log-moments must be finite")
+        elif self.family is WeightFamily.EXPONENTIAL:
+            if self.alpha != 1.0:
+                raise ValueError("the exponential family is alpha = 1.0")
+        elif self.alpha is None or not (self.alpha > 0):
+            raise ValueError("stretched family requires alpha > 0")
 
     @classmethod
     def exponential(cls) -> "WeightSpec":
-        return cls(WeightFamily.EXPONENTIAL)
+        return cls(WeightFamily.EXPONENTIAL, alpha=1.0)
 
     @classmethod
     def stretched(cls, alpha: float) -> "WeightSpec":
@@ -110,18 +115,16 @@ def log_moment(spec: WeightSpec, n) -> float:
     n_arr = np.asarray(n)
     if np.any(n_arr < 0):
         raise ValueError("moment index must be nonnegative")
-    if spec.family is WeightFamily.EXPONENTIAL:
-        out = _lgamma(n_arr + 1.0)
-    elif spec.family is WeightFamily.STRETCHED_EXPONENTIAL:
-        a = spec.alpha
-        out = -math.log(a) + _lgamma((n_arr + 1.0) / a)
-    else:
+    if spec.family is WeightFamily.TABULATED:
         table = np.asarray(spec.log_moments)
         if np.any(n_arr >= table.size):
             raise IndexError(
                 f"moment index out of table (size {table.size})"
             )
         out = table[n_arr]
+    else:
+        a = spec.alpha
+        out = -math.log(a) + _lgamma((n_arr + 1.0) / a)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("non-finite log-moment")
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
@@ -132,13 +135,10 @@ def log_density(spec: WeightSpec, u) -> np.ndarray | float:
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ValueError("u must be nonnegative")
-    if spec.family is WeightFamily.EXPONENTIAL:
-        out = -u_arr
-    elif spec.family is WeightFamily.STRETCHED_EXPONENTIAL:
-        with np.errstate(over="ignore"):
-            out = -(u_arr ** spec.alpha)
-    else:
+    if spec.family is WeightFamily.TABULATED:
         raise ValueError("tabulated weights have no pointwise density")
+    with np.errstate(over="ignore"):
+        out = -(u_arr ** spec.alpha)
     return float(out) if np.isscalar(u) else out
 
 

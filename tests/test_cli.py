@@ -129,7 +129,7 @@ class TestSolveMean:
 
 
 class TestPipeline:
-    def test_solve_autocorr_levels_through_one_descriptor(self, tmp_path):
+    def test_solve_autocorr_levels_grid_through_one_descriptor(self, tmp_path):
         desc = tmp_path / "state.desc"
         trace = tmp_path / "trace.csv"
         levels = tmp_path / "levels.csv"
@@ -138,6 +138,8 @@ class TestPipeline:
         assert cli.main(["autocorr", "--descriptor", str(desc), "--samples", "97",
                          "--refine-near-revivals", "11", "-o", str(trace)]) == cli.EXIT_OK
         assert cli.main(["levels", "--descriptor", str(desc), "-o", str(levels)]) == cli.EXIT_OK
+        assert cli.main(["grid", "--descriptor", str(desc), "--width", "1300", "--samples", "21",
+                         "--times", "0", "-o", str(tmp_path / "frame")]) == cli.EXIT_OK
 
         header, *rows = trace.read_text().strip().split("\n")
         assert header == "t,re_A,im_A,abs_A,abs_sq_A"
@@ -155,6 +157,17 @@ class TestPipeline:
         assert header == "n,p_n"
         expected = level_distribution(read_descriptor(desc))
         assert rows == [f"{n},{'%.17g' % p}" for n, p in expected]
+
+        header, *rows = (tmp_path / "frame_t0.csv").read_text().strip().split("\n")
+        assert header == "x,y,abs_psi,re_psi,im_psi"
+        grid = GridSpec(width=1300.0, samples=21)
+        values = field_on_grid(read_descriptor(desc), grid, 0.0).values.ravel()
+        xx, yy = np.meshgrid(grid.axis(), grid.axis())
+        assert rows == [",".join("%.17g" % q for q in (x, y, abs(v), v.real, v.imag))
+                        for x, y, v in zip(xx.ravel(), yy.ravel(), values)]
+        # the t = 0 lump sits at the perihelion, on the +x half-axis
+        peak = int(np.argmax(np.abs(values)))
+        assert yy.ravel()[peak] == 0.0 and xx.ravel()[peak] > 0.0
 
 
 class TestConfigReader:
@@ -224,6 +237,9 @@ class TestVerify:
         ["--azimuthal-count", "5"],
         ["--su2-max-two-j", "-1"],
         ["--su2-max-two-j", "-7"],
+        ["--family", "stretched"],
+        ["--family", "stretched", "--alpha", "0"],
+        ["--family", "stretched", "--alpha", "-1"],
     ])
     def test_bad_orders_are_usage_errors(self, tmp_path, capsys, flags):
         report = tmp_path / "report.json"
@@ -262,6 +278,7 @@ class TestWeightsMoments:
     @pytest.mark.parametrize("flags", [
         ["--n-max", "-1"],
         ["--family", "stretched", "--n-max", "3"],
+        ["--family", "stretched", "--alpha", "0", "--n-max", "2"],
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, flags):
         path = tmp_path / "moments.csv"

@@ -26,7 +26,7 @@ from cohere.identity import (
     standard_verification,
     verify_su2_identity,
 )
-from cohere.weights import WeightFamily, WeightSpec, log_moment
+from cohere.weights import WeightSpec, log_moment
 
 FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
@@ -93,7 +93,7 @@ def loop_identity_matrix(spec, n_max, quad_spec):
     """
     labels = [(n, k1, k2) for n in range(1, n_max + 1) for k1 in range(n) for k2 in range(n)]
     log_rho = {n: log_moment(spec, n - 1) for n in range(1, n_max + 1)}
-    alpha = 1.0 if spec.family is WeightFamily.EXPONENTIAL else spec.alpha
+    alpha = spec.alpha
     sphere_cache, radial_cache = {}, {}
 
     def sphere(n_a, n_b):
@@ -106,9 +106,7 @@ def loop_identity_matrix(spec, n_max, quad_spec):
     def radial_factor(n_a, n_b):
         if (n_a, n_b) not in radial_cache:
             exponent = (n_a + n_b) / 2.0 - 1.0
-            ratio = _moment_ratio_by_quadrature(
-                spec, exponent, quad_spec.radial_rule, quad_spec.radial_order
-            )
+            ratio = _moment_ratio_by_quadrature(spec, exponent)
             log_integral = math.log(ratio) - math.log(alpha) + math.lgamma((exponent + 1.0) / alpha)
             radial_cache[n_a, n_b] = math.exp(
                 log_integral - 0.5 * (log_rho[n_a] + log_rho[n_b]) + math.log(n_a) + math.log(n_b)
@@ -253,7 +251,7 @@ class TestRadialRule:
     @pytest.mark.parametrize("beta", RADIAL_BETAS)
     def test_log_trapezoid_matches_quad_and_one(self, beta):
         # exponent beta - 1 under the exponential weight (alpha = 1) gives order beta
-        got = _moment_ratio_by_quadrature(WeightSpec.exponential(), beta - 1.0, "log-trapezoid", 0)
+        got = _moment_ratio_by_quadrature(WeightSpec.exponential(), beta - 1.0)
         # Up to beta = 400 both rules sit within 1e-12 of 1 (measured on this
         # grid: rule 1.8e-13, quad 1.7e-13, apart 8.5e-14).  Beyond it the
         # rounding of lgamma(beta) in the exponent sets the floor for both:
@@ -262,10 +260,6 @@ class TestRadialRule:
         tol = 1e-12 if beta <= 400 else abs(math.lgamma(beta)) * np.finfo(float).eps
         assert abs(got - 1.0) <= tol
         assert abs(got - quad_gamma_density(beta)) <= tol
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            _moment_ratio_by_quadrature(WeightSpec.exponential(), 1.0, "adaptive", 16)
 
 
 class TestVerifyReport:
@@ -279,10 +273,8 @@ class TestVerifyReport:
         assert report["passed"]
         checks = {c["name"]: c for c in report["checks"]}
         assert all(c["passed"] and c["max_deviation"] <= 1e-12 for c in checks.values())
-        # each check reports the rule it ran, and an order only for the rule that takes one
-        radial = {"rule": "laguerre", "order": 16} if family == "exponential" else {
-            "rule": "log-trapezoid"}
-        assert checks["radial moment identity"]["orders"] == radial
+        # one radial rule serves both families, and it takes no order
+        assert checks["radial moment identity"]["orders"] == {"rule": "log-trapezoid"}
         combined_orders = checks["combined identity (exact-limit phase average)"]["orders"]
         assert combined_orders["radial_rule"] == "log-trapezoid"
         combined = checks["combined identity (exact-limit phase average)"]["max_deviation"]

@@ -390,6 +390,24 @@ class TestSerialization:
         assert back.coeffs.log_mag.tobytes() == st.coeffs.log_mag.tobytes()
         assert back.coeffs.phase.tobytes() == st.coeffs.phase.tobytes()
 
+    def test_exponential_descriptor_text(self, tmp_path):
+        # the exponential spec carries alpha = 1.0 but writes no alpha line
+        st = build_state(WeightSpec.exponential(), 2.0, 0.5, AngularParams(0.25 + 0.5j, 0.75 - 0.125j))
+        path = tmp_path / "exp.desc"
+        write_descriptor(path, st)
+        assert path.read_text() == (
+            "family=exponential\n"
+            "ln_s=0.69314718055994529\n"
+            "s_display=2\n"
+            "gamma=0.5\n"
+            "zeta1_re=0.25\n"
+            "zeta1_im=0.5\n"
+            "zeta2_re=0.75\n"
+            "zeta2_im=-0.125\n"
+            "tail_eps=9.9999999999999998e-13\n"
+        )
+        assert read_descriptor(path).weight == WeightSpec.exponential()
+
     def test_round_trip_zero_scale(self, tmp_path):
         st = build_state(WeightSpec.exponential(), 0.0, 0.3, AngularParams(0.1, 0.2j))
         path = tmp_path / "ground.desc"

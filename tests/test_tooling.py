@@ -1,6 +1,7 @@
 """The benchmark's tracer and oracles must match what the package exposes."""
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -51,6 +52,19 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
     probe = tracer.reference_probe()  # one uncached reference-level coupling table
     assert probe["su2.coupling_matrix.ref_table_s"] > 0
     assert probe["su2.cg.ref_frame_evals"] > 0
+
+
+def test_per_layer_names_are_the_traced_names(monkeypatch):
+    monkeypatch.setattr(sys, "path", [*sys.path])  # run.py prepends bench/
+    spans, run = load_bench("spans"), load_bench("run")
+    for module, attr, _ in spans.WRAPPED:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    traced = {*tracer.layer_metrics(), *tracer.reference_probe(), *run.RUN_LAYER_METRICS}
+    config = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    assert {m["name"] for m in config["per_layer"]} == traced
 
 
 def test_identity_report_matches_the_oracle():

@@ -12,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 from cohere import weights as W
 from cohere.weights import (
     DivergentSeriesError,
+    WeightFamily,
     WeightSpec,
     companion_density,
     log_density,
@@ -44,9 +45,16 @@ class TestLogMoment:
         assert log_moment(WeightSpec.exponential(), 5) == pytest.approx(math.log(120), rel=1e-14)
 
     def test_stretched_alpha_one_matches_exponential(self):
-        n = np.arange(201)
-        diff = log_moment(WeightSpec.stretched(1.0), n) - log_moment(WeightSpec.exponential(), n)
-        assert np.max(np.abs(diff)) <= 1e-12
+        # the exponential family is the stretched one at alpha = 1, bit for bit
+        exponential, stretched = WeightSpec.exponential(), WeightSpec.stretched(1.0)
+        n = np.arange(200_000)
+        assert log_moment(exponential, n).tobytes() == log_moment(stretched, n).tobytes()
+        u = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 100_000),
+                            np.linspace(0.0, 1e3, 10_001)])
+        assert log_density(exponential, u).tobytes() == log_density(stretched, u).tobytes()
+        assert np.array_equal(log_density(exponential, u), -u)
+        assert log_moment(exponential, 5) == log_moment(stretched, 5)
+        assert log_density(exponential, 0.0) == log_density(stretched, 0.0)
 
     def test_stretched_half_zeroth_moment(self):
         # integral of exp(-sqrt(u)) du = 2, verified against quadrature
@@ -91,6 +99,12 @@ class TestLogMoment:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             WeightSpec.stretched(0.0)
+        # the exponential family is alpha = 1.0 and nothing else
+        assert WeightSpec.exponential().alpha == 1.0
+        with pytest.raises(ValueError):
+            WeightSpec(WeightFamily.EXPONENTIAL)
+        with pytest.raises(ValueError):
+            WeightSpec(WeightFamily.EXPONENTIAL, alpha=2.0)
         with pytest.raises(ValueError):
             WeightSpec.tabulated([])
 
