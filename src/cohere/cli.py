@@ -5,7 +5,11 @@ output uses 17 significant digits so downstream plotting reproduces runs
 without loss; every subcommand is deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 budget
-refusal.
+refusal.  A --descriptor file that cannot be read as a state (a malformed
+line, a missing key, an unknown family, a value that does not parse or
+that the weight or angular parameters reject) is a usage error naming
+the file; a failure while the state is built from valid parameters is
+numerical.
 
 Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
 applied when the cohere package is first imported, before numpy loads);
@@ -407,12 +411,16 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # numerical and budget failures
+    except Exception as exc:  # descriptor, numerical and budget failures
         from cohere.position import BudgetExceededError
+        from cohere.state import DescriptorError
 
         if isinstance(exc, BudgetExceededError):
             print(f"budget refusal: {exc}", file=sys.stderr)
             return EXIT_BUDGET
+        if isinstance(exc, DescriptorError):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if isinstance(exc, (ArithmeticError, ValueError)):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

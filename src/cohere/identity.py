@@ -39,7 +39,7 @@ import numpy as np
 
 from cohere import hydrogen
 from cohere.su2 import _check_two_j, su2_amplitudes
-from cohere.weights import WeightFamily, WeightSpec, log_moment
+from cohere.weights import WeightSpec, log_moment
 
 
 #: largest level count full_identity_matrix assembles (dimension sum n^2 = 91)
@@ -166,8 +166,6 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     beta >= 1 that is 52-271 nodes; the ratio is within 5e-13 of 1 up to
     beta = 400 and at the lgamma rounding floor beyond.
     """
-    if spec.family is WeightFamily.TABULATED:
-        raise ValueError("quadrature checks need a pointwise density")
     beta = (exponent + 1.0) / spec.alpha
     log_gamma_beta = math.lgamma(beta)
     root = math.sqrt(beta)

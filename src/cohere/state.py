@@ -350,20 +350,18 @@ def overlap(a: CoherentState, b: CoherentState) -> complex:
 _FMT = "%.17g"
 
 
-def write_descriptor(path, state: CoherentState, include_coeffs: bool = False) -> None:
+def write_descriptor(path, state: CoherentState) -> None:
     """Persist the defining parameters as flat key=value lines.
 
+    The keys, in order: family, alpha (stretched family only), ln_s,
+    s_display, gamma, zeta1_re, zeta1_im, zeta2_re, zeta2_im, tail_eps.
     ln_s is the canonical scale entry; the linear s is written for
-    display only.  With include_coeffs the cached coefficient table is
-    appended as c<n>=<log_mag>,<phase> lines.
+    display only.  No coefficients are written: read_descriptor rebuilds
+    them from these parameters.
     """
     lines = [f"family={state.weight.family.value}"]
     if state.weight.family is WeightFamily.STRETCHED_EXPONENTIAL:
         lines.append(f"alpha={_FMT % state.weight.alpha}")
-    if state.weight.family is WeightFamily.TABULATED:
-        lines.append(
-            "log_moments=" + ",".join(_FMT % v for v in state.weight.log_moments)
-        )
     lines += [
         f"ln_s={_FMT % state.ln_s}",
         f"s_display={_FMT % state.s}",
@@ -374,10 +372,6 @@ def write_descriptor(path, state: CoherentState, include_coeffs: bool = False) -
         f"zeta2_im={_FMT % state.angular.zeta2.imag}",
         f"tail_eps={_FMT % state.tail_eps}",
     ]
-    if include_coeffs:
-        c = state.coeffs
-        for n, lm, ph in zip(c.indices, c.log_mag, c.phase):
-            lines.append(f"c{n}={_FMT % lm},{_FMT % ph}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -401,33 +395,41 @@ def parse_descriptor(path) -> dict:
     return entries
 
 
+class DescriptorError(ValueError):
+    """A descriptor file that does not hold a valid state's parameters."""
+
+
 def read_descriptor(path) -> CoherentState:
     """Rebuild a state from a descriptor; coefficients are recomputed
-    from the parameters (any cached table is ignored)."""
-    entries = parse_descriptor(path)
+    from the parameters.  Keys outside the schema, such as the c<n>=
+    coefficient lines of older files, are ignored.
+
+    A malformed line, a missing key, an unknown family, or a value that
+    does not parse or that WeightSpec or AngularParams rejects raises
+    DescriptorError naming the file; failures of build_state itself
+    propagate as they are.
+    """
     try:
-        family = WeightFamily(entries["family"])
-        if family is WeightFamily.STRETCHED_EXPONENTIAL:
-            weight = WeightSpec.stretched(float(entries["alpha"]))
-        elif family is WeightFamily.TABULATED:
-            moments = [float(v) for v in entries["log_moments"].split(",")]
-            weight = WeightSpec.tabulated(moments)
-        else:
+        entries = parse_descriptor(path)
+        family = entries["family"]
+        if family == WeightFamily.EXPONENTIAL.value:
             weight = WeightSpec.exponential()
+        elif family == WeightFamily.STRETCHED_EXPONENTIAL.value:
+            weight = WeightSpec.stretched(float(entries["alpha"]))
+        else:
+            supported = ", ".join(f.value for f in WeightFamily)
+            raise ValueError(f"unknown weight family {family!r} (supported: {supported})")
         angular = AngularParams(
             zeta1=complex(float(entries["zeta1_re"]), float(entries["zeta1_im"])),
             zeta2=complex(float(entries["zeta2_re"]), float(entries["zeta2_im"])),
         )
-        return build_state(
-            weight,
-            None,
-            float(entries["gamma"]),
-            angular,
-            tail_eps=float(entries.get("tail_eps", DEFAULT_TAIL_EPS)),
-            ln_s=float(entries["ln_s"]),
-        )
+        gamma, ln_s = float(entries["gamma"]), float(entries["ln_s"])
+        tail_eps = float(entries.get("tail_eps", DEFAULT_TAIL_EPS))
     except KeyError as missing:
-        raise ValueError(f"descriptor missing required key {missing}") from None
+        raise DescriptorError(f"descriptor {path} is missing required key {missing}") from None
+    except ValueError as exc:
+        raise DescriptorError(f"{exc} in descriptor {path}") from None
+    return build_state(weight, None, gamma, angular, tail_eps=tail_eps, ln_s=ln_s)
 
 
 def write_trace_csv(path, times, values) -> None:

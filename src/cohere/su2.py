@@ -95,22 +95,25 @@ def su2_amplitudes(j: float, zeta) -> np.ndarray:
         raise ValueError("zeta must be a scalar or a 1-D array")
     if not np.all(np.isfinite(zetas)):
         raise ValueError("zeta must be finite")
-    # the per-parameter logs go through math, so a scalar zeta gives the
-    # same bits as a one-point array; for |zeta| > 1 the magnitude is taken
-    # as |zeta|^(k-2j) / (1+|zeta|^-2)^j, so no two large logs cancel
-    params = [complex(z) for z in zetas.reshape(-1)]
-    log_r, shift, log_norm, arg = np.array([
-        (math.log(abs(z)), two_j * (abs(z) > 1.0), math.log1p(min(abs(z), 1.0 / abs(z)) ** 2),
-         cmath.phase(z)) if z else (0.0, 0.0, 0.0, 0.0)
-        for z in params
-    ]).reshape(-1, 4).T
+    # a scalar zeta runs as a one-point array, so it gives the same bits;
+    # for |zeta| > 1 the magnitude is taken as |zeta|^(k-2j) / (1+|zeta|^-2)^j,
+    # so no two large logs cancel.  np.hypot rounds |zeta| as the builtin
+    # abs() does (numpy's complex abs can differ by an ulp).  zeta = 0
+    # reads as |zeta| = 1 here and its column is overwritten below.
+    params = zetas.reshape(-1)
+    zero = params == 0
+    r = np.where(zero, 1.0, np.hypot(params.real, params.imag))
+    log_r = np.log(r)
+    shift = two_j * (r > 1.0)
+    log_norm = np.log1p(np.minimum(r, 1.0 / np.maximum(r, 1.0)) ** 2)
+    arg = np.angle(params)
     k = np.arange(two_j + 1)[:, None]
     # ln k! for k = 0..2j, read backwards for ln (2j - k)!
     log_fact = _lgamma(k + 1.0)
     log_binom_sqrt = 0.5 * (log_fact[-1] - log_fact - log_fact[::-1])
     log_mag = log_binom_sqrt + (k - shift) * log_r - (two_j / 2.0) * log_norm
     amps = np.exp(log_mag + 1j * (k * arg))
-    amps[:, [z == 0 for z in params]] = k == 0  # |j,0> is the lowest weight
+    amps[:, zero] = k == 0  # |j,0> is the lowest weight
     return amps[:, 0] if zetas.ndim == 0 else amps
 
 

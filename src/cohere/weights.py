@@ -6,13 +6,12 @@ overflow any fixed-width float long before the physically meaningful ratios
 do, so magnitudes only leave log space after the extreme scales cancel.
 
 Conventions:
-  - a weight is a positive function rho(u) on u >= 0
+  - a weight is rho(u) = exp(-u**alpha) on u >= 0 with alpha > 0, the
+    one formula behind every spec
   - its moments are rho_n = integral of u^n rho(u) du over [0, inf)
-  - the stretched family rho(u) = exp(-u**alpha) has
-    rho_n = (1/alpha) * Gamma((n+1)/alpha)
-  - the exponential family rho(u) = exp(-u), rho_n = n!, is the same
-    family at alpha = 1; its spec stores alpha = 1.0 and keeps its own
-    label, so it shares every formula with the stretched family
+    = (1/alpha) * Gamma((n+1)/alpha)
+  - the exponential family rho(u) = exp(-u), rho_n = n!, is alpha = 1;
+    its spec stores alpha = 1.0 and keeps its own label
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
     parameter, and _log_series_terms is the one place its log terms are
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -68,30 +66,21 @@ class DivergentSeriesError(ArithmeticError):
 class WeightFamily(Enum):
     EXPONENTIAL = "exponential"
     STRETCHED_EXPONENTIAL = "stretched_exponential"
-    TABULATED = "tabulated"
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight function rho(u) with log-moment access.
+    """The weight rho(u) = exp(-u**alpha) under its family label.
 
-    ``alpha`` is the exponent of exp(-u**alpha): required for the
-    stretched family, exactly 1.0 for the exponential one.
-    ``log_moments`` holds externally computed ln(rho_n) values for the
-    tabulated family, indexed by n.
+    ``alpha`` is the exponent: any positive value for the stretched
+    family, exactly 1.0 for the exponential one.
     """
 
     family: WeightFamily
     alpha: float | None = None
-    log_moments: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family is WeightFamily.TABULATED:
-            if not self.log_moments:
-                raise ValueError("tabulated family requires log_moments")
-            if not all(math.isfinite(v) for v in self.log_moments):
-                raise ValueError("tabulated log-moments must be finite")
-        elif self.family is WeightFamily.EXPONENTIAL:
+        if self.family is WeightFamily.EXPONENTIAL:
             if self.alpha != 1.0:
                 raise ValueError("the exponential family is alpha = 1.0")
         elif self.alpha is None or not (self.alpha > 0):
@@ -105,38 +94,24 @@ class WeightSpec:
     def stretched(cls, alpha: float) -> "WeightSpec":
         return cls(WeightFamily.STRETCHED_EXPONENTIAL, alpha=alpha)
 
-    @classmethod
-    def tabulated(cls, log_moments: Sequence[float]) -> "WeightSpec":
-        return cls(WeightFamily.TABULATED, log_moments=tuple(log_moments))
-
 
 def log_moment(spec: WeightSpec, n) -> float:
     """ln(rho_n) for integer n >= 0.  Accepts an array of n values."""
     n_arr = np.asarray(n)
     if np.any(n_arr < 0):
         raise ValueError("moment index must be nonnegative")
-    if spec.family is WeightFamily.TABULATED:
-        table = np.asarray(spec.log_moments)
-        if np.any(n_arr >= table.size):
-            raise IndexError(
-                f"moment index out of table (size {table.size})"
-            )
-        out = table[n_arr]
-    else:
-        a = spec.alpha
-        out = -math.log(a) + _lgamma((n_arr + 1.0) / a)
+    a = spec.alpha
+    out = -math.log(a) + _lgamma((n_arr + 1.0) / a)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("non-finite log-moment")
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
 def log_density(spec: WeightSpec, u) -> np.ndarray | float:
-    """ln(rho(u)) pointwise.  Not available for tabulated weights."""
+    """ln(rho(u)) = -u**alpha pointwise."""
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ValueError("u must be nonnegative")
-    if spec.family is WeightFamily.TABULATED:
-        raise ValueError("tabulated weights have no pointwise density")
     with np.errstate(over="ignore"):
         out = -(u_arr ** spec.alpha)
     return float(out) if np.isscalar(u) else out
@@ -213,10 +188,12 @@ def truncation_level(
 ) -> int:
     """Smallest n_max with normalized series weight beyond it below tail_eps.
 
-    The series terms are unimodal in n for both analytic families (the
-    log-term increments are monotone decreasing), so the scan walks past
-    the peak and stops once the remaining terms are provably negligible.
-    A fixed margin scan covers any non-unimodal tabulated input.
+    For every spec the series terms are unimodal in n: the log-term
+    increments 2 ln s + 2 ln((n+2)/(n+1)) - ln(rho_{n+1}/rho_n) decrease
+    monotonically, since ln Gamma is convex.  So the scan walks past the
+    peak and stops once the remaining terms are provably negligible; a
+    series that has not turned over by MAX_TERMS raises
+    DivergentSeriesError.
     """
     if not (0.0 < tail_eps < 1.0):
         raise ValueError("tail_eps must lie in (0, 1)")
@@ -224,16 +201,11 @@ def truncation_level(
     if ln_s == NEG_INF:
         return 0
 
-    if spec.family is WeightFamily.TABULATED:
-        limit = len(spec.log_moments)
-    else:
-        limit = MAX_TERMS
-
     block = 256
     terms = np.empty(0)
     hi = 0
     while True:
-        new_hi = min(limit, hi + block)
+        new_hi = min(MAX_TERMS, hi + block)
         n_values = np.arange(hi, new_hi)
         terms = np.concatenate(
             [terms, _log_series_terms(spec, ln_s, n_values)]
@@ -253,12 +225,10 @@ def truncation_level(
                 log_total = _logsumexp(terms)
                 if log_tail_bound < log_total + math.log(tail_eps) - 6.0:
                     break
-        if hi >= limit:
-            if spec.family is not WeightFamily.TABULATED:
-                raise DivergentSeriesError(
-                    f"no finite truncation below {limit} terms"
-                )
-            break
+        if hi >= MAX_TERMS:
+            raise DivergentSeriesError(
+                f"no finite truncation below {MAX_TERMS} terms"
+            )
 
     log_total = _logsumexp(terms)
     if not np.isfinite(log_total):

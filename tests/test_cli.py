@@ -1,6 +1,7 @@
 """Command-line exit codes for malformed input, and a descriptor pipeline."""
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -135,6 +136,9 @@ class TestPipeline:
         levels = tmp_path / "levels.csv"
         assert cli.main(["solve", "--alpha", "0.25", "--mean", "20", "--eccentricity", "0.385",
                          "-o", str(desc)]) == cli.EXIT_OK
+        assert [line.split("=", 1)[0] for line in desc.read_text().splitlines()] == [
+            "family", "alpha", "ln_s", "s_display", "gamma",
+            "zeta1_re", "zeta1_im", "zeta2_re", "zeta2_im", "tail_eps"]
         assert cli.main(["autocorr", "--descriptor", str(desc), "--samples", "97",
                          "--refine-near-revivals", "11", "-o", str(trace)]) == cli.EXIT_OK
         assert cli.main(["levels", "--descriptor", str(desc), "-o", str(levels)]) == cli.EXIT_OK
@@ -168,6 +172,38 @@ class TestPipeline:
         # the t = 0 lump sits at the perihelion, on the +x half-axis
         peak = int(np.argmax(np.abs(values)))
         assert yy.ravel()[peak] == 0.0 and xx.ravel()[peak] > 0.0
+
+
+class TestDescriptorFaults:
+    @pytest.mark.parametrize("command", ["autocorr", "grid", "levels"])
+    @pytest.mark.parametrize("edit, status, message", [
+        (lambda text: text.replace("ln_s=", "# ln_s="), cli.EXIT_USAGE, "ln_s"),
+        (lambda text: text.replace("gamma=", "gamma "), cli.EXIT_USAGE, "gamma 0"),
+        (lambda text: text.replace("stretched_exponential", "tabulated"), cli.EXIT_USAGE,
+         "exponential, stretched_exponential"),
+        (lambda text: text.replace("stretched_exponential", "foo"), cli.EXIT_USAGE, "'foo'"),
+        (lambda text: text.replace("alpha=", "alpha=x"), cli.EXIT_USAGE, "x0.25"),
+        (lambda text: text.replace("alpha=0.25", "alpha=0"), cli.EXIT_USAGE, "alpha"),
+        (lambda text: text.replace("zeta1_re=0", "zeta1_re=inf"), cli.EXIT_USAGE, "finite"),
+        # parameters that read cleanly but cannot build a state stay numerical failures
+        (lambda text: re.sub(r"tail_eps=.*", "tail_eps=2", text), cli.EXIT_NUMERICAL, "tail_eps"),
+    ], ids=["missing-key", "malformed-line", "tabulated", "unknown-family", "non-numeric",
+            "rejected-alpha", "rejected-zeta", "build-failure"])
+    def test_exit_status_names_the_file(self, descriptor, tmp_path, capsys, command, edit,
+                                        status, message):
+        broken = tmp_path / "broken.desc"
+        broken.write_text(edit(descriptor.read_text()))
+        argv = {
+            "autocorr": autocorr_argv(broken, tmp_path, "--samples", "5"),
+            "grid": grid_argv(broken, tmp_path),
+            "levels": ["levels", "--descriptor", str(broken), "-o", str(tmp_path / "levels.csv")],
+        }[command]
+        assert cli.main(argv) == status
+        err = capsys.readouterr().err
+        assert message in err
+        if status == cli.EXIT_USAGE:
+            assert err.startswith("usage error") and str(broken) in err
+        assert list(tmp_path.iterdir()) == [broken]
 
 
 class TestConfigReader:

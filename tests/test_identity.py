@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -305,6 +306,32 @@ class TestFullIdentity:
         assert labels == oracle_labels
         assert np.max(np.abs(gram - oracle)) <= 1e-14
         assert np.array_equal(gram, gram.conj().T)
+
+    def test_radial_factor_matches_mpmath(self):
+        # block (n_a, n_b) is radial * phase * kron(S, S); the radial factor
+        # n_a n_b rho((n_a+n_b)/2 - 1) / sqrt(rho_{n_a-1} rho_{n_b-1}) is
+        # n_a n_b Gamma((n_a+n_b)/(2 alpha)) / sqrt(Gamma(n_a/alpha) Gamma(n_b/alpha)).
+        # Measured worst: 1.14e-13 relative at (5, 5), one ulp of the ~800-sized
+        # ln Gamma summands; the bound allows two.
+        alpha, n_max = 1.0 / 32.0, MAX_LEVELS
+        quad_spec = QuadratureSpec(gamma_halfwidth=1.0)
+        gram, labels = full_identity_matrix(WeightSpec.stretched(alpha), n_max, quad_spec)
+        levels = np.array([n for n, _, _ in labels])
+        for n_a in range(1, n_max + 1):
+            for n_b in range(n_a, n_max + 1):
+                sphere = _sphere_overlap_matrix((n_a - 1) / 2.0, (n_b - 1) / 2.0,
+                                                quad_spec.polar_order, quad_spec.azimuthal_count)
+                shape = np.kron(sphere, sphere) * gamma_average(
+                    quad_spec.gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b))
+                entry = np.unravel_index(np.argmax(np.abs(shape)), shape.shape)
+                block = gram[np.ix_(levels == n_a, levels == n_b)]
+                radial = block[entry] / shape[entry]
+                with mpmath.workdps(50):
+                    exact = n_a * n_b * mpmath.exp(
+                        mpmath.loggamma(mpmath.mpf(n_a + n_b) / (2 * alpha))
+                        - (mpmath.loggamma(n_a / alpha) + mpmath.loggamma(n_b / alpha)) / 2)
+                    assert abs(radial.imag) <= 1e-15 * abs(radial)
+                    assert abs(float(radial.real / exact - 1)) <= 2.5e-13, (n_a, n_b)
 
     def test_exact_limit_is_block_diagonal(self):
         gram, labels = full_identity_matrix(WeightSpec.exponential(), 3)

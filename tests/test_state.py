@@ -416,25 +416,17 @@ class TestSerialization:
         assert back.ln_s == -math.inf
         assert back.coeffs.n_max == 0
 
-    def test_round_trip_tabulated(self, tmp_path):
-        from scipy.special import gammaln
-
-        spec = WeightSpec.tabulated([float(gammaln(n + 1)) for n in range(40)])
-        st = build_state(spec, 1.5, 0.0, AngularParams(0.0, 0.0))
-        path = tmp_path / "tab.desc"
-        write_descriptor(path, st)
-        back = read_descriptor(path)
-        assert back.weight.log_moments == spec.log_moments
-        np.testing.assert_allclose(back.coeffs.values, st.coeffs.values, atol=1e-13)
-
-    def test_coefficient_cache_lines(self, tmp_path, paper_state):
-        path = tmp_path / "full.desc"
-        write_descriptor(path, paper_state, include_coeffs=True)
-        entries = parse_descriptor(path)
-        n0 = paper_state.coeffs.n_min
-        log_mag, phase = (float(x) for x in entries[f"c{n0}"].split(","))
-        assert log_mag == pytest.approx(paper_state.coeffs.log_mag[0], rel=1e-15)
-        assert phase == pytest.approx(paper_state.coeffs.phase[0], rel=1e-15)
+    def test_coefficient_lines_of_old_files_are_ignored(self, tmp_path, paper_state):
+        # older descriptors could append the coefficient table as c<n>=<log_mag>,<phase>
+        plain, cached = tmp_path / "plain.desc", tmp_path / "cached.desc"
+        write_descriptor(plain, paper_state)
+        c = paper_state.coeffs
+        cache = "".join(f"c{n}={lm:.17g},{ph:.17g}\n" for n, lm, ph in zip(c.indices, c.log_mag, c.phase))
+        cached.write_text(plain.read_text() + cache)
+        back, ref = read_descriptor(cached).coeffs, read_descriptor(plain).coeffs
+        assert (back.n_min, back.n_max) == (ref.n_min, ref.n_max)
+        assert back.log_mag.tobytes() == ref.log_mag.tobytes()
+        assert back.phase.tobytes() == ref.phase.tobytes()
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "broken.desc"

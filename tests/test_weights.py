@@ -85,13 +85,6 @@ class TestLogMoment:
             expected = math.log(1.0 / alpha) + gammaln((n + 1) / alpha)
             assert log_moment(WeightSpec.stretched(alpha), n) == pytest.approx(expected, rel=1e-14)
 
-    def test_tabulated_lookup_and_bounds(self):
-        table = [float(gammaln(n + 1)) for n in range(6)]
-        spec = WeightSpec.tabulated(table)
-        assert log_moment(spec, 4) == table[4]
-        with pytest.raises(IndexError):
-            log_moment(spec, 6)
-
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             log_moment(WeightSpec.exponential(), -1)
@@ -105,8 +98,6 @@ class TestLogMoment:
             WeightSpec(WeightFamily.EXPONENTIAL)
         with pytest.raises(ValueError):
             WeightSpec(WeightFamily.EXPONENTIAL, alpha=2.0)
-        with pytest.raises(ValueError):
-            WeightSpec.tabulated([])
 
     def test_gammaln_recurrence(self):
         # log-gamma backend must satisfy Gamma(x+1) = x Gamma(x)
@@ -225,10 +216,6 @@ class TestCompanionDensity:
             k = companion_density(spec, norm_sq_log, float(u))
             rho = math.exp(log_density(spec, float(u)))
             assert k * math.exp(norm_sq_log) == pytest.approx(rho, rel=1e-12)
-
-    def test_tabulated_has_no_density(self):
-        with pytest.raises(ValueError):
-            log_density(WeightSpec.tabulated([0.0, 0.0]), 1.0)
 
 
 def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
