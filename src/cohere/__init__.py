@@ -31,7 +31,6 @@ from cohere.weights import (
 )
 from cohere.su2 import (
     AngularParams,
-    AngularAmplitudes,
     su2_amplitudes,
     stereographic,
     so4_amplitudes,

@@ -44,6 +44,11 @@ from cohere.weights import WeightSpec, log_moment
 
 #: largest level count full_identity_matrix assembles (dimension sum n^2 = 91)
 MAX_LEVELS = 6
+#: levels the radial moment check of standard_verification covers
+RADIAL_N_MAX = 10
+#: tolerances of the spin multiplet and radial moment checks
+SU2_TOL = 1e-12
+RADIAL_TOL = 1e-12
 
 
 class InsufficientOrderError(ValueError):
@@ -306,9 +311,6 @@ def standard_verification(
     polar_order: int = 24,
     azimuthal_count: int = 48,
     gamma_halfwidths: tuple[float, ...] = (1e3, 1e4, 1e5),
-    radial_n_max: int = 10,
-    su2_tol: float = 1e-12,
-    radial_tol: float = 1e-12,
     full_tol: float = 1e-8,
 ) -> list[CheckResult]:
     """The default battery: spin multiplets, radial moments, combined
@@ -329,17 +331,17 @@ def standard_verification(
             truncation=f"2j <= {su2_max_two_j}",
             orders={"polar": polar_order, "azimuthal": azimuthal_count},
             max_deviation=worst_su2,
-            tolerance=su2_tol,
+            tolerance=SU2_TOL,
         )
     )
 
     results.append(
         CheckResult(
             name="radial moment identity",
-            truncation=f"n <= {radial_n_max}",
+            truncation=f"n <= {RADIAL_N_MAX}",
             orders={"rule": "log-trapezoid"},
-            max_deviation=verify_radial_identity(spec, radial_n_max),
-            tolerance=radial_tol,
+            max_deviation=verify_radial_identity(spec, RADIAL_N_MAX),
+            tolerance=RADIAL_TOL,
         )
     )
 

@@ -2,9 +2,9 @@
 
 Radial functions come from one recurrence in l, downward with a per-point
 log-magnitude carry (_radial_by_degree), so that principal quantum numbers
-of a few hundred stay finite; spherical harmonics use the fully normalized
-Legendre recurrence, stable to degree ~200, with the Condon-Shortley
-phase.
+of a few hundred stay finite; the theta part of the spherical harmonics
+uses the fully normalized Legendre recurrence, stable to degree ~200,
+with the Condon-Shortley phase.
 
 The eccentricity map fixes the orbit geometry of the two-spin angular
 factor.  With the lowest-weight fiducial and the stereographic convention
@@ -23,8 +23,11 @@ Planar frames and orbit traces take time only through the evolved level
 coefficients c(t).  A grid frame is c(t) . Phi, where row n of Phi is
 level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
 g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii, summed over m
-by Horner's rule in e^{i phi}.  Phi (levels x points) is built once for a
-whole schedule; beyond it the working set is O(points).
+by Horner's rule in e^{i phi}.  g_n is level n's recoupled table from
+su2.so4_to_spherical, read as it comes: column n-1+m holds m for every
+l, so F_n[m] is that column against the plane-Legendre factors.  Phi
+(levels x points) is built once for a whole schedule; beyond it the
+working set is O(points).
 
 Orbit traces never form the wavefunction in 3-D.  Each level-pair moment
 takes its angular factor from algebra: <l m|l' m'> = delta_ll' delta_mm',
@@ -37,9 +40,10 @@ down over l then adds, into the L x L level matrices (L occupied levels),
     P += (r^3 Gram of degrees l and l+1) * (g_l^H . ladder-shifted g_{l+1})
          and the same with l and l+1 exchanged
 
-where g_l holds every level's recoupled amplitudes g_n(l, -l..l) and *
-is the elementwise product.  Then X = (P + P^H)/2 and Y = (P - P^H)/(2i)
-are the x and y moments.  Beyond the recoupled amplitude tables, memory
+where g_l holds every level's recoupled amplitudes g_n(l, -l..l), the
+slice [l, n-1-l : n+l] of its centred table, and * is the elementwise
+product.  Then X = (P + P^H)/2 and Y = (P - P^H)/(2i) are the x and y
+moments.  Beyond the recoupled amplitude tables, memory
 is O(L^2 + L * radial nodes), with no array over angular nodes.  Each
 time step of a trace is the quadratic form c(t)^H M c(t).
 """
@@ -195,32 +199,6 @@ def legendre_normalized(l_max: int, m: int, cos_theta, sin_theta) -> np.ndarray:
     return np.stack(rows)
 
 
-def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray | complex:
-    """Orthonormal Y_{l,m}(theta, phi), Condon-Shortley phase."""
-    if abs(m) > l:
-        raise ValueError(f"|m| must not exceed l (l={l}, m={m})")
-    theta_arr = np.asarray(theta, dtype=float)
-    phi_arr = np.asarray(phi, dtype=float)
-    mm = abs(m)
-    p = legendre_normalized(l, mm, np.cos(theta_arr), np.sin(theta_arr))[-1]
-    y = p * np.exp(1j * mm * phi_arr)
-    if m < 0:
-        y = (-1.0) ** mm * np.conj(y)
-    out = y
-    return complex(out) if np.isscalar(theta) and np.isscalar(phi) else out
-
-
-def _spherical_amp_tables(state: CoherentState):
-    """Per occupied level, in order, the (n, 2n-1) table whose entry
-    [l, n-1+m] multiplies P_l^|m|(cos theta) e^{i m phi}: g_n(l, m), with
-    the (-1)^m of Y_{l,-m} = (-1)^m conj(Y_{l,m}) folded in for m < 0."""
-    for n in state.coeffs.levels.tolist():
-        g = so4_to_spherical(so4_amplitudes(n, state.angular))
-        # row l of g holds m = -l..l from column 0; only zeros wrap around
-        shifted = np.array([np.roll(row, n - 1 - l) for l, row in enumerate(g)])
-        yield shifted * (-1.0) ** np.minimum(np.arange(1 - n, n), 0)
-
-
 def _coefficients_at(state: CoherentState, t: float) -> np.ndarray:
     """The level coefficients c(t) of the state evolved to time t."""
     return state.coeffs.values * np.exp(1j * reduced_phases(-t, state.level_energies))
@@ -245,12 +223,17 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
     for m in range(n_top):
         plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
+    # row n_top-1+m, against g(l, m) e^{i m phi}: P_l^|m|(0), times (-1)^m
+    # for m < 0 since Y_{l,-m} = (-1)^m conj(Y_{l,m})
+    m = np.arange(1 - n_top, n_top)
+    plane = plane[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
     fields = np.empty((levels.size, phi.size), dtype=complex)
-    for field, n, table in zip(fields, levels.tolist(), _spherical_amp_tables(state)):
+    for field, n in zip(fields, levels.tolist()):
         radials = np.empty((n, r_unique.size), dtype=complex)
         for l, rows in _radial_by_degree(np.array([n]), r_unique):
             radials[l] = rows[0]
-        g = table.T * plane[np.abs(np.arange(1 - n, n)), :n]  # F_n[m] = g[n-1+m] @ radials
+        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        g = g.T * plane[n_top - n : n_top + n - 1, :n]  # F_n[m] = g[n-1+m] @ radials
         # sum_m F_n[m] e^{i m phi} by Horner's rule, one F_n[m] row at a time
         field[:] = (g[-1] @ radials)[inverse]
         for row in g[-2::-1]:
@@ -347,7 +330,7 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     plus = np.zeros_like(norm)  # sin(theta) e^{i phi} moment, x + i y
     for l, rad in _radial_by_degree(levels, r):
         # amplitudes g_n(l, -l..l) beside the degree-l rows; zero for levels n <= l
-        amp = np.array([g[l, :2 * l + 1] if n > l else np.zeros(2 * l + 1)
+        amp = np.array([g[l, n - 1 - l : n + l] if n > l else np.zeros(2 * l + 1)
                         for n, g in zip(levels.tolist(), tables)])
         up, down = _raising_ladder(l)
         norm += ((rad * w_norm) @ rad.T) * (amp.conj() @ amp.T)

@@ -404,10 +404,11 @@ def read_descriptor(path) -> CoherentState:
     from the parameters.  Keys outside the schema, such as the c<n>=
     coefficient lines of older files, are ignored.
 
-    A malformed line, a missing key, an unknown family, or a value that
-    does not parse or that WeightSpec or AngularParams rejects raises
-    DescriptorError naming the file; failures of build_state itself
-    propagate as they are.
+    A malformed line, a missing key, an unknown family, a non-finite
+    value (other than ln_s = -inf), or a value that does not parse or
+    that WeightSpec or AngularParams rejects raises DescriptorError
+    naming the file; failures of build_state itself propagate as they
+    are.
     """
     try:
         entries = parse_descriptor(path)
@@ -425,6 +426,10 @@ def read_descriptor(path) -> CoherentState:
         )
         gamma, ln_s = float(entries["gamma"]), float(entries["ln_s"])
         tail_eps = float(entries.get("tail_eps", DEFAULT_TAIL_EPS))
+        if not (math.isfinite(gamma) and math.isfinite(tail_eps)):
+            raise ValueError(f"gamma={gamma} and tail_eps={tail_eps} must be finite")
+        if not ln_s < math.inf:  # ln_s = -inf is s = 0, the ground state
+            raise ValueError(f"ln_s={ln_s} must be finite or -inf")
     except KeyError as missing:
         raise DescriptorError(f"descriptor {path} is missing required key {missing}") from None
     except ValueError as exc:

@@ -14,7 +14,11 @@ state points at the antipode of (theta, phi).  The pole theta = pi has no
 finite parameter and is rejected.
 
 Pairs of such states form the degenerate-level factor for hydrogen, where
-the level-n multiplet carries two commuting spins of j = (n-1)/2; the
+the level-n multiplet carries two commuting spins of j = (n-1)/2.  A
+level's product state is a plain (n, n) array P[k1, k2] over
+|j, -j+k1> |j, -j+k2>, and its recoupled table is a plain (n, 2n-1)
+array c[l, n-1+m] in centred order, m = -(n-1)..n-1, with exact zeros
+for |m| > l; this module is the only one that lays either out.  The
 change of basis to |l, m> labels goes through Clebsch-Gordan coefficients
 in the Condon-Shortley phase convention.  They are built, one (j, l) table
 at a time, from the three-term recurrence that J^2 obeys on each fixed-M
@@ -52,25 +56,6 @@ class AngularParams:
         for z in (self.zeta1, self.zeta2):
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError("angular parameters must be finite")
-
-
-@dataclass(frozen=True)
-class AngularAmplitudes:
-    """Two-spin product amplitudes for one level.
-
-    ``amplitudes[k1, k2]`` is the coefficient of |j, -j+k1> |j, -j+k2>
-    with j = (n-1)/2.
-    """
-
-    n: int
-    amplitudes: np.ndarray
-
-    @property
-    def j(self) -> float:
-        return (self.n - 1) / 2.0
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def _log1p_abs_sq(zeta: complex) -> float:
@@ -153,14 +138,16 @@ def spin_expectation(j: float, amplitudes: np.ndarray) -> np.ndarray:
     return np.array([jp.real, jp.imag, jz])
 
 
-def so4_amplitudes(n: int, params: AngularParams) -> AngularAmplitudes:
-    """Product state of two spin-(n-1)/2 coherent states at level n."""
+def so4_amplitudes(n: int, params: AngularParams) -> np.ndarray:
+    """Product state of two spin-(n-1)/2 coherent states at level n.
+
+    Returns the (n, n) array P with P[k1, k2] the coefficient of
+    |j, -j+k1> |j, -j+k2>, j = (n-1)/2.
+    """
     if n < 1:
         raise ValueError("principal quantum number must be >= 1")
     j = (n - 1) / 2.0
-    a = su2_amplitudes(j, params.zeta1)
-    b = su2_amplitudes(j, params.zeta2)
-    return AngularAmplitudes(n=n, amplitudes=np.outer(a, b))
+    return np.outer(su2_amplitudes(j, params.zeta1), su2_amplitudes(j, params.zeta2))
 
 
 @lru_cache(maxsize=256)
@@ -228,20 +215,26 @@ def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     return w
 
 
-def so4_to_spherical(amps: AngularAmplitudes) -> np.ndarray:
-    """Recouple product amplitudes to |l, m> labels.
+def so4_to_spherical(amps: np.ndarray) -> np.ndarray:
+    """Recouple level-n product amplitudes to |l, m> labels.
 
-    Returns a complex array ``c`` of shape (n, 2n-1) with ``c[l, l+m]``
-    the amplitude on angular momentum (l, m); a unitary change of basis.
+    ``amps`` is the (n, n) array of so4_amplitudes.  Returns a complex
+    array ``c`` of shape (n, 2n-1) in centred order: ``c[l, n-1+m]`` is
+    the amplitude on angular momentum (l, m), m = -(n-1)..n-1, and every
+    entry with |m| > l is exactly 0.  A unitary change of basis.
     """
-    n = amps.n
-    # anti-diagonal t = k1 + k2 of a table collects m = m1 + m2 = t - 2j
+    amps = np.asarray(amps)
+    if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
+        raise ValueError(f"product amplitudes must be a square 2-D array, got shape {amps.shape}")
+    n = amps.shape[0]
+    # anti-diagonal t = k1 + k2 of a table collects m = m1 + m2 = t - 2j,
+    # so column t of the sums is column n-1+m of the result
     t = np.add.outer(np.arange(n), np.arange(n)).ravel()
-    flat = amps.amplitudes.ravel()
+    flat = amps.ravel()
     out = np.zeros((n, 2 * n - 1), dtype=complex)
     for l in range(n):
         weighted = coupling_matrix(n - 1, 2 * l).ravel() * flat
         sums = np.bincount(t, weighted.real, 2 * n - 1) + 1j * np.bincount(
             t, weighted.imag, 2 * n - 1)
-        out[l, : 2 * l + 1] = sums[n - 1 - l : n + l]
+        out[l, n - 1 - l : n + l] = sums[n - 1 - l : n + l]
     return out

@@ -83,8 +83,8 @@ class WeightSpec:
         if self.family is WeightFamily.EXPONENTIAL:
             if self.alpha != 1.0:
                 raise ValueError("the exponential family is alpha = 1.0")
-        elif self.alpha is None or not (self.alpha > 0):
-            raise ValueError("stretched family requires alpha > 0")
+        elif self.alpha is None or not (0 < self.alpha < math.inf):
+            raise ValueError("stretched family requires a finite alpha > 0")
 
     @classmethod
     def exponential(cls) -> "WeightSpec":

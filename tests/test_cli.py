@@ -175,6 +175,14 @@ class TestPipeline:
 
 
 class TestDescriptorFaults:
+    @staticmethod
+    def reader_argv(command, path, tmp_path):
+        return {
+            "autocorr": autocorr_argv(path, tmp_path, "--samples", "5"),
+            "grid": grid_argv(path, tmp_path),
+            "levels": ["levels", "--descriptor", str(path), "-o", str(tmp_path / "levels.csv")],
+        }[command]
+
     @pytest.mark.parametrize("command", ["autocorr", "grid", "levels"])
     @pytest.mark.parametrize("edit, status, message", [
         (lambda text: text.replace("ln_s=", "# ln_s="), cli.EXIT_USAGE, "ln_s"),
@@ -185,25 +193,33 @@ class TestDescriptorFaults:
         (lambda text: text.replace("alpha=", "alpha=x"), cli.EXIT_USAGE, "x0.25"),
         (lambda text: text.replace("alpha=0.25", "alpha=0"), cli.EXIT_USAGE, "alpha"),
         (lambda text: text.replace("zeta1_re=0", "zeta1_re=inf"), cli.EXIT_USAGE, "finite"),
+        (lambda text: re.sub(r"gamma=.*", "gamma=nan", text), cli.EXIT_USAGE, "gamma=nan"),
+        (lambda text: re.sub(r"ln_s=.*", "ln_s=inf", text), cli.EXIT_USAGE, "ln_s=inf"),
+        (lambda text: re.sub(r"alpha=.*", "alpha=inf", text), cli.EXIT_USAGE, "finite alpha"),
+        (lambda text: re.sub(r"tail_eps=.*", "tail_eps=nan", text), cli.EXIT_USAGE,
+         "tail_eps=nan"),
         # parameters that read cleanly but cannot build a state stay numerical failures
         (lambda text: re.sub(r"tail_eps=.*", "tail_eps=2", text), cli.EXIT_NUMERICAL, "tail_eps"),
     ], ids=["missing-key", "malformed-line", "tabulated", "unknown-family", "non-numeric",
-            "rejected-alpha", "rejected-zeta", "build-failure"])
+            "rejected-alpha", "rejected-zeta", "nan-gamma", "inf-ln-s", "inf-alpha",
+            "nan-tail-eps", "build-failure"])
     def test_exit_status_names_the_file(self, descriptor, tmp_path, capsys, command, edit,
                                         status, message):
         broken = tmp_path / "broken.desc"
         broken.write_text(edit(descriptor.read_text()))
-        argv = {
-            "autocorr": autocorr_argv(broken, tmp_path, "--samples", "5"),
-            "grid": grid_argv(broken, tmp_path),
-            "levels": ["levels", "--descriptor", str(broken), "-o", str(tmp_path / "levels.csv")],
-        }[command]
-        assert cli.main(argv) == status
+        assert cli.main(self.reader_argv(command, broken, tmp_path)) == status
         err = capsys.readouterr().err
         assert message in err
         if status == cli.EXIT_USAGE:
             assert err.startswith("usage error") and str(broken) in err
         assert list(tmp_path.iterdir()) == [broken]
+
+    @pytest.mark.parametrize("command", ["autocorr", "grid", "levels"])
+    def test_zero_scale_stays_valid(self, descriptor, tmp_path, command):
+        # ln_s = -inf is s = 0: the ground state alone
+        ground = tmp_path / "ground.desc"
+        ground.write_text(re.sub(r"ln_s=.*", "ln_s=-inf", descriptor.read_text()))
+        assert cli.main(self.reader_argv(command, ground, tmp_path)) == cli.EXIT_OK
 
 
 class TestConfigReader:

@@ -24,7 +24,6 @@ from cohere.position import (
     radial,
     read_field_binary,
     runge_lenz_expectation,
-    spherical_harmonic,
     spin_vector_gap,
     write_field_binary,
     write_field_csv,
@@ -52,6 +51,19 @@ def small_orbit_state(eccentricity):
     )
 
 
+def spherical_harmonic(l, m, theta, phi):
+    """Orthonormal Y_{l,m}(theta, phi), Condon-Shortley phase."""
+    if abs(m) > l:
+        raise ValueError(f"|m| must not exceed l (l={l}, m={m})")
+    theta_arr = np.asarray(theta, dtype=float)
+    mm = abs(m)
+    p = legendre_normalized(l, mm, np.cos(theta_arr), np.sin(theta_arr))[-1]
+    y = p * np.exp(1j * mm * np.asarray(phi, dtype=float))
+    if m < 0:
+        y = (-1.0) ** mm * np.conj(y)
+    return complex(y) if np.isscalar(theta) and np.isscalar(phi) else y
+
+
 def dense_field_on_grid(state, grid, t):
     """Reference planar field: every (n, l, m) term applied to every grid
     point, with the coefficients of the evolved state."""
@@ -68,7 +80,7 @@ def dense_field_on_grid(state, grid, t):
                 theta_part = legendre_normalized(l, abs(m), np.array(0.0), np.array(1.0))[-1]
                 if m < 0:
                     theta_part = theta_part * (-1.0) ** (abs(m) % 2)
-                angular += g[l, l + m] * theta_part * np.exp(1j * m * phi)
+                angular += g[l, n - 1 + m] * theta_part * np.exp(1j * m * phi)
             total += c_n * radial(n, l, r_unique)[inverse] * angular
     return total.reshape(grid.samples, grid.samples)
 
@@ -92,7 +104,7 @@ def dense_position_trace(state, times):
                 p = legendre_normalized(l, abs(m), cos_t, sin_t)[-1]
                 if m < 0:
                     p = p * (-1.0) ** (abs(m) % 2)
-                angular += g[l, l + m] * np.outer(p, np.exp(1j * m * phi))
+                angular += g[l, n - 1 + m] * np.outer(p, np.exp(1j * m * phi))
             field += radial(n, l, quad_rule.r_nodes)[:, None, None] * angular[None, :, :]
         fields.append(field)
 
@@ -368,7 +380,7 @@ class TestPlanarField:
         st = small_orbit_state(0.385)
         calls, radial_levels = [], []
         recouple, by_degree = P.so4_to_spherical, P._radial_by_degree
-        monkeypatch.setattr(P, "so4_to_spherical", lambda a: calls.append(a.n) or recouple(a))
+        monkeypatch.setattr(P, "so4_to_spherical", lambda a: calls.append(a.shape[0]) or recouple(a))
         monkeypatch.setattr(P, "_radial_by_degree",
                             lambda levels, r: radial_levels.append(levels.tolist()) or by_degree(levels, r))
         frames = list(field_frames(st, GridSpec(width=40.0, samples=9), [0.0, 1.0, 2.0]))
@@ -438,6 +450,14 @@ class TestExpectations:
     def test_quadrature_norm_close_to_one(self, ellipse_state):
         row = position_trace(ellipse_state, [0.0])[0]
         assert abs(row[2] - 1.0) <= 1e-3
+
+    def test_refuses_a_quadrature_that_loses_the_norm(self):
+        # r_max = 0.5 holds only ~8% of the ground state's probability
+        st = build_state(WeightSpec.exponential(), 0.0, 0.0, AngularParams(0.0, 0.0))
+        norm = position_trace(st, [0.0], radial_order=64, r_max=0.5)[0, 2]
+        assert norm == pytest.approx(0.080, abs=5e-3)
+        with pytest.raises(ArithmeticError):
+            position_expectation(st, 0.0, radial_order=64, r_max=0.5)
 
     def test_rotation_invariance_of_narrow_circular_state(self):
         # essentially single-level circular states have azimuth-independent

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from cohere.su2 import (
-    AngularAmplitudes,
     AngularParams,
     coupling_matrix,
     so4_amplitudes,
@@ -264,21 +263,21 @@ class TestOverlap:
 class TestProducts:
     def test_level_one_is_trivial(self):
         amps = so4_amplitudes(1, AngularParams(0.3 + 0.1j, -2.0))
-        assert amps.amplitudes.shape == (1, 1)
-        assert amps.amplitudes[0, 0] == 1.0
+        assert amps.shape == (1, 1)
+        assert amps[0, 0] == 1.0
 
     def test_fiducial_product(self):
         amps = so4_amplitudes(2, AngularParams(0.0, 0.0))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
-        np.testing.assert_array_equal(amps.amplitudes, expected)
+        np.testing.assert_array_equal(amps, expected)
 
     def test_outer_product_structure(self):
         a = su2_amplitudes(1.0, 1.0)
         b = su2_amplitudes(1.0, -1.0)
         amps = so4_amplitudes(3, AngularParams(1.0, -1.0))
-        np.testing.assert_allclose(amps.amplitudes, np.outer(a, b), rtol=1e-14)
-        assert amps.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(amps, np.outer(a, b), rtol=1e-14)
+        assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -299,9 +298,10 @@ class TestRecoupling:
 
     def test_stretched_coupling_at_level_two(self):
         c = so4_to_spherical(so4_amplitudes(2, AngularParams(0.0, 0.0)))
-        # product of lowest-weight vectors couples purely to (l=1, m=-1)
+        # product of lowest-weight vectors couples purely to (l=1, m=-1);
+        # column n-1+m = 1 holds (l=0, m=0)
         assert abs(c[1, 0]) == pytest.approx(1.0, rel=1e-12)
-        assert abs(c[0, 0]) <= 1e-14
+        assert abs(c[0, 1]) <= 1e-14
 
     @settings(max_examples=20, deadline=None)
     @given(n=hst.integers(min_value=1, max_value=60), seed=hst.integers(0, 2**32 - 1))
@@ -311,8 +311,31 @@ class TestRecoupling:
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         raw /= np.linalg.norm(raw)
-        c = so4_to_spherical(AngularAmplitudes(n=n, amplitudes=raw))
+        c = so4_to_spherical(raw)
         assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 21, 60])
+    def test_centred_layout_matches_explicit_sums(self, n):
+        # c[l, n-1+m] is the m = k1 + k2 - (n-1) anti-diagonal of W_l * P;
+        # columns with |m| > l are exact zeros
+        rng = np.random.default_rng(n)
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        c = so4_to_spherical(raw)
+        assert c.shape == (n, 2 * n - 1)
+        k_sum = np.add.outer(np.arange(n), np.arange(n))
+        for l in range(n):
+            weighted = coupling_matrix(n - 1, 2 * l) * raw
+            for m in range(1 - n, n):
+                if abs(m) > l:
+                    assert c[l, n - 1 + m] == 0
+                else:
+                    want = np.sum(weighted[k_sum == n - 1 + m])
+                    assert abs(c[l, n - 1 + m] - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_rejects_non_square_input(self, shape):
+        with pytest.raises(ValueError):
+            so4_to_spherical(np.ones(shape, dtype=complex))
 
     def test_coupling_matrix_cached(self):
         assert coupling_matrix(4, 2) is coupling_matrix(4, 2)

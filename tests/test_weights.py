@@ -90,8 +90,9 @@ class TestLogMoment:
             log_moment(WeightSpec.exponential(), -1)
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            WeightSpec.stretched(0.0)
+        for alpha in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                WeightSpec.stretched(alpha)
         # the exponential family is alpha = 1.0 and nothing else
         assert WeightSpec.exponential().alpha == 1.0
         with pytest.raises(ValueError):
