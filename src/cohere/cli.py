@@ -228,12 +228,9 @@ def cmd_solve(args) -> int:
     write_descriptor(args.output, state)
 
     print(f"descriptor={args.output}")
-    print(f"ln_s={_FMT % ln_s}")
-    print(f"s={_FMT % state.s}")
-    print(f"mean_principal={_FMT % mean}")
-    print(f"spread={_FMT % spread}")
-    print(f"revival_time={_FMT % t_revival}")
-    print(f"revival_ratio={_FMT % ratio}")
+    for key, value in (("ln_s", ln_s), ("s", state.s), ("mean_principal", mean), ("spread", spread),
+                       ("revival_time", t_revival), ("revival_ratio", ratio)):
+        print(f"{key}={_FMT % value}")
     print("revival_quality=" + ("clean revival expected" if ratio < 1.0 else "no clean revival"))
     return EXIT_OK
 
@@ -321,14 +318,12 @@ def cmd_grid(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    from cohere.state import _FMT, level_distribution, read_descriptor
+    from cohere.state import _FMT, _write_csv, read_descriptor
 
-    rows = level_distribution(read_descriptor(args.descriptor))
+    coeffs = read_descriptor(args.descriptor).coeffs
     with open(args.output, "w") as fh:
-        fh.write("n,p_n\n")
-        for n, p in rows:
-            fh.write(f"{n},{_FMT % p}\n")
-    print(f"wrote {len(rows)} rows to {args.output}")
+        _write_csv(fh, "n,p_n", "%d," + _FMT, (coeffs.levels, coeffs.probabilities))
+    print(f"wrote {coeffs.levels.size} rows to {args.output}")
     return EXIT_OK
 
 
@@ -369,22 +364,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_weights_moments(args) -> int:
-    from cohere.state import _FMT
+    import numpy as np
+
+    from cohere.state import _FMT, _write_csv
     from cohere.weights import log_moment
 
     if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
-    spec = _weight_from_args(args)
-    lines = ["n,log_moment"]
-    for n in range(args.n_max + 1):
-        lines.append(f"{n},{_FMT % log_moment(spec, n)}")
-    text = "\n".join(lines) + "\n"
+    n = np.arange(args.n_max + 1)
+    table = ("n,log_moment", "%d," + _FMT, (n, log_moment(_weight_from_args(args), n)))
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.n_max + 1} rows to {args.output}")
+            _write_csv(fh, *table)
+        print(f"wrote {n.size} rows to {args.output}")
     else:
-        sys.stdout.write(text)
+        _write_csv(sys.stdout, *table)
     return EXIT_OK
 
 
@@ -392,19 +386,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "autocorr":
-            return cmd_autocorr(args)
-        if args.command == "grid":
-            return cmd_grid(args)
-        if args.command == "levels":
-            return cmd_levels(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "weights":
-            return cmd_weights_moments(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        # looked up at call time, so a wrapped cmd_* binding is the one called
+        command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,
+                   "levels": cmd_levels, "verify": cmd_verify, "weights": cmd_weights_moments}
+        return command[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

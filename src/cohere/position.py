@@ -56,7 +56,7 @@ import numpy as np
 
 from cohere import hydrogen
 
-from cohere.state import _FMT, CoherentState, reduced_phases
+from cohere.state import _FMT, CoherentState, _write_csv, reduced_phases
 from cohere.su2 import (
     AngularParams,
     so4_amplitudes,
@@ -445,39 +445,42 @@ def runge_lenz_expectation(state: CoherentState) -> np.ndarray:
 def write_field_csv(path, field: GridField) -> None:
     """CSV rows (x, y, abs_psi, re_psi, im_psi), x varying fastest."""
     axis = field.spec.axis()
+    values = field.values.ravel()
     with open(path, "w") as fh:
-        fh.write("x,y,abs_psi,re_psi,im_psi\n")
-        for iy, y in enumerate(axis):
-            for ix, x in enumerate(axis):
-                v = field.values[iy, ix]
-                fh.write(
-                    ",".join(_FMT % q for q in (x, y, abs(v), v.real, v.imag)) + "\n"
-                )
+        _write_csv(fh, "x,y,abs_psi,re_psi,im_psi", ",".join([_FMT] * 5), (
+            np.tile(axis, axis.size), np.repeat(axis, axis.size),
+            np.hypot(values.real, values.imag), values.real, values.imag,
+        ))
+
+
+# The binary frame: this header, then the values row-major (y outer,
+# x inner) as interleaved re, im float64 pairs, all little-endian.
+_FRAME_HEADER = np.dtype([("width", "<f8"), ("samples", "<i8"), ("t", "<f8")])
+_FRAME_VALUE = np.dtype("<c16")
 
 
 def write_field_binary(path, field: GridField) -> None:
-    """Compact little-endian dump.
-
-    Header: width (float64), samples (int64), t (float64); then the
-    complex values row-major (y outer, x inner) as interleaved
-    re, im float64 pairs.  All little-endian.
-    """
+    """Compact little-endian dump: header width (float64), samples
+    (int64), t (float64), then the complex values row-major."""
     with open(path, "wb") as fh:
-        np.array([field.spec.width], dtype="<f8").tofile(fh)
-        np.array([field.spec.samples], dtype="<i8").tofile(fh)
-        np.array([field.t], dtype="<f8").tofile(fh)
-        interleaved = np.empty(field.values.size * 2, dtype="<f8")
-        interleaved[0::2] = field.values.real.ravel()
-        interleaved[1::2] = field.values.imag.ravel()
-        interleaved.tofile(fh)
+        np.array((field.spec.width, field.spec.samples, field.t), dtype=_FRAME_HEADER).tofile(fh)
+        field.values.astype(_FRAME_VALUE, copy=False).tofile(fh)
 
 
 def read_field_binary(path) -> GridField:
-    """Inverse of write_field_binary."""
+    """Inverse of write_field_binary.  A file whose size is not that of
+    the frame its header describes raises ValueError."""
     with open(path, "rb") as fh:
-        width = float(np.fromfile(fh, dtype="<f8", count=1)[0])
-        samples = int(np.fromfile(fh, dtype="<i8", count=1)[0])
-        t = float(np.fromfile(fh, dtype="<f8", count=1)[0])
-        raw = np.fromfile(fh, dtype="<f8", count=2 * samples * samples)
-    values = (raw[0::2] + 1j * raw[1::2]).reshape(samples, samples)
-    return GridField(spec=GridSpec(width=width, samples=samples), t=t, values=values)
+        raw = fh.read()
+    start = _FRAME_HEADER.itemsize
+    if len(raw) < start:
+        raise ValueError(f"field file {path} holds {len(raw)} bytes; expected a {start}-byte header")
+    header = np.frombuffer(raw, dtype=_FRAME_HEADER, count=1)[0]
+    samples = int(header["samples"])
+    expected = start + samples * samples * _FRAME_VALUE.itemsize
+    if len(raw) != expected:
+        raise ValueError(
+            f"field file {path} holds {len(raw)} bytes; expected {expected} for {samples}^2 samples")
+    values = np.frombuffer(raw, dtype=_FRAME_VALUE, offset=start).astype(complex)
+    return GridField(spec=GridSpec(width=float(header["width"]), samples=samples),
+                     t=float(header["t"]), values=values.reshape(samples, samples))

@@ -22,6 +22,8 @@ The autocorrelation streams its times through a fixed working set: one
 long-double and two float64 buffers of _BLOCK_ELEMENTS (times x levels)
 elements each, allocated once per call, so its memory beyond the output
 array does not grow with the number of times.
+
+CSV tables are formatted in fixed blocks of _CSV_BLOCK_ROWS = 4096 rows.
 """
 from __future__ import annotations
 
@@ -349,6 +351,23 @@ def overlap(a: CoherentState, b: CoherentState) -> complex:
 
 _FMT = "%.17g"
 
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(fh, header: str, row_format: str, columns) -> None:
+    """Write the header, then row_format (one conversion per column) for
+    each row of the equal-length 1-D arrays columns, one % per block of
+    rows.  Columns keep their dtype, so integer columns print as such."""
+    fh.write(header + "\n")
+    line = row_format + "\n"
+    rows, width = len(columns[0]), len(columns)
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, rows)
+        cells = [None] * ((stop - start) * width)
+        for i, column in enumerate(columns):
+            cells[i::width] = column[start:stop].tolist()
+        fh.write(line * (stop - start) % tuple(cells))
+
 
 def write_descriptor(path, state: CoherentState) -> None:
     """Persist the defining parameters as flat key=value lines.
@@ -362,16 +381,11 @@ def write_descriptor(path, state: CoherentState) -> None:
     lines = [f"family={state.weight.family.value}"]
     if state.weight.family is WeightFamily.STRETCHED_EXPONENTIAL:
         lines.append(f"alpha={_FMT % state.weight.alpha}")
-    lines += [
-        f"ln_s={_FMT % state.ln_s}",
-        f"s_display={_FMT % state.s}",
-        f"gamma={_FMT % state.gamma}",
-        f"zeta1_re={_FMT % state.angular.zeta1.real}",
-        f"zeta1_im={_FMT % state.angular.zeta1.imag}",
-        f"zeta2_re={_FMT % state.angular.zeta2.real}",
-        f"zeta2_im={_FMT % state.angular.zeta2.imag}",
-        f"tail_eps={_FMT % state.tail_eps}",
-    ]
+    zeta1, zeta2 = state.angular.zeta1, state.angular.zeta2
+    values = {"ln_s": state.ln_s, "s_display": state.s, "gamma": state.gamma,
+              "zeta1_re": zeta1.real, "zeta1_im": zeta1.imag,
+              "zeta2_re": zeta2.real, "zeta2_im": zeta2.imag, "tail_eps": state.tail_eps}
+    lines += [f"{key}={_FMT % value}" for key, value in values.items()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -438,15 +452,12 @@ def read_descriptor(path) -> CoherentState:
 
 
 def write_trace_csv(path, times, values) -> None:
-    """CSV autocorrelation trace with columns t, re_A, im_A, abs_A, abs_sq_A."""
-    values = np.asarray(values)
+    """CSV autocorrelation trace with columns t, re_A, im_A, abs_A, abs_sq_A;
+    times and values of different lengths raise ValueError."""
+    times, values = np.asarray(times), np.asarray(values)
+    if times.shape != values.shape:
+        raise ValueError(f"{times.size} times but {values.size} values for {path}")
+    mag = np.hypot(values.real, values.imag)
     with open(path, "w") as fh:
-        fh.write("t,re_A,im_A,abs_A,abs_sq_A\n")
-        for t, v in zip(times, values):
-            mag = abs(v)
-            fh.write(
-                ",".join(
-                    _FMT % x for x in (t, v.real, v.imag, mag, mag * mag)
-                )
-                + "\n"
-            )
+        _write_csv(fh, "t,re_A,im_A,abs_A,abs_sq_A", ",".join([_FMT] * 5),
+                   (times, values.real, values.imag, mag, mag * mag))

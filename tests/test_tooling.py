@@ -6,7 +6,7 @@ import re
 import sys
 from pathlib import Path
 
-from cohere import position
+from cohere import cli, position
 from cohere.identity import standard_verification
 from cohere.state import build_state, solve_scale_ln
 from cohere.weights import WeightSpec
@@ -52,6 +52,35 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
     probe = tracer.reference_probe()  # one uncached reference-level coupling table
     assert probe["su2.coupling_matrix.ref_table_s"] > 0
     assert probe["su2.cg.ref_frame_evals"] > 0
+
+
+def test_traced_cli_writers_report_their_file_sizes(monkeypatch, tmp_path):
+    spans = load_bench("spans")
+    for module, attr, _ in spans.WRAPPED:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    desc, trace = tmp_path / "state.desc", tmp_path / "trace.csv"
+    assert cli.main(["solve", "--alpha", "0.25", "--mean", "3", "-o", str(desc)]) == cli.EXIT_OK
+    assert cli.main(["autocorr", "--descriptor", str(desc), "--samples", "50",
+                     "-o", str(trace)]) == cli.EXIT_OK
+    assert cli.main(["grid", "--descriptor", str(desc), "--width", "20", "--samples", "5",
+                     "--times", "0,1", "--format", "csv",
+                     "-o", str(tmp_path / "frame")]) == cli.EXIT_OK
+    frames = [tmp_path / f"frame_t{i}.csv" for i in range(2)]
+
+    def written(name, command):
+        # each writer span sits under the command that called it by its module binding
+        found = [s for s in tracer.spans if s[0] == name]
+        assert all(tracer.spans[s[3]][0] == command for s in found)
+        return [s[4]["bytes"] for s in found]
+
+    assert written("state.write_trace_csv", "cli.autocorr") == [trace.stat().st_size]
+    assert written("position.write_field_csv", "cli.grid") == [f.stat().st_size for f in frames]
+    metrics = tracer.layer_metrics()
+    assert metrics["state.write_trace_csv.bytes"] == trace.stat().st_size
+    assert metrics["position.write_field_csv.bytes"] == sum(f.stat().st_size for f in frames)
 
 
 def test_per_layer_names_are_the_traced_names(monkeypatch):
