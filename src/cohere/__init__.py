@@ -33,7 +33,6 @@ from cohere.su2 import (
     AngularParams,
     su2_amplitudes,
     stereographic,
-    so4_amplitudes,
     so4_to_spherical,
 )
 from cohere.hydrogen import (

@@ -214,7 +214,7 @@ def cmd_solve(args) -> int:
 
     ln_s = solve_scale_ln(args.alpha, args.mean, tol=args.tol, tail_eps=args.tail_eps)
     if args.eccentricity > 0:
-        angular = ellipse_to_angular(args.eccentricity, max(2, round(args.mean)))
+        angular = ellipse_to_angular(args.eccentricity)
     else:
         angular = AngularParams(0.0, 0.0)
     state = build_state(

@@ -59,7 +59,6 @@ from cohere import hydrogen
 from cohere.state import _FMT, CoherentState, _write_csv, reduced_phases
 from cohere.su2 import (
     AngularParams,
-    so4_amplitudes,
     so4_to_spherical,
     spin_expectation,
     stereographic,
@@ -232,7 +231,7 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
         radials = np.empty((n, r_unique.size), dtype=complex)
         for l, rows in _radial_by_degree(np.array([n]), r_unique):
             radials[l] = rows[0]
-        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        g = so4_to_spherical(n, state.angular)
         g = g.T * plane[n_top - n : n_top + n - 1, :n]  # F_n[m] = g[n-1+m] @ radials
         # sum_m F_n[m] e^{i m phi} by Horner's rule, one F_n[m] row at a time
         field[:] = (g[-1] @ radials)[inverse]
@@ -322,7 +321,7 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     integrals use the quadrature's radial rule; see the module docstring.
     """
     levels = state.coeffs.levels
-    tables = [so4_to_spherical(so4_amplitudes(n, state.angular)) for n in levels.tolist()]
+    tables = [so4_to_spherical(n, state.angular) for n in levels.tolist()]
     r = quad.r_nodes
     w_norm = quad.r_weights * r * r
     w_first = w_norm * r
@@ -381,19 +380,17 @@ def position_expectation(
     return row[0] / row[2], row[1] / row[2]
 
 
-def ellipse_to_angular(eccentricity: float, n: int) -> AngularParams:
+def ellipse_to_angular(eccentricity: float) -> AngularParams:
     """Angular parameters for a Kepler ellipse of the given eccentricity.
 
     With beta = arcsin(eccentricity), the two spins are placed at the
     finite-parameter mirror representative described in the module
     docstring: Runge-Lenz expectation along +x with magnitude
     2 j sin(beta), angular momentum along z (pointing -z), for every
-    level.  The reference level only validates the request.
+    level.
     """
     if not 0.0 <= eccentricity < 1.0:
         raise ValueError("eccentricity must lie in [0, 1)")
-    if n < 1:
-        raise ValueError("reference level must be >= 1")
     beta = math.asin(eccentricity)
     return AngularParams(
         zeta1=stereographic(beta, math.pi),

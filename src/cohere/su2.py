@@ -1,4 +1,4 @@
-"""SU(2) coherent states, their products, and angular-momentum recoupling.
+"""SU(2) coherent states and the recoupling of their products.
 
 A spin-j coherent state is the group orbit of the lowest-weight vector
 |j,-j>, labeled by a complex stereographic parameter zeta:
@@ -15,16 +15,25 @@ finite parameter and is rejected.
 
 Pairs of such states form the degenerate-level factor for hydrogen, where
 the level-n multiplet carries two commuting spins of j = (n-1)/2.  A
-level's product state is a plain (n, n) array P[k1, k2] over
-|j, -j+k1> |j, -j+k2>, and its recoupled table is a plain (n, 2n-1)
-array c[l, n-1+m] in centred order, m = -(n-1)..n-1, with exact zeros
-for |m| > l; this module is the only one that lays either out.  The
-change of basis to |l, m> labels goes through Clebsch-Gordan coefficients
-in the Condon-Shortley phase convention.  They are built, one (j, l) table
-at a time, from the three-term recurrence that J^2 obeys on each fixed-M
-block (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)), completed by
-the exchange and mirror symmetries; no alternating Racah sum is formed,
-so the tables stay within ~1e-15 of exact through level n = 176.
+level's recoupled table is a plain (n, 2n-1) array c[l, n-1+m] in centred
+order, m = -(n-1)..n-1, with exact zeros for |m| > l; this module is the
+only one that lays it out.
+
+Recoupling is a transvectant (Cayley's Omega-process; Bargmann, Rev. Mod.
+Phys. 34, 829 (1962); Olver, Classical Invariant Theory (1999)).  In the
+polynomial picture |j, -j+k> <-> sqrt(C(2j, k)) x^k y^(2j-k), the state
+|j, zeta> is (zeta x + y)^(2j) / (1+|zeta|^2)^j, and the spin-l part of a
+product of two of them is, up to a constant fixed by (j, l) alone,
+
+    (zeta1 - zeta2)^(2j-l) (zeta1 x + y)^l (zeta2 x + y)^l,
+
+so no Clebsch-Gordan coefficient is needed (see so4_to_spherical).  The
+Condon-Shortley Clebsch-Gordan tables built below are the reference that
+the closed form is tested against; nothing else in the package reads
+them.  They are built, one (j, l) table at a time, from the three-term
+recurrence that J^2 obeys on each fixed-M block (Schulten & Gordon,
+J. Math. Phys. 16, 1961 (1975)), completed by the exchange and mirror
+symmetries, and stay within ~1e-15 of exact through level n = 176.
 """
 from __future__ import annotations
 
@@ -138,18 +147,6 @@ def spin_expectation(j: float, amplitudes: np.ndarray) -> np.ndarray:
     return np.array([jp.real, jp.imag, jz])
 
 
-def so4_amplitudes(n: int, params: AngularParams) -> np.ndarray:
-    """Product state of two spin-(n-1)/2 coherent states at level n.
-
-    Returns the (n, n) array P with P[k1, k2] the coefficient of
-    |j, -j+k1> |j, -j+k2>, j = (n-1)/2.
-    """
-    if n < 1:
-        raise ValueError("principal quantum number must be >= 1")
-    j = (n - 1) / 2.0
-    return np.outer(su2_amplitudes(j, params.zeta1), su2_amplitudes(j, params.zeta2))
-
-
 @lru_cache(maxsize=256)
 def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     """Dense table W[k1, k2] = <j m1 j m2 | l, m1+m2> for one (j, l).
@@ -170,14 +167,10 @@ def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     9.8e-16 at n = 60, 5.8e-16 at n = 120 and 1.6e-15 at n = 176, and
     every fixed-M block at n = 176 is orthonormal within 2e-14.
 
-    The cache seldom hits.  One recoupling of a state looks each table up
-    once: a field_frames call on the alpha = 1/32, <n> = 20 state makes
-    246 lookups and 0 hits, and the paper's window makes 5,280 lookups
-    and 0 hits.  Only a second recoupling of the same state in the same
-    process hits, as a second position_trace does; at alpha = 1/4,
-    <n> = 20 the 720 tables overflow the 256 slots and even that misses.
-    It stays only because bench/spans.py and tests/test_tooling.py read
-    cache_info() and __wrapped__, until the benchmark is retargeted
+    No code in the package calls it: so4_to_spherical recouples in closed
+    form.  It stays as the tests' independent reference for that closed
+    form, and, with its lru_cache, because bench/spans.py wraps it, reads
+    cache_info() and calls __wrapped__ until the benchmark is retargeted
     (ROADMAP item 1).
     """
     if two_j < 0 or two_l % 2 or not 0 <= two_l <= 2 * two_j:
@@ -215,26 +208,95 @@ def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     return w
 
 
-def so4_to_spherical(amps: np.ndarray) -> np.ndarray:
-    """Recouple level-n product amplitudes to |l, m> labels.
+def _rescale(a: np.ndarray) -> int:
+    """Scale a in place by a power of two once its largest modulus leaves
+    [1e-100, 1e100]; returns e such that the old a is the new a times 2**e."""
+    top = np.abs(a).max()
+    if top == 0 or 1e-100 <= top <= 1e100:
+        return 0
+    e = math.frexp(top)[1]
+    a.view(float)[:] = np.ldexp(a.view(float), -e)
+    return e
 
-    ``amps`` is the (n, n) array of so4_amplitudes.  Returns a complex
-    array ``c`` of shape (n, 2n-1) in centred order: ``c[l, n-1+m]`` is
-    the amplitude on angular momentum (l, m), m = -(n-1)..n-1, and every
-    entry with |m| > l is exactly 0.  A unitary change of basis.
+
+def _unit_form(zeta: complex) -> tuple[complex, complex, float, complex]:
+    """(a, b, g, w) with (zeta x + y) / sqrt(1+|zeta|^2) = w (a x + b y) / sqrt(1+g).
+
+    |a|, |b| <= 1 and |w| = 1: the form is zeta x + y itself for
+    |zeta| <= 1 and zeta (x + y/zeta) beyond, so no tap grows with |zeta|
+    and g = min(|zeta|, 1/|zeta|)^2 <= 1.
     """
-    amps = np.asarray(amps)
-    if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
-        raise ValueError(f"product amplitudes must be a square 2-D array, got shape {amps.shape}")
-    n = amps.shape[0]
-    # anti-diagonal t = k1 + k2 of a table collects m = m1 + m2 = t - 2j,
-    # so column t of the sums is column n-1+m of the result
-    t = np.add.outer(np.arange(n), np.arange(n)).ravel()
-    flat = amps.ravel()
+    r = abs(zeta)
+    if r <= 1.0:
+        return zeta, 1.0, r * r, 1.0
+    return 1.0, 1.0 / zeta, 1.0 / (r * r), zeta / r
+
+
+def so4_to_spherical(n: int, params: AngularParams) -> np.ndarray:
+    """Level n's two-spin angular factor in |l, m> labels, in closed form.
+
+    Returns a complex array ``c`` of shape (n, 2n-1) in centred order:
+    ``c[l, n-1+m]`` is the amplitude on angular momentum (l, m) of the
+    product |j, zeta1>|j, zeta2>, j = (n-1)/2, recoupled with
+    Condon-Shortley Clebsch-Gordan coefficients, m = -(n-1)..n-1, and every
+    entry with |m| > l is exactly 0.
+
+    With d = n - 1, u_i = a_i x + b_i y the forms of _unit_form, N their
+    normalization and phase and Delta = a1 b2 - a2 b1, the transvectant
+    (module docstring) gives c[l, n-1+m] = kappa_l h_l[l+m].  h_l holds the
+    coefficients of (u1 u2)^l, the one at x^k y^(2l-k) divided by
+    sqrt(C(2l, k)); h_0 = [1], and one 3-tap step in b1 b2, a1 b2 + a2 b1
+    and a1 a2 multiplies in u1 u2.  kappa_0 = N Delta^d / sqrt(n) and
+
+        kappa_(l+1) / kappa_l = sqrt((2l+3)(2l+2)(d-l)/(d+l+2)) / ((l+1) Delta),
+
+    which makes the constant the stretched coefficient (d!/l!) sqrt((2l+1)!
+    / ((d-l)! (d+l+1)!)) times Delta^(d-l).  When Delta = 0 only l = d
+    survives, with kappa_d = N.  Only these ratios are formed, never a
+    factorial.  One array carries kappa_l h_l with its power-of-two scale
+    in an integer exponent, rescaled past 1e+-100, so neither Delta -> 0
+    nor large n underflows.  O(n^2) work per level.
+    """
+    if n < 1:
+        raise ValueError("principal quantum number must be >= 1")
+    d = n - 1
+    a1, b1, g1, w1 = _unit_form(complex(params.zeta1))
+    a2, b2, g2, w2 = _unit_form(complex(params.zeta2))
+    y2, xy, x2 = b1 * b2, a1 * b2 + a2 * b1, a1 * a2  # u1 u2 = y2 y^2 + xy xy + x2 x^2
+    delta = a1 * b2 - a2 * b1
+    # Delta is delta * 2**shift with |delta| in [0.5, 1), so that neither its
+    # powers nor its reciprocal leave the float range, even for subnormal zeta
+    shift = math.frexp(abs(delta))[1]
+    delta = complex(math.ldexp(delta.real, -shift), math.ldexp(delta.imag, -shift))
+    # row is kappa_l h_l / 2**scale; N = (w1 w2)^d ((1+g1)(1+g2))^(-d/2)
+    log_norm = -0.5 * d * (math.log1p(g1) + math.log1p(g2))
+    scale = math.floor(log_norm / math.log(2.0))
+    row = np.array([math.exp(log_norm - scale * math.log(2.0))], dtype=complex)
+    scale += d * shift
+    if delta:
+        row /= math.sqrt(n)
+    factor = w1 * w2 * delta if delta else w1 * w2
+    for _ in range(d):
+        row *= factor
+        scale += _rescale(row)
     out = np.zeros((n, 2 * n - 1), dtype=complex)
     for l in range(n):
-        weighted = coupling_matrix(n - 1, 2 * l).ravel() * flat
-        sums = np.bincount(t, weighted.real, 2 * n - 1) + 1j * np.bincount(
-            t, weighted.imag, 2 * n - 1)
-        out[l, n - 1 - l : n + l] = sums[n - 1 - l : n + l]
-    return out
+        if delta or l == d:
+            out[l, d - l : d + l + 1] = np.ldexp(row.view(float), scale).view(complex)
+        if l == d:
+            return out
+        # h_(l+1)[k] from h_l[k], h_l[k-1], h_l[k-2], each against the root
+        # of C(2l, k - i) / C(2l+2, k): outer[k-2] = sqrt(k(k-1)/denom),
+        # reversed for the y^2 tap, and middle[k-1] = sqrt(k(2l+2-k)/denom)
+        denom = (2 * l + 2) * (2 * l + 1)
+        outer = np.sqrt(np.arange(2.0, 2 * l + 3) * np.arange(1.0, 2 * l + 2) / denom)
+        k = np.arange(1.0, 2 * l + 2)
+        middle = np.sqrt(k * (2 * l + 2 - k) / denom)
+        step = np.zeros(2 * l + 3, dtype=complex)
+        step[:-2] = y2 * outer[::-1] * row
+        step[1:-1] += xy * middle * row
+        step[2:] += x2 * outer * row
+        if delta:
+            step *= math.sqrt((2 * l + 3) * (2 * l + 2) * (d - l) / (d + l + 2)) / ((l + 1) * delta)
+        row = step
+        scale += _rescale(row) - shift

@@ -29,8 +29,10 @@ from cohere.position import (
     write_field_csv,
 )
 from cohere.state import build_state, evolve, mean_level, reduced_phases, solve_scale_ln
-from cohere.su2 import AngularParams, so4_amplitudes, so4_to_spherical
+from cohere.su2 import AngularParams
 from cohere.weights import WeightSpec
+
+from recoupling_oracle import reference_table
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,16 @@ def ellipse_state():
     ln_s = solve_scale_ln(1.0 / 32.0, 20.0)
     return build_state(
         WeightSpec.stretched(1.0 / 32.0), None, 0.0,
-        ellipse_to_angular(0.385, 20), ln_s=ln_s,
+        ellipse_to_angular(0.385), ln_s=ln_s,
+    )
+
+
+@pytest.fixture(scope="module")
+def paper_state():
+    """The paper's worked example: alpha = 1/32, <n> = 160, eccentricity 0.385."""
+    return build_state(
+        WeightSpec.stretched(1.0 / 32.0), None, 0.0,
+        ellipse_to_angular(0.385), ln_s=solve_scale_ln(1.0 / 32.0, 160.0),
     )
 
 
@@ -47,7 +58,7 @@ def small_orbit_state(eccentricity):
     """A packet over levels 1..10 with several occupied levels."""
     return build_state(
         WeightSpec.stretched(0.25), None, 0.0,
-        ellipse_to_angular(eccentricity, 3), ln_s=solve_scale_ln(0.25, 3.0),
+        ellipse_to_angular(eccentricity), ln_s=solve_scale_ln(0.25, 3.0),
     )
 
 
@@ -73,7 +84,7 @@ def dense_field_on_grid(state, grid, t):
     r_unique, inverse = np.unique(r, return_inverse=True)
     total = np.zeros(r.size, dtype=complex)
     for c_n, n in zip(evolve(state, t).coeffs.values, state.coeffs.levels.tolist()):
-        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        g = reference_table(n, state.angular)
         for l in range(n):
             angular = np.zeros(r.size, dtype=complex)
             for m in range(-l, l + 1):
@@ -96,7 +107,7 @@ def dense_position_trace(state, times):
     fields = []
     for n in state.coeffs.levels:
         n = int(n)
-        g = so4_to_spherical(so4_amplitudes(n, state.angular))
+        g = reference_table(n, state.angular)
         field = np.zeros((quad_rule.r_nodes.size, cos_t.size, phi.size), dtype=complex)
         for l in range(n):
             angular = np.zeros((cos_t.size, phi.size), dtype=complex)
@@ -380,7 +391,7 @@ class TestPlanarField:
         st = small_orbit_state(0.385)
         calls, radial_levels = [], []
         recouple, by_degree = P.so4_to_spherical, P._radial_by_degree
-        monkeypatch.setattr(P, "so4_to_spherical", lambda a: calls.append(a.shape[0]) or recouple(a))
+        monkeypatch.setattr(P, "so4_to_spherical", lambda n, params: calls.append(n) or recouple(n, params))
         monkeypatch.setattr(P, "_radial_by_degree",
                             lambda levels, r: radial_levels.append(levels.tolist()) or by_degree(levels, r))
         frames = list(field_frames(st, GridSpec(width=40.0, samples=9), [0.0, 1.0, 2.0]))
@@ -439,7 +450,7 @@ class TestExpectations:
         # position then sits near the classical circular radius n^2
         ln_s = solve_scale_ln(0.25, 16.0)
         st = build_state(
-            WeightSpec.stretched(0.25), None, 0.0, ellipse_to_angular(0.0, 16),
+            WeightSpec.stretched(0.25), None, 0.0, ellipse_to_angular(0.0),
             ln_s=ln_s,
         )
         x, y = position_expectation(
@@ -465,16 +476,14 @@ class TestExpectations:
         ln_s = solve_scale_ln(1.0 / 128.0, 6.0)
         st = build_state(
             WeightSpec.stretched(1.0 / 128.0), None, 0.0,
-            ellipse_to_angular(0.0, 6), ln_s=ln_s,
+            ellipse_to_angular(0.0), ln_s=ln_s,
         )
-        from cohere.su2 import so4_amplitudes, so4_to_spherical
-
         r0 = 36.0
         phis = np.linspace(0, 2 * math.pi, 40, endpoint=False)
         psi = np.zeros(phis.size, dtype=complex)
         for c, n in zip(st.coeffs.values, st.coeffs.levels):
             n = int(n)
-            g = so4_to_spherical(so4_amplitudes(n, st.angular))
+            g = reference_table(n, st.angular)
             l = n - 1
             psi += c * g[l, 0] * radial(n, l, r0) * spherical_harmonic(
                 l, -l, math.pi / 2, phis
@@ -549,16 +558,16 @@ class TestLevelMoments:
 
 class TestEllipseMapping:
     def test_circular_limit(self):
-        params = ellipse_to_angular(0.0, 8)
+        params = ellipse_to_angular(0.0)
         assert params.zeta1 == 0.0 and params.zeta2 == 0.0
 
     def test_paper_eccentricity_at_several_levels(self):
-        params = ellipse_to_angular(0.385, 20)
+        params = ellipse_to_angular(0.385)
         for n in (10, 20, 40):
             assert abs(spin_vector_gap(params, n) - 0.385) <= 1e-6
 
     def test_extreme_eccentricity_kills_angular_momentum(self):
-        params = ellipse_to_angular(0.999999, 12)
+        params = ellipse_to_angular(0.999999)
         st = build_state(
             WeightSpec.stretched(0.25), None, 0.0, params,
             ln_s=solve_scale_ln(0.25, 12.0),
@@ -569,7 +578,7 @@ class TestEllipseMapping:
     def test_invalid_eccentricity(self):
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                ellipse_to_angular(bad, 10)
+                ellipse_to_angular(bad)
 
     def test_angular_momentum_along_z(self, ellipse_state):
         vec = orbital_angular_momentum(ellipse_state)
@@ -587,3 +596,26 @@ class TestEllipseMapping:
             np.sum(st_p := ellipse_state.coeffs.probabilities * (ellipse_state.coeffs.levels - 1))
         )
         assert vec[0] == pytest.approx(0.385 * mean_two_j, rel=1e-6)
+
+
+class TestPaperScale:
+    """The paper's state (levels 144-176) through the planar and orbit paths."""
+
+    def test_initial_lump_and_mirror_symmetry(self, paper_state):
+        # the lump sits at the grid point nearest a(1 - eps) = 15,744 on +x:
+        # (15,600, 0) at spacing 400
+        frame = field_on_grid(paper_state, GridSpec(width=40000.0, samples=101), 0.0)
+        mag = np.abs(frame.values)
+        iy, ix = np.unravel_index(np.argmax(mag), mag.shape)
+        axis = frame.spec.axis()
+        assert (axis[ix], axis[iy]) == (pytest.approx(15600.0), pytest.approx(0.0))
+        assert np.max(np.abs(mag - mag[::-1, :])) <= 1e-12 * mag[iy, ix]
+
+    def test_trace_norm_and_initial_mirror(self, paper_state):
+        mean = mean_level(paper_state, principal=True)
+        period = 2.0 * math.pi * mean**3
+        times = [0.0, *np.random.default_rng(7).uniform(0.0, period, 64)]
+        rows = position_trace(paper_state, times)
+        assert rows.shape == (65, 3)
+        assert np.max(np.abs(rows[:, 2] - 1.0)) <= 1e-12
+        assert abs(rows[0, 1]) <= 1e-9 * mean**2

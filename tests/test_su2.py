@@ -10,12 +10,17 @@ from hypothesis import strategies as hst
 from cohere.su2 import (
     AngularParams,
     coupling_matrix,
-    so4_amplitudes,
     so4_to_spherical,
     spin_expectation,
     stereographic,
     su2_amplitudes,
     su2_overlap,
+)
+from recoupling_oracle import (
+    anti_diagonal_sums,
+    product_amplitudes,
+    recouple_products,
+    reference_table,
 )
 
 
@@ -262,12 +267,12 @@ class TestOverlap:
 
 class TestProducts:
     def test_level_one_is_trivial(self):
-        amps = so4_amplitudes(1, AngularParams(0.3 + 0.1j, -2.0))
+        amps = product_amplitudes(1, AngularParams(0.3 + 0.1j, -2.0))
         assert amps.shape == (1, 1)
         assert amps[0, 0] == 1.0
 
     def test_fiducial_product(self):
-        amps = so4_amplitudes(2, AngularParams(0.0, 0.0))
+        amps = product_amplitudes(2, AngularParams(0.0, 0.0))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(amps, expected)
@@ -275,13 +280,13 @@ class TestProducts:
     def test_outer_product_structure(self):
         a = su2_amplitudes(1.0, 1.0)
         b = su2_amplitudes(1.0, -1.0)
-        amps = so4_amplitudes(3, AngularParams(1.0, -1.0))
+        amps = product_amplitudes(3, AngularParams(1.0, -1.0))
         np.testing.assert_allclose(amps, np.outer(a, b), rtol=1e-14)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            so4_amplitudes(0, AngularParams(0.0, 0.0))
+            product_amplitudes(0, AngularParams(0.0, 0.0))
         with pytest.raises(ValueError):
             AngularParams(complex("inf"), 0.0)
         with pytest.raises(ValueError):
@@ -292,12 +297,12 @@ class TestProducts:
 
 class TestRecoupling:
     def test_level_one(self):
-        c = so4_to_spherical(so4_amplitudes(1, AngularParams(0.0, 0.0)))
+        c = so4_to_spherical(1, AngularParams(0.0, 0.0))
         assert c.shape == (1, 1)
         assert c[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_stretched_coupling_at_level_two(self):
-        c = so4_to_spherical(so4_amplitudes(2, AngularParams(0.0, 0.0)))
+        c = so4_to_spherical(2, AngularParams(0.0, 0.0))
         # product of lowest-weight vectors couples purely to (l=1, m=-1);
         # column n-1+m = 1 holds (l=0, m=0)
         assert abs(c[1, 0]) == pytest.approx(1.0, rel=1e-12)
@@ -311,7 +316,7 @@ class TestRecoupling:
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         raw /= np.linalg.norm(raw)
-        c = so4_to_spherical(raw)
+        c = recouple_products(raw)
         assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 5, 21, 60])
@@ -320,7 +325,7 @@ class TestRecoupling:
         # columns with |m| > l are exact zeros
         rng = np.random.default_rng(n)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        c = so4_to_spherical(raw)
+        c = recouple_products(raw)
         assert c.shape == (n, 2 * n - 1)
         k_sum = np.add.outer(np.arange(n), np.arange(n))
         for l in range(n):
@@ -334,8 +339,12 @@ class TestRecoupling:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_rejects_non_square_input(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            recouple_products(np.ones(shape, dtype=complex))
+
+    def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            so4_to_spherical(np.ones(shape, dtype=complex))
+            so4_to_spherical(0, AngularParams(0.3, -0.3))
 
     def test_coupling_matrix_cached(self):
         assert coupling_matrix(4, 2) is coupling_matrix(4, 2)
@@ -368,3 +377,102 @@ class TestRecoupling:
             k1 = np.arange(max(0, m), min(two_j, two_j + m) + 1)
             block = tables[abs(m):, k1, m + two_j - k1]  # rows l >= |m|, columns m1
             assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-13
+
+
+def paper_zeta() -> float:
+    """tan(beta/2) with sin(beta) = 0.385: the paper's ellipse is (z, -z)."""
+    return math.tan(math.asin(0.385) / 2.0)
+
+
+def paper_ellipse_mp(n: int, z: float, dps: int = 40) -> np.ndarray:
+    """so4_to_spherical(n, (z, -z)) from the closed form in mpmath: the
+    spin-l part is N (2z)^(d-l) mu(d, l) sqrt((2l)!) (y^2 - z^2 x^2)^l."""
+    mpmath = pytest.importorskip("mpmath")
+    d = n - 1
+    out = np.zeros((n, 2 * n - 1), dtype=complex)
+    with mpmath.workdps(dps):
+        z = mpmath.mpf(z)
+        f = [mpmath.mpf(1)]
+        for k in range(1, 2 * n + 1):
+            f.append(f[-1] * k)
+        power = [(-z * z) ** i for i in range(n)]
+        norm = (1 + z * z) ** (-d)
+        for l in range(n):
+            kappa = (norm * (2 * z) ** (d - l) * f[d] / f[l]
+                     * mpmath.sqrt(f[2 * l + 1] / (f[d - l] * f[d + l + 1])))
+            for i in range(l + 1):  # C(l, i) (-z^2)^i / sqrt(C(2l, 2i)) at m = 2i - l
+                coef = (f[l] / (f[i] * f[l - i]) * power[i]
+                        * mpmath.sqrt(f[2 * i] * f[2 * l - 2 * i] / f[2 * l]))
+                out[l, d - l + 2 * i] = float(kappa * coef)
+    return out
+
+
+class TestClosedForm:
+    """so4_to_spherical against the tables, 40 digits and its own invariants."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 21, 60, 120, 176])
+    def test_matches_table_contraction(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [(paper_zeta(), -paper_zeta()), (0.0, 0.0), (0.7, 0.7), (3.0 - 1.0j, 0.2j)]
+        pairs += [tuple(complex(*rng.normal(size=2) * 2.0) for _ in range(2)) for _ in range(2)]
+        for z1, z2 in pairs:
+            params = AngularParams(z1, z2)
+            got = so4_to_spherical(n, params)
+            assert got.shape == (n, 2 * n - 1)
+            assert np.max(np.abs(got - reference_table(n, params))) <= 5e-14, (z1, z2)
+
+    @pytest.mark.parametrize("n", [120, 176])
+    def test_paper_ellipse_against_40_digits(self, n):
+        z = paper_zeta()
+        got = so4_to_spherical(n, AngularParams(z, -z))
+        assert np.max(np.abs(got - paper_ellipse_mp(n, z))) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(min_value=1, max_value=176),
+        log10_r=hst.tuples(hst.floats(-8.0, 8.0), hst.floats(-8.0, 8.0)),
+        arg=hst.tuples(hst.floats(-math.pi, math.pi), hst.floats(-math.pi, math.pi)),
+    )
+    @example(n=176, log10_r=(0.0, 0.0), arg=(0.0, math.pi))  # antipodal points
+    @example(n=12, log10_r=(-309.0, -309.0), arg=(0.0, math.pi))  # subnormal Delta
+    def test_unit_norm_and_exact_zeros(self, n, log10_r, arg):
+        zetas = [cmath.rect(10.0**r, a) for r, a in zip(log10_r, arg)]
+        c = so4_to_spherical(n, AngularParams(*zetas))
+        assert np.all(np.isfinite(c))
+        assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12
+        l, m = np.arange(n)[:, None], np.arange(1 - n, n)
+        assert np.all(c[np.abs(m) > l] == 0)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.4 - 0.2j, -1.0, 5.0 + 2.0j])
+    def test_coincident_parameters_keep_only_the_stretched_row(self, zeta):
+        # |j, z>|j, z> is the spin-2j coherent state |2j, z>, all in l = 2j;
+        # its amplitudes sqrt(C(4j, k)) z^k / (1+|z|^2)^(2j) in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        for n in (2, 21, 120):
+            d = n - 1
+            c = so4_to_spherical(n, AngularParams(zeta, zeta))
+            assert np.all(c[:d] == 0)
+            with mpmath.workdps(40):
+                z = mpmath.mpc(zeta)
+                want = [complex(mpmath.sqrt(mpmath.binomial(2 * d, k)) * z**k / (1 + abs(z) ** 2) ** d)
+                        for k in range(2 * d + 1)]
+            assert np.max(np.abs(c[d] - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [21, 176])
+    @pytest.mark.parametrize("modulus", [1e7, 1e-7])
+    def test_extreme_moduli_match_the_tables(self, n, modulus):
+        for z1, z2 in [(modulus * cmath.exp(0.3j), modulus * cmath.exp(-2.1j)),
+                       (modulus, modulus * cmath.exp(1e-3j)), (modulus, 1.0 / modulus)]:
+            params = AngularParams(z1, z2)
+            assert np.max(np.abs(so4_to_spherical(n, params) - reference_table(n, params))) <= 1e-13
+
+    def test_rescale_at_level_1101(self):
+        # Delta = 0.5 and Delta^1100 ~ 7e-332 underflows without the
+        # power-of-two carry, leaving every row 0
+        n, params = 1101, AngularParams(0.25, -0.25)
+        d = n - 1
+        c = so4_to_spherical(n, params)
+        assert np.all(np.isfinite(c))
+        assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12
+        stretched = anti_diagonal_sums(coupling_matrix(d, 2 * d), product_amplitudes(n, params))
+        assert np.max(np.abs(c[d] - stretched)) <= 1e-13

@@ -9,6 +9,7 @@ from pathlib import Path
 from cohere import cli, position
 from cohere.identity import standard_verification
 from cohere.state import build_state, solve_scale_ln
+from cohere.su2 import coupling_matrix
 from cohere.weights import WeightSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -41,7 +42,7 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     state = build_state(WeightSpec.stretched(0.25), None, 0.0,
-                        position.ellipse_to_angular(0.385, 3), ln_s=solve_scale_ln(0.25, 3.0))
+                        position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
     rows = position.position_trace(state, [0.0, 1.0, 2.0])  # as the orbit workload calls it
     assert rows.shape == (3, 3)
     [trace] = [s for s in tracer.spans if s[0] == "position.position_trace"]
@@ -52,6 +53,18 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
     probe = tracer.reference_probe()  # one uncached reference-level coupling table
     assert probe["su2.coupling_matrix.ref_table_s"] > 0
     assert probe["su2.cg.ref_frame_evals"] > 0
+
+
+def test_no_src_path_looks_up_a_coupling_table():
+    # recoupling is in closed form; the tables are only the tests' reference
+    before = coupling_matrix.cache_info()
+    state = build_state(WeightSpec.stretched(0.25), None, 0.0,
+                        position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
+    frames = list(position.field_frames(state, position.GridSpec(width=40.0, samples=9), [0.0, 1.0]))
+    rows = position.position_trace(state, [0.0, 1.0])
+    assert len(frames) == 2 and rows.shape == (2, 3)
+    after = coupling_matrix.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_traced_cli_writers_report_their_file_sizes(monkeypatch, tmp_path):
