@@ -13,13 +13,17 @@ numerical.
 
 Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
 applied when the cohere package is first imported, before numpy loads);
-COHERE_GRID_BUDGET overrides the planar-grid resource budget.  An optional
---config file holds flat key=value lines whose keys are the long option
-names (dashes or underscores); explicit flags win, and a key that names
-no option of the subcommand is a usage error.  Integer options accept
-integer-valued literals such as 1e9 from flags, configs and the
-environment alike; float options, their config values and each --times
-entry must be finite numbers.
+COHERE_GRID_BUDGET sets the planar-grid resource budget.
+
+Each option's value comes from the first of: its flag, the --config file,
+COHERE_GRID_BUDGET (for grid's --budget only), the built-in default that
+`cohere <command> --help` prints.  The config file holds flat key=value
+lines, read as descriptors are; the long name of any option of the
+subcommand is a valid key (dashes or underscores), a key that names none
+is a usage error, and required options must still be given as flags.
+Integer options accept integer-valued literals such as 1e9 from flags,
+configs and the environment alike; float options, their config values
+and each --times entry must be finite numbers.
 """
 from __future__ import annotations
 
@@ -37,7 +41,17 @@ class UsageError(Exception):
     pass
 
 
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # a default of None is described by the help text
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError; it and its subcommand parsers print each option's default."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{"formatter_class": _Help, **kwargs})
+
     def error(self, message):
         raise UsageError(message)
 
@@ -82,72 +96,72 @@ _int_option = _option(_integer)
 _real_option = _option(_real)
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
-    """Fill options still at None from the config file, then from the
-    built-in defaults."""
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values for the subcommand's options, read as
+    their flags are."""
     from cohere.state import parse_descriptor
 
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = {k.replace("-", "_"): v for k, v in parse_descriptor(args.config).items()}
-        except ValueError as exc:
-            raise UsageError(f"{exc} in {args.config}") from None
-    unknown = sorted(set(config) - set(vars(args)) - {"command"})
+    try:
+        config = {k.replace("-", "_"): v for k, v in parse_descriptor(path).items()}
+    except ValueError as exc:
+        raise UsageError(f"{exc} in {path}") from None
+    actions = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}
+    unknown = sorted(set(config) - set(actions))
     if unknown:
-        raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            if key not in config:
-                setattr(args, key, fallback)
-            elif isinstance(fallback, int):
-                setattr(args, key, _integer(config[key], f"config value {key}"))
-            elif isinstance(fallback, float):
-                setattr(args, key, _real(config[key], f"config value {key}"))
-            else:  # text options, and those without a default
-                setattr(args, key, config[key])
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {path}")
+    defaults = {}
+    for key, text in config.items():
+        action = actions[key]
+        read = {_int_option: _integer, _real_option: _real}.get(action.type)
+        value = read(text, f"config value {key}") if read else text
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config value {key} must be one of "
+                             f"{', '.join(action.choices)}, got {text!r}")
+        defaults[key] = value
+    return defaults
 
 
 def _weight_from_args(args) -> "object":
     from cohere.weights import WeightSpec
 
-    family = args.family
-    if family == "exponential":
+    if args.family == "exponential":
         return WeightSpec.exponential()
-    if family == "stretched":
-        if args.alpha is None:
-            raise UsageError("the stretched family requires --alpha")
-        if not args.alpha > 0:
-            raise UsageError("--alpha must be positive")
-        return WeightSpec.stretched(float(args.alpha))
-    raise UsageError(f"unknown weight family {family!r}")
+    if args.alpha is None:
+        raise UsageError("the stretched family requires --alpha")
+    if not args.alpha > 0:
+        raise UsageError("--alpha must be positive")
+    return WeightSpec.stretched(float(args.alpha))
 
 
 def build_parser() -> _Parser:
+    from cohere.weights import DEFAULT_TAIL_EPS
+
     parser = _Parser(
         prog="cohere",
         description="Coherent states for the hydrogen atom: solving, traces, fields, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # main installs a --config file as their defaults
+    config_help = "key=value file of option defaults"
 
     p = sub.add_parser("solve", help="solve for the scale matching a target mean level")
     p.add_argument("--alpha", type=_real_option, required=True, help="stretch exponent of the weight")
     p.add_argument("--mean", type=_real_option, required=True, help="target mean principal quantum number")
-    p.add_argument("--gamma", type=_real_option, default=None)
-    p.add_argument("--eccentricity", type=_real_option, default=None, help="Kepler eccentricity for the angular factor")
-    p.add_argument("--tail-eps", type=_real_option, default=None)
-    p.add_argument("--tol", type=_real_option, default=None, help="relative tolerance on the mean")
-    p.add_argument("--config", default=None)
-    p.add_argument("--output", "-o", default=None, help="state descriptor path")
+    p.add_argument("--gamma", type=_real_option, default=0.0, help="phase; the state at time t has gamma + t")
+    p.add_argument("--eccentricity", type=_real_option, default=0.0, help="Kepler eccentricity for the angular factor")
+    p.add_argument("--tail-eps", type=_real_option, default=DEFAULT_TAIL_EPS, help="weight outside the level window")
+    p.add_argument("--tol", type=_real_option, default=1e-9, help="relative tolerance on the mean")
+    p.add_argument("--config", default=None, help=config_help)
+    p.add_argument("--output", "-o", default="state.desc", help="state descriptor path")
 
     p = sub.add_parser("autocorr", help="autocorrelation trace to CSV")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--t-start", type=_real_option, default=None)
+    p.add_argument("--t-start", type=_real_option, default=0.0, help="start of the uniform time range")
     p.add_argument("--t-end", type=_real_option, default=None, help="defaults to 1.1x the revival time")
-    p.add_argument("--samples", type=_int_option, default=None)
-    p.add_argument("--refine-near-revivals", type=_int_option, default=None,
+    p.add_argument("--samples", type=_int_option, default=10001, help="uniform samples in the range")
+    p.add_argument("--refine-near-revivals", type=_int_option, default=0,
                    help="extra samples added around each fractional revival time")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", required=True)
 
     p = sub.add_parser("grid", help="planar field files at selected times")
@@ -156,9 +170,10 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_int_option, required=True)
     p.add_argument("--times", default=None,
                    help="comma-separated times; default: the fractional revival times")
-    p.add_argument("--format", choices=("csv", "bin"), default=None)
-    p.add_argument("--budget", type=_int_option, default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--format", choices=("csv", "bin"), default="csv", help="frame file format")
+    p.add_argument("--budget", type=_int_option, default=None,
+                   help="default: COHERE_GRID_BUDGET, else cohere.position.DEFAULT_GRID_BUDGET")
+    p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output-prefix", "-o", required=True)
 
     p = sub.add_parser("levels", help="level distribution to CSV")
@@ -166,20 +181,20 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o", required=True)
 
     p = sub.add_parser("verify", help="resolution-of-identity verification suite")
-    p.add_argument("--family", choices=("exponential", "stretched"), default="exponential")
-    p.add_argument("--alpha", type=_real_option, default=None)
-    p.add_argument("--n-max", type=_int_option, default=None)
-    p.add_argument("--su2-max-two-j", type=_int_option, default=None)
-    p.add_argument("--polar-order", type=_int_option, default=None)
-    p.add_argument("--azimuthal-count", type=_int_option, default=None)
-    p.add_argument("--full-tol", type=_real_option, default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
+    p.add_argument("--alpha", type=_real_option, default=None, help="stretch exponent of the weight")
+    p.add_argument("--n-max", type=_int_option, default=3, help="levels in the combined identity")
+    p.add_argument("--su2-max-two-j", type=_int_option, default=10, help="largest 2j of the spin checks")
+    p.add_argument("--polar-order", type=_int_option, default=24, help="polar nodes of the sphere rule")
+    p.add_argument("--azimuthal-count", type=_int_option, default=48, help="azimuthal nodes of the rule")
+    p.add_argument("--full-tol", type=_real_option, default=1e-8, help="tolerance of the combined identity")
+    p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
 
     p = sub.add_parser("weights", help="weight-function utilities")
     wsub = p.add_subparsers(dest="weights_command", required=True)
     m = wsub.add_parser("moments", help="log-moment table")
-    m.add_argument("--family", choices=("exponential", "stretched"), default="exponential")
+    m.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
     m.add_argument("--alpha", type=_real_option, default=None)
     m.add_argument("--n-max", type=_int_option, required=True)
     m.add_argument("--output", "-o", default=None, help="CSV path (stdout if omitted)")
@@ -201,10 +216,6 @@ def cmd_solve(args) -> int:
     from cohere.su2 import AngularParams
     from cohere.weights import WeightSpec
 
-    _merge_config(args, {
-        "gamma": 0.0, "eccentricity": 0.0, "tail_eps": 1e-12,
-        "tol": 1e-9, "output": "state.desc",
-    })
     if args.alpha <= 0:
         raise UsageError("--alpha must be positive")
     if args.mean <= 1:
@@ -243,10 +254,8 @@ def cmd_autocorr(args) -> int:
 
     state = read_descriptor(args.descriptor)
     t_revival = hydrogen.revival_time(mean_level(state, principal=True))
-    _merge_config(args, {
-        "t_start": 0.0, "t_end": 1.1 * t_revival, "samples": 10001,
-        "refine_near_revivals": 0,
-    })
+    if args.t_end is None:
+        args.t_end = 1.1 * t_revival
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     if not args.t_start < args.t_end:
@@ -284,18 +293,14 @@ def cmd_grid(args) -> int:
     )
     from cohere.state import _FMT, mean_level, read_descriptor
 
-    env_budget = os.environ.get("COHERE_GRID_BUDGET")
-    _merge_config(args, {
-        "times": None, "format": "csv",
-        "budget": (_integer(env_budget, "COHERE_GRID_BUDGET") if env_budget
-                   else DEFAULT_GRID_BUDGET),
-    })
+    budget = args.budget
+    if budget is None:
+        env_budget = os.environ.get("COHERE_GRID_BUDGET")
+        budget = _integer(env_budget, "COHERE_GRID_BUDGET") if env_budget else DEFAULT_GRID_BUDGET
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     if args.width <= 0:
         raise UsageError("--width must be positive")
-    if args.format not in ("csv", "bin"):
-        raise UsageError(f"--format must be csv or bin, got {args.format!r}")
 
     state = read_descriptor(args.descriptor)
     grid = GridSpec(width=args.width, samples=args.samples)
@@ -309,7 +314,7 @@ def cmd_grid(args) -> int:
         schedule = hydrogen.fractional_revival_times(t_revival)
 
     write = write_field_csv if args.format == "csv" else write_field_binary
-    frames = field_frames(state, grid, [t for _, t in schedule], budget=args.budget)
+    frames = field_frames(state, grid, [t for _, t in schedule], budget=budget)
     for (label, t), field in zip(schedule, frames):
         path = f"{args.output_prefix}_{_safe_label(label)}.{args.format}"
         write(path, field)
@@ -336,10 +341,6 @@ def cmd_verify(args) -> int:
         standard_verification,
     )
 
-    _merge_config(args, {
-        "n_max": 3, "su2_max_two_j": 10, "polar_order": 24,
-        "azimuthal_count": 48, "full_tol": 1e-8,
-    })
     if not 1 <= args.n_max <= MAX_LEVELS:
         raise UsageError(f"--n-max must lie in 1..{MAX_LEVELS}")
     if args.su2_max_two_j < 0:
@@ -386,6 +387,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # a second parse, so that explicit flags win over the file
+            subcommand = parser.commands[args.command]
+            subcommand.set_defaults(**_config_defaults(subcommand, args.config))
+            args = parser.parse_args(argv)
         # looked up at call time, so a wrapped cmd_* binding is the one called
         command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,
                    "levels": cmd_levels, "verify": cmd_verify, "weights": cmd_weights_moments}

@@ -56,7 +56,7 @@ import numpy as np
 
 from cohere import hydrogen
 
-from cohere.state import _FMT, CoherentState, _write_csv, reduced_phases
+from cohere.state import _FMT, CoherentState, _write_csv, mean_level, reduced_phases
 from cohere.su2 import (
     AngularParams,
     so4_to_spherical,
@@ -398,31 +398,31 @@ def ellipse_to_angular(eccentricity: float) -> AngularParams:
     )
 
 
-def spin_vector_gap(params: AngularParams, n: int) -> float:
-    """|<M> - <N>| / (2j) for the level-n two-spin factor.
+def _spin_direction(zeta: complex) -> np.ndarray:
+    """<J>/j of |j, zeta>, the same unit vector for every j > 0."""
+    return 2.0 * spin_expectation(0.5, su2_amplitudes(0.5, zeta))
 
-    Equals the eccentricity produced by ellipse_to_angular; the scaled
-    Runge-Lenz expectation per unit spin length.
+
+def spin_vector_gap(params: AngularParams) -> float:
+    """|<M> - <N>| / (2j) of the two-spin factor, the same at every level n >= 2.
+
+    Half the distance between the two spin directions.  Equals the
+    eccentricity produced by ellipse_to_angular; the scaled Runge-Lenz
+    expectation per unit spin length.
     """
-    j = (n - 1) / 2.0
-    if j == 0:
-        raise ValueError("level 1 carries no angular structure")
-    m_vec = spin_expectation(j, su2_amplitudes(j, params.zeta1))
-    n_vec = spin_expectation(j, su2_amplitudes(j, params.zeta2))
-    return float(np.linalg.norm(m_vec - n_vec) / (2.0 * j))
+    return float(np.linalg.norm(_spin_direction(params.zeta1) - _spin_direction(params.zeta2)) / 2.0)
 
 
 def _spin_expectations(state: CoherentState) -> tuple[np.ndarray, np.ndarray]:
-    """(<M>, <N>): the two spin expectations averaged over the levels."""
-    m_total = np.zeros(3)
-    n_total = np.zeros(3)
-    for n, p in zip(state.coeffs.levels, state.coeffs.probabilities):
-        j = (int(n) - 1) / 2.0
-        if j == 0:
-            continue
-        m_total += p * spin_expectation(j, su2_amplitudes(j, state.angular.zeta1))
-        n_total += p * spin_expectation(j, su2_amplitudes(j, state.angular.zeta2))
-    return m_total, n_total
+    """(<M>, <N>): the two spin expectations averaged over the levels.
+
+    Level n carries spins j = (n-1)/2 whose expectations are j times a
+    direction that does not depend on j, so each average is the mean j,
+    half the mean summation index, times that direction.
+    """
+    mean_j = mean_level(state) / 2.0
+    return (mean_j * _spin_direction(state.angular.zeta1),
+            mean_j * _spin_direction(state.angular.zeta2))
 
 
 def orbital_angular_momentum(state: CoherentState) -> np.ndarray:

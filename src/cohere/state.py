@@ -334,17 +334,11 @@ def overlap(a: CoherentState, b: CoherentState) -> complex:
         buf[c.n_min - lo : c.n_max - lo + 1] = c.values
         return buf
 
-    ca, cb = padded(a), padded(b)
-    total = 0.0 + 0.0j
-    for offset, (va, vb) in enumerate(zip(ca, cb)):
-        if va == 0 or vb == 0:
-            continue
-        j = (lo + offset) / 2.0  # level n+1 carries two spins of j = n/2
-        ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(
-            j, a.angular.zeta2, b.angular.zeta2
-        )
-        total += np.conj(va) * vb * ang
-    return complex(total)
+    j = np.arange(lo, hi + 1) / 2.0  # level n+1 carries two spins of j = n/2
+    ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(
+        j, a.angular.zeta2, b.angular.zeta2
+    )
+    return complex(np.sum(np.conj(padded(a)) * padded(b) * ang))
 
 
 # --- descriptor serialization -------------------------------------------

@@ -118,20 +118,25 @@ def stereographic(theta: float, phi: float) -> complex:
     return -math.tan(theta / 2.0) * cmath.exp(-1j * phi)
 
 
-def su2_overlap(j: float, zeta_a: complex, zeta_b: complex) -> complex:
-    """<j,zeta_a | j,zeta_b> in closed form.
+def su2_overlap(j, zeta_a: complex, zeta_b: complex):
+    """<j,zeta_a | j,zeta_b> in closed form, for one spin or an array of spins.
 
-    Equals [ (1 + conj(zeta_a) zeta_b)^2 /
-             ((1+|zeta_a|^2)(1+|zeta_b|^2)) ]^j.
+    Equals q^j with q = (1 + conj(zeta_a) zeta_b)^2 /
+    ((1+|zeta_a|^2)(1+|zeta_b|^2)); ln q is formed once, so an array of
+    spins costs one exponential each.  At antipodal parameters q = 0: every
+    j > 0 gives 0, and j = 0, whose single state is the same for every
+    zeta, gives 1.
     """
-    _check_two_j(j)
+    spins = np.asarray(j, dtype=float)
+    for spin in spins.reshape(-1):
+        _check_two_j(spin)
     cross = 1.0 + zeta_a.conjugate() * zeta_b
     if cross == 0:
-        return 0.0 + 0.0j
-    log_factor = (
-        2.0 * cmath.log(cross) - _log1p_abs_sq(zeta_a) - _log1p_abs_sq(zeta_b)
-    )
-    return cmath.exp(j * log_factor)
+        out = (spins == 0).astype(complex)
+    else:
+        log_q = 2.0 * cmath.log(cross) - _log1p_abs_sq(zeta_a) - _log1p_abs_sq(zeta_b)
+        out = np.exp(spins * log_q)
+    return complex(out) if spins.ndim == 0 else out
 
 
 def spin_expectation(j: float, amplitudes: np.ndarray) -> np.ndarray:

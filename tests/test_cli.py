@@ -103,6 +103,126 @@ class TestConfigValues:
         assert float(rows[-1].split(",")[0]) == 100.0
 
 
+# One config value for every option that a flag need not give, with the
+# value the command must act on; solve and verify write to the working
+# directory unless an output is given.
+CONFIG_CASES = [
+    ("solve", "gamma=2.5", {"gamma": 2.5}),
+    ("solve", "eccentricity=0.2", {"eccentricity": 0.2}),
+    ("solve", "tail-eps=1e-10", {"tail_eps": 1e-10}),
+    ("solve", "tol=1e-7", {"tol": 1e-7}),
+    ("solve", "output=from_config.desc", {"output": "from_config.desc"}),
+    ("autocorr", "t-start=10", {"t_start": 10.0}),
+    ("autocorr", "t_end=100", {"t_end": 100.0}),
+    ("autocorr", "samples=7", {"samples": 7}),
+    ("autocorr", "refine-near-revivals=3", {"refine_near_revivals": 3}),
+    ("grid", "times=0,5", {"times": "0,5"}),
+    ("grid", "format=bin", {"format": "bin"}),
+    ("grid", "budget=1e8", {"budget": 10**8}),
+    ("verify", "family=stretched\nalpha=0.25", {"family": "stretched", "alpha": 0.25}),
+    ("verify", "alpha=0.5", {"alpha": 0.5}),
+    ("verify", "n-max=2", {"n_max": 2}),
+    ("verify", "su2-max-two-j=4", {"su2_max_two_j": 4}),
+    ("verify", "polar-order=32", {"polar_order": 32}),
+    ("verify", "azimuthal-count=64", {"azimuthal_count": 64}),
+    ("verify", "full-tol=1e-7", {"full_tol": 1e-7}),
+    ("verify", "output=from_config.json", {"output": "from_config.json"}),
+]
+
+
+def optional_options(command):
+    """Dests of the options of a subcommand that no flag has to give."""
+    actions = cli.build_parser().commands[command]._actions
+    return {a.dest for a in actions
+            if a.option_strings and not a.required and a.dest not in ("help", "config")}
+
+
+class TestConfigDefaults:
+    @staticmethod
+    def required_argv(command, descriptor, tmp_path):
+        return {
+            "solve": ["solve", "--alpha", "0.25", "--mean", "3"],
+            "autocorr": autocorr_argv(descriptor, tmp_path),
+            "grid": ["grid", "--descriptor", str(descriptor), "--width", "20", "--samples", "5",
+                     "-o", str(tmp_path / "frame")],
+            "verify": ["verify"],
+        }[command]
+
+    def test_cases_cover_every_optional_option(self):
+        for command in ("solve", "autocorr", "grid", "verify"):
+            covered = {key for name, _, want in CONFIG_CASES if name == command for key in want}
+            assert covered == optional_options(command)
+
+    @pytest.mark.parametrize("command, lines, want", CONFIG_CASES,
+                             ids=[f"{c}-{'-'.join(w)}" for c, _, w in CONFIG_CASES])
+    def test_config_value_reaches_the_command(self, descriptor, tmp_path, monkeypatch,
+                                              command, lines, want):
+        monkeypatch.chdir(tmp_path)
+        run = getattr(cli, f"cmd_{command}")
+        seen = {}
+
+        def recorded(args):
+            status = run(args)
+            seen.update(vars(args))
+            return status
+
+        monkeypatch.setattr(cli, f"cmd_{command}", recorded)
+        config = tmp_path / "options.cfg"
+        config.write_text(lines + "\n")
+        argv = [*self.required_argv(command, descriptor, tmp_path), "--config", str(config)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert {key: seen[key] for key in want} == want
+
+    def test_verify_config_runs_the_stretched_family(self, tmp_path):
+        config = tmp_path / "verify.cfg"
+        config.write_text(f"family=stretched\nalpha=0.03125\noutput={tmp_path / 'config.json'}\n")
+        assert cli.main(["verify", "--config", str(config)]) == cli.EXIT_OK
+        flags = ["--family", "stretched", "--alpha", "0.03125"]
+        assert cli.main(["verify", *flags, "-o", str(tmp_path / "flags.json")]) == cli.EXIT_OK
+        assert cli.main(["verify", "-o", str(tmp_path / "exponential.json")]) == cli.EXIT_OK
+        report = (tmp_path / "config.json").read_text()
+        assert report == (tmp_path / "flags.json").read_text()
+
+        def radial(text):
+            checks = json.loads(text)["checks"]
+            return next(c for c in checks if c["name"] == "radial moment identity")
+
+        exponential = (tmp_path / "exponential.json").read_text()
+        assert radial(report)["max_deviation"] != radial(exponential)["max_deviation"]
+
+    @pytest.mark.parametrize("flag, config, environment, status", [
+        (None, None, None, cli.EXIT_OK),  # the built-in 1e9
+        (None, None, "10", cli.EXIT_BUDGET),
+        (None, "1e9", "10", cli.EXIT_OK),
+        (None, "10", "1e9", cli.EXIT_BUDGET),
+        ("1e9", "10", "10", cli.EXIT_OK),
+        ("10", "1e9", "1e9", cli.EXIT_BUDGET),
+    ])
+    def test_flag_then_config_then_environment_then_default(
+            self, descriptor, tmp_path, monkeypatch, flag, config, environment, status):
+        extra = [] if flag is None else ["--budget", flag]
+        if config is not None:
+            (tmp_path / "grid.cfg").write_text(f"budget={config}\n")
+            extra += ["--config", str(tmp_path / "grid.cfg")]
+        if environment is None:
+            monkeypatch.delenv("COHERE_GRID_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("COHERE_GRID_BUDGET", environment)
+        assert cli.main(grid_argv(descriptor, tmp_path, *extra)) == status
+
+    @pytest.mark.parametrize("command", ["solve", "autocorr", "grid", "verify"])
+    def test_help_prints_each_default(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        parser = cli.build_parser().commands[command]
+        for dest in optional_options(command):
+            default = parser.get_default(dest)
+            if default is not None:
+                assert f"(default: {default})" in text, dest
+
+
 class TestIntegerFlags:
     def test_grid_budget_literal(self, descriptor, tmp_path):
         assert cli.main(grid_argv(descriptor, tmp_path, "--budget", "1e9")) == cli.EXIT_OK

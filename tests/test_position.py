@@ -29,7 +29,7 @@ from cohere.position import (
     write_field_csv,
 )
 from cohere.state import build_state, evolve, mean_level, reduced_phases, solve_scale_ln
-from cohere.su2 import AngularParams
+from cohere.su2 import AngularParams, spin_expectation, su2_amplitudes
 from cohere.weights import WeightSpec
 
 from recoupling_oracle import reference_table
@@ -563,8 +563,24 @@ class TestEllipseMapping:
 
     def test_paper_eccentricity_at_several_levels(self):
         params = ellipse_to_angular(0.385)
+        assert abs(spin_vector_gap(params) - 0.385) <= 1e-6
+        # <J> of |j, zeta> is j times the spin-1/2 direction at every level
         for n in (10, 20, 40):
-            assert abs(spin_vector_gap(params, n) - 0.385) <= 1e-6
+            j = (n - 1) / 2.0
+            for zeta in (params.zeta1, params.zeta2):
+                per_level = spin_expectation(j, su2_amplitudes(j, zeta))
+                assert np.max(np.abs(per_level - j * P._spin_direction(zeta))) <= 1e-12
+
+    def test_state_averages_match_the_level_sum(self, ellipse_state):
+        m_sum = np.zeros(3)
+        n_sum = np.zeros(3)
+        for n, p in zip(ellipse_state.coeffs.levels, ellipse_state.coeffs.probabilities):
+            j = (int(n) - 1) / 2.0
+            m_sum += p * spin_expectation(j, su2_amplitudes(j, ellipse_state.angular.zeta1))
+            n_sum += p * spin_expectation(j, su2_amplitudes(j, ellipse_state.angular.zeta2))
+        for got, want in ((orbital_angular_momentum(ellipse_state), m_sum + n_sum),
+                          (runge_lenz_expectation(ellipse_state), m_sum - n_sum)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_extreme_eccentricity_kills_angular_momentum(self):
         params = ellipse_to_angular(0.999999)

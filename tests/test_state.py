@@ -330,6 +330,15 @@ class TestOverlap:
         expected = a.coeffs.values[0].conjugate() * b.coeffs.values[0]
         assert abs(got - expected) <= 1e-7
 
+    def test_antipodal_angular_parameters_keep_the_ground_level(self):
+        # every level above the ground one is orthogonal; spin 0 overlaps fully
+        spec = WeightSpec.exponential()
+        a = build_state(spec, 1.0, 0.0, AngularParams(1.0, 1.0))
+        b = build_state(spec, 1.0, 0.0, AngularParams(-1.0, -1.0))
+        c0 = a.coeffs.values[0]
+        assert a.coeffs.n_min == 0 and abs(c0 - b.coeffs.values[0]) == 0.0
+        assert abs(overlap(a, b) - c0.conjugate() * c0) <= 1e-15
+        assert abs(overlap(a, b) - 0.0736) <= 5e-5
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -264,6 +264,17 @@ class TestOverlap:
         anti = -1.0 / z.conjugate()
         assert abs(su2_overlap(3, z, anti)) <= 1e-90
 
+    def test_spin_zero_overlap_is_one_everywhere(self):
+        # spin 0 has a single state, so even antipodal parameters overlap fully
+        assert su2_overlap(0, 1.0, -1.0) == 1.0
+        assert np.array_equal(su2_overlap(np.array([0.0, 0.5, 3.0]), 1.0, -1.0), [1.0, 0.0, 0.0])
+
+    def test_array_of_spins_matches_direct_sums(self):
+        spins = np.arange(0, 41) / 2.0
+        za, zb = 0.3 - 1.7j, -2.2 + 0.4j
+        direct = [np.vdot(su2_amplitudes(j, za), su2_amplitudes(j, zb)) for j in spins]
+        assert np.max(np.abs(su2_overlap(spins, za, zb) - direct)) <= 1e-13
+
 
 class TestProducts:
     def test_level_one_is_trivial(self):
