@@ -125,6 +125,8 @@ def _weight_from_args(args) -> "object":
     from cohere.weights import WeightSpec
 
     if args.family == "exponential":
+        if args.alpha is not None:
+            raise UsageError("--alpha requires --family stretched")
         return WeightSpec.exponential()
     if args.alpha is None:
         raise UsageError("the stretched family requires --alpha")

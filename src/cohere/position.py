@@ -22,7 +22,8 @@ identical ellipse geometry.)
 Planar frames and orbit traces take time only through the evolved level
 coefficients c(t).  A grid frame is c(t) . Phi, where row n of Phi is
 level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
-g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii, summed over m
+g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii (keyed on the
+integer squared grid offsets, so equal radii merge exactly), summed over m
 by Horner's rule in e^{i phi}.  g_n is level n's recoupled table from
 su2.so4_to_spherical, read as it comes: column n-1+m holds m for every
 l, so F_n[m] is that column against the plane-Legendre factors.  Phi
@@ -214,10 +215,12 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     if cost > budget:
         raise BudgetExceededError(cost, budget)
 
-    axis = grid.axis()
-    xx, yy = np.meshgrid(axis, axis)  # values[iy, ix]
-    r_unique, inverse = np.unique(np.hypot(xx, yy).ravel(), return_inverse=True)
-    phi = np.arctan2(yy, xx).ravel()
+    # point (ix, iy) sits at (kx, ky) * spacing / 2; equal radii share one key kx^2 + ky^2
+    k = 2 * np.arange(grid.samples) - (grid.samples - 1)
+    kx, ky = np.meshgrid(k, k)  # values[iy, ix]
+    keys, inverse = np.unique((kx * kx + ky * ky).ravel(), return_inverse=True)
+    r_unique = grid.width / (2.0 * (grid.samples - 1)) * np.sqrt(keys)
+    phi = np.arctan2(ky, kx).ravel()
     e_iphi = np.exp(1j * phi)
     plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
     for m in range(n_top):

@@ -216,7 +216,15 @@ def solve_scale_ln(
     The target is the principal mean by default; pass principal=False to
     aim the summation-index mean instead (the only meaningful reading for
     targets below 1).  Seeded by inverting the leading-order mean, then
-    refined by bisection in ln s (the mean is monotone in the scale).
+    refined by safeguarded Newton steps in ln s.  Since ln p_n = 2n ln s +
+    (terms free of s) - ln Z, the mean's slope d<n>/d ln s is exactly
+    2 Var(n), read off the same level window.  Each evaluation narrows a
+    bracket around the root (the mean grows with the scale).  A step is
+    cut to a cap of 0.5 that doubles each time it binds, so a far seed
+    walks out geometrically instead of jumping to a scale whose series
+    cannot be summed; a step that would leave the bracket bisects it.  If
+    the bracket collapses to rounding before tol is met, its midpoint is
+    returned.
     """
     if target_mean <= 0:
         raise ValueError("target mean must be positive")
@@ -225,42 +233,31 @@ def solve_scale_ln(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     spec = WeightSpec.stretched(alpha)
-    shift = 1.0 if principal else 0.0
+    index_target = target_mean - (1.0 if principal else 0.0)
 
-    def mean_at(ln_s: float) -> float:
+    ln_s = math.log(max(index_target, target_mean / 4.0) / alpha) / (2.0 * alpha)
+    lo, hi, cap = -math.inf, math.inf, 0.5
+    for _ in range(200):
         n_values, p = _distribution_window(spec, ln_s, tail_eps)
-        return float(np.sum((n_values + shift) * p))
-
-    lo = hi = math.log(max(target_mean - shift, target_mean / 4.0) / alpha) / (2.0 * alpha)
-    step = 0.5
-    for _ in range(200):
-        if mean_at(lo) <= target_mean:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise ArithmeticError("failed to bracket the target mean from below")
-    step = 0.5
-    for _ in range(200):
-        if mean_at(hi) >= target_mean:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise ArithmeticError("failed to bracket the target mean from above")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = mean_at(mid)
-        if abs(value - target_mean) <= tol * target_mean:
-            return mid
-        if value < target_mean:
-            lo = mid
+        mean = float(np.sum(n_values * p))
+        miss = index_target - mean
+        if abs(miss) <= tol * target_mean:
+            return ln_s
+        if miss > 0:
+            lo = ln_s
         else:
-            hi = mid
+            hi = ln_s
         if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+        slope = 2.0 * float(np.sum((n_values - mean) ** 2 * p))
+        step = miss / slope if slope > 0 else math.copysign(math.inf, miss)
+        if abs(step) > cap:
+            step = math.copysign(cap, step)
+            cap *= 2.0
+        ln_s += step
+        if not lo < ln_s < hi:
+            ln_s = 0.5 * (lo + hi)
+    raise ArithmeticError("the scale solve did not converge")
 
 
 def solve_scale(

@@ -104,29 +104,30 @@ class TestConfigValues:
 
 
 # One config value for every option that a flag need not give, with the
-# value the command must act on; solve and verify write to the working
-# directory unless an output is given.
+# value the command must act on and its exit status; solve and verify
+# write to the working directory unless an output is given.  --alpha
+# without --family stretched is refused, from a config as from a flag.
 CONFIG_CASES = [
-    ("solve", "gamma=2.5", {"gamma": 2.5}),
-    ("solve", "eccentricity=0.2", {"eccentricity": 0.2}),
-    ("solve", "tail-eps=1e-10", {"tail_eps": 1e-10}),
-    ("solve", "tol=1e-7", {"tol": 1e-7}),
-    ("solve", "output=from_config.desc", {"output": "from_config.desc"}),
-    ("autocorr", "t-start=10", {"t_start": 10.0}),
-    ("autocorr", "t_end=100", {"t_end": 100.0}),
-    ("autocorr", "samples=7", {"samples": 7}),
-    ("autocorr", "refine-near-revivals=3", {"refine_near_revivals": 3}),
-    ("grid", "times=0,5", {"times": "0,5"}),
-    ("grid", "format=bin", {"format": "bin"}),
-    ("grid", "budget=1e8", {"budget": 10**8}),
-    ("verify", "family=stretched\nalpha=0.25", {"family": "stretched", "alpha": 0.25}),
-    ("verify", "alpha=0.5", {"alpha": 0.5}),
-    ("verify", "n-max=2", {"n_max": 2}),
-    ("verify", "su2-max-two-j=4", {"su2_max_two_j": 4}),
-    ("verify", "polar-order=32", {"polar_order": 32}),
-    ("verify", "azimuthal-count=64", {"azimuthal_count": 64}),
-    ("verify", "full-tol=1e-7", {"full_tol": 1e-7}),
-    ("verify", "output=from_config.json", {"output": "from_config.json"}),
+    ("solve", "gamma=2.5", {"gamma": 2.5}, cli.EXIT_OK),
+    ("solve", "eccentricity=0.2", {"eccentricity": 0.2}, cli.EXIT_OK),
+    ("solve", "tail-eps=1e-10", {"tail_eps": 1e-10}, cli.EXIT_OK),
+    ("solve", "tol=1e-7", {"tol": 1e-7}, cli.EXIT_OK),
+    ("solve", "output=from_config.desc", {"output": "from_config.desc"}, cli.EXIT_OK),
+    ("autocorr", "t-start=10", {"t_start": 10.0}, cli.EXIT_OK),
+    ("autocorr", "t_end=100", {"t_end": 100.0}, cli.EXIT_OK),
+    ("autocorr", "samples=7", {"samples": 7}, cli.EXIT_OK),
+    ("autocorr", "refine-near-revivals=3", {"refine_near_revivals": 3}, cli.EXIT_OK),
+    ("grid", "times=0,5", {"times": "0,5"}, cli.EXIT_OK),
+    ("grid", "format=bin", {"format": "bin"}, cli.EXIT_OK),
+    ("grid", "budget=1e8", {"budget": 10**8}, cli.EXIT_OK),
+    ("verify", "family=stretched\nalpha=0.25", {"family": "stretched", "alpha": 0.25}, cli.EXIT_OK),
+    ("verify", "alpha=0.5", {"alpha": 0.5}, cli.EXIT_USAGE),
+    ("verify", "n-max=2", {"n_max": 2}, cli.EXIT_OK),
+    ("verify", "su2-max-two-j=4", {"su2_max_two_j": 4}, cli.EXIT_OK),
+    ("verify", "polar-order=32", {"polar_order": 32}, cli.EXIT_OK),
+    ("verify", "azimuthal-count=64", {"azimuthal_count": 64}, cli.EXIT_OK),
+    ("verify", "full-tol=1e-7", {"full_tol": 1e-7}, cli.EXIT_OK),
+    ("verify", "output=from_config.json", {"output": "from_config.json"}, cli.EXIT_OK),
 ]
 
 
@@ -150,27 +151,27 @@ class TestConfigDefaults:
 
     def test_cases_cover_every_optional_option(self):
         for command in ("solve", "autocorr", "grid", "verify"):
-            covered = {key for name, _, want in CONFIG_CASES if name == command for key in want}
+            covered = {key for name, _, want, status in CONFIG_CASES
+                       if name == command and status == cli.EXIT_OK for key in want}
             assert covered == optional_options(command)
 
-    @pytest.mark.parametrize("command, lines, want", CONFIG_CASES,
-                             ids=[f"{c}-{'-'.join(w)}" for c, _, w in CONFIG_CASES])
+    @pytest.mark.parametrize("command, lines, want, status", CONFIG_CASES,
+                             ids=[f"{c}-{'-'.join(w)}" for c, _, w, _ in CONFIG_CASES])
     def test_config_value_reaches_the_command(self, descriptor, tmp_path, monkeypatch,
-                                              command, lines, want):
+                                              command, lines, want, status):
         monkeypatch.chdir(tmp_path)
         run = getattr(cli, f"cmd_{command}")
         seen = {}
 
         def recorded(args):
-            status = run(args)
             seen.update(vars(args))
-            return status
+            return run(args)
 
         monkeypatch.setattr(cli, f"cmd_{command}", recorded)
         config = tmp_path / "options.cfg"
         config.write_text(lines + "\n")
         argv = [*self.required_argv(command, descriptor, tmp_path), "--config", str(config)]
-        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(argv) == status
         assert {key: seen[key] for key in want} == want
 
     def test_verify_config_runs_the_stretched_family(self, tmp_path):
@@ -428,6 +429,30 @@ class TestVerify:
         report = tmp_path / "report.json"
         assert cli.main(["verify", "--full-tol", "1e-300", "-o", str(report)]) == cli.EXIT_NUMERICAL
         assert json.loads(report.read_text())["passed"] is False
+
+
+class TestAlphaNeedsTheStretchedFamily:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--alpha", "0.03125"],
+        ["verify", "--family", "exponential", "--alpha", "0.25"],
+        ["weights", "moments", "--alpha", "0.25", "--n-max", "3"],
+    ])
+    def test_flag_is_a_usage_error_naming_both_options(self, tmp_path, capsys, argv):
+        path = tmp_path / "out"
+        assert cli.main([*argv, "-o", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "--family" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("lines", ["alpha=0.03125", "family=exponential\nalpha=0.25"])
+    def test_config_value_is_a_usage_error_naming_both_options(self, tmp_path, capsys, lines):
+        report = tmp_path / "report.json"
+        config = tmp_path / "verify.cfg"
+        config.write_text(f"{lines}\noutput={report}\n")
+        assert cli.main(["verify", "--config", str(config)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "--family" in err
+        assert not report.exists()
 
 
 class TestWeightsMoments:

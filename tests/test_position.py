@@ -399,6 +399,21 @@ class TestPlanarField:
         assert calls == st.coeffs.levels.tolist()
         assert radial_levels == [[n] for n in calls]
 
+    @pytest.mark.parametrize("width", [40000.0, 400.0])
+    def test_equal_radii_share_one_radial_row(self, monkeypatch, width):
+        # 40000/300 is not a binary fraction, so hypot radii of mirrored
+        # points differ by an ulp; the integer keys kx^2 + ky^2 of a 301^2
+        # grid take 8,001 distinct values whatever the width
+        st = small_orbit_state(0.385)
+        grid = GridSpec(width=width, samples=301)
+        sizes, by_degree = [], P._radial_by_degree
+        monkeypatch.setattr(P, "_radial_by_degree",
+                            lambda levels, r: sizes.append(r.size) or by_degree(levels, r))
+        frame = field_on_grid(st, grid, 0.0)
+        assert set(sizes) == {8001}
+        want = dense_field_on_grid(st, grid, 0.0)  # on the np.unique(np.hypot(x, y)) radii
+        assert np.max(np.abs(frame.values - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(width=0.0, samples=16)
@@ -626,6 +641,18 @@ class TestPaperScale:
         axis = frame.spec.axis()
         assert (axis[ix], axis[iy]) == (pytest.approx(15600.0), pytest.approx(0.0))
         assert np.max(np.abs(mag - mag[::-1, :])) <= 1e-12 * mag[iy, ix]
+
+    def test_long_time_mean_of_x(self, paper_state):
+        # over many Kepler periods only the diagonal of the x moment
+        # survives: <x> averages to -(3/2) eps sum_n p_n n(n - 1)
+        n = paper_state.coeffs.levels
+        reference = -1.5 * 0.385 * np.sum(paper_state.coeffs.probabilities * n * (n - 1.0))
+        period = 2.0 * math.pi * mean_level(paper_state, principal=True) ** 3
+        times = np.random.default_rng(7).uniform(0.0, 50.0 * period, 256)
+        x = position_trace(paper_state, times)[:, 0]
+        standard_error = np.std(x, ddof=1) / math.sqrt(x.size)
+        assert abs(reference - -14694.5) <= 0.05
+        assert abs(np.mean(x) - reference) <= 4.0 * standard_error
 
     def test_trace_norm_and_initial_mirror(self, paper_state):
         mean = mean_level(paper_state, principal=True)

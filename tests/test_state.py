@@ -164,6 +164,48 @@ class TestSolveScale:
         assert lns[0] > lns[1] > lns[2]
 
 
+# Extreme exponents and targets: principal means from just above the
+# ground state to 5000, and summation-index means down to 1e-6.
+SOLVE_CASES = (
+    [(alpha, target, True) for alpha in (1 / 128, 1 / 64, 1 / 32, 0.25, 1.0, 2.0, 4.0)
+     for target in (1.0001, 1.01, 1.5, 3.0, 20.0, 160.0, 2000.0, 5000.0)]
+    + [(alpha, target, False) for alpha in (0.25, 1.0, 4.0)
+       for target in (1e-6, 1e-3, 0.04, 0.5, 5.0)]
+)
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """ln s for every SOLVE_CASES entry at the default tol."""
+    return {case: solve_scale_ln(case[0], case[1], principal=case[2]) for case in SOLVE_CASES}
+
+
+class TestSolveContract:
+    @pytest.mark.parametrize("case", SOLVE_CASES, ids=[f"{a:g}-{t:g}-{'n' if p else 'index'}"
+                                                       for a, t, p in SOLVE_CASES])
+    def test_solved_state_meets_the_relative_tol(self, solved, case):
+        alpha, target, principal = case
+        st = build_state(WeightSpec.stretched(alpha), None, 0.0, AngularParams(0.0, 0.0),
+                         ln_s=solved[case])
+        assert abs(mean_level(st, principal=principal) - target) <= 1e-9 * target
+
+    def test_scale_grows_with_the_target(self, solved):
+        for alpha in {a for a, _, _ in SOLVE_CASES}:
+            for principal in (True, False):
+                lns = [ln_s for (a, _, p), ln_s in solved.items() if a == alpha and p == principal]
+                assert lns == sorted(lns) and len(set(lns)) == len(lns)
+
+    def test_paper_solve_takes_few_windows(self, monkeypatch):
+        from cohere import state
+
+        windows = []
+        window = state._distribution_window
+        monkeypatch.setattr(state, "_distribution_window",
+                            lambda *args: windows.append(args) or window(*args))
+        solve_scale_ln(ALPHA_PAPER, 160.0)
+        assert 1 <= len(windows) <= 5
+
+
 class TestEvolution:
     def test_zero_time_identity(self, paper_state):
         same = evolve(paper_state, 0.0)
