@@ -136,7 +136,15 @@ def _weight_from_args(args) -> "object":
 
 
 def build_parser() -> _Parser:
+    from inspect import signature
+
+    from cohere.identity import standard_verification
+    from cohere.state import solve_scale_ln
     from cohere.weights import DEFAULT_TAIL_EPS
+
+    # the library's defaults, read where they are written
+    tol = signature(solve_scale_ln).parameters["tol"].default
+    verify = {name: p.default for name, p in signature(standard_verification).parameters.items()}
 
     parser = _Parser(
         prog="cohere",
@@ -152,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=_real_option, default=0.0, help="phase; the state at time t has gamma + t")
     p.add_argument("--eccentricity", type=_real_option, default=0.0, help="Kepler eccentricity for the angular factor")
     p.add_argument("--tail-eps", type=_real_option, default=DEFAULT_TAIL_EPS, help="weight outside the level window")
-    p.add_argument("--tol", type=_real_option, default=1e-9, help="relative tolerance on the mean")
+    p.add_argument("--tol", type=_real_option, default=tol, help="relative tolerance on the mean")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default="state.desc", help="state descriptor path")
 
@@ -185,11 +193,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="resolution-of-identity verification suite")
     p.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
     p.add_argument("--alpha", type=_real_option, default=None, help="stretch exponent of the weight")
-    p.add_argument("--n-max", type=_int_option, default=3, help="levels in the combined identity")
-    p.add_argument("--su2-max-two-j", type=_int_option, default=10, help="largest 2j of the spin checks")
-    p.add_argument("--polar-order", type=_int_option, default=24, help="polar nodes of the sphere rule")
-    p.add_argument("--azimuthal-count", type=_int_option, default=48, help="azimuthal nodes of the rule")
-    p.add_argument("--full-tol", type=_real_option, default=1e-8, help="tolerance of the combined identity")
+    p.add_argument("--n-max", type=_int_option, default=verify["n_max"],
+                   help="levels in the combined identity")
+    p.add_argument("--su2-max-two-j", type=_int_option, default=verify["su2_max_two_j"],
+                   help="largest 2j of the spin checks")
+    p.add_argument("--polar-order", type=_int_option, default=verify["polar_order"],
+                   help="polar nodes of the sphere rule")
+    p.add_argument("--azimuthal-count", type=_int_option, default=verify["azimuthal_count"],
+                   help="azimuthal nodes of the rule")
+    p.add_argument("--full-tol", type=_real_option, default=verify["full_tol"],
+                   help="tolerance of the combined identity")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
 

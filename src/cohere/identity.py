@@ -308,8 +308,8 @@ def standard_verification(
     spec: WeightSpec | None = None,
     n_max: int = 3,
     su2_max_two_j: int = 10,
-    polar_order: int = 24,
-    azimuthal_count: int = 48,
+    polar_order: int = QuadratureSpec.polar_order,
+    azimuthal_count: int = QuadratureSpec.azimuthal_count,
     gamma_halfwidths: tuple[float, ...] = (1e3, 1e4, 1e5),
     full_tol: float = 1e-8,
 ) -> list[CheckResult]:

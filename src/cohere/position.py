@@ -1,7 +1,7 @@
 """Position-space evaluation: eigenfunctions, planar fields, orbit traces.
 
 Radial functions come from one recurrence in l, downward with a per-point
-log-magnitude carry (_radial_by_degree), so that principal quantum numbers
+log-magnitude carry (_radial_logs), so that principal quantum numbers
 of a few hundred stay finite; the theta part of the spherical harmonics
 uses the fully normalized Legendre recurrence, stable to degree ~200,
 with the Condon-Shortley phase.
@@ -96,8 +96,14 @@ class GridSpec:
         if self.samples < 2:
             raise ValueError("grid needs at least 2 samples per side")
 
+    def _offsets(self) -> tuple[np.ndarray, float]:
+        """(k, h): sample i sits at k[i] * h, with the integer k = 2i - (samples - 1)
+        and h half the spacing, so the axis is exactly antisymmetric."""
+        return 2 * np.arange(self.samples) - (self.samples - 1), self.width / (2.0 * (self.samples - 1))
+
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.width / 2.0, self.width / 2.0, self.samples)
+        k, h = self._offsets()
+        return h * k
 
 
 @dataclass(frozen=True)
@@ -123,15 +129,25 @@ def radial(n: int, l: int, r) -> np.ndarray | float:
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("r must be nonnegative")
-    for degree, rows in _radial_by_degree(np.array([n]), r_arr.ravel()):
+    for degree, _, u, log_scale in _radial_logs(np.array([n]), r_arr.ravel()):
         if degree == l:
-            out = rows[0].reshape(r_arr.shape)
+            out = (u * np.exp(log_scale))[0].reshape(r_arr.shape)
             return float(out) if np.isscalar(r) else out
 
 
 def _radial_by_degree(levels: np.ndarray, r: np.ndarray):
     """Yield (l, rows) for l = max(levels) - 1 down to 0: rows[i] is
-    R_{levels[i], l}(r), exactly 0 for levels[i] <= l (levels ascending).
+    R_{levels[i], l}(r), exactly 0 for levels[i] <= l (levels ascending)."""
+    for l, live, u, log_scale in _radial_logs(levels, r):
+        rows = np.zeros((levels.size, r.size))
+        rows[live] = u * np.exp(log_scale)
+        yield l, rows
+
+
+def _radial_logs(levels: np.ndarray, r: np.ndarray):
+    """Yield (l, live, u, log_scale) for l = max(levels) - 1 down to 0:
+    levels[live] are the levels above l, whose degree-l rows are
+    u * exp(log_scale).  u is a view that the next step overwrites.
 
     With x = 2r/n, u_l = R_{n,l} / x^l obeys the factorization recurrence
     (Schroedinger 1940; Infeld & Hull 1951), stable downward in l:
@@ -152,10 +168,8 @@ def _radial_by_degree(levels: np.ndarray, r: np.ndarray):
     for l in range(int(levels.max()) - 1, -1, -1):
         live = slice(np.searchsorted(levels, l + 1), None)
         u[levels == l + 1] = 1.0  # level l + 1 joins at its nodeless row
-        rows = np.zeros_like(x)
         # x^l is 1 for l = 0, even at r = 0
-        rows[live] = u[live] * np.exp(carry[live] + l * log_x[live] if l else carry[live])
-        yield l, rows
+        yield l, live, u[live], carry[live] + l * log_x[live] if l else carry[live]
         if l == 0:
             return
         nn = n[live]
@@ -215,11 +229,11 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     if cost > budget:
         raise BudgetExceededError(cost, budget)
 
-    # point (ix, iy) sits at (kx, ky) * spacing / 2; equal radii share one key kx^2 + ky^2
-    k = 2 * np.arange(grid.samples) - (grid.samples - 1)
+    # point (ix, iy) sits at (kx, ky) * h; equal radii share one key kx^2 + ky^2
+    k, h = grid._offsets()
     kx, ky = np.meshgrid(k, k)  # values[iy, ix]
     keys, inverse = np.unique((kx * kx + ky * ky).ravel(), return_inverse=True)
-    r_unique = grid.width / (2.0 * (grid.samples - 1)) * np.sqrt(keys)
+    r_unique = h * np.sqrt(keys)
     phi = np.arctan2(ky, kx).ravel()
     e_iphi = np.exp(1j * phi)
     plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l

@@ -18,10 +18,9 @@ coherence, visible in the revival structure.  One helper, reduced_phases,
 does that reduction for state assembly, evolution, the planar field and
 the autocorrelation.
 
-The autocorrelation streams its times through a fixed working set: one
-long-double and two float64 buffers of _BLOCK_ELEMENTS (times x levels)
-elements each, allocated once per call, so its memory beyond the output
-array does not grow with the number of times.
+The autocorrelation streams its times in blocks of _BLOCK_ELEMENTS
+(times x levels) elements, so beyond the output array its working set is
+a few block-sized temporaries, whatever the number of times.
 
 CSV tables are formatted in fixed blocks of _CSV_BLOCK_ROWS = 4096 rows.
 """
@@ -48,29 +47,19 @@ from cohere.weights import (
 # 2*pi as a double-double sum, giving ~32 accurate digits in long double
 _TWO_PI_LD = np.longdouble(6.283185307179586) + np.longdouble(2.4492935982947064e-16)
 
-# Elements (times x levels) per autocorrelation block: 1 MB of long double
-# and two 512 kB float64 buffers, small enough to stay in cache.
+# Elements (times x levels) per autocorrelation block.  Its temporaries,
+# a 1 MB long-double product and 512 kB float64 arrays, stay in cache.
 _BLOCK_ELEMENTS = 2**16
 
 
-def reduced_phases(scale, values, out=None, work=None) -> np.ndarray:
+def reduced_phases(scale, values) -> np.ndarray:
     """(scale * values) mod 2 pi, accumulated in extended precision.
 
     scale and values broadcast against each other.  The product is formed
-    and reduced in long double, then rounded to float64.  out (float64)
-    and work (long double), both of the broadcast shape, let a caller that
-    reduces many blocks reuse its buffers instead of allocating new ones.
+    and reduced in long double, then rounded to float64.
     """
-    prod = np.multiply(
-        np.asarray(scale, dtype=np.longdouble),
-        np.asarray(values, dtype=np.longdouble),
-        out=work,
-    )
-    np.mod(prod, _TWO_PI_LD, out=prod)
-    if out is None:
-        return prod.astype(np.float64)
-    out[...] = prod
-    return out
+    prod = np.asarray(scale, dtype=np.longdouble) * np.asarray(values, dtype=np.longdouble)
+    return np.mod(prod, _TWO_PI_LD, out=prod).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -290,31 +279,25 @@ def autocorrelation(state: CoherentState, t) -> complex | np.ndarray:
     The angular factors cancel because evolution only shifts gamma.
     Accepts a scalar t or an array of times.
 
-    Times are streamed in blocks of _BLOCK_ELEMENTS // levels rows through
-    three buffers allocated once: the product t * (-e) and its mod-2 pi
-    reduction stay in long double, as in reduced_phases, and the reduced
-    phases are rounded to float64 before cos and sin.  The real and
-    imaginary parts are then two real matrix-vector products with p, so
-    no complex temporaries are formed and the working set beyond the
-    output does not grow with the number of times.
+    Times are streamed in blocks of _BLOCK_ELEMENTS // levels rows.  Each
+    block's phases come from reduced_phases, so the product t * (-e) and
+    its mod-2 pi reduction stay in long double and are rounded to float64
+    before cos and sin.  The real and imaginary parts are then two real
+    matrix-vector products with p, so no complex temporaries are formed.
+    Beyond the output, the working set is a few block-sized temporaries,
+    whatever the number of times.
     """
     p = state.coeffs.probabilities
     neg_energies = -state.level_energies.astype(np.longdouble)
     t_arr = np.asarray(t, dtype=float)
     times = t_arr.reshape(-1)
-    out = np.empty(t_arr.shape, dtype=complex)
-    flat = out.reshape(-1)
-    rows = max(1, min(times.size, _BLOCK_ELEMENTS // neg_energies.size))
-    work = np.empty((rows, neg_energies.size), dtype=np.longdouble)
-    phases = np.empty(work.shape)
-    trig = np.empty(work.shape)
+    out = np.empty(times.size, dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // neg_energies.size)
     for start in range(0, times.size, rows):
-        block = times[start : start + rows, None]
-        count = block.shape[0]
-        phi = reduced_phases(block, neg_energies, out=phases[:count], work=work[:count])
-        flat.real[start : start + count] = np.cos(phi, out=trig[:count]) @ p
-        flat.imag[start : start + count] = np.sin(phi, out=trig[:count]) @ p
-    return complex(out) if t_arr.ndim == 0 else out
+        phi = reduced_phases(times[start : start + rows, None], neg_energies)
+        out.real[start : start + rows] = np.cos(phi) @ p
+        out.imag[start : start + rows] = np.sin(phi) @ p
+    return complex(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:

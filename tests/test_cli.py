@@ -1,4 +1,5 @@
 """Command-line exit codes for malformed input, and a descriptor pipeline."""
+import inspect
 import json
 import os
 import re
@@ -11,9 +12,15 @@ import numpy as np
 import pytest
 
 from cohere import cli, hydrogen
-from cohere.identity import MAX_LEVELS
+from cohere.identity import MAX_LEVELS, QuadratureSpec, standard_verification
 from cohere.position import GridSpec, field_on_grid, read_field_binary
-from cohere.state import autocorrelation, level_distribution, mean_level, read_descriptor
+from cohere.state import (
+    autocorrelation,
+    level_distribution,
+    mean_level,
+    read_descriptor,
+    solve_scale_ln,
+)
 from cohere.weights import WeightSpec, log_moment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -210,6 +217,19 @@ class TestConfigDefaults:
         else:
             monkeypatch.setenv("COHERE_GRID_BUDGET", environment)
         assert cli.main(grid_argv(descriptor, tmp_path, *extra)) == status
+
+    def test_defaults_are_the_library_defaults(self):
+        # verify and solve repeat no library default: each is read from its one home
+        commands = cli.build_parser().commands
+        checks = inspect.signature(standard_verification).parameters
+        for dest in ("n_max", "su2_max_two_j", "polar_order", "azimuthal_count", "full_tol"):
+            assert commands["verify"].get_default(dest) == checks[dest].default, dest
+        rule = QuadratureSpec()
+        assert commands["verify"].get_default("polar_order") == rule.polar_order
+        assert commands["verify"].get_default("azimuthal_count") == rule.azimuthal_count
+        solve = inspect.signature(solve_scale_ln).parameters
+        for dest in ("tol", "tail_eps"):
+            assert commands["solve"].get_default(dest) == solve[dest].default, dest
 
     @pytest.mark.parametrize("command", ["solve", "autocorr", "grid", "verify"])
     def test_help_prints_each_default(self, capsys, command):
@@ -589,6 +609,18 @@ class TestFreshProcess:
             "print(seen)\n"
         )
         assert run_fresh(code, tmp_path, COHERE_THREADS="1").strip() == "['1']"
+
+    def test_package_import_loads_only_the_spectral_modules(self, tmp_path):
+        # the import timed as the benchmark's set-up; position and identity
+        # load only when a subcommand needs them
+        code = (
+            "import sys\n"
+            "import cohere, cohere.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cohere'))\n"
+        )
+        loaded = run_fresh(code, tmp_path).split()
+        assert loaded == ["cohere", *(f"cohere.{name}" for name in
+                                      ("cli", "hydrogen", "state", "su2", "weights"))]
 
     def test_no_subcommand_imports_scipy(self, tmp_path):
         code = (

@@ -414,6 +414,20 @@ class TestPlanarField:
         want = dense_field_on_grid(st, grid, 0.0)  # on the np.unique(np.hypot(x, y)) radii
         assert np.max(np.abs(frame.values - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_axis_is_antisymmetric_and_on_the_evaluated_points(self, monkeypatch):
+        # 40000/300 is not a binary fraction; the written axis must still be
+        # the radii evaluated on the centre row, exactly, and mirror exactly
+        st = small_orbit_state(0.385)
+        grid = GridSpec(width=40000.0, samples=301)
+        radii, by_degree = [], P._radial_by_degree
+        monkeypatch.setattr(P, "_radial_by_degree",
+                            lambda levels, r: radii.append(r) or by_degree(levels, r))
+        field_on_grid(st, grid, 0.0)
+        axis = grid.axis()
+        np.testing.assert_array_equal(axis, -axis[::-1])
+        assert axis[150] == 0.0
+        assert np.all(np.isin(axis[150:], radii[0]))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(width=0.0, samples=16)

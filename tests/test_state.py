@@ -22,6 +22,7 @@ from cohere.state import (
     overlap,
     parse_descriptor,
     read_descriptor,
+    reduced_phases,
     solve_scale,
     solve_scale_ln,
     write_descriptor,
@@ -274,6 +275,27 @@ class TestEvolution:
         assert a.gamma == pytest.approx(b.gamma, rel=1e-15, abs=1e-6)
         for evolved in (a, b):
             assert abs(np.sum(np.abs(evolved.coeffs.values) ** 2) - 1.0) <= 1e-13
+
+
+class TestReducedPhases:
+    def test_matches_mpmath_reduction_at_paper_times(self, paper_state):
+        # the same float64 inputs, multiplied and reduced mod 2 pi to 40 digits
+        levels = paper_state.coeffs.levels
+        assert (levels[0], levels[-1]) == (144, 176)
+        t_revival = hydrogen.revival_time(160.0)
+        times = [t_revival / k for k in (5, 4, 3, 2, 1)] + [1.5e9, 2e9]
+        energies = paper_state.level_energies
+        worst = 0.0
+        with mpmath.workdps(40):
+            two_pi = 2 * mpmath.pi
+            for t in times:
+                got = reduced_phases(-t, energies)
+                for e, phase in zip(energies.tolist(), got.tolist()):
+                    want = mpmath.fmod(mpmath.mpf(-t) * mpmath.mpf(e), two_pi)
+                    # the circular distance, so a phase rounded across 0 = 2 pi counts as close
+                    miss = abs(mpmath.fmod(mpmath.mpf(phase) - want + 3 * mpmath.pi, two_pi) - mpmath.pi)
+                    worst = max(worst, float(miss))
+        assert worst <= 4e-15
 
 
 class TestAutocorrelation:
