@@ -23,13 +23,18 @@ subcommand is a valid key (dashes or underscores), a key that names none
 is a usage error, and required options must still be given as flags.
 Integer options accept integer-valued literals such as 1e9 from flags,
 configs and the environment alike; float options, their config values
-and each --times entry must be finite numbers.
+and each --times entry must be finite numbers.  solve's --tail-eps, the
+weight left outside the level window, must lie in (0, 1).
+
+The parser is built by the first main call and shared by later calls in
+the same process; a --config file's values apply to its own call only.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,7 +156,7 @@ def build_parser() -> _Parser:
         description="Coherent states for the hydrogen atom: solving, traces, fields, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # main installs a --config file as their defaults
+    parser.commands = sub.choices  # main installs a --config file as their defaults for one call
     config_help = "key=value file of option defaults"
 
     p = sub.add_parser("solve", help="solve for the scale matching a target mean level")
@@ -237,6 +242,8 @@ def cmd_solve(args) -> int:
         raise UsageError("--mean is a mean principal quantum number and must exceed 1")
     if not 0.0 <= args.eccentricity < 1.0:
         raise UsageError("--eccentricity must lie in [0, 1)")
+    if not 0.0 < args.tail_eps < 1.0:
+        raise UsageError("--tail-eps must lie in (0, 1)")
 
     ln_s = solve_scale_ln(args.alpha, args.mean, tol=args.tol, tail_eps=args.tail_eps)
     if args.eccentricity > 0:
@@ -398,15 +405,26 @@ def cmd_weights_moments(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # a second parse, so that explicit flags win over the file
+            # a second parse, so that explicit flags win over the file; the
+            # shared parser then gets its built-in defaults back
             subcommand = parser.commands[args.command]
-            subcommand.set_defaults(**_config_defaults(subcommand, args.config))
-            args = parser.parse_args(argv)
+            config = _config_defaults(subcommand, args.config)
+            built_in = {key: subcommand.get_default(key) for key in config}
+            subcommand.set_defaults(**config)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                subcommand.set_defaults(**built_in)
         # looked up at call time, so a wrapped cmd_* binding is the one called
         command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,
                    "levels": cmd_levels, "verify": cmd_verify, "weights": cmd_weights_moments}

@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohere import hydrogen
-
-from cohere.state import _FMT, CoherentState, _write_csv, mean_level, reduced_phases
+from cohere.state import _FMT, CoherentState, _write_csv, mean_level
 from cohere.su2 import (
     AngularParams,
     so4_to_spherical,
@@ -215,7 +214,7 @@ def legendre_normalized(l_max: int, m: int, cos_theta, sin_theta) -> np.ndarray:
 
 def _coefficients_at(state: CoherentState, t: float) -> np.ndarray:
     """The level coefficients c(t) of the state evolved to time t."""
-    return state.coeffs.values * np.exp(1j * reduced_phases(-t, state.level_energies))
+    return state.coeffs.values * np.exp(1j * hydrogen.reduced_phases(-t, state.level_energies))
 
 
 def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFAULT_GRID_BUDGET):

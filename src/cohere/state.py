@@ -12,11 +12,9 @@ become linear after normalization cancels the extreme scales.
 
 Time evolution is closure under a shift of gamma: the state at time t has
 gamma + t, every coefficient picking up exp(-i e_{n+1} t).  Phase products
-like t * e_{n+1} are reduced mod 2 pi in extended precision because at
-t ~ 1e9 a double-precision reduction would cost several digits of phase
-coherence, visible in the revival structure.  One helper, reduced_phases,
-does that reduction for state assembly, evolution, the planar field and
-the autocorrelation.
+like t * e_{n+1} are reduced mod 2 pi in extended precision by
+hydrogen.reduced_phases, which serves state assembly, evolution, the
+autocorrelation, the planar field and the spin phases of cohere.su2.
 
 The autocorrelation streams its times in blocks of _BLOCK_ELEMENTS
 (times x levels) elements, so beyond the output array its working set is
@@ -32,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from cohere import hydrogen
+from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
 from cohere.weights import (
     DEFAULT_TAIL_EPS,
@@ -44,22 +43,9 @@ from cohere.weights import (
     truncation_level,
 )
 
-# 2*pi as a double-double sum, giving ~32 accurate digits in long double
-_TWO_PI_LD = np.longdouble(6.283185307179586) + np.longdouble(2.4492935982947064e-16)
-
 # Elements (times x levels) per autocorrelation block.  Its temporaries,
 # a 1 MB long-double product and 512 kB float64 arrays, stay in cache.
 _BLOCK_ELEMENTS = 2**16
-
-
-def reduced_phases(scale, values) -> np.ndarray:
-    """(scale * values) mod 2 pi, accumulated in extended precision.
-
-    scale and values broadcast against each other.  The product is formed
-    and reduced in long double, then rounded to float64.
-    """
-    prod = np.asarray(scale, dtype=np.longdouble) * np.asarray(values, dtype=np.longdouble)
-    return np.mod(prod, _TWO_PI_LD, out=prod).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -112,7 +98,10 @@ class CoherentState:
 def _distribution_window(
     spec: WeightSpec, ln_s: float, tail_eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Window indices and normalized probabilities covering 1 - tail_eps."""
+    """Window indices and normalized probabilities covering 1 - tail_eps,
+    for tail_eps in (0, 1)."""
+    if not 0.0 < tail_eps < 1.0:
+        raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
     n_hi = truncation_level(spec, None, tail_eps=tail_eps / 2.0, ln_s=ln_s)
     n_values = np.arange(n_hi + 1)
     w = _log_series_terms(spec, ln_s, n_values)
@@ -393,10 +382,10 @@ def read_descriptor(path) -> CoherentState:
     coefficient lines of older files, are ignored.
 
     A malformed line, a missing key, an unknown family, a non-finite
-    value (other than ln_s = -inf), or a value that does not parse or
-    that WeightSpec or AngularParams rejects raises DescriptorError
-    naming the file; failures of build_state itself propagate as they
-    are.
+    value (other than ln_s = -inf), a tail_eps outside (0, 1), or a value
+    that does not parse or that WeightSpec or AngularParams rejects raises
+    DescriptorError naming the file; failures of build_state itself
+    propagate as they are.
     """
     try:
         entries = parse_descriptor(path)
@@ -414,8 +403,10 @@ def read_descriptor(path) -> CoherentState:
         )
         gamma, ln_s = float(entries["gamma"]), float(entries["ln_s"])
         tail_eps = float(entries.get("tail_eps", DEFAULT_TAIL_EPS))
-        if not (math.isfinite(gamma) and math.isfinite(tail_eps)):
-            raise ValueError(f"gamma={gamma} and tail_eps={tail_eps} must be finite")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma={gamma} must be finite")
+        if not 0.0 < tail_eps < 1.0:  # false for nan as well
+            raise ValueError(f"tail_eps={tail_eps} must lie in (0, 1)")
         if not ln_s < math.inf:  # ln_s = -inf is s = 0, the ground state
             raise ValueError(f"ln_s={ln_s} must be finite or -inf")
     except KeyError as missing:

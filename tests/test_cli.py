@@ -270,6 +270,62 @@ class TestSolveMean:
         assert not (tmp_path / "s.desc").exists()
 
 
+class TestSolveTailEps:
+    @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-0.1"])
+    def test_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, tail_eps):
+        # a window leaving out all the weight, or more, is no state
+        argv = ["solve", "--alpha", "0.03125", "--mean", "20", "--tail-eps", tail_eps,
+                "-o", str(tmp_path / "s.desc")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "--tail-eps" in capsys.readouterr().err
+        assert not (tmp_path / "s.desc").exists()
+
+    def test_config_value_outside_the_unit_interval_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "solve.cfg"
+        config.write_text("tail-eps=1.5\n")
+        argv = ["solve", "--alpha", "0.03125", "--mean", "20", "--config", str(config),
+                "-o", str(tmp_path / "s.desc")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert not (tmp_path / "s.desc").exists()
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self, descriptor, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._shared_parser.cache_clear()
+        for _ in range(3):
+            assert cli.main(["levels", "--descriptor", str(descriptor),
+                             "-o", str(tmp_path / "levels.csv")]) == cli.EXIT_OK
+        assert cli.main(["solve", "--alpha", "0.25", "--mean", "3",
+                         "-o", str(tmp_path / "s.desc")]) == cli.EXIT_OK
+        assert built == [1]
+
+    def test_config_values_apply_to_their_own_call_only(self, descriptor, tmp_path,
+                                                        monkeypatch, capsys):
+        def help_text():
+            capsys.readouterr()
+            with pytest.raises(SystemExit):
+                cli.main(["autocorr", "--help"])
+            return capsys.readouterr().out
+
+        before = help_text()
+        seen = []
+        run = cli.cmd_autocorr
+        monkeypatch.setattr(cli, "cmd_autocorr", lambda args: seen.append(vars(args).copy()) or run(args))
+        config = tmp_path / "autocorr.cfg"
+        config.write_text("samples=7\nt-end=100\n")
+        assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_OK
+        assert cli.main(autocorr_argv(descriptor, tmp_path)) == cli.EXIT_OK
+        assert [(args["samples"], args["t_end"]) for args in seen] == [(7, 100.0), (10001, None)]
+        config.write_text("samples=7\nt-end=oops\n")  # a failed config call restores them too
+        assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
+        assert cli.main(autocorr_argv(descriptor, tmp_path)) == cli.EXIT_OK
+        assert seen[-1]["samples"] == 10001
+        assert help_text() == before
+
+
 class TestPipeline:
     def test_solve_autocorr_levels_grid_through_one_descriptor(self, tmp_path):
         desc = tmp_path / "state.desc"
@@ -339,11 +395,13 @@ class TestDescriptorFaults:
         (lambda text: re.sub(r"alpha=.*", "alpha=inf", text), cli.EXIT_USAGE, "finite alpha"),
         (lambda text: re.sub(r"tail_eps=.*", "tail_eps=nan", text), cli.EXIT_USAGE,
          "tail_eps=nan"),
+        (lambda text: re.sub(r"tail_eps=.*", "tail_eps=2", text), cli.EXIT_USAGE, "tail_eps=2"),
+        (lambda text: re.sub(r"tail_eps=.*", "tail_eps=0", text), cli.EXIT_USAGE, "tail_eps=0"),
         # parameters that read cleanly but cannot build a state stay numerical failures
-        (lambda text: re.sub(r"tail_eps=.*", "tail_eps=2", text), cli.EXIT_NUMERICAL, "tail_eps"),
+        (lambda text: re.sub(r"ln_s=.*", "ln_s=1e3", text), cli.EXIT_NUMERICAL, "truncation"),
     ], ids=["missing-key", "malformed-line", "tabulated", "unknown-family", "non-numeric",
             "rejected-alpha", "rejected-zeta", "nan-gamma", "inf-ln-s", "inf-alpha",
-            "nan-tail-eps", "build-failure"])
+            "nan-tail-eps", "tail-eps-above-1", "zero-tail-eps", "build-failure"])
     def test_exit_status_names_the_file(self, descriptor, tmp_path, capsys, command, edit,
                                         status, message):
         broken = tmp_path / "broken.desc"

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 from cohere import hydrogen
+from cohere.hydrogen import _TWO_PI_LD
 from cohere.state import (
     _BLOCK_ELEMENTS,
-    _TWO_PI_LD,
+    DescriptorError,
     autocorrelation,
     build_state,
     evolve,
@@ -85,6 +86,14 @@ class TestBuild:
     def test_window_covers_tail_budget(self, paper_state):
         # at least 1 - tail_eps of the weight lies inside the window
         assert paper_state.coeffs.probabilities.sum() >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("tail_eps", [0.0, 1.0, 1.5, -1e-3, math.nan])
+    def test_tail_eps_outside_the_unit_interval_is_rejected(self, tail_eps):
+        with pytest.raises(ValueError, match="tail_eps"):
+            build_state(WeightSpec.stretched(0.03125), None, 0.0, AngularParams(0.0, 0.0),
+                        tail_eps=tail_eps, ln_s=50.0)
+        with pytest.raises(ValueError, match="tail_eps"):
+            solve_scale_ln(0.03125, 20.0, tail_eps=tail_eps)
 
     def test_narrow_vs_wide_families(self, paper_state):
         wide = build_state(
@@ -480,6 +489,16 @@ class TestSerialization:
             "tail_eps=9.9999999999999998e-13\n"
         )
         assert read_descriptor(path).weight == WeightSpec.exponential()
+
+    @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-1e-3"])
+    def test_tail_eps_outside_the_unit_interval_is_a_descriptor_error(self, tmp_path, tail_eps):
+        st = build_state(WeightSpec.exponential(), 2.0, 0.5, AngularParams(0.0, 0.0))
+        path = tmp_path / "state.desc"
+        write_descriptor(path, st)
+        path.write_text(path.read_text().replace("tail_eps=9.9999999999999998e-13",
+                                                 f"tail_eps={tail_eps}"))
+        with pytest.raises(DescriptorError, match="tail_eps"):
+            read_descriptor(path)
 
     def test_round_trip_zero_scale(self, tmp_path):
         st = build_state(WeightSpec.exponential(), 0.0, 0.3, AngularParams(0.1, 0.2j))

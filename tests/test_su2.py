@@ -1,6 +1,8 @@
 """Spin coherent states, recoupling coefficients, and their invariants."""
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,16 @@ def racah_sum_mp(two_j, two_m1, two_m2, two_l):
         return float(mpmath.sqrt(pref) * total)
 
 
+def amplitudes_mp(two_j: int, zeta: complex, dps: int = 40) -> np.ndarray:
+    """sqrt(C(2j, k)) zeta^k / (1+|zeta|^2)^j for k = 0..2j in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(zeta)
+        norm = (1 + abs(z) ** 2) ** (mpmath.mpf(two_j) / 2)
+        return np.array([complex(mpmath.sqrt(mpmath.binomial(two_j, k)) * z**k / norm)
+                         for k in range(two_j + 1)])
+
+
 class TestAmplitudes:
     def test_fiducial_at_zero(self):
         amps = su2_amplitudes(7.5, 0.0)
@@ -111,7 +123,7 @@ class TestAmplitudes:
         for scale in (1e-3, 1.0, 1e3):
             zeta = scale * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             norm = np.sum(np.abs(su2_amplitudes(j, zeta)) ** 2)
-            assert abs(norm - 1.0) <= 1e-12
+            assert abs(norm - 1.0) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -122,7 +134,7 @@ class TestAmplitudes:
     def test_unit_norm_at_extreme_modulus(self, two_j, log10_r, arg):
         amps = su2_amplitudes(two_j / 2.0, cmath.rect(10.0**log10_r, arg))
         assert np.all(np.isfinite(amps))
-        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-12
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-13
 
     def test_bad_spin_rejected(self):
         with pytest.raises(ValueError):
@@ -137,11 +149,21 @@ class TestAmplitudes:
             stacked = np.stack([su2_amplitudes(two_j / 2.0, z) for z in zetas], axis=1)
             amps = su2_amplitudes(two_j / 2.0, zetas)
             assert amps.shape == (two_j + 1, zetas.size)
-            assert np.max(np.abs(amps - stacked)) <= 1e-15, two_j
+            assert amps.tobytes() == stacked.tobytes(), two_j
         assert su2_amplitudes(2.0, np.complex128(0.5j)).shape == (5,)
         assert su2_amplitudes(2.0, np.array([])).shape == (5, 0)
         with pytest.raises(ValueError):
             su2_amplitudes(2.0, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("two_j", [80, 175, 238, 600])
+    def test_matches_40_digit_sum(self, two_j):
+        # both sides of |zeta| = 1, the axes, and moduli far from 1
+        rng = np.random.default_rng(two_j)
+        drawn = 10.0 ** rng.uniform(-0.5, 0.5, 8) * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
+        zetas = np.concatenate([[0.4 - 0.2j, -1.0, 5.0 + 2.0j, -1.1, 1e7j, 1e-7], drawn])
+        amps = su2_amplitudes(two_j / 2.0, zetas)
+        for column, zeta in zip(amps.T, zetas):
+            assert np.max(np.abs(column - amplitudes_mp(two_j, zeta))) <= 5e-15, zeta
 
 
 class TestStereographic:
@@ -268,6 +290,24 @@ class TestOverlap:
         # spin 0 has a single state, so even antipodal parameters overlap fully
         assert su2_overlap(0, 1.0, -1.0) == 1.0
         assert np.array_equal(su2_overlap(np.array([0.0, 0.5, 3.0]), 1.0, -1.0), [1.0, 0.0, 0.0])
+
+    def test_matches_40_digit_closed_form(self):
+        # <j,a|j,b> = ((1 + conj(a) b) / sqrt((1+|a|^2)(1+|b|^2)))^(2j), j <= 100,
+        # nearby parameters (|overlap| near 1) at moduli from 1e-7 to 1e9
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(100)
+        pairs = [(1e8, 1e8 * (1 + 1e-9)), (0.7 - 0.4j, -1.0 / (0.7 + 0.4j))]  # the second is antipodal
+        for log10_r in np.linspace(-7.0, 9.0, 17):
+            za = cmath.rect(10.0**log10_r, rng.uniform(-math.pi, math.pi))
+            shift = 10.0 ** rng.uniform(-12.0, -1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            pairs.append((za, za * (1 + shift)))
+        spins = np.arange(201) / 2.0
+        for za, zb in pairs:
+            with mpmath.workdps(40):
+                a, b = mpmath.mpc(za), mpmath.mpc(zb)
+                s = (1 + mpmath.conj(a) * b) / mpmath.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+                want = np.array([complex(s**two_j) for two_j in range(201)])
+            assert np.max(np.abs(su2_overlap(spins, za, zb) - want)) <= 1e-15, (za, zb)
 
     def test_array_of_spins_matches_direct_sums(self):
         spins = np.arange(0, 41) / 2.0
@@ -487,3 +527,20 @@ class TestClosedForm:
         assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12
         stretched = anti_diagonal_sums(coupling_matrix(d, 2 * d), product_amplitudes(n, params))
         assert np.max(np.abs(c[d] - stretched)) <= 1e-13
+
+
+def test_su2_imports_no_higher_layer():
+    # su2 sits below the weights, the state and the spatial and identity
+    # code; it takes no log-gamma or state helper from them
+    source = Path(__file__).resolve().parents[1] / "src" / "cohere" / "su2.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            if node.module == "cohere":
+                imported.update(f"cohere.{alias.name}" for alias in node.names)
+    higher = {f"cohere.{name}" for name in ("weights", "state", "position", "identity")}
+    assert imported & higher == set()
+    assert "cohere.hydrogen" in imported  # the guard reads the module's real imports
