@@ -46,8 +46,9 @@ def degeneracy(n: int) -> int:
 def revival_time(mean_n: float) -> float:
     """Full-revival time (2 pi / 3) <n>^4 for a packet centered at <n>.
 
-    The quadratic dephasing accumulated by level n relative to the packet
-    center is an integer multiple of 2 pi at this time.
+    The quadratic dephasing of level <n> + k is then pi k^2, a multiple of
+    2 pi only for even k: the packet returns as one copy, half a Kepler
+    period from where the linear term alone puts it.
     """
     if mean_n <= 0:
         raise ValueError("mean level must be positive")

@@ -24,11 +24,11 @@ coefficients c(t).  A grid frame is c(t) . Phi, where row n of Phi is
 level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
 g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii (keyed on the
 integer squared grid offsets, so equal radii merge exactly), summed over m
-by Horner's rule in e^{i phi}.  g_n is level n's recoupled table from
-su2.so4_to_spherical, read as it comes: column n-1+m holds m for every
-l, so F_n[m] is that column against the plane-Legendre factors.  Phi
-(levels x points) is built once for a whole schedule; beyond it the
-working set is O(points).
+by Horner's rule in e^{i phi}.  g_n(l, m) = kappa_l(n) h_l(m) from one
+su2.recoupled_window: h^T times the signed plane-Legendre factors is one
+matrix for the window, and g_n is its central 2n - 1 rows and first n
+columns times kappa(n).  Phi (levels x points) is built once for a whole
+schedule; beyond it the working set is O(points).
 
 Orbit traces never form the wavefunction in 3-D.  Each level-pair moment
 takes its angular factor from algebra: <l m|l' m'> = delta_ll' delta_mm',
@@ -37,16 +37,16 @@ and sin(theta) e^{i phi} takes (l, m) only to (l+1, m+1) and (l-1, m+1)
 of _raising_ladder).  Only the radial integrals use a quadrature.  A loop
 down over l then adds, into the L x L level matrices (L occupied levels),
 
-    N += (r^2 Gram of the degree-l rows R_{n,l}) * (g_l^H g_l)
-    P += (r^3 Gram of degrees l and l+1) * (g_l^H . ladder-shifted g_{l+1})
+    N += (r^2 Gram of the degree-l rows R_{n,l}) * |h_l|^2 conj(kappa_l) kappa_l^T
+    P += (r^3 Gram of degrees l and l+1)
+         * <h_l | ladder-shifted h_{l+1}> conj(kappa_l) kappa_{l+1}^T
          and the same with l and l+1 exchanged
 
-where g_l holds every level's recoupled amplitudes g_n(l, -l..l), the
-slice [l, n-1-l : n+l] of its centred table, and * is the elementwise
-product.  Then X = (P + P^H)/2 and Y = (P - P^H)/(2i) are the x and y
-moments.  Beyond the recoupled amplitude tables, memory
-is O(L^2 + L * radial nodes), with no array over angular nodes.  Each
-time step of a trace is the quadratic form c(t)^H M c(t).
+since level n's amplitudes g_n(l, -l..l) are kappa_l(n) h_l, and * is the
+elementwise product.  Then X = (P + P^H)/2 and Y = (P - P^H)/(2i) are the
+x and y moments.  Memory is O(n_top^2 + L^2 + L * radial nodes), with no
+array over angular nodes.  Each time step of a trace is the quadratic form
+c(t)^H M c(t).
 """
 from __future__ import annotations
 
@@ -57,8 +57,9 @@ import numpy as np
 
 from cohere import hydrogen
 from cohere.state import _FMT, CoherentState, _write_csv, mean_level
-from cohere.su2 import (
+from cohere.su2 import (  # so4_to_spherical is bound here for bench/spans.py, which wraps it
     AngularParams,
+    recoupled_window,
     so4_to_spherical,
     spin_expectation,
     stereographic,
@@ -235,20 +236,20 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     r_unique = h * np.sqrt(keys)
     phi = np.arctan2(ky, kx).ravel()
     e_iphi = np.exp(1j * phi)
+    h_rows, kappa = recoupled_window(levels, state.angular)
     plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
     for m in range(n_top):
         plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
     # row n_top-1+m, against g(l, m) e^{i m phi}: P_l^|m|(0), times (-1)^m
     # for m < 0 since Y_{l,-m} = (-1)^m conj(Y_{l,m})
     m = np.arange(1 - n_top, n_top)
-    plane = plane[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
+    shared = h_rows.T * plane[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
     fields = np.empty((levels.size, phi.size), dtype=complex)
-    for field, n in zip(fields, levels.tolist()):
+    for field, n, k_n in zip(fields, levels.tolist(), kappa):
         radials = np.empty((n, r_unique.size), dtype=complex)
         for l, rows in _radial_by_degree(np.array([n]), r_unique):
             radials[l] = rows[0]
-        g = so4_to_spherical(n, state.angular)
-        g = g.T * plane[n_top - n : n_top + n - 1, :n]  # F_n[m] = g[n-1+m] @ radials
+        g = shared[n_top - n : n_top + n - 1, :n] * k_n[:n]  # F_n[m] = g[n-1+m] @ radials
         # sum_m F_n[m] e^{i m phi} by Horner's rule, one F_n[m] row at a time
         field[:] = (g[-1] @ radials)[inverse]
         for row in g[-2::-1]:
@@ -277,8 +278,9 @@ def field_on_grid(
 class SpatialQuadrature:
     """Product rule: Gauss-Legendre in r and cos(theta), trapezoid in phi.
 
-    Orbit moments use only the radial rule; the angular rule serves
-    callers that integrate on the full 3-D product grid."""
+    Orbit moments use only the radial rule, and nothing in the package
+    reads the angular rule: only the dense test oracle and bench/spans.py's
+    quadrature-node count do."""
 
     r_nodes: np.ndarray
     r_weights: np.ndarray
@@ -337,24 +339,24 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     integrals use the quadrature's radial rule; see the module docstring.
     """
     levels = state.coeffs.levels
-    tables = [so4_to_spherical(n, state.angular) for n in levels.tolist()]
+    h, kappa = recoupled_window(levels, state.angular)
+    n_top = h.shape[0]
     r = quad.r_nodes
     w_norm = quad.r_weights * r * r
     w_first = w_norm * r
     norm = np.zeros((levels.size, levels.size), dtype=complex)
     plus = np.zeros_like(norm)  # sin(theta) e^{i phi} moment, x + i y
     for l, rad in _radial_by_degree(levels, r):
-        # amplitudes g_n(l, -l..l) beside the degree-l rows; zero for levels n <= l
-        amp = np.array([g[l, n - 1 - l : n + l] if n > l else np.zeros(2 * l + 1)
-                        for n, g in zip(levels.tolist(), tables)])
+        # level n's amplitudes g_n(l, -l..l) are kappa_l(n) h_l, zero for levels n <= l
+        h_l, k_l = h[l, n_top - 1 - l : n_top + l], kappa[:, l]
         up, down = _raising_ladder(l)
-        norm += ((rad * w_norm) @ rad.T) * (amp.conj() @ amp.T)
-        if l < levels.max() - 1:
+        norm += ((rad * w_norm) @ rad.T) * (np.vdot(h_l, h_l) * np.outer(k_l.conj(), k_l))
+        if l < n_top - 1:
             cross = (rad * w_first) @ rad_above.T  # [i, k]: R_{n_i,l} R_{n_k,l+1} r^3
             # <l, m+1| from |l+1, m>, m = -l-1..l-1, and <l+1, m+1| from |l, m>
-            plus += cross * (amp.conj() @ lowered_above[:, :-2].T)
-            plus += cross.T * (amp_above[:, 2:].conj() @ (amp * up).T)
-        rad_above, amp_above, lowered_above = rad, amp, amp * down
+            plus += cross * (np.vdot(h_l, lowered_above[:-2]) * np.outer(k_l.conj(), k_above))
+            plus += cross.T * (np.vdot(h_above[2:], h_l * up) * np.outer(k_above.conj(), k_l))
+        rad_above, h_above, k_above, lowered_above = rad, h_l, k_l, h_l * down
     return np.stack([0.5 * (plus + plus.conj().T), -0.5j * (plus - plus.conj().T), norm])
 
 

@@ -18,20 +18,21 @@ one rewriting of the spin-1/2 form zeta x + y, _unit_form, the only code
 that asks whether |zeta| > 1; no factorial or log-gamma is formed.
 
 Pairs of such states form the degenerate-level factor for hydrogen, where
-the level-n multiplet carries two commuting spins of j = (n-1)/2.  A
-level's recoupled table is a plain (n, 2n-1) array c[l, n-1+m] in centred
-order, m = -(n-1)..n-1, with exact zeros for |m| > l; this module is the
-only one that lays it out.
+the level-n multiplet carries two commuting spins of j = (n-1)/2.  In
+|l, m> labels the pair's spin-l part is one row h_l(m), the same at every
+level, times a scalar kappa_l(n): recoupled_window lays out both for a
+window of levels, and so4_to_spherical one level's (n, 2n-1) table
+c[l, n-1+m] = kappa_l(n) h_l(m); this module is the only one that does.
 
 Recoupling is a transvectant (Cayley's Omega-process; Bargmann, Rev. Mod.
 Phys. 34, 829 (1962); Olver, Classical Invariant Theory (1999)).  In the
 polynomial picture |j, -j+k> <-> sqrt(C(2j, k)) x^k y^(2j-k), the state
-|j, zeta> is (zeta x + y)^(2j) / (1+|zeta|^2)^j, and the spin-l part of a
-product of two of them is, up to a constant fixed by (j, l) alone,
-
-    (zeta1 - zeta2)^(2j-l) (zeta1 x + y)^l (zeta2 x + y)^l,
-
-so no Clebsch-Gordan coefficient is needed (see so4_to_spherical).  The
+|j, zeta> is u^(2j) for the unit form u = (zeta x + y) / sqrt(1+|zeta|^2),
+and the spin-l part of a product of two of them is Delta^(2j-l) (u1 u2)^l,
+Delta = (zeta1 - zeta2) / sqrt((1+|zeta1|^2)(1+|zeta2|^2)), times a
+constant fixed by (j, l) alone.  So no Clebsch-Gordan coefficient is
+needed, and the level enters only through that constant and Delta^(2j-l)
+(see recoupled_window).  The
 Condon-Shortley Clebsch-Gordan tables built below are the reference that
 the closed form is tested against; nothing else in the package reads
 them.  They are built, one (j, l) table at a time, from the three-term
@@ -159,7 +160,7 @@ def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     9.8e-16 at n = 60, 5.8e-16 at n = 120 and 1.6e-15 at n = 176, and
     every fixed-M block at n = 176 is orthonormal within 2e-14.
 
-    No code in the package calls it: so4_to_spherical recouples in closed
+    No code in the package calls it: recoupled_window recouples in closed
     form.  It stays as the tests' independent reference for that closed
     form, and, with its lru_cache, because bench/spans.py wraps it, reads
     cache_info() and calls __wrapped__ until the benchmark is retargeted
@@ -200,17 +201,6 @@ def coupling_matrix(two_j: int, two_l: int) -> np.ndarray:
     return w
 
 
-def _rescale(a: np.ndarray) -> int:
-    """Scale a in place by a power of two once its largest modulus leaves
-    [1e-100, 1e100]; returns e such that the old a is the new a times 2**e."""
-    top = np.abs(a).max()
-    if top == 0 or 1e-100 <= top <= 1e100:
-        return 0
-    e = math.frexp(top)[1]
-    a.view(float)[:] = np.ldexp(a.view(float), -e)
-    return e
-
-
 def _unit_form(zeta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, g, w) with (zeta x + y) / sqrt(1+|zeta|^2) = w (a x + b y) / sqrt(1+g).
 
@@ -229,59 +219,45 @@ def _unit_form(zeta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return a, b, g, big.real / r_big + 1j * (big.imag / r_big)
 
 
-def so4_to_spherical(n: int, params: AngularParams) -> np.ndarray:
-    """Level n's two-spin angular factor in |l, m> labels, in closed form.
+def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndarray]:
+    """One recoupling for a window of levels: (h, kappa) with, for n = levels[i],
 
-    Returns a complex array ``c`` of shape (n, 2n-1) in centred order:
-    ``c[l, n-1+m]`` is the amplitude on angular momentum (l, m) of the
-    product |j, zeta1>|j, zeta2>, j = (n-1)/2, recoupled with
-    Condon-Shortley Clebsch-Gordan coefficients, m = -(n-1)..n-1, and every
-    entry with |m| > l is exactly 0.
+        so4_to_spherical(n)[l, n-1+m] = kappa[i, l] h[l, n_top-1+m],   n_top = max(levels).
 
-    With d = n - 1, u_i = a_i x + b_i y the forms of _unit_form, N their
-    normalization and phase and Delta = a1 b2 - a2 b1, the transvectant
-    (module docstring) gives c[l, n-1+m] = kappa_l h_l[l+m].  h_l holds the
+    h is complex (n_top, 2 n_top - 1), centred like level n_top's table, and
+    kappa complex (len(levels), n_top), 0 for l >= n.  With u_i = a_i x +
+    b_i y the unit forms (zeta_i x + y) / sqrt(1+|zeta_i|^2), built on
+    _unit_form, and Delta = a1 b2 - a2 b1, the transvectant (module
+    docstring) makes row l of every level's table a multiple of one h_l, the
     coefficients of (u1 u2)^l, the one at x^k y^(2l-k) divided by
-    sqrt(C(2l, k)); h_0 = [1], and one 3-tap step in b1 b2, a1 b2 + a2 b1
-    and a1 a2 multiplies in u1 u2.  kappa_0 = N Delta^d / sqrt(n) and
+    sqrt(C(2l, k)): h_0 = [1], and one 3-tap step in b1 b2, a1 b2 + a2 b1
+    and a1 a2 multiplies in u1 u2.  The multiple is the stretched
+    coefficient (d!/l!) sqrt((2l+1)! / ((d-l)! (d+l+1)!)) times Delta^(d-l),
+    d = n - 1, run down from kappa_d = 1 by
 
-        kappa_(l+1) / kappa_l = sqrt((2l+3)(2l+2)(d-l)/(d+l+2)) / ((l+1) Delta),
+        kappa_l = kappa_(l+1) (l+1) Delta / sqrt((2l+3)(2l+2)(d-l)/(d+l+2)),
 
-    which makes the constant the stretched coefficient (d!/l!) sqrt((2l+1)!
-    / ((d-l)! (d+l+1)!)) times Delta^(d-l).  When Delta = 0 only l = d
-    survives, with kappa_d = N.  Only these ratios are formed, never a
-    factorial.  One array carries kappa_l h_l with its power-of-two scale
-    in an integer exponent, rescaled past 1e+-100, so neither Delta -> 0
-    nor large n underflows.  O(n^2) work per level.
+    so no factorial or power of Delta is formed, and Delta = 0 leaves zeros
+    below l = d.  Both recurrences run in long double with power-of-two
+    exponents carried by frexp: h rows are scaled to a largest modulus in
+    [0.5, 1) and kappa takes the scale back, so neither Delta -> 0 nor n in
+    the thousands underflows, and each entry is rounded to double once.
     """
-    if n < 1:
-        raise ValueError("principal quantum number must be >= 1")
-    d = n - 1
-    (a1, a2), (b1, b2), (g1, g2), (w1, w2) = (
-        part.tolist() for part in _unit_form(np.array([params.zeta1, params.zeta2], dtype=complex)))
+    levels = np.asarray(levels)
+    if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
+        raise ValueError("principal quantum numbers must form a nonempty 1-D array of values >= 1")
+    n_top = int(levels.max())
+    a, b, g, w = _unit_form(np.array([params.zeta1, params.zeta2], dtype=np.clongdouble))
+    (a1, a2), (b1, b2) = a * (w / np.sqrt(1 + g)), b * (w / np.sqrt(1 + g))
     y2, xy, x2 = b1 * b2, a1 * b2 + a2 * b1, a1 * a2  # u1 u2 = y2 y^2 + xy xy + x2 x^2
     delta = a1 * b2 - a2 * b1
-    # Delta is delta * 2**shift with |delta| in [0.5, 1), so that neither its
-    # powers nor its reciprocal leave the float range, even for subnormal zeta
-    shift = math.frexp(abs(delta))[1]
-    delta = complex(math.ldexp(delta.real, -shift), math.ldexp(delta.imag, -shift))
-    # row is kappa_l h_l / 2**scale; N = (w1 w2)^d ((1+g1)(1+g2))^(-d/2)
-    log_norm = -0.5 * d * (math.log1p(g1) + math.log1p(g2))
-    scale = math.floor(log_norm / math.log(2.0))
-    row = np.array([math.exp(log_norm - scale * math.log(2.0))], dtype=complex)
-    scale += d * shift
-    if delta:
-        row /= math.sqrt(n)
-    factor = w1 * w2 * delta if delta else w1 * w2
-    for _ in range(d):
-        row *= factor
-        scale += _rescale(row)
-    out = np.zeros((n, 2 * n - 1), dtype=complex)
-    for l in range(n):
-        if delta or l == d:
-            out[l, d - l : d + l + 1] = np.ldexp(row.view(float), scale).view(complex)
-        if l == d:
-            return out
+    h = np.zeros((n_top, 2 * n_top - 1), dtype=complex)
+    h_exp = np.zeros(n_top, dtype=int)  # the power of two taken out of each row
+    row = np.ones(1, dtype=np.clongdouble)
+    for l in range(n_top):
+        h_exp[l] = np.frexp(np.abs(row).max())[1]
+        row *= np.ldexp(np.longdouble(1), -h_exp[l])
+        h[l, n_top - 1 - l : n_top + l] = row
         # h_(l+1)[k] from h_l[k], h_l[k-1], h_l[k-2], each against the root
         # of C(2l, k - i) / C(2l+2, k): outer[k-2] = sqrt(k(k-1)/denom),
         # reversed for the y^2 tap, and middle[k-1] = sqrt(k(2l+2-k)/denom)
@@ -289,11 +265,34 @@ def so4_to_spherical(n: int, params: AngularParams) -> np.ndarray:
         outer = np.sqrt(np.arange(2.0, 2 * l + 3) * np.arange(1.0, 2 * l + 2) / denom)
         k = np.arange(1.0, 2 * l + 2)
         middle = np.sqrt(k * (2 * l + 2 - k) / denom)
-        step = np.zeros(2 * l + 3, dtype=complex)
+        step = np.zeros(2 * l + 3, dtype=np.clongdouble)
         step[:-2] = y2 * outer[::-1] * row
         step[1:-1] += xy * middle * row
         step[2:] += x2 * outer * row
-        if delta:
-            step *= math.sqrt((2 * l + 3) * (2 * l + 2) * (d - l) / (d + l + 2)) / ((l + 1) * delta)
         row = step
-        scale += _rescale(row) - shift
+    h_exp = np.cumsum(h_exp)  # h_l is h[l] * 2**h_exp[l]
+    # Delta is delta * 2**shift with |delta| in [0.5, 1), even for subnormal Delta
+    shift = np.frexp(abs(delta))[1]
+    delta *= np.ldexp(np.longdouble(1), -shift)
+    d = levels - 1
+    kappa = np.zeros((levels.size, n_top), dtype=complex)
+    col, carry = np.zeros(levels.size, dtype=np.clongdouble), np.zeros(levels.size, dtype=int)
+    for l in range(n_top - 1, -1, -1):  # kappa_l(n) is col * 2**carry
+        # levels not yet joined hold 0, so their clipped ratio is never read
+        col *= (l + 1) * delta / np.sqrt((2 * l + 3) * (2 * l + 2) * np.maximum(d - l, 1) / (d + l + 2))
+        e = np.frexp(np.abs(col))[1]
+        col *= np.ldexp(np.longdouble(1), -e)
+        carry += e + shift
+        col[d == l], carry[d == l] = 1.0, 0
+        scale = carry + h_exp[l]
+        kappa[:, l] = np.ldexp(col.real, scale) + 1j * np.ldexp(col.imag, scale)
+    return h, kappa
+
+
+def so4_to_spherical(n: int, params: AngularParams) -> np.ndarray:
+    """Level n's two-spin angular factor, kappa h of recoupled_window: c[l, n-1+m],
+    shape (n, 2n-1), is the amplitude on (l, m), m = -(n-1)..n-1, of
+    |j, zeta1>|j, zeta2>, j = (n-1)/2, recoupled with Condon-Shortley
+    Clebsch-Gordan coefficients, and exactly 0 for |m| > l."""
+    h, kappa = recoupled_window(np.array([n]), params)
+    return kappa[0][:, None] * h

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 from cohere import hydrogen
@@ -28,7 +29,7 @@ from cohere.position import (
     write_field_binary,
     write_field_csv,
 )
-from cohere.state import build_state, evolve, mean_level, reduced_phases, solve_scale_ln
+from cohere.state import build_state, evolve, level_spread, mean_level, reduced_phases, solve_scale_ln
 from cohere.su2 import AngularParams, spin_expectation, su2_amplitudes
 from cohere.weights import WeightSpec
 
@@ -388,16 +389,20 @@ class TestPlanarField:
         assert np.max(np.abs(mag - mag[::-1, :])) <= 1e-12 * np.max(mag)
 
     def test_level_work_is_done_once_per_schedule(self, monkeypatch):
+        # one recoupling for the whole window, one radial pass per level
         st = small_orbit_state(0.385)
-        calls, radial_levels = [], []
-        recouple, by_degree = P.so4_to_spherical, P._radial_by_degree
-        monkeypatch.setattr(P, "so4_to_spherical", lambda n, params: calls.append(n) or recouple(n, params))
+        windows, radial_levels = [], []
+        recouple, by_degree = P.recoupled_window, P._radial_by_degree
+        monkeypatch.setattr(P, "recoupled_window",
+                            lambda levels, params: windows.append(levels.tolist()) or recouple(levels, params))
         monkeypatch.setattr(P, "_radial_by_degree",
                             lambda levels, r: radial_levels.append(levels.tolist()) or by_degree(levels, r))
         frames = list(field_frames(st, GridSpec(width=40.0, samples=9), [0.0, 1.0, 2.0]))
         assert len(frames) == 3
-        assert calls == st.coeffs.levels.tolist()
-        assert radial_levels == [[n] for n in calls]
+        levels = st.coeffs.levels.tolist()
+        assert len(levels) > 1
+        assert windows == [levels]
+        assert radial_levels == [[n] for n in levels]
 
     @pytest.mark.parametrize("width", [40000.0, 400.0])
     def test_equal_radii_share_one_radial_row(self, monkeypatch, width):
@@ -568,6 +573,14 @@ class TestLevelMoments:
         assert np.max(np.abs(np.diag(x) + 1.5 * n * (n - 1) * eccentricity) / n**2) <= 1e-13
         assert np.max(np.abs(np.diag(y)) / n**2) <= 1e-13
 
+    def test_recoupling_is_done_once_per_call(self, monkeypatch):
+        st = small_orbit_state(0.385)
+        windows, recouple = [], P.recoupled_window
+        monkeypatch.setattr(P, "recoupled_window",
+                            lambda levels, params: windows.append(levels.tolist()) or recouple(levels, params))
+        level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))
+        assert windows == [st.coeffs.levels.tolist()]
+
     def test_distinct_levels_are_orthonormal(self):
         st = small_orbit_state(0.385)
         norm = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))[2]
@@ -676,3 +689,47 @@ class TestPaperScale:
         assert rows.shape == (65, 3)
         assert np.max(np.abs(rows[:, 2] - 1.0)) <= 1e-12
         assert abs(rows[0, 1]) <= 1e-9 * mean**2
+
+    def test_level_moments_follow_the_pauli_relation(self, paper_state):
+        # within level n, r = -(3/2) n A, and <A> is 0.385 (n - 1) along +x
+        levels = paper_state.coeffs.levels
+        x, y, norm = level_moments(paper_state, SpatialQuadrature.for_levels(int(levels.max())))
+        n = levels.astype(float)
+        assert np.max(np.abs(np.diag(x) + 1.5 * n * (n - 1) * 0.385) / n**2) <= 5e-13
+        assert np.max(np.abs(np.diag(y)) / n**2) <= 5e-13
+        assert np.max(np.abs(norm - np.eye(n.size))) <= 1e-12
+
+    def test_fractional_revivals_sit_on_the_kepler_ellipse(self, paper_state):
+        # At t = T_r/q the quadratic phase e^{i pi k^2/q}, k = n - 160, has
+        # period P = 2q in k, so the packet splits into copies s of weight
+        # |b_s|^2, b_s = (1/P) sum_{k<P} e^{i pi k^2/q} e^{2 pi i k s/P}, at
+        # mean anomaly omega t + 2 pi s/P on the clockwise Kepler ellipse
+        # (a = 160^2, perihelion on +x).  omega = 1/n0^3 + 6 sigma^2/n0^5
+        # takes the cubic term's mean shift; without it the copies drift.
+        n0, eps = 160, 0.385
+        a = float(n0 * n0)
+        t_revival = hydrogen.revival_time(n0)
+        omega = 1.0 / n0**3 + 6.0 * level_spread(paper_state) ** 2 / n0**5
+        grid = GridSpec(width=90000.0, samples=101)  # holds the aphelion at -35,456
+        axis = grid.axis()
+        fractions = range(1, 6)
+        frames = field_frames(paper_state, grid, [t_revival / q for q in fractions])
+        for q, frame in zip(fractions, frames):
+            # peaks: 5x5 local maxima of |psi|^2 above 10 % of the frame's maximum;
+            # their count is not q (at T_r/3 one copy shows two)
+            density = np.abs(frame.values) ** 2
+            windows = sliding_window_view(np.pad(density, 2, constant_values=-1.0), (5, 5))
+            iy, ix = np.nonzero((density == windows.max(axis=(2, 3))) & (density > 0.1 * density.max()))
+            period = 2 * q
+            k = np.arange(period)
+            weights = [abs(np.mean(np.exp(1j * math.pi * k * k / q + 2j * math.pi * k * s / period))) ** 2
+                       for s in range(period)]
+            copies = [s for s, weight in enumerate(weights) if weight > 1e-9]
+            assert len(copies) == q
+            for s in copies:
+                anomaly = omega * t_revival / q + 2.0 * math.pi * s / period
+                ecc = anomaly  # eccentric anomaly from M = E - eps sin E by Newton steps
+                for _ in range(20):
+                    ecc -= (ecc - eps * math.sin(ecc) - anomaly) / (1.0 - eps * math.cos(ecc))
+                x, y = a * (math.cos(ecc) - eps), -a * math.sqrt(1.0 - eps * eps) * math.sin(ecc)
+                assert np.min(np.hypot(axis[ix] - x, axis[iy] - y)) <= 0.1 * a, (q, s)

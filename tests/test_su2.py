@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 from cohere.su2 import (
     AngularParams,
     coupling_matrix,
+    recoupled_window,
     so4_to_spherical,
     spin_expectation,
     stereographic,
@@ -517,9 +518,22 @@ class TestClosedForm:
             params = AngularParams(z1, z2)
             assert np.max(np.abs(so4_to_spherical(n, params) - reference_table(n, params))) <= 1e-13
 
+    @pytest.mark.parametrize("zetas", [(paper_zeta(), -paper_zeta()), (0.3 - 0.7j, 2.5 + 0.4j)])
+    def test_window_rows_are_the_single_level_tables(self, zetas):
+        params, levels, n_top = AngularParams(*zetas), np.arange(144, 177), 176
+        h, kappa = recoupled_window(levels, params)
+        assert h.shape == (n_top, 2 * n_top - 1) and kappa.shape == (levels.size, n_top)
+        for i, n in enumerate(levels.tolist()):
+            table = kappa[i, :n, None] * h[:n, n_top - n : n_top + n - 1]
+            assert np.max(np.abs(table - so4_to_spherical(n, params))) <= 1e-15
+            assert np.all(kappa[i, n:] == 0)
+        for bad in (np.array([0, 3]), np.array([], dtype=int), np.array([[3]])):
+            with pytest.raises(ValueError):
+                recoupled_window(bad, params)
+
     def test_rescale_at_level_1101(self):
-        # Delta = 0.5 and Delta^1100 ~ 7e-332 underflows without the
-        # power-of-two carry, leaving every row 0
+        # the unit forms' Delta is 0.47, so Delta^(d-l) spans 1e-360..1:
+        # only the power-of-two carries keep the large rows finite and nonzero
         n, params = 1101, AngularParams(0.25, -0.25)
         d = n - 1
         c = so4_to_spherical(n, params)
