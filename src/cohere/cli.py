@@ -12,22 +12,23 @@ the file; a failure while the state is built from valid parameters is
 numerical.
 
 Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
-applied when the cohere package is first imported, before numpy loads);
-COHERE_GRID_BUDGET sets the planar-grid resource budget.
+applied when the cohere package is first imported, before numpy loads).
 
-Each option's value comes from the first of: its flag, the --config file,
-COHERE_GRID_BUDGET (for grid's --budget only), the built-in default that
-`cohere <command> --help` prints.  The config file holds flat key=value
-lines, read as descriptors are; the long name of any option of the
-subcommand is a valid key (dashes or underscores), a key that names none
-is a usage error, and required options must still be given as flags.
-Integer options accept integer-valued literals such as 1e9 from flags,
-configs and the environment alike; float options, their config values
-and each --times entry must be finite numbers.  solve's --tail-eps, the
-weight left outside the level window, must lie in (0, 1).
+One parse reads every option value: COHERE_GRID_BUDGET as grid's --budget
+flag, then each line of the --config file as a flag, then the command
+line.  The last value read wins, so a flag beats the config, the
+config beats the environment, and that beats the default that `cohere
+<command> --help` prints.  The config holds flat key=value lines, read
+as descriptors are, keyed by the long names of the subcommand's options
+(dashes or underscores), so it may give required options too; config=,
+help= and any key that names no option are usage errors.  Each value's
+option type checks it, whatever its source: a value out of range is a
+usage error naming the flag, the variable, or the file and key.  Integer
+options accept integer-valued literals such as 1e9; float options and
+each --times entry must be finite numbers.
 
 The parser is built by the first main call and shared by later calls in
-the same process; a --config file's values apply to its own call only.
+the same process.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _integer(text: str, source: str) -> int:
+def _integer(text: str) -> int:
     """An integer from text, accepting integer-valued literals such as 1e9."""
     try:
         return int(text)
@@ -72,58 +73,69 @@ def _integer(text: str, source: str) -> int:
     except ValueError:
         value = float("nan")
     if not value.is_integer():
-        raise UsageError(f"{source} must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     return int(value)
 
 
-def _real(text: str, source: str) -> float:
-    """A finite float from text; nan, inf and malformed text are usage errors."""
+def _real(text: str) -> float:
+    """A finite float from text; nan, inf and malformed text are refused."""
     try:
         value = float(text)
     except ValueError:
         value = float("nan")
     if not abs(value) < float("inf"):  # false for nan as well
-        raise UsageError(f"{source} must be a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
-def _option(read):
-    """argparse type built on a reader that raises UsageError."""
+def _times(text: str) -> str:
+    """Comma-separated finite times, kept as written."""
+    for entry in text.split(","):
+        _real(entry)
+    return text
+
+
+def _where(read, holds, rule: str):
+    """An argparse type: the value read from text, refused unless
+    holds(value); rule completes "must ..."."""
     def parse(text: str):
-        try:
-            return read(text, "value")
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        value = read(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text!r}")
+        return value
     return parse
 
 
-_int_option = _option(_integer)
-_real_option = _option(_real)
+def _source_flags(command: argparse.ArgumentParser, config) -> list:
+    """COHERE_GRID_BUDGET, then each line of the config file, as flags of
+    the subcommand; each value is checked first, so that an error names
+    its source."""
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    values = []
+    if "budget" in options and os.environ.get("COHERE_GRID_BUDGET"):
+        values.append(("COHERE_GRID_BUDGET", "budget", os.environ["COHERE_GRID_BUDGET"]))
+    if config and "--config" in command._option_string_actions:
+        from cohere.state import parse_descriptor
 
-
-def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
-    """The config file's values for the subcommand's options, read as
-    their flags are."""
-    from cohere.state import parse_descriptor
-
-    try:
-        config = {k.replace("-", "_"): v for k, v in parse_descriptor(path).items()}
-    except ValueError as exc:
-        raise UsageError(f"{exc} in {path}") from None
-    actions = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}
-    unknown = sorted(set(config) - set(actions))
-    if unknown:
-        raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {path}")
-    defaults = {}
-    for key, text in config.items():
-        action = actions[key]
-        read = {_int_option: _integer, _real_option: _real}.get(action.type)
-        value = read(text, f"config value {key}") if read else text
+        try:
+            lines = parse_descriptor(config)
+        except ValueError as exc:
+            raise UsageError(f"{exc} in {config}") from None
+        values += [(f"config key {key} in {config}", key, text) for key, text in lines.items()]
+    flags = []
+    for source, key, text in values:
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"unknown {source}")
+        try:
+            value = action.type(text) if action.type else text
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{source} {exc}") from None
         if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config value {key} must be one of "
-                             f"{', '.join(action.choices)}, got {text!r}")
-        defaults[key] = value
-    return defaults
+            raise UsageError(f"{source} must be one of {', '.join(action.choices)}, got {text!r}")
+        flags.append(f"{action.option_strings[0]}={text}")
+    return flags
 
 
 def _weight_from_args(args) -> "object":
@@ -135,59 +147,69 @@ def _weight_from_args(args) -> "object":
         return WeightSpec.exponential()
     if args.alpha is None:
         raise UsageError("the stretched family requires --alpha")
-    if not args.alpha > 0:
-        raise UsageError("--alpha must be positive")
     return WeightSpec.stretched(float(args.alpha))
 
 
 def build_parser() -> _Parser:
     from inspect import signature
 
-    from cohere.identity import standard_verification
+    from cohere.identity import MAX_LEVELS, standard_verification
+    from cohere.position import DEFAULT_GRID_BUDGET
     from cohere.state import solve_scale_ln
     from cohere.weights import DEFAULT_TAIL_EPS
 
     # the library's defaults, read where they are written
     tol = signature(solve_scale_ln).parameters["tol"].default
     verify = {name: p.default for name, p in signature(standard_verification).parameters.items()}
+    positive = _where(_real, lambda v: v > 0, "be positive")
+    nonnegative = _where(_integer, lambda v: v >= 0, "be nonnegative")
+    samples = _where(_integer, lambda v: v >= 2, "be at least 2")
 
     parser = _Parser(
         prog="cohere",
         description="Coherent states for the hydrogen atom: solving, traces, fields, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # main installs a --config file as their defaults for one call
-    config_help = "key=value file of option defaults"
+    parser.commands = sub.choices  # main reads their options to turn sources into flags
+    # main's first parse, of the words after the subcommand: it reads the
+    # config path without asking for the options that the config may give
+    parser.sources = _Parser(add_help=False)
+    parser.sources.add_argument("-h", "--help", action="store_true")
+    parser.sources.add_argument("--config")
+    config_help = "key=value file of option values"
 
     p = sub.add_parser("solve", help="solve for the scale matching a target mean level")
-    p.add_argument("--alpha", type=_real_option, required=True, help="stretch exponent of the weight")
-    p.add_argument("--mean", type=_real_option, required=True, help="target mean principal quantum number")
-    p.add_argument("--gamma", type=_real_option, default=0.0, help="phase; the state at time t has gamma + t")
-    p.add_argument("--eccentricity", type=_real_option, default=0.0, help="Kepler eccentricity for the angular factor")
-    p.add_argument("--tail-eps", type=_real_option, default=DEFAULT_TAIL_EPS, help="weight outside the level window")
-    p.add_argument("--tol", type=_real_option, default=tol, help="relative tolerance on the mean")
+    p.add_argument("--alpha", type=positive, required=True, help="stretch exponent of the weight")
+    p.add_argument("--mean", type=_where(_real, lambda v: v > 1, "exceed 1"), required=True,
+                   help="target mean principal quantum number")
+    p.add_argument("--gamma", type=_real, default=0.0, help="phase; the state at time t has gamma + t")
+    p.add_argument("--eccentricity", type=_where(_real, lambda v: 0 <= v < 1, "lie in [0, 1)"),
+                   default=0.0, help="Kepler eccentricity for the angular factor")
+    p.add_argument("--tail-eps", type=_where(_real, lambda v: 0 < v < 1, "lie in (0, 1)"),
+                   default=DEFAULT_TAIL_EPS, help="weight outside the level window")
+    p.add_argument("--tol", type=_real, default=tol, help="relative tolerance on the mean")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default="state.desc", help="state descriptor path")
 
     p = sub.add_parser("autocorr", help="autocorrelation trace to CSV")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--t-start", type=_real_option, default=0.0, help="start of the uniform time range")
-    p.add_argument("--t-end", type=_real_option, default=None, help="defaults to 1.1x the revival time")
-    p.add_argument("--samples", type=_int_option, default=10001, help="uniform samples in the range")
-    p.add_argument("--refine-near-revivals", type=_int_option, default=0,
+    p.add_argument("--t-start", type=_real, default=0.0, help="start of the uniform time range")
+    p.add_argument("--t-end", type=_real, default=None, help="defaults to 1.1x the revival time")
+    p.add_argument("--samples", type=samples, default=10001, help="uniform samples in the range")
+    p.add_argument("--refine-near-revivals", type=nonnegative, default=0,
                    help="extra samples added around each fractional revival time")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", required=True)
 
     p = sub.add_parser("grid", help="planar field files at selected times")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--width", type=_real_option, required=True)
-    p.add_argument("--samples", type=_int_option, required=True)
-    p.add_argument("--times", default=None,
+    p.add_argument("--width", type=positive, required=True)
+    p.add_argument("--samples", type=samples, required=True)
+    p.add_argument("--times", type=_times, default=None,
                    help="comma-separated times; default: the fractional revival times")
     p.add_argument("--format", choices=("csv", "bin"), default="csv", help="frame file format")
-    p.add_argument("--budget", type=_int_option, default=None,
-                   help="default: COHERE_GRID_BUDGET, else cohere.position.DEFAULT_GRID_BUDGET")
+    p.add_argument("--budget", type=_integer, default=DEFAULT_GRID_BUDGET,
+                   help="cap on (max level)^2 * samples^2; COHERE_GRID_BUDGET overrides the default")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output-prefix", "-o", required=True)
 
@@ -197,16 +219,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="resolution-of-identity verification suite")
     p.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
-    p.add_argument("--alpha", type=_real_option, default=None, help="stretch exponent of the weight")
-    p.add_argument("--n-max", type=_int_option, default=verify["n_max"],
-                   help="levels in the combined identity")
-    p.add_argument("--su2-max-two-j", type=_int_option, default=verify["su2_max_two_j"],
+    p.add_argument("--alpha", type=positive, default=None, help="stretch exponent of the weight")
+    p.add_argument("--n-max", type=_where(_integer, lambda n: 1 <= n <= MAX_LEVELS, f"lie in 1..{MAX_LEVELS}"),
+                   default=verify["n_max"], help="levels in the combined identity")
+    p.add_argument("--su2-max-two-j", type=nonnegative, default=verify["su2_max_two_j"],
                    help="largest 2j of the spin checks")
-    p.add_argument("--polar-order", type=_int_option, default=verify["polar_order"],
+    p.add_argument("--polar-order", type=_integer, default=verify["polar_order"],
                    help="polar nodes of the sphere rule")
-    p.add_argument("--azimuthal-count", type=_int_option, default=verify["azimuthal_count"],
+    p.add_argument("--azimuthal-count", type=_integer, default=verify["azimuthal_count"],
                    help="azimuthal nodes of the rule")
-    p.add_argument("--full-tol", type=_real_option, default=verify["full_tol"],
+    p.add_argument("--full-tol", type=_real, default=verify["full_tol"],
                    help="tolerance of the combined identity")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
@@ -215,8 +237,8 @@ def build_parser() -> _Parser:
     wsub = p.add_subparsers(dest="weights_command", required=True)
     m = wsub.add_parser("moments", help="log-moment table")
     m.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
-    m.add_argument("--alpha", type=_real_option, default=None)
-    m.add_argument("--n-max", type=_int_option, required=True)
+    m.add_argument("--alpha", type=positive, default=None)
+    m.add_argument("--n-max", type=nonnegative, required=True)
     m.add_argument("--output", "-o", default=None, help="CSV path (stdout if omitted)")
 
     return parser
@@ -235,15 +257,6 @@ def cmd_solve(args) -> int:
     )
     from cohere.su2 import AngularParams
     from cohere.weights import WeightSpec
-
-    if args.alpha <= 0:
-        raise UsageError("--alpha must be positive")
-    if args.mean <= 1:
-        raise UsageError("--mean is a mean principal quantum number and must exceed 1")
-    if not 0.0 <= args.eccentricity < 1.0:
-        raise UsageError("--eccentricity must lie in [0, 1)")
-    if not 0.0 < args.tail_eps < 1.0:
-        raise UsageError("--tail-eps must lie in (0, 1)")
 
     ln_s = solve_scale_ln(args.alpha, args.mean, tol=args.tol, tail_eps=args.tail_eps)
     if args.eccentricity > 0:
@@ -278,8 +291,6 @@ def cmd_autocorr(args) -> int:
     t_revival = hydrogen.revival_time(mean_level(state, principal=True))
     if args.t_end is None:
         args.t_end = 1.1 * t_revival
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
     if not args.t_start < args.t_end:
         raise UsageError("--t-end must exceed --t-start")
     times = np.linspace(args.t_start, args.t_end, args.samples)
@@ -307,7 +318,6 @@ def _safe_label(label: str) -> str:
 def cmd_grid(args) -> int:
     from cohere import hydrogen
     from cohere.position import (
-        DEFAULT_GRID_BUDGET,
         GridSpec,
         field_frames,
         write_field_binary,
@@ -315,28 +325,16 @@ def cmd_grid(args) -> int:
     )
     from cohere.state import _FMT, mean_level, read_descriptor
 
-    budget = args.budget
-    if budget is None:
-        env_budget = os.environ.get("COHERE_GRID_BUDGET")
-        budget = _integer(env_budget, "COHERE_GRID_BUDGET") if env_budget else DEFAULT_GRID_BUDGET
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
-    if args.width <= 0:
-        raise UsageError("--width must be positive")
-
     state = read_descriptor(args.descriptor)
     grid = GridSpec(width=args.width, samples=args.samples)
-    if args.times:
-        schedule = [
-            (f"t{i}", _real(v, "each --times entry"))
-            for i, v in enumerate(str(args.times).split(","))
-        ]
+    if args.times is not None:
+        schedule = [(f"t{i}", float(v)) for i, v in enumerate(args.times.split(","))]
     else:
         t_revival = hydrogen.revival_time(mean_level(state, principal=True))
         schedule = hydrogen.fractional_revival_times(t_revival)
 
     write = write_field_csv if args.format == "csv" else write_field_binary
-    frames = field_frames(state, grid, [t for _, t in schedule], budget=budget)
+    frames = field_frames(state, grid, [t for _, t in schedule], budget=args.budget)
     for (label, t), field in zip(schedule, frames):
         path = f"{args.output_prefix}_{_safe_label(label)}.{args.format}"
         write(path, field)
@@ -356,17 +354,12 @@ def cmd_levels(args) -> int:
 
 def cmd_verify(args) -> int:
     from cohere.identity import (
-        MAX_LEVELS,
         InsufficientOrderError,
         report_json,
         report_text,
         standard_verification,
     )
 
-    if not 1 <= args.n_max <= MAX_LEVELS:
-        raise UsageError(f"--n-max must lie in 1..{MAX_LEVELS}")
-    if args.su2_max_two_j < 0:
-        raise UsageError("--su2-max-two-j must be nonnegative")
     try:
         results = standard_verification(
             spec=_weight_from_args(args),
@@ -392,8 +385,6 @@ def cmd_weights_moments(args) -> int:
     from cohere.state import _FMT, _write_csv
     from cohere.weights import log_moment
 
-    if args.n_max < 0:
-        raise UsageError("--n-max must be nonnegative")
     n = np.arange(args.n_max + 1)
     table = ("n,log_moment", "%d," + _FMT, (n, log_moment(_weight_from_args(args), n)))
     if args.output:
@@ -412,27 +403,20 @@ def _shared_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        subcommand = parser.commands.get(argv[0]) if argv else None
+        if subcommand is not None:
+            first, _ = parser.sources.parse_known_args(argv[1:])
+            if not first.help:
+                # ahead of the command line, so that its flags are read last and win
+                argv[1:1] = _source_flags(subcommand, first.config)
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # a second parse, so that explicit flags win over the file; the
-            # shared parser then gets its built-in defaults back
-            subcommand = parser.commands[args.command]
-            config = _config_defaults(subcommand, args.config)
-            built_in = {key: subcommand.get_default(key) for key in config}
-            subcommand.set_defaults(**config)
-            try:
-                args = parser.parse_args(argv)
-            finally:
-                subcommand.set_defaults(**built_in)
         # looked up at call time, so a wrapped cmd_* binding is the one called
         command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,
                    "levels": cmd_levels, "verify": cmd_verify, "weights": cmd_weights_moments}
         return command[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # descriptor, numerical and budget failures

@@ -64,6 +64,13 @@ class TestGridBudget:
         assert cli.main(grid_argv(descriptor, tmp_path)) == status
         assert (tmp_path / "frame_t0.csv").exists() == (status == cli.EXIT_OK)
 
+    def test_malformed_environment_names_the_variable(self, descriptor, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setenv("COHERE_GRID_BUDGET", "abc")
+        assert cli.main(grid_argv(descriptor, tmp_path)) == cli.EXIT_USAGE
+        assert "COHERE_GRID_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 def autocorr_argv(descriptor, tmp_path, *extra):
     return ["autocorr", "--descriptor", str(descriptor), "-o", str(tmp_path / "trace.csv"),
@@ -242,6 +249,88 @@ class TestConfigDefaults:
             default = parser.get_default(dest)
             if default is not None:
                 assert f"(default: {default})" in text, dest
+
+
+class TestConfigSources:
+    def test_config_may_give_required_options(self, descriptor, tmp_path):
+        # its lines are read as flags, so a required option may come from it
+        config = tmp_path / "autocorr.cfg"
+        config.write_text(f"descriptor={descriptor}\nsamples=5\noutput={tmp_path / 'trace.csv'}\n")
+        assert cli.main(["autocorr", "--config", str(config)]) == cli.EXIT_OK
+        assert len(trace_rows(tmp_path)) == 5
+
+    @pytest.mark.parametrize("line", ["config=other.cfg", "help=1"])
+    def test_config_and_help_are_unknown_keys(self, descriptor, tmp_path, capsys, line):
+        config = tmp_path / "autocorr.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(autocorr_argv(descriptor, tmp_path, "--config", str(config))) == cli.EXIT_USAGE
+        key = line.split("=")[0]
+        assert f"unknown config key {key} in {config}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_help_reads_no_source(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COHERE_GRID_BUDGET", "abc")
+        with pytest.raises(SystemExit) as done:
+            cli.main(["grid", "--config", str(tmp_path / "missing.cfg"), "--help"])
+        assert done.value.code == 0
+        assert "--budget" in capsys.readouterr().out
+
+
+# One out-of-range value for each option whose type checks a range.  The
+# value comes from its flag or from a config line (weights moments takes
+# no --config); the subcommand's other options come from flags.
+RANGE_CASES = [
+    ("solve", "alpha", "0"),
+    ("solve", "mean", "1"),
+    ("solve", "eccentricity", "1"),
+    ("solve", "tail-eps", "0"),
+    ("autocorr", "samples", "1"),
+    ("autocorr", "refine-near-revivals", "-5"),
+    ("grid", "samples", "1"),
+    ("grid", "width", "0"),
+    ("grid", "times", ""),
+    ("verify", "alpha", "-1"),
+    ("verify", "n-max", "0"),
+    ("verify", "su2-max-two-j", "-1"),
+    ("weights", "alpha", "0"),
+    ("weights", "n-max", "-1"),
+]
+RANGE_RUNS = [(*case, source) for case in RANGE_CASES for source in ("flag", "config")
+              if not (case[0] == "weights" and source == "config")]
+
+
+class TestOptionRanges:
+    @staticmethod
+    def other_options(command, descriptor):
+        return {
+            "solve": {"alpha": "0.25", "mean": "3", "output": "s.desc"},
+            "autocorr": {"descriptor": str(descriptor), "samples": "5", "output": "trace.csv"},
+            "grid": {"descriptor": str(descriptor), "width": "20", "samples": "5", "times": "0",
+                     "output-prefix": "frame"},
+            "verify": {"output": "report.json"},
+            "weights": {"n-max": "3", "output": "moments.csv"},
+        }[command]
+
+    @pytest.mark.parametrize("command, key, value, source", RANGE_RUNS,
+                             ids=[f"{c}-{k}={v}-{s}" for c, k, v, s in RANGE_RUNS])
+    def test_out_of_range_is_a_usage_error_naming_its_source(
+            self, descriptor, tmp_path, monkeypatch, capsys, command, key, value, source):
+        monkeypatch.chdir(tmp_path)
+        options = self.other_options(command, descriptor)
+        options.pop(key, None)
+        argv = ["weights", "moments"] if command == "weights" else [command]
+        argv += [word for item in options.items() for word in (f"--{item[0]}", item[1])]
+        config = tmp_path / "options.cfg"
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            config.write_text(f"{key}={value}\n")
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error")
+        assert (f"argument --{key}:" if source == "flag" else f"config key {key} in {config}") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if source == "flag" else [config.name])
 
 
 class TestIntegerFlags:
