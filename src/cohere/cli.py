@@ -187,7 +187,7 @@ def build_parser() -> _Parser:
                    default=0.0, help="Kepler eccentricity for the angular factor")
     p.add_argument("--tail-eps", type=_where(_real, lambda v: 0 < v < 1, "lie in (0, 1)"),
                    default=DEFAULT_TAIL_EPS, help="weight outside the level window")
-    p.add_argument("--tol", type=_real, default=tol, help="relative tolerance on the mean")
+    p.add_argument("--tol", type=positive, default=tol, help="relative tolerance on the mean")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default="state.desc", help="state descriptor path")
 
@@ -208,7 +208,8 @@ def build_parser() -> _Parser:
     p.add_argument("--times", type=_times, default=None,
                    help="comma-separated times; default: the fractional revival times")
     p.add_argument("--format", choices=("csv", "bin"), default="csv", help="frame file format")
-    p.add_argument("--budget", type=_integer, default=DEFAULT_GRID_BUDGET,
+    p.add_argument("--budget", type=_where(_integer, lambda v: v >= 1, "be at least 1"),
+                   default=DEFAULT_GRID_BUDGET,
                    help="cap on (max level)^2 * samples^2; COHERE_GRID_BUDGET overrides the default")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output-prefix", "-o", required=True)
@@ -228,7 +229,7 @@ def build_parser() -> _Parser:
                    help="polar nodes of the sphere rule")
     p.add_argument("--azimuthal-count", type=_integer, default=verify["azimuthal_count"],
                    help="azimuthal nodes of the rule")
-    p.add_argument("--full-tol", type=_real, default=verify["full_tol"],
+    p.add_argument("--full-tol", type=positive, default=verify["full_tol"],
                    help="tolerance of the combined identity")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
@@ -263,10 +264,8 @@ def cmd_solve(args) -> int:
         angular = ellipse_to_angular(args.eccentricity)
     else:
         angular = AngularParams(0.0, 0.0)
-    state = build_state(
-        WeightSpec.stretched(args.alpha), None, args.gamma, angular,
-        tail_eps=args.tail_eps, ln_s=ln_s,
-    )
+    state = build_state(WeightSpec.stretched(args.alpha), args.gamma, angular,
+                        tail_eps=args.tail_eps, ln_s=ln_s)
     mean = mean_level(state, principal=True)
     spread = level_spread(state)
     t_revival = hydrogen.revival_time(mean)

@@ -91,8 +91,8 @@ class GridSpec:
     samples: int
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("grid width must be positive")
+        if not 0 < self.width < math.inf:  # false for nan as well
+            raise ValueError(f"grid width must be positive and finite, got {self.width}")
         if self.samples < 2:
             raise ValueError("grid needs at least 2 samples per side")
 
@@ -302,7 +302,7 @@ class SpatialQuadrature:
         if r_max is None:
             r_max = 4.0 * n_top * n_top + 16.0 * n_top
         if radial_order is None:
-            radial_order = max(96, 6 * n_top)
+            radial_order = max(96, 4 * n_top)
         if polar_order is None:
             polar_order = 2 * n_top + 12
         if azimuthal_count is None:

@@ -1,7 +1,8 @@
 """Assembly and dynamics of the degenerate coherent states.
 
-A state is fixed by a weight function, a nonnegative scale s, a phase
-parameter gamma, and the two angular parameters.  Its spectral side is
+A state is fixed by a weight function, a nonnegative scale s (passed as
+ln_s, -inf for s = 0), a phase parameter gamma, and the two angular
+parameters.  Its spectral side is
 
     c_n  propto  s^n * exp(-i gamma e_{n+1}) * (n+1) / sqrt(rho_n)
 
@@ -32,14 +33,13 @@ import numpy as np
 from cohere import hydrogen
 from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
-from cohere.weights import (
+from cohere.weights import (  # truncation_level is bound here for bench/spans.py, which wraps it
     DEFAULT_TAIL_EPS,
     NEG_INF,
     WeightFamily,
     WeightSpec,
-    _log_series_terms,
     _logsumexp,
-    _resolve_ln_s,
+    _series_terms,
     truncation_level,
 )
 
@@ -102,35 +102,26 @@ def _distribution_window(
     for tail_eps in (0, 1)."""
     if not 0.0 < tail_eps < 1.0:
         raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    n_hi = truncation_level(spec, None, tail_eps=tail_eps / 2.0, ln_s=ln_s)
-    n_values = np.arange(n_hi + 1)
-    w = _log_series_terms(spec, ln_s, n_values)
-    w = w - _logsumexp(w)
-    p = np.exp(w)
+    w = _series_terms(spec, ln_s, tail_eps / 2.0)
+    p = np.exp(w - _logsumexp(w))
     # trim the negligible lower tail as well
-    lower = np.cumsum(p)
-    keep = lower > tail_eps / 2.0
-    n_lo = int(np.argmax(keep))
+    n_lo = int(np.argmax(np.cumsum(p) > tail_eps / 2.0))
     if n_lo > 0:
-        n_values, p = n_values[n_lo:], p[n_lo:]
-        p = p / p.sum()
-    return n_values, p
+        p = p[n_lo:] / p[n_lo:].sum()
+    return np.arange(n_lo, n_lo + p.size), p
 
 
 def build_state(
     weight: WeightSpec,
-    s: float | None,
     gamma: float,
     angular: AngularParams,
     tail_eps: float = DEFAULT_TAIL_EPS,
     *,
-    ln_s: float | None = None,
+    ln_s: float,
 ) -> CoherentState:
-    """Assemble the normalized state over its truncation window."""
-    ln_s = _resolve_ln_s(s, ln_s)
+    """Assemble the normalized state of scale ln_s (-inf for s = 0) over
+    its truncation window."""
     n_values, p = _distribution_window(weight, ln_s, tail_eps)
-    if n_values.size == 0:
-        raise ValueError("empty coefficient window")
     log_mag = 0.5 * np.log(p)
     phase = reduced_phases(-gamma, hydrogen.energy(n_values + 1))
     coeffs = SpectralCoefficients(
@@ -170,12 +161,11 @@ def level_spread(state: CoherentState) -> float:
     return math.sqrt(max(0.0, float(np.sum(n * n * p)) - mean * mean))
 
 
-def leading_order_stats(alpha: float, s: float | None = None, *, ln_s: float | None = None) -> tuple[float, float]:
+def leading_order_stats(alpha: float, *, ln_s: float) -> tuple[float, float]:
     """Large-scale asymptotics for the stretched family:
     mean ~ alpha s^(2 alpha), spread ~ alpha s^alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    ln_s = _resolve_ln_s(s, ln_s)
     if ln_s == NEG_INF:
         return 0.0, 0.0
     return alpha * math.exp(2 * alpha * ln_s), alpha * math.exp(alpha * ln_s)
@@ -413,7 +403,7 @@ def read_descriptor(path) -> CoherentState:
         raise DescriptorError(f"descriptor {path} is missing required key {missing}") from None
     except ValueError as exc:
         raise DescriptorError(f"{exc} in descriptor {path}") from None
-    return build_state(weight, None, gamma, angular, tail_eps=tail_eps, ln_s=ln_s)
+    return build_state(weight, gamma, angular, tail_eps=tail_eps, ln_s=ln_s)
 
 
 def write_trace_csv(path, times, values) -> None:

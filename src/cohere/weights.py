@@ -14,8 +14,10 @@ Conventions:
     its spec stores alpha = 1.0 and keeps its own label
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
-    parameter, and _log_series_terms is the one place its log terms are
-    formed (state builds its level window from the same helper)
+    parameter.  _log_series_terms is the one place its log terms are
+    formed, and _series_terms the one scan that truncates them:
+    truncation_level, log_norm_factor and state's level window all read it
+  - a scale s is passed as ln_s, keyword-only, with -inf for s = 0
 """
 from __future__ import annotations
 
@@ -129,38 +131,22 @@ def _log_series_terms(spec: WeightSpec, ln_s: float, n_values: np.ndarray) -> np
     return power + 2.0 * np.log(n_values + 1.0) - log_rho
 
 
-def log_norm_factor(
-    spec: WeightSpec,
-    s: float | None,
-    n_max: int | None = None,
-    *,
-    ln_s: float | None = None,
-) -> float:
+def log_norm_factor(spec: WeightSpec, n_max: int | None = None, *, ln_s: float) -> float:
     """ln N(s^2) with N^2 * sum_n s^{2n} (n+1)^2 / rho_n = 1.
 
-    Pass either ``s`` or ``ln_s``; the latter admits scales whose linear
-    value overflows a double.  ``n_max`` defaults to a truncation level
-    tight enough that the omitted tail is below double precision.
+    The scale is given as ``ln_s`` (-inf for s = 0), which admits scales
+    whose linear value overflows a double.  ``n_max`` defaults to a
+    truncation level tight enough that the omitted tail is below double
+    precision.
     """
-    ln_s = _resolve_ln_s(s, ln_s)
     if n_max is None:
-        n_max = truncation_level(spec, None, 1e-16, ln_s=ln_s)
-    n_values = np.arange(n_max + 1)
-    terms = _log_series_terms(spec, ln_s, n_values)
+        terms = _series_terms(spec, ln_s, 1e-16)
+    else:
+        terms = _log_series_terms(spec, ln_s, np.arange(n_max + 1))
     total = _logsumexp(terms)
     if not np.isfinite(total):
         raise DivergentSeriesError("norm series did not converge")
     return -0.5 * float(total)
-
-
-def _resolve_ln_s(s: float | None, ln_s: float | None) -> float:
-    if (s is None) == (ln_s is None):
-        raise ValueError("pass exactly one of s, ln_s")
-    if ln_s is not None:
-        return ln_s
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return math.log(s) if s > 0 else NEG_INF
 
 
 def companion_density(spec: WeightSpec, norm_sq_log: float, u: float) -> float:
@@ -179,27 +165,21 @@ def companion_density(spec: WeightSpec, norm_sq_log: float, u: float) -> float:
     return math.exp(log_rho - norm_sq_log)
 
 
-def truncation_level(
-    spec: WeightSpec,
-    s: float | None,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-    *,
-    ln_s: float | None = None,
-) -> int:
-    """Smallest n_max with normalized series weight beyond it below tail_eps.
+def _series_terms(spec: WeightSpec, ln_s: float, tail_eps: float) -> np.ndarray:
+    """The norm-series log terms for n = 0..n_max, n_max the smallest
+    level whose normalized series weight beyond it is below tail_eps.
 
     For every spec the series terms are unimodal in n: the log-term
     increments 2 ln s + 2 ln((n+2)/(n+1)) - ln(rho_{n+1}/rho_n) decrease
     monotonically, since ln Gamma is convex.  So the scan walks past the
     peak and stops once the remaining terms are provably negligible; a
     series that has not turned over by MAX_TERMS raises
-    DivergentSeriesError.
+    DivergentSeriesError.  Each index is formed once.
     """
     if not (0.0 < tail_eps < 1.0):
         raise ValueError("tail_eps must lie in (0, 1)")
-    ln_s = _resolve_ln_s(s, ln_s)
     if ln_s == NEG_INF:
-        return 0
+        return _log_series_terms(spec, ln_s, np.arange(1))
 
     block = 256
     terms = np.empty(0)
@@ -237,5 +217,11 @@ def truncation_level(
     tail = np.logaddexp.accumulate(terms[::-1])[::-1]
     below = np.nonzero(tail - log_total < math.log(tail_eps))[0]
     if below.size == 0:
-        return len(terms) - 1
-    return max(0, int(below[0]) - 1)
+        return terms
+    return terms[: max(1, int(below[0]))]
+
+
+def truncation_level(spec: WeightSpec, tail_eps: float = DEFAULT_TAIL_EPS, *, ln_s: float) -> int:
+    """Smallest n_max with normalized series weight beyond it below
+    tail_eps, for the scale ln_s (-inf for s = 0)."""
+    return len(_series_terms(spec, ln_s, tail_eps)) - 1

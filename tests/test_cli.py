@@ -55,7 +55,7 @@ class TestGridBudget:
     @pytest.mark.parametrize("text, status", [
         ("1e9", cli.EXIT_OK),
         ("1e1", cli.EXIT_BUDGET),
-        ("0", cli.EXIT_BUDGET),
+        ("0", cli.EXIT_USAGE),
         ("1e9.5", cli.EXIT_USAGE),
         ("inf", cli.EXIT_USAGE),
     ])
@@ -69,6 +69,13 @@ class TestGridBudget:
         monkeypatch.setenv("COHERE_GRID_BUDGET", "abc")
         assert cli.main(grid_argv(descriptor, tmp_path)) == cli.EXIT_USAGE
         assert "COHERE_GRID_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_budget_below_one_from_the_environment_names_the_variable(
+            self, descriptor, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COHERE_GRID_BUDGET", "-5")
+        assert cli.main(grid_argv(descriptor, tmp_path)) == cli.EXIT_USAGE
+        assert "COHERE_GRID_BUDGET must be at least 1, got '-5'" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 
@@ -284,14 +291,18 @@ RANGE_CASES = [
     ("solve", "mean", "1"),
     ("solve", "eccentricity", "1"),
     ("solve", "tail-eps", "0"),
+    ("solve", "tol", "0"),
+    ("solve", "tol", "-1"),
     ("autocorr", "samples", "1"),
     ("autocorr", "refine-near-revivals", "-5"),
     ("grid", "samples", "1"),
     ("grid", "width", "0"),
     ("grid", "times", ""),
+    ("grid", "budget", "-1"),
     ("verify", "alpha", "-1"),
     ("verify", "n-max", "0"),
     ("verify", "su2-max-two-j", "-1"),
+    ("verify", "full-tol", "-1"),
     ("weights", "alpha", "0"),
     ("weights", "n-max", "-1"),
 ]

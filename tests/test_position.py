@@ -41,7 +41,7 @@ def ellipse_state():
     """Narrow-spread packet at mean level 20 on a 0.385-eccentricity orbit."""
     ln_s = solve_scale_ln(1.0 / 32.0, 20.0)
     return build_state(
-        WeightSpec.stretched(1.0 / 32.0), None, 0.0,
+        WeightSpec.stretched(1.0 / 32.0), 0.0,
         ellipse_to_angular(0.385), ln_s=ln_s,
     )
 
@@ -50,7 +50,7 @@ def ellipse_state():
 def paper_state():
     """The paper's worked example: alpha = 1/32, <n> = 160, eccentricity 0.385."""
     return build_state(
-        WeightSpec.stretched(1.0 / 32.0), None, 0.0,
+        WeightSpec.stretched(1.0 / 32.0), 0.0,
         ellipse_to_angular(0.385), ln_s=solve_scale_ln(1.0 / 32.0, 160.0),
     )
 
@@ -58,7 +58,7 @@ def paper_state():
 def small_orbit_state(eccentricity):
     """A packet over levels 1..10 with several occupied levels."""
     return build_state(
-        WeightSpec.stretched(0.25), None, 0.0,
+        WeightSpec.stretched(0.25), 0.0,
         ellipse_to_angular(eccentricity), ln_s=solve_scale_ln(0.25, 3.0),
     )
 
@@ -341,7 +341,7 @@ class TestSphericalHarmonics:
 
 class TestPlanarField:
     def test_ground_state_is_radial_exponential(self):
-        st = build_state(WeightSpec.exponential(), 0.0, 0.0, AngularParams(0.0, 0.0))
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         grid = GridSpec(width=8.0, samples=21)
         field = field_on_grid(st, grid, 0.0)
         axis = grid.axis()
@@ -439,11 +439,16 @@ class TestPlanarField:
         with pytest.raises(ValueError):
             GridSpec(width=10.0, samples=1)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1.0])
+    def test_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="grid width"):
+            GridSpec(width=width, samples=5)
+
 
 class TestFieldExport:
     @pytest.fixture()
     def small_field(self):
-        st = build_state(WeightSpec.exponential(), 0.0, 0.0, AngularParams(0.0, 0.0))
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         return field_on_grid(st, GridSpec(width=4.0, samples=5), 0.25)
 
     def test_csv_layout(self, tmp_path, small_field):
@@ -464,6 +469,15 @@ class TestFieldExport:
         assert back.t == small_field.t
         np.testing.assert_array_equal(back.values, small_field.values)
 
+    def test_binary_with_a_nan_width_is_refused(self, tmp_path, small_field):
+        path = tmp_path / "field.bin"
+        write_field_binary(path, small_field)
+        raw = bytearray(path.read_bytes())
+        raw[:8] = np.array([math.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="grid width"):
+            read_field_binary(path)
+
     def test_binary_header_is_little_endian(self, tmp_path, small_field):
         path = tmp_path / "field.bin"
         write_field_binary(path, small_field)
@@ -475,7 +489,7 @@ class TestFieldExport:
 
 class TestExpectations:
     def test_ground_state_centered(self):
-        st = build_state(WeightSpec.exponential(), 0.0, 0.0, AngularParams(0.0, 0.0))
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         x, y = position_expectation(st, 0.0, radial_order=64, r_max=40.0)
         assert abs(x) <= 1e-10 and abs(y) <= 1e-10
 
@@ -484,7 +498,7 @@ class TestExpectations:
         # position then sits near the classical circular radius n^2
         ln_s = solve_scale_ln(0.25, 16.0)
         st = build_state(
-            WeightSpec.stretched(0.25), None, 0.0, ellipse_to_angular(0.0),
+            WeightSpec.stretched(0.25), 0.0, ellipse_to_angular(0.0),
             ln_s=ln_s,
         )
         x, y = position_expectation(
@@ -498,7 +512,7 @@ class TestExpectations:
 
     def test_refuses_a_quadrature_that_loses_the_norm(self):
         # r_max = 0.5 holds only ~8% of the ground state's probability
-        st = build_state(WeightSpec.exponential(), 0.0, 0.0, AngularParams(0.0, 0.0))
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         norm = position_trace(st, [0.0], radial_order=64, r_max=0.5)[0, 2]
         assert norm == pytest.approx(0.080, abs=5e-3)
         with pytest.raises(ArithmeticError):
@@ -509,7 +523,7 @@ class TestExpectations:
         # amplitude on the plane
         ln_s = solve_scale_ln(1.0 / 128.0, 6.0)
         st = build_state(
-            WeightSpec.stretched(1.0 / 128.0), None, 0.0,
+            WeightSpec.stretched(1.0 / 128.0), 0.0,
             ellipse_to_angular(0.0), ln_s=ln_s,
         )
         r0 = 36.0
@@ -627,7 +641,7 @@ class TestEllipseMapping:
     def test_extreme_eccentricity_kills_angular_momentum(self):
         params = ellipse_to_angular(0.999999)
         st = build_state(
-            WeightSpec.stretched(0.25), None, 0.0, params,
+            WeightSpec.stretched(0.25), 0.0, params,
             ln_s=solve_scale_ln(0.25, 12.0),
         )
         vec = orbital_angular_momentum(st)

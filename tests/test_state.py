@@ -1,4 +1,5 @@
 """State assembly, level statistics, dynamics, serialization."""
+import inspect
 import math
 import tracemalloc
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from cohere import hydrogen
+from cohere import hydrogen, state, weights
 from cohere.hydrogen import _TWO_PI_LD
 from cohere.state import (
     _BLOCK_ELEMENTS,
+    _distribution_window,
     DescriptorError,
     autocorrelation,
     build_state,
@@ -50,14 +52,14 @@ def one_shot_autocorrelation(state, t):
 @pytest.fixture(scope="module")
 def paper_state():
     return build_state(
-        WeightSpec.stretched(ALPHA_PAPER), None, 0.0, AngularParams(0.0, 0.0),
+        WeightSpec.stretched(ALPHA_PAPER), 0.0, AngularParams(0.0, 0.0),
         ln_s=LN_S_PAPER,
     )
 
 
 class TestBuild:
     def test_zero_scale_is_ground_state(self):
-        st = build_state(WeightSpec.exponential(), 0.0, 0.7, AngularParams(0.2, 0.1j))
+        st = build_state(WeightSpec.exponential(), 0.7, AngularParams(0.2, 0.1j), ln_s=-math.inf)
         assert st.coeffs.n_min == st.coeffs.n_max == 0
         assert st.coeffs.probabilities[0] == pytest.approx(1.0, abs=1e-15)
         assert mean_level(st) == 0.0
@@ -65,7 +67,7 @@ class TestBuild:
 
     def test_unit_scale_distribution(self):
         # p_n = (n+1)^2 / n! / (5e) at s^2 = 1
-        st = build_state(WeightSpec.exponential(), 1.0, 0.0, AngularParams(0.0, 0.0))
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))
         p = st.coeffs.probabilities
         n = st.coeffs.indices
         expected = (n + 1.0) ** 2 / np.array([math.factorial(int(k)) for k in n]) / (5 * math.e)
@@ -90,17 +92,77 @@ class TestBuild:
     @pytest.mark.parametrize("tail_eps", [0.0, 1.0, 1.5, -1e-3, math.nan])
     def test_tail_eps_outside_the_unit_interval_is_rejected(self, tail_eps):
         with pytest.raises(ValueError, match="tail_eps"):
-            build_state(WeightSpec.stretched(0.03125), None, 0.0, AngularParams(0.0, 0.0),
+            build_state(WeightSpec.stretched(0.03125), 0.0, AngularParams(0.0, 0.0),
                         tail_eps=tail_eps, ln_s=50.0)
         with pytest.raises(ValueError, match="tail_eps"):
             solve_scale_ln(0.03125, 20.0, tail_eps=tail_eps)
 
     def test_narrow_vs_wide_families(self, paper_state):
         wide = build_state(
-            WeightSpec.stretched(1.0), None, 0.0, AngularParams(0.0, 0.0),
+            WeightSpec.stretched(1.0), 0.0, AngularParams(0.0, 0.0),
             ln_s=solve_scale_ln(1.0, 160.0),
         )
         assert level_spread(paper_state) < level_spread(wide) / 5.0
+
+
+def two_pass_window(spec, ln_s, tail_eps):
+    """Reference window: find the truncation level, then form the series
+    terms up to it a second time, normalize and trim the lower tail."""
+    n_values = np.arange(weights.truncation_level(spec, tail_eps / 2.0, ln_s=ln_s) + 1)
+    w = weights._log_series_terms(spec, ln_s, n_values)
+    w = w - weights._logsumexp(w)
+    p = np.exp(w)
+    n_lo = int(np.argmax(np.cumsum(p) > tail_eps / 2.0))
+    if n_lo > 0:
+        n_values, p = n_values[n_lo:], p[n_lo:]
+        p = p / p.sum()
+    return n_values, p
+
+
+@pytest.fixture(scope="module", params=[(ALPHA_PAPER, 160.0), (1.0 / 64.0, 2000.0)],
+                ids=["paper", "far-corner"])
+def scan_case(request):
+    alpha, mean = request.param
+    return WeightSpec.stretched(alpha), solve_scale_ln(alpha, mean)
+
+
+class TestOneScan:
+    def test_window_matches_the_two_pass_reference(self, scan_case):
+        spec, ln_s = scan_case
+        n_values, p = _distribution_window(spec, ln_s, 1e-12)
+        ref_n, ref_p = two_pass_window(spec, ln_s, 1e-12)
+        assert n_values.tobytes() == ref_n.tobytes()
+        assert p.tobytes() == ref_p.tobytes()
+
+    def test_each_index_is_formed_once(self, scan_case, monkeypatch):
+        spec, ln_s = scan_case
+        seen = []
+        lgamma = weights._lgamma
+
+        def counting(x):
+            seen.extend(np.ravel(x).tolist())
+            return lgamma(x)
+
+        monkeypatch.setattr(weights, "_lgamma", counting)
+        for call in (lambda: _distribution_window(spec, ln_s, 1e-12),
+                     lambda: weights.log_norm_factor(spec, ln_s=ln_s)):
+            seen.clear()
+            call()
+            assert seen and len(seen) == len(set(seen))
+
+    def test_the_scale_is_passed_only_as_ln_s(self):
+        for module in (weights, state):
+            for name, fn in vars(module).items():
+                if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                params = inspect.signature(fn).parameters
+                assert "s" not in params, name
+                if "ln_s" in params:
+                    assert params["ln_s"].kind is inspect.Parameter.KEYWORD_ONLY, name
+        for fn in (build_state, leading_order_stats, weights.truncation_level, weights.log_norm_factor):
+            assert inspect.signature(fn).parameters["ln_s"].kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            build_state(WeightSpec.stretched(0.25), 4.0, 0.0, AngularParams(0, 0))
 
 
 def exponential_mean_closed_form(s_sq: float) -> float:
@@ -123,7 +185,7 @@ class TestClosedFormStatistics:
     def test_rational_formulas_match_direct_summation(self):
         spec = WeightSpec.exponential()
         for s_sq in np.geomspace(0.01, 100.0, 50):
-            st = build_state(spec, math.sqrt(s_sq), 0.0, AngularParams(0.0, 0.0))
+            st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=math.log(math.sqrt(s_sq)))
             mean = mean_level(st)
             var = level_spread(st) ** 2
             assert abs(mean - exponential_mean_closed_form(s_sq)) <= 1e-10 * max(1.0, mean)
@@ -135,18 +197,18 @@ class TestClosedFormStatistics:
         assert abs(spread - math.sqrt(5.0)) < 0.01
 
     def test_leading_order_alpha_one(self):
-        mean, spread = leading_order_stats(1.0, 7.0)
+        mean, spread = leading_order_stats(1.0, ln_s=math.log(7.0))
         assert mean == pytest.approx(49.0, rel=1e-14)
         assert spread == pytest.approx(7.0, rel=1e-14)
 
     def test_leading_order_vanishes_at_zero_scale(self):
-        assert leading_order_stats(0.25, 0.0) == (0.0, 0.0)
+        assert leading_order_stats(0.25, ln_s=-math.inf) == (0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0])
     def test_asymptotic_spread_consistency(self, alpha):
         ln_s = solve_scale_ln(alpha, 160.0)
         st = build_state(
-            WeightSpec.stretched(alpha), None, 0.0, AngularParams(0.0, 0.0), ln_s=ln_s
+            WeightSpec.stretched(alpha), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s
         )
         _, spread_lo = leading_order_stats(alpha, ln_s=ln_s)
         assert abs(level_spread(st) - spread_lo) <= 0.1 * spread_lo
@@ -195,7 +257,7 @@ class TestSolveContract:
                                                        for a, t, p in SOLVE_CASES])
     def test_solved_state_meets_the_relative_tol(self, solved, case):
         alpha, target, principal = case
-        st = build_state(WeightSpec.stretched(alpha), None, 0.0, AngularParams(0.0, 0.0),
+        st = build_state(WeightSpec.stretched(alpha), 0.0, AngularParams(0.0, 0.0),
                          ln_s=solved[case])
         assert abs(mean_level(st, principal=principal) - target) <= 1e-9 * target
 
@@ -239,7 +301,7 @@ class TestEvolution:
     def test_temporal_stability_matches_rebuild(self, paper_state):
         t = 7.7e8
         rebuilt = build_state(
-            paper_state.weight, None, paper_state.gamma + t, paper_state.angular,
+            paper_state.weight, paper_state.gamma + t, paper_state.angular,
             ln_s=paper_state.ln_s,
         )
         evolved = evolve(paper_state, t)
@@ -265,7 +327,7 @@ class TestEvolution:
     def test_group_law_and_norm_on_small_states(self, exponential, alpha, ln_s, gamma, ticks, zetas):
         spec, ln_s = (WeightSpec.exponential(), ln_s / 60.0) if exponential else (
             WeightSpec.stretched(alpha), ln_s)
-        st = build_state(spec, None, gamma,
+        st = build_state(spec, gamma,
                          AngularParams(complex(*zetas[:2]), complex(*zetas[2:])), ln_s=ln_s)
         # times on a 2^-10 grid up to 2^30 ~ 1.07e9, so t1 + t2 is exact and
         # any mismatch is the evolution's own rounding
@@ -389,14 +451,14 @@ class TestOverlap:
         assert overlap(paper_state, paper_state) == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_family_must_match(self, paper_state):
-        other = build_state(WeightSpec.exponential(), 1.0, 0.0, paper_state.angular)
+        other = build_state(WeightSpec.exponential(), 0.0, paper_state.angular, ln_s=math.log(1.0))
         with pytest.raises(ValueError):
             overlap(paper_state, other)
 
     def test_distant_angular_parameters_leave_lowest_level(self):
         spec = WeightSpec.exponential()
-        a = build_state(spec, 1.0, 0.0, AngularParams(0.0, 0.0))
-        b = build_state(spec, 1.0, 0.0, AngularParams(1e4, 1e4))
+        a = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))
+        b = build_state(spec, 0.0, AngularParams(1e4, 1e4), ln_s=math.log(1.0))
         got = overlap(a, b)
         # per-level overlap factors decay like (1+|zeta|^2)^(-2j), so only
         # the j = 0 ground level survives
@@ -406,8 +468,8 @@ class TestOverlap:
     def test_antipodal_angular_parameters_keep_the_ground_level(self):
         # every level above the ground one is orthogonal; spin 0 overlaps fully
         spec = WeightSpec.exponential()
-        a = build_state(spec, 1.0, 0.0, AngularParams(1.0, 1.0))
-        b = build_state(spec, 1.0, 0.0, AngularParams(-1.0, -1.0))
+        a = build_state(spec, 0.0, AngularParams(1.0, 1.0), ln_s=math.log(1.0))
+        b = build_state(spec, 0.0, AngularParams(-1.0, -1.0), ln_s=math.log(1.0))
         c0 = a.coeffs.values[0]
         assert a.coeffs.n_min == 0 and abs(c0 - b.coeffs.values[0]) == 0.0
         assert abs(overlap(a, b) - c0.conjugate() * c0) <= 1e-15
@@ -431,9 +493,9 @@ class TestOverlap:
             spec = WeightSpec.stretched(alpha)
         # nearby zetas keep the per-level angular overlaps away from zero
         near = [z + d for z, d in zip(zetas, nudge)]
-        a = build_state(spec, None, gammas[0],
+        a = build_state(spec, gammas[0],
                         AngularParams(complex(*zetas[:2]), complex(*zetas[2:])), ln_s=ln_s)
-        b = build_state(spec, None, gammas[1],
+        b = build_state(spec, gammas[1],
                         AngularParams(complex(*near[:2]), complex(*near[2:])), ln_s=ln_s + shift)
         ab, ba = overlap(a, b), overlap(b, a)
         assert abs(ab - ba.conjugate()) <= 1e-12
@@ -462,7 +524,7 @@ class TestSerialization:
     )
     def test_round_trip_is_bit_exact(self, tmp_path, ln_s, alpha, gamma, zetas):
         angular = AngularParams(complex(*zetas[:2]), complex(*zetas[2:]))
-        st = build_state(WeightSpec.stretched(alpha), None, gamma, angular, ln_s=ln_s)
+        st = build_state(WeightSpec.stretched(alpha), gamma, angular, ln_s=ln_s)
         path = tmp_path / "state.desc"
         write_descriptor(path, st)
         back = read_descriptor(path)
@@ -474,7 +536,8 @@ class TestSerialization:
 
     def test_exponential_descriptor_text(self, tmp_path):
         # the exponential spec carries alpha = 1.0 but writes no alpha line
-        st = build_state(WeightSpec.exponential(), 2.0, 0.5, AngularParams(0.25 + 0.5j, 0.75 - 0.125j))
+        st = build_state(WeightSpec.exponential(), 0.5, AngularParams(0.25 + 0.5j, 0.75 - 0.125j),
+                         ln_s=math.log(2.0))
         path = tmp_path / "exp.desc"
         write_descriptor(path, st)
         assert path.read_text() == (
@@ -492,7 +555,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-1e-3"])
     def test_tail_eps_outside_the_unit_interval_is_a_descriptor_error(self, tmp_path, tail_eps):
-        st = build_state(WeightSpec.exponential(), 2.0, 0.5, AngularParams(0.0, 0.0))
+        st = build_state(WeightSpec.exponential(), 0.5, AngularParams(0.0, 0.0), ln_s=math.log(2.0))
         path = tmp_path / "state.desc"
         write_descriptor(path, st)
         path.write_text(path.read_text().replace("tail_eps=9.9999999999999998e-13",
@@ -501,7 +564,7 @@ class TestSerialization:
             read_descriptor(path)
 
     def test_round_trip_zero_scale(self, tmp_path):
-        st = build_state(WeightSpec.exponential(), 0.0, 0.3, AngularParams(0.1, 0.2j))
+        st = build_state(WeightSpec.exponential(), 0.3, AngularParams(0.1, 0.2j), ln_s=-math.inf)
         path = tmp_path / "ground.desc"
         write_descriptor(path, st)
         back = read_descriptor(path)

@@ -41,7 +41,7 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
     tracer = spans.Tracer()
     tracer.install()
-    state = build_state(WeightSpec.stretched(0.25), None, 0.0,
+    state = build_state(WeightSpec.stretched(0.25), 0.0,
                         position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
     rows = position.position_trace(state, [0.0, 1.0, 2.0])  # as the orbit workload calls it
     assert rows.shape == (3, 3)
@@ -58,7 +58,7 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
 def test_no_src_path_looks_up_a_coupling_table():
     # recoupling is in closed form; the tables are only the tests' reference
     before = coupling_matrix.cache_info()
-    state = build_state(WeightSpec.stretched(0.25), None, 0.0,
+    state = build_state(WeightSpec.stretched(0.25), 0.0,
                         position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
     frames = list(position.field_frames(state, position.GridSpec(width=40.0, samples=9), [0.0, 1.0]))
     rows = position.position_trace(state, [0.0, 1.0])

@@ -24,6 +24,11 @@ from cohere.weights import (
 LN_S_PAPER = math.log(2.209e59)
 
 
+def _ln(s: float) -> float:
+    """ln s, and -inf for s = 0."""
+    return math.log(s) if s > 0 else -math.inf
+
+
 def log_hydrogen_norm_closed_form(s: float) -> float:
     """ln N(s) = -s^2/2 - ln(1 + 3 s^2 + s^4)/2 for the exponential weight
     with (n+1)^2 degeneracies."""
@@ -154,10 +159,10 @@ class TestNormFactor:
     def test_unit_scale_closed_form(self):
         # sum s^{2n} (n+1)^2 / n! = e^{s^2} (1 + 3 s^2 + s^4) -> 5e at s^2=1
         expected = -0.5 * (1.0 + math.log(5.0))
-        assert log_norm_factor(WeightSpec.exponential(), 1.0) == pytest.approx(expected, abs=1e-13)
+        assert log_norm_factor(WeightSpec.exponential(), ln_s=math.log(1.0)) == pytest.approx(expected, abs=1e-13)
 
     def test_zero_scale(self):
-        assert log_norm_factor(WeightSpec.exponential(), 0.0) == 0.0
+        assert log_norm_factor(WeightSpec.exponential(), ln_s=-math.inf) == 0.0
 
     def test_closed_form_values(self):
         assert hydrogen_norm_closed_form(0.0) == 1.0
@@ -171,14 +176,14 @@ class TestNormFactor:
     def test_series_matches_closed_form_on_grid(self):
         spec = WeightSpec.exponential()
         for s in np.linspace(0.0, 10.0, 100):
-            series = log_norm_factor(spec, float(s))
+            series = log_norm_factor(spec, ln_s=_ln(float(s)))
             closed = log_hydrogen_norm_closed_form(float(s))
             assert abs(series - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_huge_scale_is_finite_and_normalized(self):
         spec = WeightSpec.stretched(1.0 / 32.0)
-        n_max = truncation_level(spec, None, tail_eps=1e-12, ln_s=LN_S_PAPER)
-        ln_norm = log_norm_factor(spec, None, n_max=n_max, ln_s=LN_S_PAPER)
+        n_max = truncation_level(spec, tail_eps=1e-12, ln_s=LN_S_PAPER)
+        ln_norm = log_norm_factor(spec, n_max=n_max, ln_s=LN_S_PAPER)
         assert math.isfinite(ln_norm)
         # renormalization self-consistency: probabilities sum to one
         n = np.arange(n_max + 1)
@@ -188,14 +193,14 @@ class TestNormFactor:
 
     def test_divergent_scale_raises(self):
         with pytest.raises((DivergentSeriesError, OverflowError)):
-            log_norm_factor(WeightSpec.exponential(), float("inf"))
+            log_norm_factor(WeightSpec.exponential(), ln_s=math.log(float("inf")))
 
 
 class TestCompanionDensity:
     def test_hydrogen_values(self):
         spec = WeightSpec.exponential()
         for u in (0.0, 0.5, 2.0, 7.0):
-            norm_sq_log = 2.0 * log_norm_factor(spec, math.sqrt(u))
+            norm_sq_log = 2.0 * log_norm_factor(spec, ln_s=_ln(math.sqrt(u)))
             assert companion_density(spec, norm_sq_log, u) == pytest.approx(
                 hydrogen_companion_closed_form(u), rel=1e-12)
         assert hydrogen_companion_closed_form(2.0) == 11.0
@@ -213,7 +218,7 @@ class TestCompanionDensity:
     def test_product_reproduces_weight_on_grid(self):
         spec = WeightSpec.exponential()
         for u in np.linspace(0.0, 20.0, 81):
-            norm_sq_log = 2.0 * log_norm_factor(spec, math.sqrt(u))
+            norm_sq_log = 2.0 * log_norm_factor(spec, ln_s=_ln(math.sqrt(u)))
             k = companion_density(spec, norm_sq_log, float(u))
             rho = math.exp(log_density(spec, float(u)))
             assert k * math.exp(norm_sq_log) == pytest.approx(rho, rel=1e-12)
@@ -236,28 +241,28 @@ def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
 
 class TestTruncation:
     def test_zero_scale(self):
-        assert truncation_level(WeightSpec.exponential(), 0.0) == 0
+        assert truncation_level(WeightSpec.exponential(), ln_s=-math.inf) == 0
 
     def test_matches_brute_force_exponential(self):
         spec = WeightSpec.exponential()
-        got = truncation_level(spec, 4.0, tail_eps=1e-12)
+        got = truncation_level(spec, tail_eps=1e-12, ln_s=math.log(4.0))
         assert got == brute_force_truncation(spec, math.log(4.0), 1e-12)
 
     def test_matches_brute_force_paper_scale(self):
         spec = WeightSpec.stretched(1.0 / 32.0)
-        got = truncation_level(spec, None, tail_eps=1e-12, ln_s=LN_S_PAPER)
+        got = truncation_level(spec, tail_eps=1e-12, ln_s=LN_S_PAPER)
         assert got == brute_force_truncation(spec, LN_S_PAPER, 1e-12)
         # window centered near index 159 with spread sqrt(5) must cover 150..170
         assert got >= 170
 
     def test_bad_tail_eps(self):
         with pytest.raises(ValueError):
-            truncation_level(WeightSpec.exponential(), 1.0, tail_eps=0.0)
+            truncation_level(WeightSpec.exponential(), tail_eps=0.0, ln_s=math.log(1.0))
 
     def test_hard_cap_signals_divergence(self, monkeypatch):
         monkeypatch.setattr(W, "MAX_TERMS", 64)
         with pytest.raises(DivergentSeriesError):
-            truncation_level(WeightSpec.exponential(), 1e6, tail_eps=1e-12)
+            truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=math.log(1e6))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -270,6 +275,6 @@ class TestTruncation:
         ln_s = (log_mean - math.log(alpha)) / (2.0 * alpha)
         spec = WeightSpec.stretched(alpha)
         tight, loose = sorted(math.exp(v) for v in log_eps)
-        n_tight = truncation_level(spec, None, tail_eps=tight, ln_s=ln_s)
-        n_loose = truncation_level(spec, None, tail_eps=loose, ln_s=ln_s)
+        n_tight = truncation_level(spec, tail_eps=tight, ln_s=ln_s)
+        n_loose = truncation_level(spec, tail_eps=loose, ln_s=ln_s)
         assert n_tight >= n_loose

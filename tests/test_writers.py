@@ -88,7 +88,7 @@ def random_field(rng, samples):
 
 @pytest.fixture(scope="module")
 def state():
-    return build_state(WeightSpec.stretched(0.25), None, 0.0, AngularParams(0.3, -0.2j),
+    return build_state(WeightSpec.stretched(0.25), 0.0, AngularParams(0.3, -0.2j),
                        ln_s=solve_scale_ln(0.25, 6.0))
 
 
