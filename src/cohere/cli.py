@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import lru_cache
 
@@ -53,10 +54,13 @@ class _Help(argparse.ArgumentDefaultsHelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError; it and its subcommand parsers print each option's default."""
+    """Raises UsageError; it and its subcommand parsers print each option's
+    default, and read a word that starts -<digit> or -.<digit>, such as
+    -1e3 or -1,5, as a value, not as a flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **{"formatter_class": _Help, **kwargs})
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -106,9 +106,7 @@ def _polar_factor(j: float, theta: np.ndarray) -> np.ndarray:
     return su2_amplitudes(j, -np.tan(theta / 2.0))
 
 
-def verify_su2_identity(
-    j: float, polar_order: int, azimuthal_count: int | None = None
-) -> float:
+def verify_su2_identity(j: float, polar_order: int, azimuthal_count: int) -> float:
     """Max deviation of the spin-j sphere integral from the identity.
 
     The integral of (2j+1)/pi * d^2 zeta/(1+|zeta|^2)^2 |j,zeta><j,zeta|
@@ -117,8 +115,6 @@ def verify_su2_identity(
     azimuthal nodes.
     """
     two_j = _check_two_j(j)
-    if azimuthal_count is None:
-        azimuthal_count = max(4, 2 * polar_order)
     gram = (two_j + 1.0) * _sphere_overlap_matrix(j, j, polar_order, azimuthal_count)
     return float(np.max(np.abs(gram - np.eye(two_j + 1))))
 
@@ -272,21 +268,11 @@ class CheckResult:
     def __post_init__(self):
         self.passed = bool(self.max_deviation <= self.tolerance)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "truncation": self.truncation,
-            "orders": self.orders,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def report_json(results: list[CheckResult]) -> str:
     return json.dumps(
         {
-            "checks": [r.as_dict() for r in results],
+            "checks": [asdict(r) for r in results],
             "passed": all(r.passed for r in results),
         },
         indent=2,

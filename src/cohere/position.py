@@ -19,9 +19,9 @@ direction.  (+z would require the parameter at the excluded pole; the -z
 representative is the mirror image through the orbital plane and has
 identical ellipse geometry.)
 
-Planar frames and orbit traces take time only through the evolved level
-coefficients c(t).  A grid frame is c(t) . Phi, where row n of Phi is
-level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
+Planar frames and orbit traces take time only through the coefficients
+c(t) of evolve(state, t).  A grid frame is c(t) . Phi, where row n of Phi
+is level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
 g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii (keyed on the
 integer squared grid offsets, so equal radii merge exactly), summed over m
 by Horner's rule in e^{i phi}.  g_n(l, m) = kappa_l(n) h_l(m) from one
@@ -55,8 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohere import hydrogen
-from cohere.state import _FMT, CoherentState, _write_csv, mean_level
+from cohere.state import _FMT, CoherentState, _write_csv, evolve, mean_level
 from cohere.su2 import (  # so4_to_spherical is bound here for bench/spans.py, which wraps it
     AngularParams,
     recoupled_window,
@@ -213,11 +212,6 @@ def legendre_normalized(l_max: int, m: int, cos_theta, sin_theta) -> np.ndarray:
     return np.stack(rows)
 
 
-def _coefficients_at(state: CoherentState, t: float) -> np.ndarray:
-    """The level coefficients c(t) of the state evolved to time t."""
-    return state.coeffs.values * np.exp(1j * hydrogen.reduced_phases(-t, state.level_energies))
-
-
 def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFAULT_GRID_BUDGET):
     """The wavefunction on the z = 0 plane at each of the given times.
 
@@ -257,7 +251,7 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
             field += (row @ radials)[inverse]
         field *= np.exp(-1j * (n - 1) * phi)
     shape = (grid.samples, grid.samples)
-    return (GridField(spec=grid, t=t, values=(_coefficients_at(state, t) @ fields).reshape(shape))
+    return (GridField(spec=grid, t=t, values=(evolve(state, t).coeffs.values @ fields).reshape(shape))
             for t in times)
 
 
@@ -293,8 +287,6 @@ class SpatialQuadrature:
         cls,
         n_top: int,
         radial_order: int | None = None,
-        polar_order: int | None = None,
-        azimuthal_count: int | None = None,
         r_max: float | None = None,
     ) -> "SpatialQuadrature":
         # the cutoff holds the l = 0 tail of level n_top; nodes at r = r_max u^2,
@@ -303,16 +295,12 @@ class SpatialQuadrature:
             r_max = 4.0 * n_top * n_top + 16.0 * n_top
         if radial_order is None:
             radial_order = max(96, 4 * n_top)
-        if polar_order is None:
-            polar_order = 2 * n_top + 12
-        if azimuthal_count is None:
-            azimuthal_count = 4 * n_top + 8
         xr, wr = np.polynomial.legendre.leggauss(radial_order)
         u = 0.5 * (xr + 1.0)
         r_nodes = r_max * u * u
         r_weights = r_max * u * wr
-        cu, wu = np.polynomial.legendre.leggauss(polar_order)
-        return cls(r_nodes, r_weights, cu, wu, azimuthal_count)
+        cu, wu = np.polynomial.legendre.leggauss(2 * n_top + 12)
+        return cls(r_nodes, r_weights, cu, wu, 4 * n_top + 8)
 
     @property
     def phi_nodes(self) -> np.ndarray:
@@ -378,7 +366,7 @@ def position_trace(
     moments = level_moments(state, quad)
     rows = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        c = _coefficients_at(state, t)
+        c = evolve(state, t).coeffs.values
         rows.append(np.einsum("i,kij,j->k", c.conj(), moments, c).real)
     return np.asarray(rows)
 

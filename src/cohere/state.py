@@ -8,8 +8,10 @@ parameters.  Its spectral side is
 
 where n is the 0-based summation index, the principal quantum number is
 n+1, and the factor (n+1) is the square root of the level multiplicity
-(n+1)^2.  Coefficients are stored in log-polar form; magnitudes only
-become linear after normalization cancels the extreme scales.
+(n+1)^2.  The window's log terms are normalized in log space before
+p_n = |c_n|^2 is formed, so the extreme scales cancel before anything is
+exponentiated; a state keeps p_n and the phases, and c_n = sqrt(p_n)
+exp(i phase_n).
 
 Time evolution is closure under a shift of gamma: the state at time t has
 gamma + t, every coefficient picking up exp(-i e_{n+1} t).  Phase products
@@ -50,12 +52,16 @@ _BLOCK_ELEMENTS = 2**16
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """Per-level amplitudes over a contiguous summation-index window."""
+    """The level distribution p_n and the phases over the contiguous
+    summation-index window n_min..n_max; c_n = sqrt(p_n) exp(i phase_n)."""
 
     n_min: int
-    n_max: int
-    log_mag: np.ndarray
+    probabilities: np.ndarray
     phase: np.ndarray
+
+    @property
+    def n_max(self) -> int:
+        return self.n_min + self.probabilities.size - 1
 
     @property
     def indices(self) -> np.ndarray:
@@ -67,12 +73,8 @@ class SpectralCoefficients:
         return self.indices + 1
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return np.exp(2.0 * self.log_mag)
-
-    @property
     def values(self) -> np.ndarray:
-        return np.exp(self.log_mag + 1j * self.phase)
+        return np.sqrt(self.probabilities) * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,8 @@ def build_state(
     """Assemble the normalized state of scale ln_s (-inf for s = 0) over
     its truncation window."""
     n_values, p = _distribution_window(weight, ln_s, tail_eps)
-    log_mag = 0.5 * np.log(p)
     phase = reduced_phases(-gamma, hydrogen.energy(n_values + 1))
-    coeffs = SpectralCoefficients(
-        n_min=int(n_values[0]),
-        n_max=int(n_values[-1]),
-        log_mag=log_mag,
-        phase=phase,
-    )
+    coeffs = SpectralCoefficients(n_min=int(n_values[0]), probabilities=p, phase=phase)
     return CoherentState(
         weight=weight,
         ln_s=ln_s,
@@ -154,11 +150,10 @@ def mean_level(state: CoherentState, principal: bool = False) -> float:
 
 def level_spread(state: CoherentState) -> float:
     """Standard deviation of the level distribution (index convention
-    irrelevant: a unit shift leaves the spread unchanged)."""
-    p = state.coeffs.probabilities
-    n = state.coeffs.indices
-    mean = float(np.sum(n * p))
-    return math.sqrt(max(0.0, float(np.sum(n * n * p)) - mean * mean))
+    irrelevant: a unit shift leaves the spread unchanged), from the
+    two-pass sum of (n - <n>)^2 p_n."""
+    c = state.coeffs
+    return math.sqrt(float(np.sum((c.indices - mean_level(state)) ** 2 * c.probabilities)))
 
 
 def leading_order_stats(alpha: float, *, ln_s: float) -> tuple[float, float]:
@@ -281,23 +276,16 @@ def autocorrelation(state: CoherentState, t) -> complex | np.ndarray:
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:
     """<a|b> combining spectral coefficients with the per-level angular
-    overlaps; windows are aligned by zero padding."""
+    overlaps, summed over the levels both windows hold (0 if none)."""
     if a.weight != b.weight:
         raise ValueError("states must share a weight family")
-    lo = min(a.coeffs.n_min, b.coeffs.n_min)
-    hi = max(a.coeffs.n_max, b.coeffs.n_max)
-
-    def padded(state: CoherentState) -> np.ndarray:
-        buf = np.zeros(hi - lo + 1, dtype=complex)
-        c = state.coeffs
-        buf[c.n_min - lo : c.n_max - lo + 1] = c.values
-        return buf
-
-    j = np.arange(lo, hi + 1) / 2.0  # level n+1 carries two spins of j = n/2
+    n = np.arange(max(a.coeffs.n_min, b.coeffs.n_min), min(a.coeffs.n_max, b.coeffs.n_max) + 1)
+    j = n / 2.0  # level n+1 carries two spins of j = n/2
     ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(
         j, a.angular.zeta2, b.angular.zeta2
     )
-    return complex(np.sum(np.conj(padded(a)) * padded(b) * ang))
+    c_a, c_b = a.coeffs.values[n - a.coeffs.n_min], b.coeffs.values[n - b.coeffs.n_min]
+    return complex(np.sum(np.conj(c_a) * c_b * ang))
 
 
 # --- descriptor serialization -------------------------------------------

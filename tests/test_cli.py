@@ -739,6 +739,35 @@ class TestFloatInput:
         assert not (tmp_path / "trace.csv").exists()
 
 
+class TestNegativeValues:
+    """A negative value in exponent form, or a --times list that starts
+    with a negative entry, is a value, not a flag."""
+
+    def test_solve_gamma(self, tmp_path):
+        path = tmp_path / "s.desc"
+        argv = ["solve", "--alpha", "0.25", "--mean", "3", "--gamma", "-1e3", "-o", str(path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert read_descriptor(path).gamma == -1000.0
+
+    def test_autocorr_t_start(self, descriptor, tmp_path):
+        argv = autocorr_argv(descriptor, tmp_path, "--samples", "5", "--t-start", "-2.5e3")
+        assert cli.main(argv) == cli.EXIT_OK
+        assert float(trace_rows(tmp_path)[0].split(",")[0]) == -2500.0
+
+    @pytest.mark.parametrize("times, first", [("-1e2,5", "-100"), ("-1,5", "-1")])
+    def test_grid_times(self, descriptor, tmp_path, capsys, times, first):
+        assert cli.main([*grid_argv(descriptor, tmp_path), "--times", times]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert f"frame_t0.csv (t={first})" in out and "frame_t1.csv (t=5)" in out
+
+    def test_minus_inf_is_still_a_usage_error(self, tmp_path, capsys):
+        argv = ["solve", "--alpha", "0.25", "--mean", "3", "--gamma", "-inf",
+                "-o", str(tmp_path / "s.desc")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def run_fresh(code, tmp_path, **env):
     """Run code in a new interpreter that imports cohere from this checkout."""
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}

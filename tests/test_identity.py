@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import mpmath
@@ -361,7 +362,7 @@ class TestStandardVerification:
         results = standard_verification()
         assert len(results) == 4
         for result in results:
-            assert result.passed, result.as_dict()
+            assert result.passed, asdict(result)
 
     def test_low_polar_order_is_insufficient(self):
         with pytest.raises(InsufficientOrderError):

@@ -445,6 +445,27 @@ class TestPlanarField:
             GridSpec(width=width, samples=5)
 
 
+class TestOneEvolution:
+    """Frames and traces take c(t) from evolve, so evolving first and
+    sampling at t = 0 gives the same bits."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        st = build_state(WeightSpec.stretched(1.0 / 32.0), 0.25, ellipse_to_angular(0.385),
+                         ln_s=solve_scale_ln(1.0 / 32.0, 20.0))
+        return st, 0.37 * hydrogen.revival_time(20.0)
+
+    def test_frames(self, case):
+        st, t = case
+        grid = GridSpec(width=1300.0, samples=21)
+        (now,), (later,) = field_frames(st, grid, [t]), field_frames(evolve(st, t), grid, [0.0])
+        assert now.values.tobytes() == later.values.tobytes()
+
+    def test_trace(self, case):
+        st, t = case
+        assert position_trace(st, [t]).tobytes() == position_trace(evolve(st, t), [0.0]).tobytes()
+
+
 class TestFieldExport:
     @pytest.fixture()
     def small_field(self):

@@ -31,8 +31,8 @@ from cohere.state import (
     write_descriptor,
     write_trace_csv,
 )
-from cohere.su2 import AngularParams
-from cohere.weights import WeightSpec
+from cohere.su2 import AngularParams, su2_overlap
+from cohere.weights import DEFAULT_TAIL_EPS, WeightSpec
 
 LN_S_PAPER = math.log(2.209e59)
 ALPHA_PAPER = 1.0 / 32.0
@@ -163,6 +163,24 @@ class TestOneScan:
             assert inspect.signature(fn).parameters["ln_s"].kind is inspect.Parameter.KEYWORD_ONLY
         with pytest.raises(TypeError):
             build_state(WeightSpec.stretched(0.25), 4.0, 0.0, AngularParams(0, 0))
+
+
+class TestOneDistribution:
+    def test_the_state_keeps_the_window_p(self, scan_case):
+        spec, ln_s = scan_case
+        _, p = _distribution_window(spec, ln_s, DEFAULT_TAIL_EPS)
+        st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
+        assert st.coeffs.probabilities.tobytes() == p.tobytes()
+
+    def test_spread_is_the_two_pass_sum(self, scan_case):
+        spec, ln_s = scan_case
+        st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
+        with mpmath.workdps(50):
+            terms = [(mpmath.mpf(int(n)), mpmath.mpf(float(p)))
+                     for n, p in zip(st.coeffs.indices, st.coeffs.probabilities)]
+            mean = mpmath.fsum(n * p for n, p in terms)
+            ref = float(mpmath.sqrt(mpmath.fsum((n - mean) ** 2 * p for n, p in terms)))
+        assert abs(level_spread(st) - ref) <= 1e-15 * ref
 
 
 def exponential_mean_closed_form(s_sq: float) -> float:
@@ -475,6 +493,42 @@ class TestOverlap:
         assert abs(overlap(a, b) - c0.conjugate() * c0) <= 1e-15
         assert abs(overlap(a, b) - 0.0736) <= 5e-5
 
+    @staticmethod
+    def padded_overlap(a, b):
+        """Reference: both windows zero-padded to their union."""
+        lo = min(a.coeffs.n_min, b.coeffs.n_min)
+        hi = max(a.coeffs.n_max, b.coeffs.n_max)
+        padded = []
+        for st in (a, b):
+            buf = np.zeros(hi - lo + 1, dtype=complex)
+            buf[st.coeffs.n_min - lo : st.coeffs.n_max - lo + 1] = st.coeffs.values
+            padded.append(buf)
+        j = np.arange(lo, hi + 1) / 2.0
+        ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(
+            j, a.angular.zeta2, b.angular.zeta2)
+        return complex(np.sum(np.conj(padded[0]) * padded[1] * ang))
+
+    def test_the_sum_runs_over_the_shared_levels(self, monkeypatch):
+        spec = WeightSpec.stretched(ALPHA_PAPER)
+        ln_s = {mean: solve_scale_ln(ALPHA_PAPER, mean) for mean in (20.0, 21.0, 160.0)}
+        a = build_state(spec, 0.25, AngularParams(0.3 + 0.1j, -0.2j), ln_s=ln_s[20.0])
+        b = build_state(spec, -1.5, AngularParams(0.25, 0.1 - 0.2j), ln_s=ln_s[21.0])
+        far = build_state(spec, 0.0, AngularParams(0.3 + 0.1j, -0.2j), ln_s=ln_s[160.0])
+        shared = np.arange(b.coeffs.n_min, a.coeffs.n_max + 1)
+        assert a.coeffs.n_min < b.coeffs.n_min <= a.coeffs.n_max < b.coeffs.n_max
+        assert a.coeffs.n_max < far.coeffs.n_min
+        reference = self.padded_overlap(a, b)
+        spins = []
+
+        def recording(j, zeta_a, zeta_b):
+            spins.append(np.array(j))
+            return su2_overlap(j, zeta_a, zeta_b)
+
+        monkeypatch.setattr(state, "su2_overlap", recording)
+        assert abs(overlap(a, b) - reference) <= 1e-15
+        assert all(np.array_equal(j, shared / 2.0) for j in spins) and len(spins) == 2
+        assert overlap(a, far) == 0j and overlap(far, a) == 0j
+
     @settings(max_examples=40, deadline=None)
     @given(
         exponential=hst.booleans(),
@@ -531,7 +585,7 @@ class TestSerialization:
         assert (back.weight, back.ln_s, back.gamma, back.angular, back.tail_eps) == (
             st.weight, st.ln_s, st.gamma, st.angular, st.tail_eps)
         assert (back.coeffs.n_min, back.coeffs.n_max) == (st.coeffs.n_min, st.coeffs.n_max)
-        assert back.coeffs.log_mag.tobytes() == st.coeffs.log_mag.tobytes()
+        assert back.coeffs.probabilities.tobytes() == st.coeffs.probabilities.tobytes()
         assert back.coeffs.phase.tobytes() == st.coeffs.phase.tobytes()
 
     def test_exponential_descriptor_text(self, tmp_path):
@@ -576,11 +630,12 @@ class TestSerialization:
         plain, cached = tmp_path / "plain.desc", tmp_path / "cached.desc"
         write_descriptor(plain, paper_state)
         c = paper_state.coeffs
-        cache = "".join(f"c{n}={lm:.17g},{ph:.17g}\n" for n, lm, ph in zip(c.indices, c.log_mag, c.phase))
+        cache = "".join(f"c{n}={0.5 * math.log(p):.17g},{ph:.17g}\n"
+                        for n, p, ph in zip(c.indices, c.probabilities, c.phase))
         cached.write_text(plain.read_text() + cache)
         back, ref = read_descriptor(cached).coeffs, read_descriptor(plain).coeffs
         assert (back.n_min, back.n_max) == (ref.n_min, ref.n_max)
-        assert back.log_mag.tobytes() == ref.log_mag.tobytes()
+        assert back.probabilities.tobytes() == ref.probabilities.tobytes()
         assert back.phase.tobytes() == ref.phase.tobytes()
 
     def test_missing_key_rejected(self, tmp_path):
