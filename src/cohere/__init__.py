@@ -46,11 +46,9 @@ from cohere.state import (
     CoherentState,
     SpectralCoefficients,
     build_state,
-    level_distribution,
     mean_level,
     level_spread,
     leading_order_stats,
-    solve_scale,
     evolve,
     autocorrelation,
     overlap,

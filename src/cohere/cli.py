@@ -5,11 +5,11 @@ output uses 17 significant digits so downstream plotting reproduces runs
 without loss; every subcommand is deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 budget
-refusal.  A --descriptor file that cannot be read as a state (a malformed
-line, a missing key, an unknown family, a value that does not parse or
-that the weight or angular parameters reject) is a usage error naming
-the file; a failure while the state is built from valid parameters is
-numerical.
+refusal, also for a request whose arrays cannot be allocated.  A
+--descriptor file that cannot be read as a state (a malformed line, a
+missing key, an unknown family, a value that does not parse or that the
+weight or angular parameters reject) is a usage error naming the file;
+a failure while the state is built from valid parameters is numerical.
 
 Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
 applied when the cohere package is first imported, before numpy loads).
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         from cohere.position import BudgetExceededError
         from cohere.state import DescriptorError
 
-        if isinstance(exc, BudgetExceededError):
+        if isinstance(exc, (BudgetExceededError, MemoryError)):
             print(f"budget refusal: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         if isinstance(exc, DescriptorError):

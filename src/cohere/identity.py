@@ -55,15 +55,6 @@ class InsufficientOrderError(ValueError):
     """The requested quadrature order cannot integrate the target exactly."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Orders for the combined identity check."""
-
-    polar_order: int = 24
-    azimuthal_count: int = 48
-    gamma_halfwidth: float | None = None  # None: exact-limit mode
-
-
 def gamma_average(gamma_halfwidth: float, ea: float, eb: float) -> float:
     """(1/2 Gamma) integral of exp(i gamma (ea-eb)) over [-Gamma, Gamma].
 
@@ -95,15 +86,6 @@ def _azimuthal_sums(azimuthal_count: int) -> np.ndarray:
     sums = np.array([np.exp(-1j * (k * phi)).sum() for k in d]) * w_phi
     sums.flags.writeable = False
     return sums
-
-
-def _polar_factor(j: float, theta: np.ndarray) -> np.ndarray:
-    """Polar part of the su2 amplitudes on the polar nodes; shape (2j+1, Nu).
-
-    The amplitude of component k at zeta = -tan(theta/2) exp(-i phi) is
-    this factor times exp(-i k phi).
-    """
-    return su2_amplitudes(j, -np.tan(theta / 2.0))
 
 
 def verify_su2_identity(j: float, polar_order: int, azimuthal_count: int) -> float:
@@ -143,9 +125,10 @@ def _sphere_overlap_matrix(
             f"azimuthal count {azimuthal_count} aliases m-differences up to "
             f"{max(two_a, two_b)}"
         )
+    # polar(k, theta): the amplitude at zeta = -tan(theta/2), the phi = 0 node
     theta, wu = _polar_rule(polar_order)
-    polar_a = _polar_factor(j_a, theta)
-    polar_b = polar_a if two_a == two_b else _polar_factor(j_b, theta)
+    polar_a = su2_amplitudes(j_a, -np.tan(theta / 2.0))
+    polar_b = polar_a if two_a == two_b else su2_amplitudes(j_b, -np.tan(theta / 2.0))
     azimuthal = _azimuthal_sums(azimuthal_count)
     diff = np.subtract.outer(np.arange(two_a + 1), np.arange(two_b + 1)) + azimuthal_count - 1
     return ((polar_a * wu) @ polar_b.conj().T) * azimuthal[diff] / (4.0 * math.pi)
@@ -193,13 +176,16 @@ def verify_radial_identity(spec: WeightSpec, n_max: int) -> float:
 def full_identity_matrix(
     spec: WeightSpec,
     n_max: int,
-    quad_spec: QuadratureSpec = QuadratureSpec(),
+    polar_order: int,
+    azimuthal_count: int,
+    gamma_halfwidth: float | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Gram matrix of the truncated identity in the |n, m1, m2> basis.
 
     Entry (a, b) assembles the coherent-state projector integral between
     basis vectors a and b; the phase average enters analytically (as the
-    level delta in exact-limit mode, as the sinc factor at finite window).
+    level delta in exact-limit mode, gamma_halfwidth None, and as the sinc
+    factor at the finite window of half-width gamma_halfwidth).
     The block of levels (n_a, n_b) is radial * phase * kron(S, S), with S
     the sphere overlap of spins (n_a-1)/2 and (n_b-1)/2; blocks with
     n_a <= n_b are computed and the rest filled by conjugate transpose,
@@ -219,13 +205,13 @@ def full_identity_matrix(
     gram = np.zeros((len(labels), len(labels)), dtype=complex)
     for n_a in levels:
         for n_b in range(n_a, n_max + 1):
-            if quad_spec.gamma_halfwidth is None:
+            if gamma_halfwidth is None:
                 if n_a != n_b:
                     continue
                 gamma_factor = 1.0
             else:
                 gamma_factor = gamma_average(
-                    quad_spec.gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)
+                    gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)
                 )
                 if gamma_factor == 0.0:
                     continue
@@ -241,8 +227,7 @@ def full_identity_matrix(
                 + math.log(n_b)
             )
             sphere = _sphere_overlap_matrix(
-                (n_a - 1) / 2.0, (n_b - 1) / 2.0,
-                quad_spec.polar_order, quad_spec.azimuthal_count,
+                (n_a - 1) / 2.0, (n_b - 1) / 2.0, polar_order, azimuthal_count
             )
             rows = slice(offset[n_a], offset[n_a] + n_a * n_a)
             cols = slice(offset[n_b], offset[n_b] + n_b * n_b)
@@ -294,8 +279,8 @@ def standard_verification(
     spec: WeightSpec | None = None,
     n_max: int = 3,
     su2_max_two_j: int = 10,
-    polar_order: int = QuadratureSpec.polar_order,
-    azimuthal_count: int = QuadratureSpec.azimuthal_count,
+    polar_order: int = 24,
+    azimuthal_count: int = 48,
     gamma_halfwidths: tuple[float, ...] = (1e3, 1e4, 1e5),
     full_tol: float = 1e-8,
 ) -> list[CheckResult]:
@@ -331,9 +316,7 @@ def standard_verification(
         )
     )
 
-    gram, _ = full_identity_matrix(
-        spec, n_max, QuadratureSpec(polar_order=polar_order, azimuthal_count=azimuthal_count)
-    )
+    gram, _ = full_identity_matrix(spec, n_max, polar_order, azimuthal_count)
     results.append(
         CheckResult(
             name="combined identity (exact-limit phase average)",
@@ -346,14 +329,12 @@ def standard_verification(
     )
 
     # finite-window off-diagonals must obey the sinc envelope bound
+    finite_levels = min(n_max, 2)
     worst_excess = 0.0
     for gamma_halfwidth in gamma_halfwidths:
-        finite = QuadratureSpec(
-            polar_order=polar_order,
-            azimuthal_count=azimuthal_count,
-            gamma_halfwidth=gamma_halfwidth,
+        gram, labels = full_identity_matrix(
+            spec, finite_levels, polar_order, azimuthal_count, gamma_halfwidth
         )
-        gram, labels = full_identity_matrix(spec, min(n_max, 2), finite)
         for a, (n_a, _, _) in enumerate(labels):
             for b, (n_b, _, _) in enumerate(labels):
                 if n_a == n_b:
@@ -367,7 +348,7 @@ def standard_verification(
     results.append(
         CheckResult(
             name="finite-window off-diagonal bound",
-            truncation="levels <= 2",
+            truncation=f"levels <= {finite_levels}",
             orders={"gamma_halfwidths": list(gamma_halfwidths)},
             max_deviation=max(worst_excess, 0.0),
             tolerance=1e-12,

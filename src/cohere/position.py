@@ -368,7 +368,7 @@ def position_trace(
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
         c = evolve(state, t).coeffs.values
         rows.append(np.einsum("i,kij,j->k", c.conj(), moments, c).real)
-    return np.asarray(rows)
+    return np.asarray(rows).reshape(-1, 3)
 
 
 def position_expectation(

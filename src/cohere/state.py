@@ -90,7 +90,11 @@ class CoherentState:
 
     @property
     def s(self) -> float:
-        return math.exp(self.ln_s) if self.ln_s > NEG_INF else 0.0
+        """exp(ln_s): 0.0 for ln_s = -inf, inf past double range."""
+        try:
+            return math.exp(self.ln_s)
+        except OverflowError:
+            return math.inf
 
     @property
     def level_energies(self) -> np.ndarray:
@@ -134,11 +138,6 @@ def build_state(
         coeffs=coeffs,
         tail_eps=tail_eps,
     )
-
-
-def level_distribution(state: CoherentState) -> list[tuple[int, float]]:
-    """(principal quantum number, probability) pairs."""
-    return list(zip((state.coeffs.levels).tolist(), state.coeffs.probabilities.tolist()))
 
 
 def mean_level(state: CoherentState, principal: bool = False) -> float:
@@ -221,18 +220,6 @@ def solve_scale_ln(
         if not lo < ln_s < hi:
             ln_s = 0.5 * (lo + hi)
     raise ArithmeticError("the scale solve did not converge")
-
-
-def solve_scale(
-    alpha: float,
-    target_mean: float,
-    tol: float = 1e-9,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-    principal: bool = True,
-) -> float:
-    """Linear-scale convenience wrapper around solve_scale_ln; may
-    overflow to inf when the solved scale exceeds double range."""
-    return math.exp(solve_scale_ln(alpha, target_mean, tol, tail_eps, principal))
 
 
 def evolve(state: CoherentState, t: float) -> CoherentState:

@@ -52,10 +52,10 @@ import numpy as np
 from cohere.hydrogen import reduced_phases
 
 
-def _check_two_j(j: float, name: str = "j") -> int:
+def _check_two_j(j: float) -> int:
     two_j = round(2 * j)
     if abs(2 * j - two_j) > 1e-9 or two_j < 0:
-        raise ValueError(f"{name} must be a nonnegative half-integer, got {j}")
+        raise ValueError(f"j must be a nonnegative half-integer, got {j}")
     return two_j
 
 

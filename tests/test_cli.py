@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from cohere import cli, hydrogen
-from cohere.identity import MAX_LEVELS, QuadratureSpec, standard_verification
+from cohere.identity import MAX_LEVELS, standard_verification
 from cohere.position import GridSpec, field_on_grid, read_field_binary
 from cohere.state import (
     autocorrelation,
-    level_distribution,
     mean_level,
     read_descriptor,
     solve_scale_ln,
@@ -238,9 +237,6 @@ class TestConfigDefaults:
         checks = inspect.signature(standard_verification).parameters
         for dest in ("n_max", "su2_max_two_j", "polar_order", "azimuthal_count", "full_tol"):
             assert commands["verify"].get_default(dest) == checks[dest].default, dest
-        rule = QuadratureSpec()
-        assert commands["verify"].get_default("polar_order") == rule.polar_order
-        assert commands["verify"].get_default("azimuthal_count") == rule.azimuthal_count
         solve = inspect.signature(solve_scale_ln).parameters
         for dest in ("tol", "tail_eps"):
             assert commands["solve"].get_default(dest) == solve[dest].default, dest
@@ -370,6 +366,36 @@ class TestSolveMean:
         assert not (tmp_path / "s.desc").exists()
 
 
+class TestSolveBeyondDoubleRange:
+    def test_scale_past_double_range_prints_inf(self, tmp_path, capsys):
+        # ln s = 796.99 is solved and kept; only the display value s overflows
+        desc, levels = tmp_path / "big.desc", tmp_path / "levels.csv"
+        argv = ["solve", "--alpha", "0.0078125", "--mean", "2000", "-o", str(desc)]
+        assert cli.main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out.split("\n")
+        assert "s=inf" in out
+        assert float(next(line for line in out if line.startswith("ln_s="))[5:]) > 709.8
+        assert "s_display=inf" in desc.read_text().split("\n")
+        assert cli.main(["levels", "--descriptor", str(desc), "-o", str(levels)]) == cli.EXIT_OK
+        n = [int(row.split(",")[0]) for row in levels.read_text().split()[1:]]
+        assert n == list(range(1972, 2029))
+
+
+class TestAllocationRefusal:
+    @pytest.mark.parametrize("command", ["autocorr", "weights"])
+    def test_unallocatable_request_is_a_budget_refusal(self, descriptor, tmp_path, capsys,
+                                                      command):
+        # 1e17 float64 values (711 PiB) fit in no address space
+        if command == "autocorr":
+            argv = autocorr_argv(descriptor, tmp_path, "--samples", "1e17")
+        else:
+            argv = ["weights", "moments", "--n-max", "1e17", "-o", str(tmp_path / "moments.csv")]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+
 class TestSolveTailEps:
     @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-0.1"])
     def test_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, tail_eps):
@@ -456,8 +482,8 @@ class TestPipeline:
 
         header, *rows = levels.read_text().strip().split("\n")
         assert header == "n,p_n"
-        expected = level_distribution(read_descriptor(desc))
-        assert rows == [f"{n},{'%.17g' % p}" for n, p in expected]
+        coeffs = read_descriptor(desc).coeffs
+        assert rows == [f"{n},{'%.17g' % p}" for n, p in zip(coeffs.levels, coeffs.probabilities)]
 
         header, *rows = (tmp_path / "frame_t0.csv").read_text().strip().split("\n")
         assert header == "x,y,abs_psi,re_psi,im_psi"

@@ -17,10 +17,8 @@ from cohere import cli, hydrogen
 from cohere.identity import (
     MAX_LEVELS,
     InsufficientOrderError,
-    QuadratureSpec,
     _azimuthal_sums,
     _moment_ratio_by_quadrature,
-    _polar_factor,
     _polar_rule,
     _sphere_overlap_matrix,
     full_identity_matrix,
@@ -28,10 +26,12 @@ from cohere.identity import (
     standard_verification,
     verify_su2_identity,
 )
+from cohere.su2 import su2_amplitudes
 from cohere.weights import WeightSpec, log_moment
 
 FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
+ORDERS = (24, 48)  # standard_verification's polar order and azimuthal count
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the radial rule's gamma-density orders: small, half-integer (exponential
@@ -73,7 +73,7 @@ def sphere_nodes(polar_order, azimuthal_count):
 
 def amplitude_stack(j, theta, phi):
     """su2 amplitudes at every (theta, phi) node; shape (2j+1, Nu, Nphi)."""
-    polar = _polar_factor(j, theta)
+    polar = su2_amplitudes(j, -np.tan(theta / 2.0))
     k = np.arange(polar.shape[0])
     return polar[:, :, None] * np.exp(-1j * np.outer(k, phi))[:, None, :]
 
@@ -87,7 +87,7 @@ def dense_sphere_overlap(j_a, j_b, polar_order, azimuthal_count):
     return ((amps_a * weights) @ amps_b.conj().T) / (4.0 * math.pi)
 
 
-def loop_identity_matrix(spec, n_max, quad_spec):
+def loop_identity_matrix(spec, n_max, polar_order, azimuthal_count, gamma_halfwidth):
     """Entry-by-entry oracle: one double loop over the |n, k1, k2> labels.
 
     Each upper-triangle entry is radial * phase * S[k1a, k1b] * S[k2a, k2b]
@@ -101,7 +101,7 @@ def loop_identity_matrix(spec, n_max, quad_spec):
     def sphere(n_a, n_b):
         if (n_a, n_b) not in sphere_cache:
             sphere_cache[n_a, n_b] = _sphere_overlap_matrix(
-                (n_a - 1) / 2.0, (n_b - 1) / 2.0, quad_spec.polar_order, quad_spec.azimuthal_count
+                (n_a - 1) / 2.0, (n_b - 1) / 2.0, polar_order, azimuthal_count
             )
         return sphere_cache[n_a, n_b]
 
@@ -121,13 +121,13 @@ def loop_identity_matrix(spec, n_max, quad_spec):
             if b < a:
                 gram[a, b] = np.conj(gram[b, a])
                 continue
-            if quad_spec.gamma_halfwidth is None:
+            if gamma_halfwidth is None:
                 if n_a != n_b:
                     continue
                 gamma_factor = 1.0
             else:
                 gamma_factor = gamma_average(
-                    quad_spec.gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)
+                    gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)
                 )
                 if gamma_factor == 0.0:
                     continue
@@ -142,7 +142,7 @@ class TestSphereRule:
         theta, _, phi, _ = sphere_nodes(12, 24)
         stack = amplitude_stack(two_j / 2.0, theta, phi)
         assert stack.shape == (two_j + 1, theta.size, phi.size)
-        factor = _polar_factor(two_j / 2.0, theta)
+        factor = su2_amplitudes(two_j / 2.0, -np.tan(theta / 2.0))
         assert factor.shape == (two_j + 1, theta.size)
         t = np.tan(theta / 2.0)
         for k in range(two_j + 1):
@@ -301,9 +301,8 @@ class TestFullIdentity:
     @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
     @pytest.mark.parametrize("gamma_halfwidth", MODES, ids=["exact", "finite"])
     def test_blocks_match_entry_loop(self, spec, gamma_halfwidth):
-        quad_spec = QuadratureSpec(gamma_halfwidth=gamma_halfwidth)
-        gram, labels = full_identity_matrix(spec, 4, quad_spec)
-        oracle, oracle_labels = loop_identity_matrix(spec, 4, quad_spec)
+        gram, labels = full_identity_matrix(spec, 4, *ORDERS, gamma_halfwidth)
+        oracle, oracle_labels = loop_identity_matrix(spec, 4, *ORDERS, gamma_halfwidth)
         assert labels == oracle_labels
         assert np.max(np.abs(gram - oracle)) <= 1e-14
         assert np.array_equal(gram, gram.conj().T)
@@ -315,15 +314,13 @@ class TestFullIdentity:
         # Measured worst: 1.14e-13 relative at (5, 5), one ulp of the ~800-sized
         # ln Gamma summands; the bound allows two.
         alpha, n_max = 1.0 / 32.0, MAX_LEVELS
-        quad_spec = QuadratureSpec(gamma_halfwidth=1.0)
-        gram, labels = full_identity_matrix(WeightSpec.stretched(alpha), n_max, quad_spec)
+        gram, labels = full_identity_matrix(WeightSpec.stretched(alpha), n_max, *ORDERS, 1.0)
         levels = np.array([n for n, _, _ in labels])
         for n_a in range(1, n_max + 1):
             for n_b in range(n_a, n_max + 1):
-                sphere = _sphere_overlap_matrix((n_a - 1) / 2.0, (n_b - 1) / 2.0,
-                                                quad_spec.polar_order, quad_spec.azimuthal_count)
+                sphere = _sphere_overlap_matrix((n_a - 1) / 2.0, (n_b - 1) / 2.0, *ORDERS)
                 shape = np.kron(sphere, sphere) * gamma_average(
-                    quad_spec.gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b))
+                    1.0, hydrogen.energy(n_a), hydrogen.energy(n_b))
                 entry = np.unravel_index(np.argmax(np.abs(shape)), shape.shape)
                 block = gram[np.ix_(levels == n_a, levels == n_b)]
                 radial = block[entry] / shape[entry]
@@ -335,15 +332,14 @@ class TestFullIdentity:
                     assert abs(float(radial.real / exact - 1)) <= 2.5e-13, (n_a, n_b)
 
     def test_exact_limit_is_block_diagonal(self):
-        gram, labels = full_identity_matrix(WeightSpec.exponential(), 3)
+        gram, labels = full_identity_matrix(WeightSpec.exponential(), 3, *ORDERS)
         levels = np.array([n for n, _, _ in labels])
         assert np.all(gram[levels[:, None] != levels[None, :]] == 0)
         assert np.max(np.abs(gram - np.eye(len(labels)))) <= 1e-8
 
     @pytest.mark.parametrize("gamma_halfwidth", [1e3, 1e4, 1e5])
     def test_finite_window_sinc_bound(self, gamma_halfwidth):
-        quad_spec = QuadratureSpec(gamma_halfwidth=gamma_halfwidth)
-        gram, labels = full_identity_matrix(WeightSpec.exponential(), 2, quad_spec)
+        gram, labels = full_identity_matrix(WeightSpec.exponential(), 2, *ORDERS, gamma_halfwidth)
         energies = hydrogen.energy(np.array([n for n, _, _ in labels]))
         gap = np.abs(energies[:, None] - energies[None, :])
         off = gap > 0
@@ -354,7 +350,7 @@ class TestFullIdentity:
     @pytest.mark.parametrize("n_max", [0, MAX_LEVELS + 1])
     def test_truncation_outside_cap_rejected(self, n_max):
         with pytest.raises(ValueError):
-            full_identity_matrix(WeightSpec.exponential(), n_max)
+            full_identity_matrix(WeightSpec.exponential(), n_max, *ORDERS)
 
 
 class TestStandardVerification:
@@ -367,3 +363,11 @@ class TestStandardVerification:
     def test_low_polar_order_is_insufficient(self):
         with pytest.raises(InsufficientOrderError):
             standard_verification(polar_order=3)
+
+    def test_one_level_labels_its_finite_window_check(self):
+        # one level has no pair of levels for the off-diagonal bound to check
+        results = {r.name: r for r in standard_verification(n_max=1, su2_max_two_j=2)}
+        finite = results["finite-window off-diagonal bound"]
+        assert finite.truncation == "levels <= 1"
+        assert finite.max_deviation == 0.0 and finite.passed
+        assert results["combined identity (exact-limit phase average)"].truncation == "levels <= 1"

@@ -531,6 +531,9 @@ class TestExpectations:
         row = position_trace(ellipse_state, [0.0])[0]
         assert abs(row[2] - 1.0) <= 1e-3
 
+    def test_no_times_give_no_rows(self, ellipse_state):
+        assert position_trace(ellipse_state, []).shape == (0, 3)
+
     def test_refuses_a_quadrature_that_loses_the_norm(self):
         # r_max = 0.5 holds only ~8% of the ground state's probability
         st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)

@@ -19,14 +19,12 @@ from cohere.state import (
     build_state,
     evolve,
     leading_order_stats,
-    level_distribution,
     level_spread,
     mean_level,
     overlap,
     parse_descriptor,
     read_descriptor,
     reduced_phases,
-    solve_scale,
     solve_scale_ln,
     write_descriptor,
     write_trace_csv,
@@ -64,6 +62,7 @@ class TestBuild:
         assert st.coeffs.probabilities[0] == pytest.approx(1.0, abs=1e-15)
         assert mean_level(st) == 0.0
         assert level_spread(st) == 0.0
+        assert st.s == 0.0
 
     def test_unit_scale_distribution(self):
         # p_n = (n+1)^2 / n! / (5e) at s^2 = 1
@@ -78,9 +77,9 @@ class TestBuild:
         assert abs(level_spread(paper_state) - math.sqrt(5.0)) / math.sqrt(5.0) < 0.02
 
     def test_distribution_sums_to_one(self, paper_state):
-        pairs = level_distribution(paper_state)
-        assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-10)
-        assert pairs[0][0] == paper_state.coeffs.n_min + 1
+        coeffs = paper_state.coeffs
+        assert coeffs.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
+        assert coeffs.levels[0] == coeffs.n_min + 1
 
     def test_paper_window_is_levels_144_to_176(self, paper_state):
         np.testing.assert_array_equal(paper_state.coeffs.levels, np.arange(144, 177))
@@ -239,7 +238,7 @@ class TestSolveScale:
 
     def test_small_scale_limit(self):
         # index mean ~ 4 s^2 for the plain exponential at small s
-        s = solve_scale(1.0, 0.04, tol=1e-10, principal=False)
+        s = math.exp(solve_scale_ln(1.0, 0.04, tol=1e-10, principal=False))
         assert s == pytest.approx(0.1, rel=0.01)
 
     def test_target_validation(self):

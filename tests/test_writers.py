@@ -21,7 +21,6 @@ from cohere.position import (
 from cohere.state import (
     _CSV_BLOCK_ROWS,
     build_state,
-    level_distribution,
     solve_scale_ln,
     write_descriptor,
     write_trace_csv,
@@ -176,7 +175,8 @@ class TestCliTables:
         out = tmp_path / "levels.csv"
         argv = ["levels", "--descriptor", str(tmp_path / "state.desc"), "-o", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
-        assert out.read_text() == reference_levels(level_distribution(state))
+        coeffs = state.coeffs
+        assert out.read_text() == reference_levels(zip(coeffs.levels, coeffs.probabilities))
 
     @pytest.mark.parametrize("family, spec", [
         (["--family", "exponential"], WeightSpec.exponential()),
