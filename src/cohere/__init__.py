@@ -4,7 +4,7 @@ specialized to the hydrogen atom.
 Subpackages by concern:
   weights   log-domain weight functions, moments, normalization
   su2       spin coherent states and angular-momentum recoupling
-  hydrogen  spectrum, degeneracies, revival-time analysis
+  hydrogen  spectrum, revival-time analysis
   state     state assembly, level statistics, time evolution
   position  wavefunctions in space, planar fields, orbit expectations
   identity  numerical resolution-of-identity verification
@@ -25,8 +25,6 @@ from cohere.weights import (
     WeightFamily,
     WeightSpec,
     log_moment,
-    log_norm_factor,
-    companion_density,
     truncation_level,
 )
 from cohere.su2 import (
@@ -37,7 +35,6 @@ from cohere.su2 import (
 )
 from cohere.hydrogen import (
     energy,
-    degeneracy,
     revival_time,
     revival_ratio,
     fractional_revival_times,
@@ -48,7 +45,6 @@ from cohere.state import (
     build_state,
     mean_level,
     level_spread,
-    leading_order_stats,
     evolve,
     autocorrelation,
     overlap,

@@ -36,13 +36,6 @@ def energy(n) -> float:
     return float(out) if np.isscalar(n) else out
 
 
-def degeneracy(n: int) -> int:
-    """Multiplicity n^2 of the level with principal quantum number n."""
-    if n < 1:
-        raise ValueError("principal quantum number must be >= 1")
-    return n * n
-
-
 def revival_time(mean_n: float) -> float:
     """Full-revival time (2 pi / 3) <n>^4 for a packet centered at <n>.
 

@@ -64,7 +64,7 @@ from cohere.su2 import (  # so4_to_spherical is bound here for bench/spans.py, w
     stereographic,
     su2_amplitudes,
 )
-from cohere.weights import _lgamma
+from cohere.weights import _gauss_legendre, _lgamma
 
 #: default ceiling on (max level)^2 * samples^2 for planar grid runs
 DEFAULT_GRID_BUDGET = 10**9
@@ -295,11 +295,11 @@ class SpatialQuadrature:
             r_max = 4.0 * n_top * n_top + 16.0 * n_top
         if radial_order is None:
             radial_order = max(96, 4 * n_top)
-        xr, wr = np.polynomial.legendre.leggauss(radial_order)
+        xr, wr = _gauss_legendre(radial_order)
         u = 0.5 * (xr + 1.0)
         r_nodes = r_max * u * u
         r_weights = r_max * u * wr
-        cu, wu = np.polynomial.legendre.leggauss(2 * n_top + 12)
+        cu, wu = _gauss_legendre(2 * n_top + 12)
         return cls(r_nodes, r_weights, cu, wu, 4 * n_top + 8)
 
     @property

@@ -37,7 +37,6 @@ from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
 from cohere.weights import (  # truncation_level is bound here for bench/spans.py, which wraps it
     DEFAULT_TAIL_EPS,
-    NEG_INF,
     WeightFamily,
     WeightSpec,
     _logsumexp,
@@ -153,16 +152,6 @@ def level_spread(state: CoherentState) -> float:
     two-pass sum of (n - <n>)^2 p_n."""
     c = state.coeffs
     return math.sqrt(float(np.sum((c.indices - mean_level(state)) ** 2 * c.probabilities)))
-
-
-def leading_order_stats(alpha: float, *, ln_s: float) -> tuple[float, float]:
-    """Large-scale asymptotics for the stretched family:
-    mean ~ alpha s^(2 alpha), spread ~ alpha s^alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if ln_s == NEG_INF:
-        return 0.0, 0.0
-    return alpha * math.exp(2 * alpha * ln_s), alpha * math.exp(alpha * ln_s)
 
 
 def solve_scale_ln(

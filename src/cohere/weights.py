@@ -1,4 +1,6 @@
-"""Weight functions, their moments, and normalization constants.
+"""Weight functions, their moments, and normalization constants; and
+the one Gauss-Legendre rule (_gauss_legendre) of the sphere and radial
+quadratures.
 
 Everything here is carried in natural-log form. The amplitude chains this
 library needs (s^n against Gamma-function moments, with s as large as ~1e59)
@@ -16,7 +18,7 @@ Conventions:
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
     parameter.  _log_series_terms is the one place its log terms are
     formed, and _series_terms the one scan that truncates them:
-    truncation_level, log_norm_factor and state's level window all read it
+    truncation_level and state's level window both read it
   - a scale s is passed as ln_s, keyword-only, with -inf for s = 0
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +49,31 @@ def _lgamma(x) -> np.ndarray:
     x_arr = np.asarray(x, dtype=float)
     values = [math.lgamma(v) for v in x_arr.ravel().tolist()]
     return np.array(values, dtype=float).reshape(x_arr.shape)
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: callers share them.
+
+    numpy's leggauss nodes are right to ~6e-17, but the relative error
+    of its weights grows with the order (1.2e-11 at 176, 2.9e-9 at 704).
+    Two Newton steps on the three-term recurrence in long double polish
+    the nodes, and the weights are 2 / ((1 - x^2) P_N'(x)^2) there, made
+    symmetric as numpy's are: within 3e-16 of 40-digit values up to 704.
+    """
+    x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
+    for step in range(3):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = order * (p_prev - x * p) / (1 - x * x)
+        if step < 2:  # then the last pass gives P_N' at the final nodes
+            x = x - p / dp
+    w = 2 / ((1 - x * x) * dp * dp)
+    nodes = ((x - x[::-1]) / 2).astype(float)
+    weights = ((w + w[::-1]) / 2).astype(float)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _logsumexp(terms) -> float:
@@ -109,60 +137,12 @@ def log_moment(spec: WeightSpec, n) -> float:
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
-def log_density(spec: WeightSpec, u) -> np.ndarray | float:
-    """ln(rho(u)) = -u**alpha pointwise."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0):
-        raise ValueError("u must be nonnegative")
-    with np.errstate(over="ignore"):
-        out = -(u_arr ** spec.alpha)
-    return float(out) if np.isscalar(u) else out
-
-
 def _log_series_terms(spec: WeightSpec, ln_s: float, n_values: np.ndarray) -> np.ndarray:
-    """log of s^{2n} (n+1)^2 / rho_n for each n (the norm-series terms)."""
+    """log of s^{2n} (n+1)^2 / rho_n for each n (the norm-series terms), s > 0."""
     log_rho = log_moment(spec, n_values)
-    if ln_s == NEG_INF:
-        # s = 0: only the n = 0 term survives
-        power = np.where(n_values == 0, 0.0, NEG_INF)
-    else:
-        with np.errstate(invalid="ignore"):
-            power = 2.0 * n_values * ln_s
+    with np.errstate(invalid="ignore"):
+        power = 2.0 * n_values * ln_s
     return power + 2.0 * np.log(n_values + 1.0) - log_rho
-
-
-def log_norm_factor(spec: WeightSpec, n_max: int | None = None, *, ln_s: float) -> float:
-    """ln N(s^2) with N^2 * sum_n s^{2n} (n+1)^2 / rho_n = 1.
-
-    The scale is given as ``ln_s`` (-inf for s = 0), which admits scales
-    whose linear value overflows a double.  ``n_max`` defaults to a
-    truncation level tight enough that the omitted tail is below double
-    precision.
-    """
-    if n_max is None:
-        terms = _series_terms(spec, ln_s, 1e-16)
-    else:
-        terms = _log_series_terms(spec, ln_s, np.arange(n_max + 1))
-    total = _logsumexp(terms)
-    if not np.isfinite(total):
-        raise DivergentSeriesError("norm series did not converge")
-    return -0.5 * float(total)
-
-
-def companion_density(spec: WeightSpec, norm_sq_log: float, u: float) -> float:
-    """k(u) = rho(u) / N^2(u), given ln N^2(u).
-
-    The product k(u) N^2(u) reproduces rho(u); k is the radial factor of
-    the resolution-of-identity measure.
-    """
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    log_rho = log_density(spec, u)
-    if log_rho == NEG_INF:
-        return 0.0
-    if norm_sq_log == NEG_INF:
-        raise ZeroDivisionError("vanishing normalization at this u")
-    return math.exp(log_rho - norm_sq_log)
 
 
 def _series_terms(spec: WeightSpec, ln_s: float, tail_eps: float) -> np.ndarray:
@@ -179,7 +159,9 @@ def _series_terms(spec: WeightSpec, ln_s: float, tail_eps: float) -> np.ndarray:
     if not (0.0 < tail_eps < 1.0):
         raise ValueError("tail_eps must lie in (0, 1)")
     if ln_s == NEG_INF:
-        return _log_series_terms(spec, ln_s, np.arange(1))
+        # s = 0: only the n = 0 term 1 / rho_0 survives; 0.0 - keeps an
+        # exact zero +0.0 when rho_0 = 1
+        return np.array([0.0 - log_moment(spec, 0)])
 
     block = 256
     terms = np.empty(0)

@@ -1,4 +1,4 @@
-"""Spectrum, degeneracy, energy expansion, revival analysis."""
+"""Spectrum, energy expansion, revival analysis."""
 import math
 from dataclasses import dataclass
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cohere.hydrogen import (
-    degeneracy,
     energy,
     fractional_revival_times,
     revival_ratio,
@@ -61,16 +60,6 @@ class TestEnergy:
         e = energy(np.arange(1, 2001))
         assert np.all(e < 0)
         assert np.all(np.diff(e) > 0)
-
-
-class TestDegeneracy:
-    @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (10, 100)])
-    def test_squares(self, n, expected):
-        assert degeneracy(n) == expected
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            degeneracy(0)
 
 
 class TestExpansion:

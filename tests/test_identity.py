@@ -16,18 +16,20 @@ from scipy.integrate import quad
 from cohere import cli, hydrogen
 from cohere.identity import (
     MAX_LEVELS,
+    RADIAL_TOL,
+    SU2_TOL,
     InsufficientOrderError,
     _azimuthal_sums,
     _moment_ratio_by_quadrature,
-    _polar_rule,
     _sphere_overlap_matrix,
     full_identity_matrix,
     gamma_average,
     standard_verification,
+    verify_radial_identity,
     verify_su2_identity,
 )
 from cohere.su2 import su2_amplitudes
-from cohere.weights import WeightSpec, log_moment
+from cohere.weights import WeightSpec, _gauss_legendre, log_moment
 
 FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
@@ -54,19 +56,21 @@ VERIFY_ORDERS = {
     "benchmark": ["--n-max", "6", "--su2-max-two-j", "80",
                   "--polar-order", "96", "--azimuthal-count", "192"],
 }
-# combined-identity max_deviation of the same runs with the radial moments
-# taken by adaptive scipy.integrate.quad instead of the log-variable rule
-QUAD_COMBINED = {
-    ("exponential", "default"): 1.9984014443252818e-15,
-    ("exponential", "benchmark"): 1.3988810110276972e-14,
-    ("stretched", "default"): 5.861977570020827e-14,
-    ("stretched", "benchmark"): 1.2034817586936697e-13,
+# combined-identity max_deviation of the same runs with every radial moment
+# ratio set to its exact value 1 instead of the log-variable rule; both
+# families give the same, the rounding of the sphere rule and the lgamma
+# terms.  (Adaptive scipy.integrate.quad moments are no reference: at
+# beta = 192 they carry its lgamma floor, 1.1e-13 in the stretched run.)
+EXACT_COMBINED = {
+    "default": 1.1102230246251565e-15,
+    "benchmark": 1.5543122344752192e-15,
 }
 
 
 def sphere_nodes(polar_order, azimuthal_count):
     """The product rule's nodes: Gauss-Legendre in cos(theta), equally spaced phi."""
-    theta, wu = _polar_rule(polar_order)
+    u, wu = _gauss_legendre(polar_order)
+    theta = np.arccos(u)
     phi = np.arange(azimuthal_count) * (2.0 * math.pi / azimuthal_count)
     return theta, wu, phi, 2.0 * math.pi / azimuthal_count
 
@@ -204,15 +208,39 @@ class TestSphereRule:
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda order: orders.append(order) or leggauss(order))
-        _polar_rule.cache_clear()
+        _gauss_legendre.cache_clear()
         try:
             for polar_order in (12, 16, 12):
                 results = standard_verification(n_max=2, su2_max_two_j=8, polar_order=polar_order,
                                                 azimuthal_count=24, gamma_halfwidths=(1e3,))
                 assert all(r.passed for r in results)
         finally:
-            _polar_rule.cache_clear()
+            _gauss_legendre.cache_clear()
         assert orders == [12, 16]
+
+    @pytest.mark.parametrize("order", [24, 176, 704])
+    def test_gauss_legendre_matches_mpmath(self, order):
+        # numpy's leggauss weights are off by 1.2e-11 relative at order 176
+        # and 2.9e-9 at 704, worst at the end nodes; the refined rule is
+        # within 2.4e-16 (measured) at the end, second and middle nodes
+        nodes, weights = _gauss_legendre(order)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        with mpmath.workdps(40):
+            for i in (0, 1, order // 2):
+                x = mpmath.mpf(float(nodes[i]))
+                for _ in range(3):  # Newton steps to the 40-digit root
+                    p, p_prev = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+                    x -= p / (order * (p_prev - x * p) / (1 - x * x))
+                dp = order * (mpmath.legendre(order - 1, x) - x * mpmath.legendre(order, x)) / (1 - x * x)
+                w = 2 / ((1 - x * x) * dp * dp)
+                assert abs(float(nodes[i] - x)) <= 1e-16, i
+                assert abs(float(weights[i] / w - 1)) <= 5e-16, i
+
+    def test_large_spin_resolved_at_many_nodes(self):
+        # 2j = 175 is the paper's top level n = 176; with numpy's leggauss
+        # weights the m = +j edge missed by 2.2e-12 at 400 nodes
+        assert verify_su2_identity(175 / 2.0, 400, 400) <= SU2_TOL
 
     @pytest.mark.parametrize("two_j", [0, 1, 6, 10])
     def test_multiplet_resolved_at_exact_order(self, two_j):
@@ -255,13 +283,21 @@ class TestRadialRule:
         # exponent beta - 1 under the exponential weight (alpha = 1) gives order beta
         got = _moment_ratio_by_quadrature(WeightSpec.exponential(), beta - 1.0)
         # Up to beta = 400 both rules sit within 1e-12 of 1 (measured on this
-        # grid: rule 1.8e-13, quad 1.7e-13, apart 8.5e-14).  Beyond it the
-        # rounding of lgamma(beta) in the exponent sets the floor for both:
-        # at beta = 5000 the rule is off by 0.50 and quad by 0.57 of
-        # |lgamma(beta)| * eps.
+        # grid: rule 1.7e-14, quad 1.7e-13).  Beyond it the rounding of
+        # lgamma(beta) in quad's exponent sets its floor: at beta = 5000
+        # quad is off by 0.57 of |lgamma(beta)| * eps, the peak-centred
+        # rule by 5e-5 of it.
         tol = 1e-12 if beta <= 400 else abs(math.lgamma(beta)) * np.finfo(float).eps
         assert abs(got - 1.0) <= tol
         assert abs(got - quad_gamma_density(beta)) <= tol
+
+
+    @pytest.mark.parametrize("spec", [WeightSpec.stretched(1.0 / 32.0), WeightSpec.exponential(),
+                                      WeightSpec.stretched(1.0 / 3.0)], ids=["1/32", "exponential", "1/3"])
+    def test_moments_hold_at_the_paper_levels(self, spec):
+        # every moment of the paper's levels n <= 176; before the integrand
+        # was centred on its peak, alpha = 1/32 missed by 1.14e-11 at n = 157
+        assert verify_radial_identity(spec, 176) <= RADIAL_TOL
 
 
 class TestVerifyReport:
@@ -280,7 +316,9 @@ class TestVerifyReport:
         combined_orders = checks["combined identity (exact-limit phase average)"]["orders"]
         assert combined_orders["radial_rule"] == "log-trapezoid"
         combined = checks["combined identity (exact-limit phase average)"]["max_deviation"]
-        assert abs(combined - QUAD_COMBINED[family, orders]) <= 1e-14
+        # the rule's moment ratios sit within 3e-14 of 1; here they move the
+        # combined deviation by 1.3e-14 at most (measured)
+        assert abs(combined - EXACT_COMBINED[orders]) <= 2e-14
 
     def test_scipy_integrate_is_never_imported(self):
         code = (
@@ -311,8 +349,8 @@ class TestFullIdentity:
         # block (n_a, n_b) is radial * phase * kron(S, S); the radial factor
         # n_a n_b rho((n_a+n_b)/2 - 1) / sqrt(rho_{n_a-1} rho_{n_b-1}) is
         # n_a n_b Gamma((n_a+n_b)/(2 alpha)) / sqrt(Gamma(n_a/alpha) Gamma(n_b/alpha)).
-        # Measured worst: 1.14e-13 relative at (5, 5), one ulp of the ~800-sized
-        # ln Gamma summands; the bound allows two.
+        # Measured worst: 5.8e-14 relative at (4, 6), under one ulp (1.1e-13)
+        # of the ~800-sized ln Gamma summands; the bound allows two.
         alpha, n_max = 1.0 / 32.0, MAX_LEVELS
         gram, labels = full_identity_matrix(WeightSpec.stretched(alpha), n_max, *ORDERS, 1.0)
         levels = np.array([n for n, _, _ in labels])

@@ -18,7 +18,6 @@ from cohere.state import (
     autocorrelation,
     build_state,
     evolve,
-    leading_order_stats,
     level_spread,
     mean_level,
     overlap,
@@ -143,11 +142,8 @@ class TestOneScan:
             return lgamma(x)
 
         monkeypatch.setattr(weights, "_lgamma", counting)
-        for call in (lambda: _distribution_window(spec, ln_s, 1e-12),
-                     lambda: weights.log_norm_factor(spec, ln_s=ln_s)):
-            seen.clear()
-            call()
-            assert seen and len(seen) == len(set(seen))
+        _distribution_window(spec, ln_s, 1e-12)
+        assert seen and len(seen) == len(set(seen))
 
     def test_the_scale_is_passed_only_as_ln_s(self):
         for module in (weights, state):
@@ -158,7 +154,7 @@ class TestOneScan:
                 assert "s" not in params, name
                 if "ln_s" in params:
                     assert params["ln_s"].kind is inspect.Parameter.KEYWORD_ONLY, name
-        for fn in (build_state, leading_order_stats, weights.truncation_level, weights.log_norm_factor):
+        for fn in (build_state, weights.truncation_level):
             assert inspect.signature(fn).parameters["ln_s"].kind is inspect.Parameter.KEYWORD_ONLY
         with pytest.raises(TypeError):
             build_state(WeightSpec.stretched(0.25), 4.0, 0.0, AngularParams(0, 0))
@@ -208,26 +204,14 @@ class TestClosedFormStatistics:
             assert abs(mean - exponential_mean_closed_form(s_sq)) <= 1e-10 * max(1.0, mean)
             assert abs(var - exponential_variance_closed_form(s_sq)) <= 1e-10 * max(1.0, var)
 
-    def test_leading_order_paper_example(self):
-        mean, spread = leading_order_stats(ALPHA_PAPER, ln_s=LN_S_PAPER)
-        assert abs(mean - 160.0) < 0.2
-        assert abs(spread - math.sqrt(5.0)) < 0.01
-
-    def test_leading_order_alpha_one(self):
-        mean, spread = leading_order_stats(1.0, ln_s=math.log(7.0))
-        assert mean == pytest.approx(49.0, rel=1e-14)
-        assert spread == pytest.approx(7.0, rel=1e-14)
-
-    def test_leading_order_vanishes_at_zero_scale(self):
-        assert leading_order_stats(0.25, ln_s=-math.inf) == (0.0, 0.0)
-
     @pytest.mark.parametrize("alpha", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0])
     def test_asymptotic_spread_consistency(self, alpha):
         ln_s = solve_scale_ln(alpha, 160.0)
         st = build_state(
             WeightSpec.stretched(alpha), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s
         )
-        _, spread_lo = leading_order_stats(alpha, ln_s=ln_s)
+        # the stretched family's large-scale spread is alpha s^alpha
+        spread_lo = alpha * math.exp(alpha * ln_s)
         assert abs(level_spread(st) - spread_lo) <= 0.1 * spread_lo
 
 

@@ -1,4 +1,4 @@
-"""Weight functions: moments, normalization, companion density, truncation."""
+"""Weight functions: moments, normalization, truncation."""
 import math
 
 import mpmath
@@ -14,12 +14,10 @@ from cohere.weights import (
     DivergentSeriesError,
     WeightFamily,
     WeightSpec,
-    companion_density,
-    log_density,
     log_moment,
-    log_norm_factor,
     truncation_level,
 )
+from cohere.state import _distribution_window
 
 LN_S_PAPER = math.log(2.209e59)
 
@@ -40,9 +38,10 @@ def hydrogen_norm_closed_form(s: float) -> float:
     return math.exp(log_hydrogen_norm_closed_form(s))
 
 
-def hydrogen_companion_closed_form(u: float) -> float:
-    """k(u) = 1 + 3u + u^2 for the same weight and degeneracies."""
-    return 1.0 + 3.0 * u + u * u
+def series_log_norm(spec: WeightSpec, ln_s: float) -> float:
+    """ln N with N^2 sum_n s^{2n} (n+1)^2 / rho_n = 1, summed over the
+    one scan that truncates the norm series, to a tail below 1e-16."""
+    return -0.5 * W._logsumexp(W._series_terms(spec, ln_s, 1e-16))
 
 
 class TestLogMoment:
@@ -54,12 +53,7 @@ class TestLogMoment:
         exponential, stretched = WeightSpec.exponential(), WeightSpec.stretched(1.0)
         n = np.arange(200_000)
         assert log_moment(exponential, n).tobytes() == log_moment(stretched, n).tobytes()
-        u = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 100_000),
-                            np.linspace(0.0, 1e3, 10_001)])
-        assert log_density(exponential, u).tobytes() == log_density(stretched, u).tobytes()
-        assert np.array_equal(log_density(exponential, u), -u)
         assert log_moment(exponential, 5) == log_moment(stretched, 5)
-        assert log_density(exponential, 0.0) == log_density(stretched, 0.0)
 
     def test_stretched_half_zeroth_moment(self):
         # integral of exp(-sqrt(u)) du = 2, verified against quadrature
@@ -159,10 +153,13 @@ class TestNormFactor:
     def test_unit_scale_closed_form(self):
         # sum s^{2n} (n+1)^2 / n! = e^{s^2} (1 + 3 s^2 + s^4) -> 5e at s^2=1
         expected = -0.5 * (1.0 + math.log(5.0))
-        assert log_norm_factor(WeightSpec.exponential(), ln_s=math.log(1.0)) == pytest.approx(expected, abs=1e-13)
+        assert series_log_norm(WeightSpec.exponential(), math.log(1.0)) == pytest.approx(expected, abs=1e-13)
 
     def test_zero_scale(self):
-        assert log_norm_factor(WeightSpec.exponential(), ln_s=-math.inf) == 0.0
+        # s = 0 keeps only the n = 0 term, 1 / rho_0 = 1, as +0.0 bit for bit
+        terms = W._series_terms(WeightSpec.exponential(), -math.inf, 1e-16)
+        assert terms.tobytes() == np.array([0.0]).tobytes()
+        assert series_log_norm(WeightSpec.exponential(), -math.inf) == 0.0
 
     def test_closed_form_values(self):
         assert hydrogen_norm_closed_form(0.0) == 1.0
@@ -176,52 +173,19 @@ class TestNormFactor:
     def test_series_matches_closed_form_on_grid(self):
         spec = WeightSpec.exponential()
         for s in np.linspace(0.0, 10.0, 100):
-            series = log_norm_factor(spec, ln_s=_ln(float(s)))
+            series = series_log_norm(spec, _ln(float(s)))
             closed = log_hydrogen_norm_closed_form(float(s))
             assert abs(series - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_huge_scale_is_finite_and_normalized(self):
-        spec = WeightSpec.stretched(1.0 / 32.0)
-        n_max = truncation_level(spec, tail_eps=1e-12, ln_s=LN_S_PAPER)
-        ln_norm = log_norm_factor(spec, n_max=n_max, ln_s=LN_S_PAPER)
-        assert math.isfinite(ln_norm)
-        # renormalization self-consistency: probabilities sum to one
-        n = np.arange(n_max + 1)
-        terms = 2 * n * LN_S_PAPER + 2 * np.log(n + 1.0) - log_moment(spec, n)
-        p = np.exp(terms + 2 * ln_norm)
+        # s ~ 2e59: the level window's p still sums to one
+        _, p = _distribution_window(WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER, 1e-12)
+        assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_divergent_scale_raises(self):
         with pytest.raises((DivergentSeriesError, OverflowError)):
-            log_norm_factor(WeightSpec.exponential(), ln_s=math.log(float("inf")))
-
-
-class TestCompanionDensity:
-    def test_hydrogen_values(self):
-        spec = WeightSpec.exponential()
-        for u in (0.0, 0.5, 2.0, 7.0):
-            norm_sq_log = 2.0 * log_norm_factor(spec, ln_s=_ln(math.sqrt(u)))
-            assert companion_density(spec, norm_sq_log, u) == pytest.approx(
-                hydrogen_companion_closed_form(u), rel=1e-12)
-        assert hydrogen_companion_closed_form(2.0) == 11.0
-
-    def test_vanishing_density(self):
-        # where rho(u) underflows to an exact zero, k(u) is exactly zero
-        spec = WeightSpec.stretched(2.0)
-        assert log_density(spec, 1e200) == -math.inf
-        assert companion_density(spec, -5.0, 1e200) == 0.0
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            companion_density(WeightSpec.exponential(), -math.inf, 1.0)
-
-    def test_product_reproduces_weight_on_grid(self):
-        spec = WeightSpec.exponential()
-        for u in np.linspace(0.0, 20.0, 81):
-            norm_sq_log = 2.0 * log_norm_factor(spec, ln_s=_ln(math.sqrt(u)))
-            k = companion_density(spec, norm_sq_log, float(u))
-            rho = math.exp(log_density(spec, float(u)))
-            assert k * math.exp(norm_sq_log) == pytest.approx(rho, rel=1e-12)
+            W._series_terms(WeightSpec.exponential(), math.log(float("inf")), 1e-16)
 
 
 def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
