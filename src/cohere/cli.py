@@ -157,7 +157,7 @@ def _weight_from_args(args) -> "object":
 def build_parser() -> _Parser:
     from inspect import signature
 
-    from cohere.identity import MAX_LEVELS, standard_verification
+    from cohere.identity import standard_verification
     from cohere.position import DEFAULT_GRID_BUDGET
     from cohere.state import solve_scale_ln
     from cohere.weights import DEFAULT_TAIL_EPS
@@ -225,8 +225,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="resolution-of-identity verification suite")
     p.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
     p.add_argument("--alpha", type=positive, default=None, help="stretch exponent of the weight")
-    p.add_argument("--n-max", type=_where(_integer, lambda n: 1 <= n <= MAX_LEVELS, f"lie in 1..{MAX_LEVELS}"),
-                   default=verify["n_max"], help="levels in the combined identity")
+    p.add_argument("--n-max", type=_where(_integer, lambda n: n >= 1, "be at least 1"), default=verify["n_max"],
+                   help="levels 1..N of the combined identity, one level block at a time; N <= both orders")
     p.add_argument("--su2-max-two-j", type=nonnegative, default=verify["su2_max_two_j"],
                    help="largest 2j of the spin checks")
     p.add_argument("--polar-order", type=_integer, default=verify["polar_order"],

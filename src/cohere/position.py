@@ -114,7 +114,7 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values.view(float))):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
 
@@ -295,6 +295,10 @@ class SpatialQuadrature:
             r_max = 4.0 * n_top * n_top + 16.0 * n_top
         if radial_order is None:
             radial_order = max(96, 4 * n_top)
+        if not 0 < r_max < math.inf:  # false for nan as well
+            raise ValueError(f"r_max must be positive and finite, got {r_max}")
+        if not (isinstance(radial_order, (int, np.integer)) and radial_order >= 1):
+            raise ValueError(f"radial_order must be an integer >= 1, got {radial_order}")
         xr, wr = _gauss_legendre(radial_order)
         u = 0.5 * (xr + 1.0)
         r_nodes = r_max * u * u
@@ -379,7 +383,7 @@ def position_expectation(
 ) -> tuple[float, float]:
     """(<x>, <y>) at time t from the normalized orbit trace row."""
     row = position_trace(state, [t], radial_order, r_max)[0]
-    if row[2] < 0.5:
+    if not row[2] >= 0.5:  # a nan norm fails too
         raise ArithmeticError(
             f"quadrature norm {row[2]:.3g} is far from 1; raise radial_order or r_max"
         )

@@ -609,7 +609,7 @@ class TestAutocorrRefinement:
 class TestVerify:
     @pytest.mark.parametrize("flags", [
         ["--n-max", "0"],
-        ["--n-max", str(MAX_LEVELS + 1)],
+        ["--n-max", "2.5"],
         ["--polar-order", "3"],
         ["--azimuthal-count", "5"],
         ["--su2-max-two-j", "-1"],
@@ -622,6 +622,25 @@ class TestVerify:
         report = tmp_path / "report.json"
         assert cli.main(["verify", *flags, "-o", str(report)]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_levels_past_the_dense_cap_are_accepted(self, tmp_path):
+        # the combined identity is checked one level block at a time, so the
+        # only cap on --n-max is the sphere rule's orders
+        report = tmp_path / "report.json"
+        argv = ["verify", "--n-max", str(MAX_LEVELS + 1), "-o", str(report)]
+        assert cli.main(argv) == cli.EXIT_OK
+        checks = json.loads(report.read_text())["checks"]
+        assert f"levels <= {MAX_LEVELS + 1}" in {c["truncation"] for c in checks}
+
+    @pytest.mark.parametrize("orders, message", [
+        (["--polar-order", "24", "--azimuthal-count", "48"], "polar order 24"),
+        (["--polar-order", "30", "--azimuthal-count", "24"], "azimuthal count 24"),
+    ])
+    def test_a_level_above_the_orders_is_a_usage_error(self, tmp_path, capsys, orders, message):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--n-max", "25", *orders, "-o", str(report)]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not report.exists()
 
     def test_defaults_pass(self, tmp_path):

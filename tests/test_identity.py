@@ -1,4 +1,5 @@
 """Resolution-of-identity checks: sphere rule, radial rule, block assembly, report."""
+import itertools
 import json
 import math
 import os
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cohere import cli, hydrogen
+from cohere import cli, hydrogen, identity
 from cohere.identity import (
     MAX_LEVELS,
     RADIAL_TOL,
     SU2_TOL,
     InsufficientOrderError,
     _azimuthal_sums,
+    _level_pair,
     _moment_ratio_by_quadrature,
     _sphere_overlap_matrix,
     full_identity_matrix,
@@ -34,6 +36,8 @@ from cohere.weights import WeightSpec, _gauss_legendre, log_moment
 FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
 ORDERS = (24, 48)  # standard_verification's polar order and azimuthal count
+COMBINED = "combined identity (exact-limit phase average)"
+FINITE = "finite-window off-diagonal bound"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the radial rule's gamma-density orders: small, half-integer (exponential
@@ -409,3 +413,89 @@ class TestStandardVerification:
         assert finite.truncation == "levels <= 1"
         assert finite.max_deviation == 0.0 and finite.passed
         assert results["combined identity (exact-limit phase average)"].truncation == "levels <= 1"
+
+
+class TestLevelBlocks:
+    """standard_verification reads each level block's largest entries from
+    the pair's (r, S); the dense Gram is its oracle up to MAX_LEVELS."""
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
+    def test_exact_limit_deviation_matches_dense(self, spec):
+        for n_max in range(1, MAX_LEVELS + 1):
+            gram, _ = full_identity_matrix(spec, n_max, *ORDERS)
+            expected = np.max(np.abs(gram - np.eye(gram.shape[0])))
+            results = {r.name: r for r in standard_verification(spec, n_max, 0, *ORDERS)}
+            assert abs(results[COMBINED].max_deviation - expected) <= 1e-15, n_max
+
+    @pytest.mark.parametrize("kind", ["diagonal up", "diagonal down", "off-diagonal"])
+    def test_each_extreme_of_a_block_is_read(self, monkeypatch, kind):
+        # a perturbed same-spin overlap puts each block's largest deviation at
+        # its largest diagonal entry, its smallest, or off the diagonal
+        overlap = identity._sphere_overlap_matrix
+
+        def perturbed(j_a, j_b, *orders):
+            sphere = overlap(j_a, j_b, *orders)
+            if j_a != j_b:
+                return sphere
+            size = sphere.shape[0]
+            rng = np.random.default_rng(size)  # the same overlap on both paths
+            if kind == "off-diagonal":
+                upper = np.triu(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)), 1)
+                return sphere + 0.1 / size * (upper + upper.conj().T)
+            sign = 1.0 if kind == "diagonal up" else -1.0
+            return sphere + np.diag(sign * 0.2 / size * rng.random(size))
+
+        monkeypatch.setattr(identity, "_sphere_overlap_matrix", perturbed)
+        spec = WeightSpec.stretched(1.0 / 32.0)
+        for n_max in range(1, MAX_LEVELS + 1):
+            gram, _ = full_identity_matrix(spec, n_max, *ORDERS)
+            expected = np.max(np.abs(gram - np.eye(gram.shape[0])))
+            results = {r.name: r for r in standard_verification(spec, n_max, 0, *ORDERS)}
+            assert expected >= 1e-3 or n_max == 1
+            assert abs(results[COMBINED].max_deviation - expected) <= 1e-15, n_max
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
+    def test_finite_window_block_maxima_match_dense(self, spec):
+        gamma_halfwidth = 1e3
+        oracle, labels = loop_identity_matrix(spec, MAX_LEVELS, *ORDERS, gamma_halfwidth)
+        levels = np.array([n for n, _, _ in labels])
+        for n_a, n_b in itertools.combinations(range(1, MAX_LEVELS + 1), 2):
+            radial, sphere = _level_pair(spec, n_a, n_b, *ORDERS)
+            phase = gamma_average(gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b))
+            largest = abs(radial * phase) * np.abs(sphere).max() ** 2
+            block = oracle[np.ix_(levels == n_a, levels == n_b)]
+            assert abs(largest - np.abs(block).max()) <= 1e-15, (n_a, n_b)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
+    def test_finite_window_excess_matches_dense(self, spec):
+        gamma_halfwidths = (1e-3, 1.0, 1e3)
+        worst = 0.0
+        for gamma_halfwidth in gamma_halfwidths:
+            gram, labels = full_identity_matrix(spec, 2, *ORDERS, gamma_halfwidth)
+            energies = hydrogen.energy(np.array([n for n, _, _ in labels]))
+            gap = np.abs(energies[:, None] - energies[None, :])
+            off = gap > 0
+            worst = max(worst, np.max(np.abs(gram[off]) - 1.0 / (gamma_halfwidth * gap[off])))
+        results = {r.name: r for r in standard_verification(
+            spec, 2, 0, *ORDERS, gamma_halfwidths=gamma_halfwidths)}
+        assert abs(results[FINITE].max_deviation - worst) <= 1e-15
+
+    def test_paper_levels(self):
+        # every level up to the top of the paper's window 144-176, at the
+        # fewest nodes that resolve n = 176; measured 1.42e-14
+        results = {r.name: r for r in standard_verification(
+            WeightSpec.stretched(1.0 / 32.0), 176, 0, 176, 176)}
+        assert results[COMBINED].truncation == "levels <= 176"
+        assert results[COMBINED].max_deviation <= 1e-12
+
+    def test_no_levels_is_refused(self):
+        with pytest.raises(ValueError):
+            standard_verification(n_max=0)
+
+    def test_never_forms_the_dense_gram(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify formed the dense Gram")
+
+        monkeypatch.setattr(identity, "full_identity_matrix", refuse)
+        for family in VERIFY_FAMILIES.values():
+            assert cli.main(["verify", *family, *VERIFY_ORDERS["benchmark"]]) == cli.EXIT_OK

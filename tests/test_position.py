@@ -13,6 +13,7 @@ from cohere import hydrogen
 from cohere import position as P
 from cohere.position import (
     BudgetExceededError,
+    GridField,
     GridSpec,
     SpatialQuadrature,
     ellipse_to_angular,
@@ -491,6 +492,16 @@ class TestFieldExport:
         assert back.t == small_field.t
         np.testing.assert_array_equal(back.values, small_field.values)
 
+    def test_strided_values_are_checked_without_a_copy(self, small_field):
+        # a transposed view has no contiguous last axis to view as floats
+        values = small_field.values.T
+        assert not values.flags.c_contiguous
+        assert GridField(small_field.spec, 0.25, values).values is values
+        values = values.copy().T
+        values[1, 2] = complex(0.0, math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            GridField(small_field.spec, 0.25, values)
+
     def test_binary_with_a_nan_width_is_refused(self, tmp_path, small_field):
         path = tmp_path / "field.bin"
         write_field_binary(path, small_field)
@@ -542,6 +553,25 @@ class TestExpectations:
         assert norm == pytest.approx(0.080, abs=5e-3)
         with pytest.raises(ArithmeticError):
             position_expectation(st, 0.0, radial_order=64, r_max=0.5)
+
+    @pytest.mark.parametrize("r_max", [math.nan, -40.0, 0.0, math.inf])
+    def test_radial_cutoff_must_be_positive_and_finite(self, r_max):
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        with pytest.raises(ValueError, match="r_max"):
+            position_trace(st, [0.0], radial_order=64, r_max=r_max)
+        with pytest.raises(ValueError, match="r_max"):
+            position_expectation(st, 0.0, radial_order=64, r_max=r_max)
+
+    @pytest.mark.parametrize("radial_order", [0, -3, 2.5])
+    def test_radial_order_must_be_a_positive_integer(self, radial_order):
+        with pytest.raises(ValueError, match="radial_order"):
+            SpatialQuadrature.for_levels(3, radial_order=radial_order, r_max=40.0)
+
+    def test_refuses_a_nan_norm(self, monkeypatch):
+        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        monkeypatch.setattr(P, "position_trace", lambda *args: np.array([[0.0, 0.0, math.nan]]))
+        with pytest.raises(ArithmeticError):
+            position_expectation(st, 0.0)
 
     def test_rotation_invariance_of_narrow_circular_state(self):
         # essentially single-level circular states have azimuth-independent
