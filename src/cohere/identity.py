@@ -25,12 +25,16 @@ factor from one su2.su2_amplitudes call over the polar nodes, so a
 sphere overlap is a weighted polar Gram times an azimuthal sum taken on
 the phi nodes.  A level pair's block of the combined Gram is r * phase *
 kron(S, S), r the radial cross integral and S the sphere overlap of the
-two spin multiplets; the checks read each block's largest entries from r
-and S, one level at a time, so they reach the paper's levels (144-176).
+two spin multiplets.  standard_verification makes one ascending pass
+over the spins and builds each same-spin S once: the spin check reads
+max|(2j+1) S - I| from it, and the exact-limit block of level n = 2j + 1
+reads its largest entries from r and the same S, so the checks reach the
+paper's levels (144-176).  The finite-window check covers the level pair
+(1, 2) and reports its excess over the 1/(Gamma |e_a - e_b|) envelope
+clamped at 0, so 0 means every entry sits inside the envelope.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -50,6 +54,8 @@ RADIAL_N_MAX = 10
 #: tolerances of the spin multiplet and radial moment checks
 SU2_TOL = 1e-12
 RADIAL_TOL = 1e-12
+#: phase-window half-widths Gamma of the finite-window check
+GAMMA_HALFWIDTHS = (1e3, 1e4, 1e5)
 
 
 class InsufficientOrderError(ValueError):
@@ -88,9 +94,13 @@ def verify_su2_identity(j: float, polar_order: int, azimuthal_count: int) -> flo
     order checks: InsufficientOrderError below 2j+1 polar nodes or 2j+1
     azimuthal nodes.
     """
-    two_j = _check_two_j(j)
-    gram = (two_j + 1.0) * _sphere_overlap_matrix(j, j, polar_order, azimuthal_count)
-    return float(np.max(np.abs(gram - np.eye(two_j + 1))))
+    return _spin_deviation(_sphere_overlap_matrix(j, j, polar_order, azimuthal_count))
+
+
+def _spin_deviation(sphere: np.ndarray) -> float:
+    """max|(2j+1) S - I| of a same-spin sphere overlap S of size 2j+1."""
+    size = sphere.shape[0]
+    return float(np.max(np.abs(float(size) * sphere - np.eye(size))))
 
 
 def _sphere_overlap_matrix(
@@ -174,18 +184,17 @@ def verify_radial_identity(spec: WeightSpec, n_max: int) -> float:
     return worst
 
 
-def _level_pair(spec: WeightSpec, n_a: int, n_b: int, polar_order: int, azimuthal_count: int):
-    """(r, S): the combined Gram's block of levels (n_a, n_b) is
+def _radial_factor(spec: WeightSpec, n_a: int, n_b: int) -> float:
+    """r: the combined Gram's block of levels (n_a, n_b) is
     r * phase * kron(S, S), with r the radial cross integral times the
     spectral factors n / sqrt(rho_{n-1}) and S the sphere overlap of spins
     (n_a-1)/2 and (n_b-1)/2."""
     # log_moment's formula at a real exponent, in an order that keeps every bit
     exponent = (n_a + n_b) / 2.0 - 1.0
-    radial = math.exp(math.log(_moment_ratio_by_quadrature(spec, exponent)) - math.log(spec.alpha)
-                      + math.lgamma((exponent + 1.0) / spec.alpha)
-                      - 0.5 * (log_moment(spec, n_a - 1) + log_moment(spec, n_b - 1))
-                      + math.log(n_a) + math.log(n_b))
-    return radial, _sphere_overlap_matrix((n_a - 1) / 2.0, (n_b - 1) / 2.0, polar_order, azimuthal_count)
+    return math.exp(math.log(_moment_ratio_by_quadrature(spec, exponent)) - math.log(spec.alpha)
+                    + math.lgamma((exponent + 1.0) / spec.alpha)
+                    - 0.5 * (log_moment(spec, n_a - 1) + log_moment(spec, n_b - 1))
+                    + math.log(n_a) + math.log(n_b))
 
 
 def full_identity_matrix(
@@ -222,7 +231,8 @@ def full_identity_matrix(
                             gamma_average(gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b)))
             if gamma_factor == 0.0:
                 continue
-            radial, sphere = _level_pair(spec, n_a, n_b, polar_order, azimuthal_count)
+            radial = _radial_factor(spec, n_a, n_b)
+            sphere = _sphere_overlap_matrix((n_a - 1) / 2.0, (n_b - 1) / 2.0, polar_order, azimuthal_count)
             rows = slice(offset[n_a], offset[n_a] + n_a * n_a)
             cols = slice(offset[n_b], offset[n_b] + n_b * n_b)
             gram[rows, cols] = radial * gamma_factor * np.kron(sphere, sphere)
@@ -275,51 +285,63 @@ def standard_verification(
     su2_max_two_j: int = 10,
     polar_order: int = 24,
     azimuthal_count: int = 48,
-    gamma_halfwidths: tuple[float, ...] = (1e3, 1e4, 1e5),
     full_tol: float = 1e-8,
 ) -> list[CheckResult]:
     """The default battery: spin multiplets, radial moments, combined
     identity in exact-limit mode, and the finite-window off-diagonal
-    bound."""
+    bound.
+
+    One ascending pass over 2j = 0 .. max(su2_max_two_j, n_max - 1) builds
+    each same-spin sphere overlap S once; the spin check reads it for
+    2j <= su2_max_two_j and the level block n = 2j + 1 for n <= n_max.
+    The finite-window check covers the level pair (1, 2) when n_max >= 2
+    and reports its excess over the envelope clamped at 0."""
     if n_max < 1:
         raise ValueError("need at least one level")
     if spec is None:
         spec = WeightSpec.exponential()
-    results = []
 
-    worst_su2 = max([verify_su2_identity(two_j / 2.0, polar_order, azimuthal_count)
-                     for two_j in range(su2_max_two_j + 1)], default=0.0)
-    results.append(
+    spin_deviations, worst = [], 0.0
+    for two_j in range(max(su2_max_two_j, n_max - 1) + 1):
+        sphere = _sphere_overlap_matrix(two_j / 2.0, two_j / 2.0, polar_order, azimuthal_count)
+        if two_j <= su2_max_two_j:
+            spin_deviations.append(_spin_deviation(sphere))
+        if two_j < n_max:
+            # block n minus I: r S_ii S_jj - 1 on its diagonal, extreme at S's
+            # extreme diagonal entries, and r S_ik S_jl with i != k or j != l off
+            # it, at most r * (largest off-diagonal |S|) * max|S|
+            radial = _radial_factor(spec, two_j + 1, two_j + 1)
+            diagonal = sphere.diagonal().real
+            off = np.abs(sphere - np.diag(sphere.diagonal())).max()
+            worst = max(worst, abs(radial * diagonal.max() ** 2 - 1.0),
+                        abs(radial * diagonal.min() ** 2 - 1.0), radial * off * np.abs(sphere).max())
+
+    # finite-window off-diagonals must obey the sinc envelope bound; the
+    # pair's largest entry is |r * sinc| max|S|^2
+    worst_excess = 0.0
+    if n_max >= 2:
+        radial = _radial_factor(spec, 1, 2)
+        largest_sphere = np.abs(_sphere_overlap_matrix(0.0, 0.5, polar_order, azimuthal_count)).max()
+        e_a, e_b = hydrogen.energy(1), hydrogen.energy(2)
+        for gamma_halfwidth in GAMMA_HALFWIDTHS:
+            largest = abs(radial * gamma_average(gamma_halfwidth, e_a, e_b)) * largest_sphere ** 2
+            worst_excess = max(worst_excess, largest - 1.0 / (gamma_halfwidth * abs(e_a - e_b)))
+
+    return [
         CheckResult(
             name="spin multiplet resolution",
             truncation=f"2j <= {su2_max_two_j}",
             orders={"polar": polar_order, "azimuthal": azimuthal_count},
-            max_deviation=worst_su2,
+            max_deviation=max(spin_deviations, default=0.0),
             tolerance=SU2_TOL,
-        )
-    )
-
-    results.append(
+        ),
         CheckResult(
             name="radial moment identity",
             truncation=f"n <= {RADIAL_N_MAX}",
             orders={"rule": "log-trapezoid"},
             max_deviation=verify_radial_identity(spec, RADIAL_N_MAX),
             tolerance=RADIAL_TOL,
-        )
-    )
-
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        # block n minus I: r S_ii S_jj - 1 on its diagonal, extreme at S's
-        # extreme diagonal entries, and r S_ik S_jl with i != k or j != l off
-        # it, at most r * (largest off-diagonal |S|) * max|S|
-        radial, sphere = _level_pair(spec, n, n, polar_order, azimuthal_count)
-        diagonal = sphere.diagonal().real
-        off = np.abs(sphere - np.diag(sphere.diagonal())).max()
-        worst = max(worst, abs(radial * diagonal.max() ** 2 - 1.0),
-                    abs(radial * diagonal.min() ** 2 - 1.0), radial * off * np.abs(sphere).max())
-    results.append(
+        ),
         CheckResult(
             name="combined identity (exact-limit phase average)",
             truncation=f"levels <= {n_max}",
@@ -327,26 +349,12 @@ def standard_verification(
                     "radial_rule": "log-trapezoid"},
             max_deviation=float(worst),
             tolerance=full_tol,
-        )
-    )
-
-    # finite-window off-diagonals must obey the sinc envelope bound; a level
-    # pair's largest entry is |r * sinc| max|S|^2
-    finite_levels = min(n_max, 2)
-    worst_excess = 0.0
-    for n_a, n_b in itertools.combinations(range(1, finite_levels + 1), 2):
-        radial, sphere = _level_pair(spec, n_a, n_b, polar_order, azimuthal_count)
-        e_a, e_b = hydrogen.energy(n_a), hydrogen.energy(n_b)
-        for gamma_halfwidth in gamma_halfwidths:
-            largest = abs(radial * gamma_average(gamma_halfwidth, e_a, e_b)) * np.abs(sphere).max() ** 2
-            worst_excess = max(worst_excess, largest - 1.0 / (gamma_halfwidth * abs(e_a - e_b)))
-    results.append(
+        ),
         CheckResult(
             name="finite-window off-diagonal bound",
-            truncation=f"levels <= {finite_levels}",
-            orders={"gamma_halfwidths": list(gamma_halfwidths)},
+            truncation=f"levels <= {min(n_max, 2)}",
+            orders={"gamma_halfwidths": list(GAMMA_HALFWIDTHS)},
             max_deviation=float(worst_excess),
             tolerance=1e-12,
-        )
-    )
-    return results
+        ),
+    ]

@@ -1,7 +1,7 @@
 """Position-space evaluation: eigenfunctions, planar fields, orbit traces.
 
 Radial functions come from one recurrence in l, downward with a per-point
-log-magnitude carry (_radial_logs), so that principal quantum numbers
+log-magnitude carry (_radial_by_degree), so that principal quantum numbers
 of a few hundred stay finite; the theta part of the spherical harmonics
 uses the fully normalized Legendre recurrence, stable to degree ~200,
 with the Condon-Shortley phase.
@@ -128,25 +128,15 @@ def radial(n: int, l: int, r) -> np.ndarray | float:
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("r must be nonnegative")
-    for degree, _, u, log_scale in _radial_logs(np.array([n]), r_arr.ravel()):
+    for degree, rows in _radial_by_degree(np.array([n]), r_arr.ravel()):
         if degree == l:
-            out = (u * np.exp(log_scale))[0].reshape(r_arr.shape)
+            out = rows[0].reshape(r_arr.shape)
             return float(out) if np.isscalar(r) else out
 
 
 def _radial_by_degree(levels: np.ndarray, r: np.ndarray):
     """Yield (l, rows) for l = max(levels) - 1 down to 0: rows[i] is
-    R_{levels[i], l}(r), exactly 0 for levels[i] <= l (levels ascending)."""
-    for l, live, u, log_scale in _radial_logs(levels, r):
-        rows = np.zeros((levels.size, r.size))
-        rows[live] = u * np.exp(log_scale)
-        yield l, rows
-
-
-def _radial_logs(levels: np.ndarray, r: np.ndarray):
-    """Yield (l, live, u, log_scale) for l = max(levels) - 1 down to 0:
-    levels[live] are the levels above l, whose degree-l rows are
-    u * exp(log_scale).  u is a view that the next step overwrites.
+    R_{levels[i], l}(r), exactly 0 for levels[i] <= l (levels ascending).
 
     With x = 2r/n, u_l = R_{n,l} / x^l obeys the factorization recurrence
     (Schroedinger 1940; Infeld & Hull 1951), stable downward in l:
@@ -167,8 +157,10 @@ def _radial_logs(levels: np.ndarray, r: np.ndarray):
     for l in range(int(levels.max()) - 1, -1, -1):
         live = slice(np.searchsorted(levels, l + 1), None)
         u[levels == l + 1] = 1.0  # level l + 1 joins at its nodeless row
+        rows = np.zeros((levels.size, r.size))
         # x^l is 1 for l = 0, even at r = 0
-        yield l, live, u[live], carry[live] + l * log_x[live] if l else carry[live]
+        rows[live] = u[live] * np.exp(carry[live] + l * log_x[live] if l else carry[live])
+        yield l, rows
         if l == 0:
             return
         nn = n[live]
@@ -305,10 +297,6 @@ class SpatialQuadrature:
         r_weights = r_max * u * wr
         cu, wu = _gauss_legendre(2 * n_top + 12)
         return cls(r_nodes, r_weights, cu, wu, 4 * n_top + 8)
-
-    @property
-    def phi_nodes(self) -> np.ndarray:
-        return np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
 
 
 def _raising_ladder(l: int) -> tuple[np.ndarray, np.ndarray]:

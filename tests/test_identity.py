@@ -21,8 +21,8 @@ from cohere.identity import (
     SU2_TOL,
     InsufficientOrderError,
     _azimuthal_sums,
-    _level_pair,
     _moment_ratio_by_quadrature,
+    _radial_factor,
     _sphere_overlap_matrix,
     full_identity_matrix,
     gamma_average,
@@ -216,7 +216,7 @@ class TestSphereRule:
         try:
             for polar_order in (12, 16, 12):
                 results = standard_verification(n_max=2, su2_max_two_j=8, polar_order=polar_order,
-                                                azimuthal_count=24, gamma_halfwidths=(1e3,))
+                                                azimuthal_count=24)
                 assert all(r.passed for r in results)
         finally:
             _gauss_legendre.cache_clear()
@@ -414,10 +414,25 @@ class TestStandardVerification:
         assert finite.max_deviation == 0.0 and finite.passed
         assert results["combined identity (exact-limit phase average)"].truncation == "levels <= 1"
 
+    @pytest.mark.parametrize("n_max, su2_max_two_j", [(6, 10), (12, 3), (1, 0)])
+    def test_one_sphere_overlap_per_spin(self, monkeypatch, n_max, su2_max_two_j):
+        # one same-spin overlap for each 2j of either check, plus the (0, 1/2)
+        # pair of the finite-window check; the spin check keeps
+        # verify_su2_identity's bits
+        expected = max(verify_su2_identity(two_j / 2.0, *ORDERS) for two_j in range(su2_max_two_j + 1))
+        calls, overlap = [], identity._sphere_overlap_matrix
+        monkeypatch.setattr(identity, "_sphere_overlap_matrix",
+                            lambda j_a, j_b, *orders: calls.append((j_a, j_b)) or overlap(j_a, j_b, *orders))
+        results = {r.name: r for r in standard_verification(n_max=n_max, su2_max_two_j=su2_max_two_j)}
+        spins = [(two_j / 2.0, two_j / 2.0) for two_j in range(max(su2_max_two_j, n_max - 1) + 1)]
+        assert sorted(calls) == sorted(spins + [(0.0, 0.5)] * (n_max >= 2))
+        assert results["spin multiplet resolution"].max_deviation.hex() == expected.hex()
+        assert all(r.passed for r in results.values())
+
 
 class TestLevelBlocks:
     """standard_verification reads each level block's largest entries from
-    the pair's (r, S); the dense Gram is its oracle up to MAX_LEVELS."""
+    the pair's r and S; the dense Gram is its oracle up to MAX_LEVELS."""
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
     def test_exact_limit_deviation_matches_dense(self, spec):
@@ -460,15 +475,17 @@ class TestLevelBlocks:
         oracle, labels = loop_identity_matrix(spec, MAX_LEVELS, *ORDERS, gamma_halfwidth)
         levels = np.array([n for n, _, _ in labels])
         for n_a, n_b in itertools.combinations(range(1, MAX_LEVELS + 1), 2):
-            radial, sphere = _level_pair(spec, n_a, n_b, *ORDERS)
+            radial = _radial_factor(spec, n_a, n_b)
+            sphere = _sphere_overlap_matrix((n_a - 1) / 2.0, (n_b - 1) / 2.0, *ORDERS)
             phase = gamma_average(gamma_halfwidth, hydrogen.energy(n_a), hydrogen.energy(n_b))
             largest = abs(radial * phase) * np.abs(sphere).max() ** 2
             block = oracle[np.ix_(levels == n_a, levels == n_b)]
             assert abs(largest - np.abs(block).max()) <= 1e-15, (n_a, n_b)
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
-    def test_finite_window_excess_matches_dense(self, spec):
+    def test_finite_window_excess_matches_dense(self, monkeypatch, spec):
         gamma_halfwidths = (1e-3, 1.0, 1e3)
+        monkeypatch.setattr(identity, "GAMMA_HALFWIDTHS", gamma_halfwidths)
         worst = 0.0
         for gamma_halfwidth in gamma_halfwidths:
             gram, labels = full_identity_matrix(spec, 2, *ORDERS, gamma_halfwidth)
@@ -476,8 +493,8 @@ class TestLevelBlocks:
             gap = np.abs(energies[:, None] - energies[None, :])
             off = gap > 0
             worst = max(worst, np.max(np.abs(gram[off]) - 1.0 / (gamma_halfwidth * gap[off])))
-        results = {r.name: r for r in standard_verification(
-            spec, 2, 0, *ORDERS, gamma_halfwidths=gamma_halfwidths)}
+        results = {r.name: r for r in standard_verification(spec, 2, 0, *ORDERS)}
+        assert results[FINITE].orders == {"gamma_halfwidths": list(gamma_halfwidths)}
         assert abs(results[FINITE].max_deviation - worst) <= 1e-15
 
     def test_paper_levels(self):

@@ -106,7 +106,7 @@ def dense_position_trace(state, times):
     quad_rule = SpatialQuadrature.for_levels(n_top)
     cos_t = quad_rule.cos_nodes
     sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    phi = quad_rule.phi_nodes
+    phi = np.arange(quad_rule.n_phi) * (2.0 * math.pi / quad_rule.n_phi)
     fields = []
     for n in state.coeffs.levels:
         n = int(n)

@@ -111,8 +111,7 @@ def test_per_layer_names_are_the_traced_names(monkeypatch):
 
 def test_identity_report_matches_the_oracle():
     oracles = load_bench("oracles")
-    results = standard_verification(n_max=2, su2_max_two_j=3, polar_order=6,
-                                    azimuthal_count=8, gamma_halfwidths=(1e3,))
+    results = standard_verification(n_max=2, su2_max_two_j=3, polar_order=6, azimuthal_count=8)
     assert {r.name for r in results} == oracles.IDENTITY_CHECKS
     truncations = {r.truncation for r in results}
     # the oracle looks up the spin and level truncations in exactly this form
