@@ -2,9 +2,7 @@
 
 Radial functions come from one recurrence in l, downward with a per-point
 log-magnitude carry (_radial_by_degree), so that principal quantum numbers
-of a few hundred stay finite; the theta part of the spherical harmonics
-uses the fully normalized Legendre recurrence, stable to degree ~200,
-with the Condon-Shortley phase.
+of a few hundred stay finite.
 
 The eccentricity map fixes the orbit geometry of the two-spin angular
 factor.  With the lowest-weight fiducial and the stereographic convention
@@ -20,15 +18,12 @@ representative is the mirror image through the orbital plane and has
 identical ellipse geometry.)
 
 Planar frames and orbit traces take time only through the coefficients
-c(t) of evolve(state, t).  A grid frame is c(t) . Phi, where row n of Phi
-is level n on the plane, sum_m F_n[m](r) e^{i m phi} with F_n[m] = sum_l
-g_n(l, m) Y_{l,m}(pi/2, 0) R_{n,l}(r) on the unique radii (keyed on the
-integer squared grid offsets, so equal radii merge exactly), summed over m
-by Horner's rule in e^{i phi}.  g_n(l, m) = kappa_l(n) h_l(m) from one
-su2.recoupled_window: h^T times the signed plane-Legendre factors is one
-matrix for the window, and g_n is its central 2n - 1 rows and first n
-columns times kappa(n).  Phi (levels x points) is built once for a whole
-schedule; beyond it the working set is O(points).
+c(t) of evolve(state, t).  A grid frame is c(t) . Phi, where row n of Phi,
+level n on the plane, is sum_l kappa_l(n) c_l R_{n,l}(r) T_l(s) by su2's
+plane identity, summed by Clenshaw's recurrence (Math. Tables Aids Comput.
+9, 118 (1955)) down in l beside the radial one on the unique radii (keyed
+on the integer squared grid offsets, so equal radii merge exactly).  Phi is
+built once for a whole schedule; beyond it the working set is O(points).
 
 Orbit traces never form the wavefunction in 3-D.  Each level-pair moment
 takes its angular factor from algebra: <l m|l' m'> = delta_ll' delta_mm',
@@ -183,7 +178,8 @@ def legendre_normalized(l_max: int, m: int, cos_theta, sin_theta) -> np.ndarray:
 
     Returns an array of shape (l_max - m + 1, ...) whose row i is the
     theta part of Y_{m+i, m}; multiply by exp(i m phi) for the full
-    harmonic.  Stable to degree ~200.
+    harmonic.  Stable to degree ~200.  Nothing in the package calls it: it
+    is the tests' reference, and bench/spans.py wraps it (ROADMAP item 1).
     """
     if m < 0:
         raise ValueError("m must be nonnegative here")
@@ -221,27 +217,19 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     keys, inverse = np.unique((kx * kx + ky * ky).ravel(), return_inverse=True)
     r_unique = h * np.sqrt(keys)
     phi = np.arctan2(ky, kx).ravel()
-    e_iphi = np.exp(1j * phi)
-    h_rows, kappa = recoupled_window(levels, state.angular)
-    plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
-    for m in range(n_top):
-        plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
-    # row n_top-1+m, against g(l, m) e^{i m phi}: P_l^|m|(0), times (-1)^m
-    # for m < 0 since Y_{l,-m} = (-1)^m conj(Y_{l,m})
-    m = np.arange(1 - n_top, n_top)
-    shared = h_rows.T * plane[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
+    _, kappa, (x2, y2, delta_sq, h_exp) = recoupled_window(levels, state.angular)
+    s = x2 * np.exp(1j * phi) - y2 * np.exp(-1j * phi)
+    # Clenshaw for level n's row sum_l w_l R_{n,l} T_l(s), w_l = kappa_l(n) c_l 2**-h_exp[l]:
+    # b_l = w_l R_{n,l} + s b_{l+1} - (l+1)^2/((2l+1)(2l+3)) Delta^2 b_{l+2}, and the row is b_0
+    c = np.cumprod(np.r_[0.5 / math.sqrt(math.pi), -np.sqrt(1.0 + 0.5 / np.arange(1.0, n_top))])
     fields = np.empty((levels.size, phi.size), dtype=complex)
-    for field, n, k_n in zip(fields, levels.tolist(), kappa):
-        radials = np.empty((n, r_unique.size), dtype=complex)
+    for field, n, w_n in zip(fields, levels.tolist(), kappa * np.ldexp(c, -h_exp)):
+        b, above = np.zeros((2, phi.size), dtype=complex)
         for l, rows in _radial_by_degree(np.array([n]), r_unique):
-            radials[l] = rows[0]
-        g = shared[n_top - n : n_top + n - 1, :n] * k_n[:n]  # F_n[m] = g[n-1+m] @ radials
-        # sum_m F_n[m] e^{i m phi} by Horner's rule, one F_n[m] row at a time
-        field[:] = (g[-1] @ radials)[inverse]
-        for row in g[-2::-1]:
-            field *= e_iphi
-            field += (row @ radials)[inverse]
-        field *= np.exp(-1j * (n - 1) * phi)
+            above *= -(l + 1) ** 2 / ((2 * l + 1) * (2 * l + 3)) * delta_sq
+            above += s * b + (w_n[l] * rows[0])[inverse]
+            b, above = above, b
+        field[:] = b
     shape = (grid.samples, grid.samples)
     return (GridField(spec=grid, t=t, values=(evolve(state, t).coeffs.values @ fields).reshape(shape))
             for t in times)
@@ -319,7 +307,7 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     integrals use the quadrature's radial rule; see the module docstring.
     """
     levels = state.coeffs.levels
-    h, kappa = recoupled_window(levels, state.angular)
+    h, kappa, _ = recoupled_window(levels, state.angular)
     n_top = h.shape[0]
     r = quad.r_nodes
     w_norm = quad.r_weights * r * r

@@ -32,9 +32,17 @@ and the spin-l part of a product of two of them is Delta^(2j-l) (u1 u2)^l,
 Delta = (zeta1 - zeta2) / sqrt((1+|zeta1|^2)(1+|zeta2|^2)), times a
 constant fixed by (j, l) alone.  So no Clebsch-Gordan coefficient is
 needed, and the level enters only through that constant and Delta^(2j-l)
-(see recoupled_window).  The
-Condon-Shortley Clebsch-Gordan tables built below are the reference that
-the closed form is tested against; nothing else in the package reads
+(see recoupled_window).  On the plane z = 0 a row sums over m in closed
+form: u1 u2 is a complex vector v with v.v ~ Delta^2, and sum_m h_l(m)
+Y_{l,m} is the harmonic projection of (v.r)^l, a Legendre polynomial
+(Hobson, The Theory of Spherical and Ellipsoidal Harmonics (1931)).  At
+theta = pi/2 it is c_l T_l(x2 e^{i phi} - y2 e^{-i phi}), x2 = a1 a2 and
+y2 = b1 b2, with c_0 = 1/sqrt(4 pi), c_{l+1} = -c_l sqrt((2l+3)/(2l+2)),
+and the monic T_l(s) = Delta^l P_l(s/Delta) l!/(2l-1)!!: T_0 = 1, T_1 = s,
+T_{l+1} = s T_l - l^2/(4l^2-1) Delta^2 T_{l-1}, which divides by nothing.
+
+The Condon-Shortley Clebsch-Gordan tables built below are the reference
+that the closed form is tested against; nothing else in the package reads
 them.  They are built, one (j, l) table at a time, from the three-term
 recurrence that J^2 obeys on each fixed-M block (Schulten & Gordon,
 J. Math. Phys. 16, 1961 (1975)), completed by the exchange and mirror
@@ -219,8 +227,8 @@ def _unit_form(zeta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return a, b, g, big.real / r_big + 1j * (big.imag / r_big)
 
 
-def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndarray]:
-    """One recoupling for a window of levels: (h, kappa) with, for n = levels[i],
+def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One recoupling for a window of levels: (h, kappa, plane) with, for n = levels[i],
 
         so4_to_spherical(n)[l, n-1+m] = kappa[i, l] h[l, n_top-1+m],   n_top = max(levels).
 
@@ -240,8 +248,10 @@ def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndar
     so no factorial or power of Delta is formed, and Delta = 0 leaves zeros
     below l = d.  Both recurrences run in long double with power-of-two
     exponents carried by frexp: h rows are scaled to a largest modulus in
-    [0.5, 1) and kappa takes the scale back, so neither Delta -> 0 nor n in
-    the thousands underflows, and each entry is rounded to double once.
+    [0.5, 1), h[l] = h_l 2**-e[l], and kappa takes the scale back, so
+    neither Delta -> 0 nor n in the thousands underflows, and each entry is
+    rounded to double once.  plane = (x2, y2, Delta^2, e) feeds the plane
+    identity of the module docstring.
     """
     levels = np.asarray(levels)
     if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
@@ -271,6 +281,7 @@ def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndar
         step[2:] += x2 * outer * row
         row = step
     h_exp = np.cumsum(h_exp)  # h_l is h[l] * 2**h_exp[l]
+    plane = complex(x2), complex(y2), complex(delta * delta), h_exp
     # Delta is delta * 2**shift with |delta| in [0.5, 1), even for subnormal Delta
     shift = np.frexp(abs(delta))[1]
     delta *= np.ldexp(np.longdouble(1), -shift)
@@ -286,7 +297,7 @@ def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndar
         col[d == l], carry[d == l] = 1.0, 0
         scale = carry + h_exp[l]
         kappa[:, l] = np.ldexp(col.real, scale) + 1j * np.ldexp(col.imag, scale)
-    return h, kappa
+    return h, kappa, plane
 
 
 def so4_to_spherical(n: int, params: AngularParams) -> np.ndarray:
@@ -294,5 +305,5 @@ def so4_to_spherical(n: int, params: AngularParams) -> np.ndarray:
     shape (n, 2n-1), is the amplitude on (l, m), m = -(n-1)..n-1, of
     |j, zeta1>|j, zeta2>, j = (n-1)/2, recoupled with Condon-Shortley
     Clebsch-Gordan coefficients, and exactly 0 for |m| > l."""
-    h, kappa = recoupled_window(np.array([n]), params)
+    h, kappa, _ = recoupled_window(np.array([n]), params)
     return kappa[0][:, None] * h

@@ -32,7 +32,7 @@ from cohere.position import (
     write_field_csv,
 )
 from cohere.state import build_state, evolve, level_spread, mean_level, reduced_phases, solve_scale_ln
-from cohere.su2 import AngularParams, spin_expectation, su2_amplitudes
+from cohere.su2 import AngularParams, recoupled_window, spin_expectation, su2_amplitudes
 from cohere.weights import WeightSpec
 
 from recoupling_oracle import reference_table
@@ -57,12 +57,11 @@ def paper_state():
     )
 
 
-def small_orbit_state(eccentricity):
-    """A packet over levels 1..10 with several occupied levels."""
-    return build_state(
-        WeightSpec.stretched(0.25), 0.0,
-        ellipse_to_angular(eccentricity), ln_s=solve_scale_ln(0.25, 3.0),
-    )
+def small_orbit_state(orbit):
+    """A packet over levels 1..10 with several occupied levels, on the
+    ellipse of eccentricity orbit, or at the AngularParams orbit."""
+    angular = orbit if isinstance(orbit, AngularParams) else ellipse_to_angular(orbit)
+    return build_state(WeightSpec.stretched(0.25), 0.0, angular, ln_s=solve_scale_ln(0.25, 3.0))
 
 
 def spherical_harmonic(l, m, theta, phi):
@@ -97,6 +96,47 @@ def dense_field_on_grid(state, grid, t):
                 angular += g[l, n - 1 + m] * theta_part * np.exp(1j * m * phi)
             total += c_n * radial(n, l, r_unique)[inverse] * angular
     return total.reshape(grid.samples, grid.samples)
+
+
+def signed_plane_table(h):
+    """A recoupled_window table h times the plane-Legendre factors:
+    shared[n_top-1+m, l] = h[l, n_top-1+m] P_l^|m|(0) (-1)^min(m, 0), so that
+    sum_m shared[n_top-1+m, l] e^{i m phi} = sum_m h_l(m) Y_{l,m}(pi/2, phi)."""
+    n_top = h.shape[0]
+    plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
+    for m in range(n_top):
+        plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
+    # Y_{l,-m} = (-1)^m conj(Y_{l,m})
+    m = np.arange(1 - n_top, n_top)
+    return h.T * plane[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
+
+
+def horner_frame(state, grid, t):
+    """Reference planar frame by the sum over m: per level, F_n[m] = g_n[m] @
+    radials on the unique radii with g_n from signed_plane_table, summed by
+    Horner's rule in e^{i phi}, then c(t) . Phi."""
+    levels = state.coeffs.levels
+    n_top = int(levels.max())
+    k, h = grid._offsets()
+    kx, ky = np.meshgrid(k, k)
+    keys, inverse = np.unique((kx * kx + ky * ky).ravel(), return_inverse=True)
+    r_unique = h * np.sqrt(keys)
+    phi = np.arctan2(ky, kx).ravel()
+    e_iphi = np.exp(1j * phi)
+    h_rows, kappa, _ = recoupled_window(levels, state.angular)
+    shared = signed_plane_table(h_rows)
+    fields = np.empty((levels.size, phi.size), dtype=complex)
+    for field, n, k_n in zip(fields, levels.tolist(), kappa):
+        radials = np.empty((n, r_unique.size), dtype=complex)
+        for l, rows in P._radial_by_degree(np.array([n]), r_unique):
+            radials[l] = rows[0]
+        g = shared[n_top - n : n_top + n - 1, :n] * k_n[:n]  # F_n[m] = g[n-1+m] @ radials
+        field[:] = (g[-1] @ radials)[inverse]
+        for row in g[-2::-1]:
+            field *= e_iphi
+            field += (row @ radials)[inverse]
+        field *= np.exp(-1j * (n - 1) * phi)
+    return (evolve(state, t).coeffs.values @ fields).reshape(grid.samples, grid.samples)
 
 
 def dense_position_trace(state, times):
@@ -341,6 +381,35 @@ class TestSphericalHarmonics:
             assert abs(val) <= 1e-10
 
 
+class TestPlaneIdentity:
+    """su2's plane identity, against the plane-Legendre sum over m: row l of
+    a recoupled_window table, sum_m h_l(m) Y_{l,m}(pi/2, phi), is c_l Q_l(s)
+    times the row's 2**-e[l], s = x2 e^{i phi} - y2 e^{-i phi}, with Bonnet's
+    (l+1) Q_{l+1} = (2l+1) s Q_l - l Delta^2 Q_{l-1}."""
+
+    @pytest.mark.parametrize("params", [
+        ellipse_to_angular(0.0), ellipse_to_angular(0.385), ellipse_to_angular(0.9),
+        AngularParams(0.3 + 0.4j, -1.7 + 2.2j), AngularParams(2.5 - 1.1j, 0.2 - 0.6j),
+        AngularParams(0.6 - 0.3j, 0.6 - 0.3j),  # Delta = 0
+        AngularParams(1e-3, 1e3),  # x2 and y2 near 1e-3: their l-th powers underflow
+    ], ids=["eps0", "eps0.385", "eps0.9", "small-big", "big-small", "equal", "1e-3,1e3"])
+    def test_rows_are_legendre_polynomials(self, params):
+        # the largest error relative to each row's peak over l <= 176 measured
+        # 8.2e-14 (at eps = 0.9), 5.6e-15 at (1e-3, 1e3); the bound is 2e-13
+        n_top = 177
+        h, _, (x2, y2, delta_sq, h_exp) = recoupled_window(np.array([n_top]), params)
+        phi = np.linspace(-math.pi, math.pi, 96, endpoint=False) + 0.1
+        m = np.arange(1 - n_top, n_top)
+        rows = signed_plane_table(h).T @ np.exp(1j * np.outer(m, phi))
+        s = x2 * np.exp(1j * phi) - y2 * np.exp(-1j * phi)
+        q_below, q, c = np.zeros_like(s), np.ones_like(s), 1.0 / math.sqrt(4.0 * math.pi)
+        for l in range(n_top):
+            want = math.ldexp(c, -int(h_exp[l])) * q
+            assert np.max(np.abs(rows[l] - want)) <= 2e-13 * np.max(np.abs(rows[l])), l
+            q_below, q = q, ((2 * l + 1) * s * q - l * delta_sq * q_below) / (l + 1)
+            c *= -math.sqrt((2 * l + 3) * (2 * l + 2)) / (2 * (2 * l + 1))
+
+
 class TestPlanarField:
     def test_ground_state_is_radial_exponential(self):
         st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
@@ -370,9 +439,10 @@ class TestPlanarField:
         with pytest.raises(BudgetExceededError):
             field_frames(ellipse_state, GridSpec(width=100.0, samples=64), [0.0], budget=10)
 
-    @pytest.mark.parametrize("eccentricity", [0.0, 0.385, 0.8])
-    def test_frames_match_dense_oracle(self, eccentricity):
-        st = small_orbit_state(eccentricity)
+    @pytest.mark.parametrize("orbit", [0.0, 0.385, 0.8, 1e-8, 0.99,
+                                       pytest.param(AngularParams(1e-3, 1e3), id="1e-3,1e3")])
+    def test_frames_match_dense_oracle(self, orbit):
+        st = small_orbit_state(orbit)
         assert int(st.coeffs.levels.max()) <= 10
         t_revival = hydrogen.revival_time(mean_level(st, principal=True))
         times = [0.0, t_revival / 5, t_revival,
@@ -767,6 +837,14 @@ class TestPaperScale:
         assert np.max(np.abs(np.diag(x) + 1.5 * n * (n - 1) * 0.385) / n**2) <= 5e-13
         assert np.max(np.abs(np.diag(y)) / n**2) <= 5e-13
         assert np.max(np.abs(norm - np.eye(n.size))) <= 1e-12
+
+    def test_frame_matches_the_sum_over_m(self, paper_state):
+        # the Clenshaw sum over l against the Horner sum over m, at T_r/3
+        # (measured 2.6e-14 of the peak)
+        grid = GridSpec(width=90000.0, samples=61)
+        t = hydrogen.revival_time(160) / 3
+        frame, want = field_on_grid(paper_state, grid, t), horner_frame(paper_state, grid, t)
+        assert np.max(np.abs(frame.values - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_fractional_revivals_sit_on_the_kepler_ellipse(self, paper_state):
         # At t = T_r/q the quadratic phase e^{i pi k^2/q}, k = n - 160, has

@@ -521,7 +521,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("zetas", [(paper_zeta(), -paper_zeta()), (0.3 - 0.7j, 2.5 + 0.4j)])
     def test_window_rows_are_the_single_level_tables(self, zetas):
         params, levels, n_top = AngularParams(*zetas), np.arange(144, 177), 176
-        h, kappa = recoupled_window(levels, params)
+        h, kappa, _ = recoupled_window(levels, params)
         assert h.shape == (n_top, 2 * n_top - 1) and kappa.shape == (levels.size, n_top)
         for i, n in enumerate(levels.tolist()):
             table = kappa[i, :n, None] * h[:n, n_top - n : n_top + n - 1]
