@@ -217,13 +217,13 @@ def field_frames(state: CoherentState, grid: GridSpec, times, budget: int = DEFA
     keys, inverse = np.unique((kx * kx + ky * ky).ravel(), return_inverse=True)
     r_unique = h * np.sqrt(keys)
     phi = np.arctan2(ky, kx).ravel()
-    _, kappa, (x2, y2, delta_sq, h_exp) = recoupled_window(levels, state.angular)
+    _, kappa, (x2, y2, delta_sq, row_exp) = recoupled_window(levels, state.angular)
     s = x2 * np.exp(1j * phi) - y2 * np.exp(-1j * phi)
-    # Clenshaw for level n's row sum_l w_l R_{n,l} T_l(s), w_l = kappa_l(n) c_l 2**-h_exp[l]:
+    # Clenshaw for level n's row sum_l w_l R_{n,l} T_l(s), w_l = kappa_l(n) c_l 2**row_exp[l]:
     # b_l = w_l R_{n,l} + s b_{l+1} - (l+1)^2/((2l+1)(2l+3)) Delta^2 b_{l+2}, and the row is b_0
     c = np.cumprod(np.r_[0.5 / math.sqrt(math.pi), -np.sqrt(1.0 + 0.5 / np.arange(1.0, n_top))])
     fields = np.empty((levels.size, phi.size), dtype=complex)
-    for field, n, w_n in zip(fields, levels.tolist(), kappa * np.ldexp(c, -h_exp)):
+    for field, n, w_n in zip(fields, levels.tolist(), kappa * (c * np.exp2(row_exp))):
         b, above = np.zeros((2, phi.size), dtype=complex)
         for l, rows in _radial_by_degree(np.array([n]), r_unique):
             above *= -(l + 1) ** 2 / ((2 * l + 1) * (2 * l + 3)) * delta_sq

@@ -250,8 +250,10 @@ def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndar
     exponents carried by frexp: h rows are scaled to a largest modulus in
     [0.5, 1), h[l] = h_l 2**-e[l], and kappa takes the scale back, so
     neither Delta -> 0 nor n in the thousands underflows, and each entry is
-    rounded to double once.  plane = (x2, y2, Delta^2, e) feeds the plane
-    identity of the module docstring.
+    rounded to double once.  plane = (x2, y2, Delta^2, f) feeds the plane
+    identity of the module docstring, row l of h summing on the plane to c_l
+    T_l(s) 2**f[l]: x2, y2 come times 2**-rate and Delta^2 times 4**-rate,
+    rate = e[-1] / n_top, so that T_l, which falls like h_l, stays near 1.
     """
     levels = np.asarray(levels)
     if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
@@ -281,7 +283,10 @@ def recoupled_window(levels, params: AngularParams) -> tuple[np.ndarray, np.ndar
         step[2:] += x2 * outer * row
         row = step
     h_exp = np.cumsum(h_exp)  # h_l is h[l] * 2**h_exp[l]
-    plane = complex(x2), complex(y2), complex(delta * delta), h_exp
+    rate = np.longdouble(h_exp[-1]) / n_top
+    shrink = np.exp2(-rate)
+    plane = (complex(x2 * shrink), complex(y2 * shrink), complex((delta * shrink) ** 2),
+             (rate * np.arange(n_top) - h_exp).astype(float))
     # Delta is delta * 2**shift with |delta| in [0.5, 1), even for subnormal Delta
     shift = np.frexp(abs(delta))[1]
     delta *= np.ldexp(np.longdouble(1), -shift)

@@ -1,4 +1,5 @@
 """Wavefunctions in space: radial functions, harmonics, fields, orbits."""
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -31,7 +32,9 @@ from cohere.position import (
     write_field_binary,
     write_field_csv,
 )
-from cohere.state import build_state, evolve, level_spread, mean_level, reduced_phases, solve_scale_ln
+from cohere.state import (
+    SpectralCoefficients, build_state, evolve, level_spread, mean_level, reduced_phases, solve_scale_ln,
+)
 from cohere.su2 import AngularParams, recoupled_window, spin_expectation, su2_amplitudes
 from cohere.weights import WeightSpec
 
@@ -384,8 +387,8 @@ class TestSphericalHarmonics:
 class TestPlaneIdentity:
     """su2's plane identity, against the plane-Legendre sum over m: row l of
     a recoupled_window table, sum_m h_l(m) Y_{l,m}(pi/2, phi), is c_l Q_l(s)
-    times the row's 2**-e[l], s = x2 e^{i phi} - y2 e^{-i phi}, with Bonnet's
-    (l+1) Q_{l+1} = (2l+1) s Q_l - l Delta^2 Q_{l-1}."""
+    times 2**f[l], s = x2 e^{i phi} - y2 e^{-i phi}, with the returned plane
+    (x2, y2, Delta^2, f) and Bonnet's (l+1) Q_{l+1} = (2l+1) s Q_l - l Delta^2 Q_{l-1}."""
 
     @pytest.mark.parametrize("params", [
         ellipse_to_angular(0.0), ellipse_to_angular(0.385), ellipse_to_angular(0.9),
@@ -397,14 +400,14 @@ class TestPlaneIdentity:
         # the largest error relative to each row's peak over l <= 176 measured
         # 8.2e-14 (at eps = 0.9), 5.6e-15 at (1e-3, 1e3); the bound is 2e-13
         n_top = 177
-        h, _, (x2, y2, delta_sq, h_exp) = recoupled_window(np.array([n_top]), params)
+        h, _, (x2, y2, delta_sq, f) = recoupled_window(np.array([n_top]), params)
         phi = np.linspace(-math.pi, math.pi, 96, endpoint=False) + 0.1
         m = np.arange(1 - n_top, n_top)
         rows = signed_plane_table(h).T @ np.exp(1j * np.outer(m, phi))
         s = x2 * np.exp(1j * phi) - y2 * np.exp(-1j * phi)
         q_below, q, c = np.zeros_like(s), np.ones_like(s), 1.0 / math.sqrt(4.0 * math.pi)
         for l in range(n_top):
-            want = math.ldexp(c, -int(h_exp[l])) * q
+            want = c * 2.0 ** f[l] * q
             assert np.max(np.abs(rows[l] - want)) <= 2e-13 * np.max(np.abs(rows[l])), l
             q_below, q = q, ((2 * l + 1) * s * q - l * delta_sq * q_below) / (l + 1)
             c *= -math.sqrt((2 * l + 3) * (2 * l + 2)) / (2 * (2 * l + 1))
@@ -459,6 +462,20 @@ class TestPlanarField:
         # real angular parameters: |psi(x, -y)| = |psi(x, y)| at t = 0
         mag = np.abs(frames[0].values)
         assert np.max(np.abs(mag - mag[::-1, :])) <= 1e-12 * np.max(mag)
+
+    @pytest.mark.parametrize("orbit", [pytest.param(AngularParams(1e-3, 1e3), id="1e-3,1e3"),
+                                       pytest.param(ellipse_to_angular(0.999), id="eps0.999")])
+    def test_frames_stay_finite_past_a_thousand_levels(self, orbit):
+        # nearly orthogonal spins: T_l(s) falls like 2**-l, and unscaled Clenshaw
+        # weights overflowed past l ~ 1024.  Levels 1098..1100 against the sum over
+        # m (measured 2.8e-19 and 2.1e-15 of the peak)
+        coeffs = SpectralCoefficients(n_min=1097, probabilities=np.array([0.25, 0.5, 0.25]),
+                                      phase=np.array([0.0, 1.0, 2.0]))
+        st = dataclasses.replace(small_orbit_state(0.385), angular=orbit, coeffs=coeffs)
+        grid = GridSpec(width=3e6, samples=5)
+        (frame,) = field_frames(st, grid, [0.0])
+        want = horner_frame(st, grid, 0.0)
+        assert np.max(np.abs(frame.values - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_level_work_is_done_once_per_schedule(self, monkeypatch):
         # one recoupling for the whole window, one radial pass per level
