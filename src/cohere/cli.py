@@ -5,11 +5,13 @@ output uses 17 significant digits so downstream plotting reproduces runs
 without loss; every subcommand is deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 budget
-refusal, also for a request whose arrays cannot be allocated.  A
---descriptor file that cannot be read as a state (a malformed line, a
-missing key, an unknown family, a value that does not parse or that the
-weight or angular parameters reject) is a usage error naming the file;
-a failure while the state is built from valid parameters is numerical.
+refusal, also for a request whose arrays cannot be allocated.  A path
+that cannot be opened (missing, a directory, not permitted) is a usage
+error naming it.  A --descriptor file that cannot be read as a state (a
+malformed line, a missing key, an unknown family, a value that does not
+parse or that the weight or angular parameters reject) is a usage error
+naming the file; a failure while the state is built from valid
+parameters is numerical.
 
 Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
 applied when the cohere package is first imported, before numpy loads).
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
         command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,
                    "levels": cmd_levels, "verify": cmd_verify, "weights": cmd_weights_moments}
         return command[args.command](args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # descriptor, numerical and budget failures

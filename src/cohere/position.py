@@ -29,8 +29,9 @@ Orbit traces never form the wavefunction in 3-D.  Each level-pair moment
 takes its angular factor from algebra: <l m|l' m'> = delta_ll' delta_mm',
 and sin(theta) e^{i phi} takes (l, m) only to (l+1, m+1) and (l-1, m+1)
 (the dipole selection rules, with the Condon-Shortley ladder coefficients
-of _raising_ladder).  Only the radial integrals use a quadrature.  A loop
-down over l then adds, into the L x L level matrices (L occupied levels),
+of _raising_ladder).  Only the radial integrals use a quadrature, one rule
+fixed by the top level (_radial_rule).  A loop down over l then adds, into
+the L x L level matrices (L occupied levels),
 
     N += (r^2 Gram of the degree-l rows R_{n,l}) * |h_l|^2 conj(kappa_l) kappa_l^T
     P += (r^3 Gram of degrees l and l+1)
@@ -248,13 +249,28 @@ def field_on_grid(
 # --- full 3-D quadrature -------------------------------------------------
 
 
+def _radial_rule(n_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, w): the orbit moments' radial nodes and weights for levels up to n_top.
+
+    The cutoff r_max = 4 n_top^2 + 16 n_top holds the l = 0 tail of level
+    n_top.  The nodes r = r_max u^2, with u Gauss-Legendre on [0, 1] of order
+    max(96, 4 n_top), are uniform in u like the WKB phase and still resolve
+    level 1 near r = 0.
+    """
+    r_max = 4.0 * n_top * n_top + 16.0 * n_top
+    x, w = _gauss_legendre(max(96, 4 * n_top))
+    u = 0.5 * (x + 1.0)
+    return r_max * u * u, r_max * u * w
+
+
 @dataclass(frozen=True)
 class SpatialQuadrature:
-    """Product rule: Gauss-Legendre in r and cos(theta), trapezoid in phi.
+    """Product rule: _radial_rule in r, Gauss-Legendre in cos(theta),
+    trapezoid in phi.
 
-    Orbit moments use only the radial rule, and nothing in the package
-    reads the angular rule: only the dense test oracle and bench/spans.py's
-    quadrature-node count do."""
+    Nothing in the package builds it: orbit moments call _radial_rule
+    directly.  It stays for bench/spans.py's quadrature-node count and the
+    dense test oracle."""
 
     r_nodes: np.ndarray
     r_weights: np.ndarray
@@ -263,28 +279,8 @@ class SpatialQuadrature:
     n_phi: int
 
     @classmethod
-    def for_levels(
-        cls,
-        n_top: int,
-        radial_order: int | None = None,
-        r_max: float | None = None,
-    ) -> "SpatialQuadrature":
-        # the cutoff holds the l = 0 tail of level n_top; nodes at r = r_max u^2,
-        # uniform in u like the WKB phase, still resolve level 1 near r = 0
-        if r_max is None:
-            r_max = 4.0 * n_top * n_top + 16.0 * n_top
-        if radial_order is None:
-            radial_order = max(96, 4 * n_top)
-        if not 0 < r_max < math.inf:  # false for nan as well
-            raise ValueError(f"r_max must be positive and finite, got {r_max}")
-        if not (isinstance(radial_order, (int, np.integer)) and radial_order >= 1):
-            raise ValueError(f"radial_order must be an integer >= 1, got {radial_order}")
-        xr, wr = _gauss_legendre(radial_order)
-        u = 0.5 * (xr + 1.0)
-        r_nodes = r_max * u * u
-        r_weights = r_max * u * wr
-        cu, wu = _gauss_legendre(2 * n_top + 12)
-        return cls(r_nodes, r_weights, cu, wu, 4 * n_top + 8)
+    def for_levels(cls, n_top: int) -> "SpatialQuadrature":
+        return cls(*_radial_rule(n_top), *_gauss_legendre(2 * n_top + 12), 4 * n_top + 8)
 
 
 def _raising_ladder(l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +292,7 @@ def _raising_ladder(l: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
+def level_moments(state: CoherentState) -> np.ndarray:
     """Level-pair moment matrices of the state's occupied levels.
 
     Returns an array of shape (3, L, L) holding the Hermitian matrices
@@ -304,13 +300,15 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     of conj(psi_i) psi_k times x, y and 1, where psi_i is the i-th
     level's eigenfunction with its recoupled angular amplitudes.  The
     angular integrals are the dipole selection rules and only the radial
-    integrals use the quadrature's radial rule; see the module docstring.
+    integrals use a quadrature, _radial_rule of the top level; see the
+    module docstring.
     """
     levels = state.coeffs.levels
+    n_top = int(levels.max())
+    # ahead of the recoupling: built after it, the rule's cold scratch raised peak memory 1.5 MB
+    r, w = _radial_rule(n_top)
     h, kappa, _ = recoupled_window(levels, state.angular)
-    n_top = h.shape[0]
-    r = quad.r_nodes
-    w_norm = quad.r_weights * r * r
+    w_norm = w * r * r
     w_first = w_norm * r
     norm = np.zeros((levels.size, levels.size), dtype=complex)
     plus = np.zeros_like(norm)  # sin(theta) e^{i phi} moment, x + i y
@@ -328,12 +326,7 @@ def level_moments(state: CoherentState, quad: SpatialQuadrature) -> np.ndarray:
     return np.stack([0.5 * (plus + plus.conj().T), -0.5j * (plus - plus.conj().T), norm])
 
 
-def position_trace(
-    state: CoherentState,
-    times,
-    radial_order: int | None = None,
-    r_max: float | None = None,
-) -> np.ndarray:
+def position_trace(state: CoherentState, times) -> np.ndarray:
     """(<x>, <y>, norm) rows for each requested time.
 
     The level-pair moment matrices are built once from the radial rule
@@ -341,9 +334,7 @@ def position_trace(
     form c(t)^H M c(t) of the evolved level coefficients, so dense orbit
     traces cost little more than a single evaluation.
     """
-    n_top = int(state.coeffs.levels.max())
-    quad = SpatialQuadrature.for_levels(n_top, radial_order=radial_order, r_max=r_max)
-    moments = level_moments(state, quad)
+    moments = level_moments(state)
     rows = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
         c = evolve(state, t).coeffs.values
@@ -351,18 +342,11 @@ def position_trace(
     return np.asarray(rows).reshape(-1, 3)
 
 
-def position_expectation(
-    state: CoherentState,
-    t: float,
-    radial_order: int | None = None,
-    r_max: float | None = None,
-) -> tuple[float, float]:
+def position_expectation(state: CoherentState, t: float) -> tuple[float, float]:
     """(<x>, <y>) at time t from the normalized orbit trace row."""
-    row = position_trace(state, [t], radial_order, r_max)[0]
+    row = position_trace(state, [t])[0]
     if not row[2] >= 0.5:  # a nan norm fails too
-        raise ArithmeticError(
-            f"quadrature norm {row[2]:.3g} is far from 1; raise radial_order or r_max"
-        )
+        raise ArithmeticError(f"quadrature norm {row[2]:.3g} is far from 1")
     return row[0] / row[2], row[1] / row[2]
 
 

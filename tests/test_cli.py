@@ -547,6 +547,29 @@ class TestDescriptorFaults:
         assert cli.main(self.reader_argv(command, ground, tmp_path)) == cli.EXIT_OK
 
 
+class TestUnopenablePaths:
+    @pytest.mark.parametrize("argv", [
+        lambda d, path: ["solve", "--alpha", "0.25", "--mean", "3", "-o", path],
+        lambda d, path: ["levels", "--descriptor", path, "-o", str(d / "levels.csv")],
+        lambda d, path: ["solve", "--alpha", "0.25", "--mean", "3", "-o", str(d / "s.desc"),
+                         "--config", path],
+        lambda d, path: ["verify", "-o", path],
+    ], ids=["solve-output", "descriptor", "config", "verify-output"])
+    def test_directory_is_a_usage_error(self, tmp_path, capsys, argv):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert cli.main(argv(tmp_path, str(folder))) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and str(folder) in err
+
+    def test_missing_descriptor_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.desc"
+        argv = ["levels", "--descriptor", str(missing), "-o", str(tmp_path / "levels.csv")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and str(missing) in err
+
+
 class TestConfigReader:
     def test_malformed_line_is_a_usage_error(self, descriptor, tmp_path, capsys):
         config = tmp_path / "autocorr.cfg"

@@ -36,7 +36,7 @@ from cohere.state import (
     SpectralCoefficients, build_state, evolve, level_spread, mean_level, reduced_phases, solve_scale_ln,
 )
 from cohere.su2 import AngularParams, recoupled_window, spin_expectation, su2_amplitudes
-from cohere.weights import WeightSpec
+from cohere.weights import WeightSpec, _gauss_legendre
 
 from recoupling_oracle import reference_table
 
@@ -101,17 +101,24 @@ def dense_field_on_grid(state, grid, t):
     return total.reshape(grid.samples, grid.samples)
 
 
+@lru_cache(maxsize=None)
+def plane_legendre(n_top):
+    """P_l^|m|(0) at [|m|, l] for l < n_top, zero for |m| > l; read-only, as it is cached."""
+    plane = np.zeros((n_top, n_top))
+    for m in range(n_top):
+        plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
+    plane.flags.writeable = False
+    return plane
+
+
 def signed_plane_table(h):
     """A recoupled_window table h times the plane-Legendre factors:
     shared[n_top-1+m, l] = h[l, n_top-1+m] P_l^|m|(0) (-1)^min(m, 0), so that
     sum_m shared[n_top-1+m, l] e^{i m phi} = sum_m h_l(m) Y_{l,m}(pi/2, phi)."""
     n_top = h.shape[0]
-    plane = np.zeros((n_top, n_top))  # P_l^|m|(0) at [|m|, l], zero for |m| > l
-    for m in range(n_top):
-        plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
     # Y_{l,-m} = (-1)^m conj(Y_{l,m})
     m = np.arange(1 - n_top, n_top)
-    return h.T * plane[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
+    return h.T * plane_legendre(n_top)[np.abs(m)] * (-1.0) ** np.minimum(m, 0)[:, None]
 
 
 def horner_frame(state, grid, t):
@@ -233,14 +240,14 @@ class TestRadial:
     def test_rows_match_degree_recurrence(self, n):
         # the default radial rule of level n reaches past its outer turning
         # point, where the degree recurrence passes 1e150 and rescales
-        r = np.concatenate([[0.0], SpatialQuadrature.for_levels(n).r_nodes])
+        r = np.concatenate([[0.0], P._radial_rule(n)[0]])
         for l, rows in rows_by_degree([n], r).items():
             want = reference_radial(n, l, r)
             assert np.max(np.abs(rows[0] - want)) <= 5e-13 * np.max(np.abs(want)), (n, l)
 
     def test_lockstep_rows_match_single_level_bitwise(self):
         levels = [3, 7, 8, 20, 33, 40]
-        r = np.concatenate([[0.0], SpatialQuadrature.for_levels(40).r_nodes])
+        r = np.concatenate([[0.0], P._radial_rule(40)[0]])
         together = rows_by_degree(levels, r)
         assert list(together) == list(range(39, -1, -1))
         for i, n in enumerate(levels):
@@ -292,15 +299,16 @@ class TestRadial:
     def test_default_rule_integrates_every_row(self):
         # the cutoff must hold the l = 0 tail of the top level ...
         for n in range(1, 41):
-            rule = SpatialQuadrature.for_levels(n)
-            w = rule.r_weights * rule.r_nodes**2
-            norms = np.array([w @ radial(n, l, rule.r_nodes) ** 2 for l in range(n)])
+            r, w = P._radial_rule(n)
+            norms = np.array([(w * r**2) @ radial(n, l, r) ** 2 for l in range(n)])
             assert np.max(np.abs(norms - 1.0)) <= 1e-13, n
+            # bench/spans.py counts SpatialQuadrature's nodes as the orbit trace's
+            rule = SpatialQuadrature.for_levels(n)
+            assert rule.r_nodes.tobytes() == r.tobytes() and rule.r_weights.tobytes() == w.tobytes()
         # ... while the nodes near r = 0 still resolve the lowest levels
         for n_top in (10, 16, 26, 40):
-            rule = SpatialQuadrature.for_levels(n_top)
-            w = rule.r_weights * rule.r_nodes**2
-            norms = np.array([w @ radial(n, l, rule.r_nodes) ** 2
+            r, w = P._radial_rule(n_top)
+            norms = np.array([(w * r**2) @ radial(n, l, r) ** 2
                               for n in range(1, n_top + 1) for l in range(n)])
             assert np.max(np.abs(norms - 1.0)) <= 2e-13, n_top
 
@@ -610,7 +618,7 @@ class TestFieldExport:
 class TestExpectations:
     def test_ground_state_centered(self):
         st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
-        x, y = position_expectation(st, 0.0, radial_order=64, r_max=40.0)
+        x, y = position_expectation(st, 0.0)
         assert abs(x) <= 1e-10 and abs(y) <= 1e-10
 
     def test_circular_orbit_radius(self):
@@ -621,9 +629,7 @@ class TestExpectations:
             WeightSpec.stretched(0.25), 0.0, ellipse_to_angular(0.0),
             ln_s=ln_s,
         )
-        x, y = position_expectation(
-            st, 0.0, radial_order=140, r_max=3.2 * float(st.coeffs.levels.max()) ** 2,
-        )
+        x, y = position_expectation(st, 0.0)
         assert math.hypot(x, y) == pytest.approx(256.0, rel=0.10)
 
     def test_quadrature_norm_close_to_one(self, ellipse_state):
@@ -633,26 +639,19 @@ class TestExpectations:
     def test_no_times_give_no_rows(self, ellipse_state):
         assert position_trace(ellipse_state, []).shape == (0, 3)
 
-    def test_refuses_a_quadrature_that_loses_the_norm(self):
-        # r_max = 0.5 holds only ~8% of the ground state's probability
+    def test_refuses_a_quadrature_that_loses_the_norm(self, monkeypatch):
+        # a 64-node rule cut at r = 0.5 holds only ~8% of the ground state's probability
+        def cut_rule(n_top):
+            x, w = _gauss_legendre(64)
+            u = 0.5 * (x + 1.0)
+            return 0.5 * u * u, 0.5 * u * w
+
+        monkeypatch.setattr(P, "_radial_rule", cut_rule)
         st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
-        norm = position_trace(st, [0.0], radial_order=64, r_max=0.5)[0, 2]
+        norm = position_trace(st, [0.0])[0, 2]
         assert norm == pytest.approx(0.080, abs=5e-3)
         with pytest.raises(ArithmeticError):
-            position_expectation(st, 0.0, radial_order=64, r_max=0.5)
-
-    @pytest.mark.parametrize("r_max", [math.nan, -40.0, 0.0, math.inf])
-    def test_radial_cutoff_must_be_positive_and_finite(self, r_max):
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
-        with pytest.raises(ValueError, match="r_max"):
-            position_trace(st, [0.0], radial_order=64, r_max=r_max)
-        with pytest.raises(ValueError, match="r_max"):
-            position_expectation(st, 0.0, radial_order=64, r_max=r_max)
-
-    @pytest.mark.parametrize("radial_order", [0, -3, 2.5])
-    def test_radial_order_must_be_a_positive_integer(self, radial_order):
-        with pytest.raises(ValueError, match="radial_order"):
-            SpatialQuadrature.for_levels(3, radial_order=radial_order, r_max=40.0)
+            position_expectation(st, 0.0)
 
     def test_refuses_a_nan_norm(self, monkeypatch):
         st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
@@ -697,7 +696,7 @@ class TestLevelMoments:
 
     def test_moments_are_hermitian(self):
         st = small_orbit_state(0.385)
-        moments = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))
+        moments = level_moments(st)
         assert moments.shape == (3, st.coeffs.levels.size, st.coeffs.levels.size)
         for m in moments:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
@@ -724,7 +723,7 @@ class TestLevelMoments:
     def test_pauli_relation_on_each_level(self, eccentricity):
         # within level n, r = -(3/2) n A, and the state's <A> is eccentricity * (n - 1) along +x
         st = small_orbit_state(eccentricity)
-        x, y, _ = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))
+        x, y, _ = level_moments(st)
         n = st.coeffs.levels.astype(float)
         assert np.max(np.abs(np.diag(x) + 1.5 * n * (n - 1) * eccentricity) / n**2) <= 1e-13
         assert np.max(np.abs(np.diag(y)) / n**2) <= 1e-13
@@ -734,12 +733,12 @@ class TestLevelMoments:
         windows, recouple = [], P.recoupled_window
         monkeypatch.setattr(P, "recoupled_window",
                             lambda levels, params: windows.append(levels.tolist()) or recouple(levels, params))
-        level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))
+        level_moments(st)
         assert windows == [st.coeffs.levels.tolist()]
 
     def test_distinct_levels_are_orthonormal(self):
         st = small_orbit_state(0.385)
-        norm = level_moments(st, SpatialQuadrature.for_levels(int(st.coeffs.levels.max())))[2]
+        norm = level_moments(st)[2]
         assert np.max(np.abs(norm - np.eye(norm.shape[0]))) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
@@ -849,7 +848,7 @@ class TestPaperScale:
     def test_level_moments_follow_the_pauli_relation(self, paper_state):
         # within level n, r = -(3/2) n A, and <A> is 0.385 (n - 1) along +x
         levels = paper_state.coeffs.levels
-        x, y, norm = level_moments(paper_state, SpatialQuadrature.for_levels(int(levels.max())))
+        x, y, norm = level_moments(paper_state)
         n = levels.astype(float)
         assert np.max(np.abs(np.diag(x) + 1.5 * n * (n - 1) * 0.385) / n**2) <= 5e-13
         assert np.max(np.abs(np.diag(y)) / n**2) <= 5e-13
