@@ -31,7 +31,11 @@ max|(2j+1) S - I| from it, and the exact-limit block of level n = 2j + 1
 reads its largest entries from r and the same S, so the checks reach the
 paper's levels (144-176).  The finite-window check covers the level pair
 (1, 2) and reports its excess over the 1/(Gamma |e_a - e_b|) envelope
-clamped at 0, so 0 means every entry sits inside the envelope.
+clamped at 0, so 0 means every entry sits inside the envelope.  That
+excess is never positive: the pair's largest entry is r |sinc x| max|S|^2
+at x = Gamma |e_a - e_b|, |sinc x| <= 1/|x|, and r max|S|^2 < 1 (0.79 for
+the exponential weight).  So 0.000e+00 is the only value the check can
+report; a phase-average check that can fail is ROADMAP.md item 4.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ import numpy as np
 
 from cohere import hydrogen
 from cohere.su2 import _check_two_j, su2_amplitudes
-from cohere.weights import WeightSpec, _gauss_legendre, log_moment
+from cohere.weights import _STIRLING_MIN, WeightSpec, _gauss_legendre, _stirling_tail, log_moment
 
 
 #: largest level count full_identity_matrix assembles densely (dimension sum n^2 = 91)
@@ -148,8 +152,9 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     The substitution v = beta e^y centres it on its peak at y = 0:
     exp(-beta (expm1(y) - y) + c(beta)), c(beta) = beta ln beta - beta
     - ln Gamma(beta), so no terms of size beta ln beta cancel in the
-    exponent.  For beta >= 30, c(beta) is Stirling's series (DLMF
-    5.11.1), whose first omitted term is below 3e-14.  The integrand is
+    exponent.  For beta >= 30, c(beta) = ln(beta / 2 pi)/2 less
+    weights._stirling_tail(beta), the series the level window's ratio
+    steps read, whose first omitted term is below 3e-14.  The integrand is
     analytic in |Im y| < pi/2 and decays on both sides, so the trapezoid
     rule on a uniform grid converges geometrically.  The step
     h = min(0.2, 0.4/sqrt(beta)) resolves the peak of width 1/sqrt(beta),
@@ -158,9 +163,8 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     to n = 176 at alpha = 1/32, 1/3 and 1.
     """
     beta = (exponent + 1.0) / spec.alpha
-    if beta >= 30.0:
-        c = (0.5 * math.log(beta / (2.0 * math.pi)) - 1.0 / (12.0 * beta)
-             + 1.0 / (360.0 * beta**3) - 1.0 / (1260.0 * beta**5))
+    if beta >= _STIRLING_MIN:
+        c = 0.5 * math.log(beta / (2.0 * math.pi)) - _stirling_tail(beta)
     else:
         c = beta * math.log(beta) - beta - math.lgamma(beta)
     root = math.sqrt(beta)
@@ -295,7 +299,10 @@ def standard_verification(
     each same-spin sphere overlap S once; the spin check reads it for
     2j <= su2_max_two_j and the level block n = 2j + 1 for n <= n_max.
     The finite-window check covers the level pair (1, 2) when n_max >= 2
-    and reports its excess over the envelope clamped at 0."""
+    and reports its excess over the envelope clamped at 0.  Since
+    |sinc x| <= 1/|x| and r max|S|^2 = 0.79 < 1 there (exponential weight),
+    that excess is never positive and the check can only report 0; see the
+    module docstring and ROADMAP.md item 4."""
     if n_max < 1:
         raise ValueError("need at least one level")
     if spec is None:

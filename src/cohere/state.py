@@ -35,14 +35,8 @@ import numpy as np
 from cohere import hydrogen
 from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
-from cohere.weights import (  # truncation_level is bound here for bench/spans.py, which wraps it
-    DEFAULT_TAIL_EPS,
-    WeightFamily,
-    WeightSpec,
-    _logsumexp,
-    _series_terms,
-    truncation_level,
-)
+# truncation_level is bound here for bench/spans.py, which wraps it
+from cohere.weights import DEFAULT_TAIL_EPS, WeightFamily, WeightSpec, _level_window, truncation_level
 
 # Elements (times x levels) per autocorrelation block.  Its temporaries,
 # a 1 MB long-double product and 512 kB float64 arrays, stay in cache.
@@ -100,19 +94,12 @@ class CoherentState:
         return hydrogen.energy(self.coeffs.levels)
 
 
-def _distribution_window(
-    spec: WeightSpec, ln_s: float, tail_eps: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _distribution_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Window indices and normalized probabilities covering 1 - tail_eps,
-    for tail_eps in (0, 1)."""
+    tail_eps/2 cut from each end, for tail_eps in (0, 1)."""
     if not 0.0 < tail_eps < 1.0:
         raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    w = _series_terms(spec, ln_s, tail_eps / 2.0)
-    p = np.exp(w - _logsumexp(w))
-    # trim the negligible lower tail as well
-    n_lo = int(np.argmax(np.cumsum(p) > tail_eps / 2.0))
-    if n_lo > 0:
-        p = p[n_lo:] / p[n_lo:].sum()
+    n_lo, p = _level_window(spec, ln_s, tail_eps / 2.0)
     return np.arange(n_lo, n_lo + p.size), p
 
 

@@ -16,9 +16,9 @@ Conventions:
     its spec stores alpha = 1.0 and keeps its own label
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
-    parameter.  _log_series_terms is the one place its log terms are
-    formed, and _series_terms the one scan that truncates them:
-    truncation_level and state's level window both read it
+    parameter.  _level_window is the one place its terms are formed, as
+    long-double ratio steps out of the peak, and cut: truncation_level and
+    state's level window both read it
   - a scale s is passed as ln_s, keyword-only, with -inf for s = 0
 """
 from __future__ import annotations
@@ -30,8 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-NEG_INF = float("-inf")
-
 #: hard cap on series length; exceeding it is treated as divergence
 MAX_TERMS = 10**6
 
@@ -42,9 +40,8 @@ DEFAULT_TAIL_EPS = 1e-12
 def _lgamma(x) -> np.ndarray:
     """ln Gamma(x) element-wise for x > 0, through math.lgamma.
 
-    A whole solve at <n> = 2000, alpha = 1/64 takes 135k arguments, so
-    the Python loop costs milliseconds.  An argument past ~2.5e305
-    overflows and raises OverflowError, an ArithmeticError.
+    An argument past ~2.5e305 overflows and raises OverflowError, an
+    ArithmeticError.
     """
     x_arr = np.asarray(x, dtype=float)
     values = [math.lgamma(v) for v in x_arr.ravel().tolist()]
@@ -74,19 +71,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     weights = ((w + w[::-1]) / 2).astype(float)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-def _logsumexp(terms) -> float:
-    """ln sum(exp(terms)), shifted by the largest term.
-
-    A non-finite maximum is returned as it is: all -inf gives -inf, any
-    +inf gives inf and any NaN gives NaN.
-    """
-    t = np.asarray(terms, dtype=float)
-    top = float(t.max())
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.sum(np.exp(t - top))))
 
 
 class DivergentSeriesError(ArithmeticError):
@@ -137,73 +121,93 @@ def log_moment(spec: WeightSpec, n) -> float:
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
-def _log_series_terms(spec: WeightSpec, ln_s: float, n_values: np.ndarray) -> np.ndarray:
-    """log of s^{2n} (n+1)^2 / rho_n for each n (the norm-series terms), s > 0."""
-    log_rho = log_moment(spec, n_values)
-    with np.errstate(invalid="ignore"):
-        power = 2.0 * n_values * ln_s
-    return power + 2.0 * np.log(n_values + 1.0) - log_rho
+#: smallest argument at which _stirling_tail stands for ln Gamma's remainder
+_STIRLING_MIN = 30.0
 
 
-def _series_terms(spec: WeightSpec, ln_s: float, tail_eps: float) -> np.ndarray:
-    """The norm-series log terms for n = 0..n_max, n_max the smallest
-    level whose normalized series weight beyond it is below tail_eps.
+def _stirling_tail(x):
+    """ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 by Stirling's series
+    (DLMF 5.11.1) through x^-5, in the dtype of x; for x >= _STIRLING_MIN
+    the first omitted term, 1/(1680 x^7), is below 3e-14."""
+    z2 = 1 / (x * x)
+    return (1 / 12 - z2 * (1 / 360 - z2 / 1260)) / x
 
-    For every spec the series terms are unimodal in n: the log-term
-    increments 2 ln s + 2 ln((n+2)/(n+1)) - ln(rho_{n+1}/rho_n) decrease
-    monotonically, since ln Gamma is convex.  So the scan walks past the
-    peak and stops once the remaining terms are provably negligible; a
-    series that has not turned over by MAX_TERMS raises
-    DivergentSeriesError.  Each index is formed once.
+
+def _ratio_steps(spec: WeightSpec, ln_s: float, n: np.ndarray) -> np.ndarray:
+    """ln(t_{n+1} / t_n) of the norm-series terms t_n = s^{2n} (n+1)^2 / rho_n,
+    in long double.  With x = (n+1)/alpha, h = 1/alpha and h/x = 1/(n+1),
+    ln(rho_{n+1}/rho_n) = (x - 1/2) log1p(1/(n+1)) + h (ln(x + h) - 1) plus
+    the difference of two Stirling tails: the algdiv form of DiDonato and
+    Morris (ACM TOMS 18, 360 (1992)), where no terms of size x ln x cancel.
+    Below x = _STIRLING_MIN it is a difference of math.lgamma values."""
+    n1 = np.asarray(n, dtype=np.longdouble) + 1
+    h = 1 / np.longdouble(spec.alpha)
+    x = n1 * h
+    log_ratio = np.log1p(1 / n1)
+    with np.errstate(all="ignore"):  # the small x are replaced below
+        moment_step = ((x - 0.5) * log_ratio + h * (np.log(x + h) - 1)
+                       + _stirling_tail(x + h) - _stirling_tail(x))
+    small = x < _STIRLING_MIN
+    if small.any():  # one math.lgamma per argument k/alpha, k = n+1 .. n+2
+        k = n1[small].astype(int)
+        lg = np.array([math.lgamma(v / spec.alpha) for v in range(k.min(), k.max() + 2)])
+        moment_step[small] = lg[k - k.min() + 1] - lg[k - k.min()]
+    return 2 * np.longdouble(ln_s) + 2 * log_ratio - moment_step
+
+
+def _geometric_tail(log_term: float, step: float) -> float:
+    """ln of the sum past a term whose further steps are all <= step < 0."""
+    return log_term + step - math.log1p(-math.exp(step)) if step < 0 else math.inf
+
+
+def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, np.ndarray]:
+    """(n_lo, p): the norm series' distribution p_n over n_lo..n_hi,
+    normalized there.  One cumulative-tail rule cuts both ends: the levels
+    go whose weight summed from that end is below tail_eps (at most
+    tail_eps at the lower end); for tail_eps >= 1/2 that may leave n_hi alone.
+
+    The steps reach out of the leading-order peak n + 1 = alpha s^(2 alpha)
+    as far as a Gaussian of variance alpha (n + 1) needs.  They decrease in
+    n (ln Gamma is convex), so past an end whose step points outward-down
+    the remainder is below a geometric series; the reach doubles until that
+    bound is below e^-6 tail_eps of the largest term at both ends.  A series
+    that has not turned over below MAX_TERMS raises DivergentSeriesError.
     """
     if not (0.0 < tail_eps < 1.0):
         raise ValueError("tail_eps must lie in (0, 1)")
-    if ln_s == NEG_INF:
-        # s = 0: only the n = 0 term 1 / rho_0 survives; 0.0 - keeps an
-        # exact zero +0.0 when rho_0 = 1
-        return np.array([0.0 - log_moment(spec, 0)])
-
-    block = 256
-    terms = np.empty(0)
-    hi = 0
+    log_peak = math.log(spec.alpha) + 2.0 * spec.alpha * ln_s
+    if not log_peak < math.log(MAX_TERMS):  # false for nan as well
+        raise DivergentSeriesError(f"no finite truncation below {MAX_TERMS} terms")
+    n0 = max(0, round(math.exp(log_peak)) - 1)
+    log_cut = math.log(tail_eps) - 6.0
+    # the Gaussian's reach to the cut, 22% wider for skew; capped where alpha (n + 1) fails
+    reach = 8 + min(1024, math.ceil(math.sqrt(-3.0 * log_cut * spec.alpha * (n0 + 1))))
+    lo = hi = n0
+    steps = np.empty(0, dtype=np.longdouble)  # ln(t_{n+1} / t_n) for n = lo..hi-1
     while True:
-        new_hi = min(MAX_TERMS, hi + block)
-        n_values = np.arange(hi, new_hi)
-        terms = np.concatenate(
-            [terms, _log_series_terms(spec, ln_s, n_values)]
-        )
-        hi = new_hi
-        block = min(2 * block, 1 << 16)
-        if np.any(np.isnan(terms)):
+        new_lo, new_hi = max(0, n0 - reach), min(n0 + reach, MAX_TERMS - 1)
+        fresh = _ratio_steps(spec, ln_s, np.r_[new_lo:lo, hi:new_hi])
+        if np.isnan(fresh).any():
             raise DivergentSeriesError("non-finite series terms")
-        peak_at = int(np.argmax(terms))
-        # stop once the tail is provably below tolerance: past the peak the
-        # increments only shrink, so remaining mass is bounded by a
-        # geometric series with the last observed ratio
-        if peak_at < len(terms) - 2:
-            last_step = terms[-1] - terms[-2]
-            if last_step < 0:
-                log_tail_bound = terms[-1] + last_step - math.log1p(-math.exp(last_step))
-                log_total = _logsumexp(terms)
-                if log_tail_bound < log_total + math.log(tail_eps) - 6.0:
-                    break
-        if hi >= MAX_TERMS:
-            raise DivergentSeriesError(
-                f"no finite truncation below {MAX_TERMS} terms"
-            )
-
-    log_total = _logsumexp(terms)
-    if not np.isfinite(log_total):
-        raise DivergentSeriesError("norm series did not converge")
-    # exact smallest n_max on the computed window: cumulative tail sums
-    tail = np.logaddexp.accumulate(terms[::-1])[::-1]
-    below = np.nonzero(tail - log_total < math.log(tail_eps))[0]
-    if below.size == 0:
-        return terms
-    return terms[: max(1, int(below[0]))]
+        steps = np.concatenate((fresh[: lo - new_lo], steps, fresh[lo - new_lo :]))
+        lo, hi, reach = new_lo, new_hi, 2 * reach
+        w = np.concatenate(([0], np.cumsum(steps)))  # ln(t_n / t_lo) for n = lo..hi
+        cut = w.max() + log_cut
+        upper_done = _geometric_tail(w[-2], steps[-1]) < cut
+        if upper_done and (lo == 0 or _geometric_tail(w[1], -steps[0]) < cut):
+            break
+        if hi == MAX_TERMS - 1 and not upper_done:
+            raise DivergentSeriesError(f"no finite truncation below {MAX_TERMS} terms")
+    p = np.exp(w - w.max())
+    p /= p.sum()
+    n_hi = np.count_nonzero(np.cumsum(p[::-1]) >= tail_eps) - 1
+    n_lo = min(np.count_nonzero(np.cumsum(p) <= tail_eps), n_hi)
+    p = p[n_lo : n_hi + 1]
+    return lo + n_lo, (p / p.sum()).astype(float)
 
 
 def truncation_level(spec: WeightSpec, tail_eps: float = DEFAULT_TAIL_EPS, *, ln_s: float) -> int:
     """Smallest n_max with normalized series weight beyond it below
     tail_eps, for the scale ln_s (-inf for s = 0)."""
-    return len(_series_terms(spec, ln_s, tail_eps)) - 1
+    n_lo, p = _level_window(spec, ln_s, tail_eps)
+    return n_lo + p.size - 1

@@ -103,10 +103,22 @@ def dense_field_on_grid(state, grid, t):
 
 @lru_cache(maxsize=None)
 def plane_legendre(n_top):
-    """P_l^|m|(0) at [|m|, l] for l < n_top, zero for |m| > l; read-only, as it is cached."""
+    """P_l^|m|(0) at [|m|, l] for l < n_top, zero for |m| > l; read-only, as it is cached.
+
+    legendre_normalized's recurrence at cos = 0, sin = 1, one step in l for
+    every m at once: P_l^l from the running product over m, P_{l+1}^l = 0,
+    and P_l^m = -a b P_{l-2}^m below, rounded as legendre_normalized rounds.
+    """
     plane = np.zeros((n_top, n_top))
-    for m in range(n_top):
-        plane[m, m:] = legendre_normalized(n_top - 1, m, 0.0, 1.0)
+    k = np.arange(1, n_top)
+    diagonal = np.cumprod(np.concatenate(([1.0 / math.sqrt(4.0 * math.pi)],
+                                          -np.sqrt((2 * k + 1) / (2.0 * k)))))
+    np.fill_diagonal(plane, diagonal)
+    for l in range(2, n_top):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        plane[m, l] = -a * (b * plane[m, l - 2])
     plane.flags.writeable = False
     return plane
 
@@ -368,6 +380,14 @@ class TestSphericalHarmonics:
             rows = legendre_normalized(25, m, nodes, np.sqrt(1 - nodes**2))
             gram = 2 * math.pi * (rows * w) @ rows.T
             assert np.max(np.abs(gram - np.eye(rows.shape[0]))) <= 1e-10
+
+    @pytest.mark.parametrize("n_top", [1, 2, 7, 200])
+    def test_plane_table_is_the_per_order_recurrence(self, n_top):
+        # the test helper plane_legendre runs all orders at once
+        plane = plane_legendre(n_top)
+        for m in range(n_top):
+            np.testing.assert_array_equal(plane[m, m:], legendre_normalized(n_top - 1, m, 0.0, 1.0))
+            assert not plane[m, :m].any()
 
     def test_rows_do_not_depend_on_top_degree(self):
         # the orbit moments take row l - m of one top-degree table per m

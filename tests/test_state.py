@@ -103,18 +103,39 @@ class TestBuild:
         assert level_spread(paper_state) < level_spread(wide) / 5.0
 
 
-def two_pass_window(spec, ln_s, tail_eps):
-    """Reference window: find the truncation level, then form the series
-    terms up to it a second time, normalize and trim the lower tail."""
-    n_values = np.arange(weights.truncation_level(spec, tail_eps / 2.0, ln_s=ln_s) + 1)
-    w = weights._log_series_terms(spec, ln_s, n_values)
-    w = w - weights._logsumexp(w)
-    p = np.exp(w)
-    n_lo = int(np.argmax(np.cumsum(p) > tail_eps / 2.0))
-    if n_lo > 0:
-        n_values, p = n_values[n_lo:], p[n_lo:]
-        p = p / p.sum()
-    return n_values, p
+def two_pass_window(alpha, ln_s, tail_eps, around):
+    """50-digit reference window and its ln p_n.  A first pass sums the
+    terms s^{2n} (n+1)^2 / rho_n over the levels around = (n_lo, n_hi),
+    widened by the window's width on each side (clipped at 0), and cuts each
+    end by the package's rule: the levels go whose weight, summed from that
+    end, is below tail_eps/2 (at most tail_eps/2 at the lower end).  The
+    second normalizes the terms over the window that is left."""
+    width = around[1] - around[0] + 1
+    lo, hi = max(0, around[0] - width), around[1] + width
+    with mpmath.workdps(50):
+        a, ls = mpmath.mpf(alpha), mpmath.mpf(ln_s)
+        log_t = [2 * n * ls + 2 * mpmath.log(n + 1) + mpmath.log(a) - mpmath.loggamma((n + 1) / a)
+                 for n in range(lo, hi + 1)]
+        top = max(log_t)
+        t = [mpmath.exp(x - top) for x in log_t]
+        total = mpmath.fsum(t)
+        # the widened range holds the whole series to far below tail_eps
+        assert (lo == 0 or t[0] < 1e-30 * total) and t[-1] < 1e-30 * total
+        cut = mpmath.mpf(tail_eps) / 2 * total
+        keep = [i for i in range(len(t)) if mpmath.fsum(t[: i + 1]) > cut and mpmath.fsum(t[i:]) >= cut]
+        first, last = keep[0], keep[-1]
+        log_z = top + mpmath.log(mpmath.fsum(t[first : last + 1]))
+        return lo + first, [log_t[i] - log_z for i in range(first, last + 1)]
+
+
+def window_error(alpha, ln_s):
+    """max |ln p_n - 50-digit ln p_n| over the level window at tail_eps 1e-12,
+    after checking that the window is the reference's."""
+    n_values, p = _distribution_window(WeightSpec.stretched(alpha), ln_s, 1e-12)
+    n_lo, ref = two_pass_window(alpha, ln_s, 1e-12, (int(n_values[0]), int(n_values[-1])))
+    assert (int(n_values[0]), len(n_values)) == (n_lo, len(ref))
+    with mpmath.workdps(50):
+        return max(abs(mpmath.log(mpmath.mpf(x)) - r) for x, r in zip(p.tolist(), ref))
 
 
 @pytest.fixture(scope="module", params=[(ALPHA_PAPER, 160.0), (1.0 / 64.0, 2000.0)],
@@ -126,24 +147,29 @@ def scan_case(request):
 
 class TestOneScan:
     def test_window_matches_the_two_pass_reference(self, scan_case):
+        # forming each term as 2n ln s + 2 ln(n+1) - ln rho_n, from summands of
+        # ~1e4 that cancel, loses 7.6e-12 (paper) and 3.2e-10 (far corner)
         spec, ln_s = scan_case
-        n_values, p = _distribution_window(spec, ln_s, 1e-12)
-        ref_n, ref_p = two_pass_window(spec, ln_s, 1e-12)
-        assert n_values.tobytes() == ref_n.tobytes()
-        assert p.tobytes() == ref_p.tobytes()
+        assert window_error(spec.alpha, ln_s) <= 1e-14
+
+    @pytest.mark.parametrize("alpha, mean, bound", [(0.3, 500.0, 1e-14), (1.0, 40.0, 5e-14),
+                                                    (0.7, 3.0, 5e-14)])
+    def test_wide_and_low_windows_match_the_reference(self, alpha, mean, bound):
+        # the looser bounds cover the math.lgamma steps below x = (n+1)/alpha = 30
+        assert window_error(alpha, solve_scale_ln(alpha, mean)) <= bound
 
     def test_each_index_is_formed_once(self, scan_case, monkeypatch):
-        spec, ln_s = scan_case
-        seen = []
-        lgamma = weights._lgamma
-
-        def counting(x):
-            seen.extend(np.ravel(x).tolist())
-            return lgamma(x)
-
-        monkeypatch.setattr(weights, "_lgamma", counting)
-        _distribution_window(spec, ln_s, 1e-12)
-        assert seen and len(seen) == len(set(seen))
+        # every ratio t_{n+1} / t_n is formed once, also at alpha = 4, <n> = 20,
+        # where the first reach falls short and widens
+        for spec, ln_s, calls in (scan_case + (1,), (WeightSpec.stretched(4.0), solve_scale_ln(4.0, 20.0), 2)):
+            seen = []
+            steps = weights._ratio_steps
+            monkeypatch.setattr(weights, "_ratio_steps",
+                                lambda spec, ln_s, n: seen.append(n.tolist()) or steps(spec, ln_s, n))
+            _distribution_window(spec, ln_s, 1e-12)
+            monkeypatch.undo()
+            indices = sum(seen, [])
+            assert len(seen) == calls and len(indices) == len(set(indices))
 
     def test_the_scale_is_passed_only_as_ln_s(self):
         for module in (weights, state):
@@ -379,6 +405,21 @@ class TestAutocorrelation:
         ts = np.linspace(0.995 * t_revival, 1.01 * t_revival, 3001)
         peak = np.max(np.abs(autocorrelation(paper_state, ts)))
         assert peak >= 0.9
+
+    def test_fractional_revival_heights(self, paper_state):
+        # at T_r/q the packet splits into q copies of weight 1/q (Averbukh and
+        # Perelman), so while they do not overlap the largest |A|^2 within one
+        # Kepler period T_K = 2 pi <n>^3 of T_r/q is about 1/q.  Measured
+        # q max|A|^2 over 40,001 samples: 0.8227, 0.9211, 0.9545, 0.9845,
+        # 1.0536.  q = 1 falls short by the cubic term of the spectrum
+        # (revival_ratio 0.29); from q = 6 the copies overlap, the level spread
+        # being 2.24, and q max|A|^2 climbs past 1.29.
+        t_revival, t_kepler = hydrogen.revival_time(160.0), 2.0 * math.pi * 160.0**3
+        bounds = {1: (0.80, 0.85), 2: (0.90, 1.10), 3: (0.90, 1.10), 4: (0.90, 1.10), 5: (0.90, 1.10)}
+        for q, (low, high) in bounds.items():
+            ts = np.linspace(t_revival / q - t_kepler, t_revival / q + t_kepler, 40_001)
+            height = q * np.max(np.abs(autocorrelation(paper_state, ts)) ** 2)
+            assert low <= height <= high, (q, height)
 
     def test_bounded_by_one(self, paper_state):
         rng = np.random.default_rng(5)

@@ -39,9 +39,14 @@ def hydrogen_norm_closed_form(s: float) -> float:
 
 
 def series_log_norm(spec: WeightSpec, ln_s: float) -> float:
-    """ln N with N^2 sum_n s^{2n} (n+1)^2 / rho_n = 1, summed over the
-    one scan that truncates the norm series, to a tail below 1e-16."""
-    return -0.5 * W._logsumexp(W._series_terms(spec, ln_s, 1e-16))
+    """ln N with N^2 sum_n s^{2n} (n+1)^2 / rho_n = 1, read off the level
+    window whose tails are cut at 1e-16 each: the series sum is t_n / p_n at
+    the window's largest p_n."""
+    n_lo, p = W._level_window(spec, ln_s, 1e-16)
+    n = n_lo + int(np.argmax(p))
+    power = 2.0 * n * ln_s if n else 0.0  # s = 0 keeps the n = 0 term alone
+    log_term = power + 2.0 * math.log(n + 1.0) - log_moment(spec, n)
+    return -0.5 * (log_term - math.log(p[n - n_lo]))
 
 
 class TestLogMoment:
@@ -106,15 +111,8 @@ class TestLogMoment:
         assert np.max(np.abs(resid)) <= 1e-13 * np.max(np.abs(W._lgamma(x + 1)))
 
 
-def mp_logsumexp(terms):
-    """50-digit ln sum(exp(t)), shifted by the largest term."""
-    with mpmath.workdps(50):
-        top = mpmath.mpf(max(terms))
-        return top + mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(t) - top) for t in terms))
-
-
 class TestLogHelpers:
-    """The log-gamma and log-sum-exp helpers against 50-digit mpmath."""
+    """The log-gamma helper against 50-digit mpmath."""
 
     # n = 0..99, then geometric up to the series cap MAX_TERMS = 1e6
     N_VALUES = np.unique(np.concatenate([np.arange(100), np.geomspace(100, 1e6, 120).round()]))
@@ -133,20 +131,33 @@ class TestLogHelpers:
         assert float(W._lgamma(5.0)) == math.lgamma(5.0)
         assert W._lgamma(np.ones((3, 1))).shape == (3, 1)
 
-    @settings(max_examples=200, deadline=None)
-    @given(hst.lists(hst.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=12))
-    def test_logsumexp_matches_mpmath(self, terms):
-        # near a zero of the result only an absolute ~1e-16 is attainable,
-        # since the shifted log-sum then cancels the largest term
-        ref = mp_logsumexp(terms)
-        assert abs(W._logsumexp(terms) - ref) <= 1e-15 * max(abs(ref), 1)
 
-    def test_logsumexp_non_finite_maximum_is_returned(self):
-        assert W._logsumexp([-math.inf, -math.inf]) == -math.inf
-        assert W._logsumexp([1.0, math.inf, -3.0]) == math.inf
-        assert math.isnan(W._logsumexp([1.0, math.nan, 2.0]))
-        assert math.isnan(W._logsumexp([math.inf, math.nan]))
-        assert W._logsumexp([-math.inf, 0.0]) == 0.0
+class TestRatioSteps:
+    """The level window's steps ln(t_{n+1} / t_n) and their Stirling tail."""
+
+    def test_stirling_tail_within_its_first_omitted_term(self):
+        x = np.geomspace(W._STIRLING_MIN, 1e6, 60)
+        got = W._stirling_tail(x.astype(np.longdouble))
+        with mpmath.workdps(50):
+            for v, g in zip(x.tolist(), got):
+                ref = mpmath.loggamma(v) - (v - 0.5) * mpmath.log(v) + v - mpmath.log(2 * mpmath.pi) / 2
+                assert abs(mpmath.mpf(str(g)) - ref) <= 1.0 / (1680.0 * v**7) + 1e-18
+
+    @pytest.mark.parametrize("alpha, ln_s", [(5.0, -0.3), (1.0, 1.8), (0.7, 0.5), (0.3, 12.4),
+                                             (1.0 / 32.0, 136.6), (1.0 / 64.0, 376.3), (1e-5, 7.7e5)])
+    def test_steps_match_mpmath(self, alpha, ln_s):
+        # both sides of x = (n+1)/alpha = 30, and far up the series.  The
+        # bound is the Stirling remainder at 30 plus long-double rounding of
+        # the 2 ln s that cancels against ln(rho_{n+1}/rho_n)
+        n = np.unique(np.r_[0:40, np.geomspace(40, 1e5, 30).astype(int)])
+        got = W._ratio_steps(WeightSpec.stretched(alpha), ln_s, n)
+        assert got.dtype == np.longdouble
+        with mpmath.workdps(50):
+            a, two_ln_s = mpmath.mpf(alpha), 2 * mpmath.mpf(ln_s)
+            for k, g in zip(n.tolist(), got):
+                ref = (two_ln_s + 2 * mpmath.log(mpmath.mpf(k + 2) / (k + 1))
+                       - mpmath.loggamma((k + 2) / a) + mpmath.loggamma((k + 1) / a))
+                assert abs(mpmath.mpf(str(g)) - ref) <= 3e-14 + 1e-18 * abs(two_ln_s)
 
 
 class TestNormFactor:
@@ -156,9 +167,9 @@ class TestNormFactor:
         assert series_log_norm(WeightSpec.exponential(), math.log(1.0)) == pytest.approx(expected, abs=1e-13)
 
     def test_zero_scale(self):
-        # s = 0 keeps only the n = 0 term, 1 / rho_0 = 1, as +0.0 bit for bit
-        terms = W._series_terms(WeightSpec.exponential(), -math.inf, 1e-16)
-        assert terms.tobytes() == np.array([0.0]).tobytes()
+        # s = 0 keeps only the n = 0 term, 1 / rho_0 = 1, with p_0 = 1 exactly
+        n_lo, p = W._level_window(WeightSpec.exponential(), -math.inf, 1e-16)
+        assert n_lo == 0 and p.tobytes() == np.array([1.0]).tobytes()
         assert series_log_norm(WeightSpec.exponential(), -math.inf) == 0.0
 
     def test_closed_form_values(self):
@@ -185,7 +196,7 @@ class TestNormFactor:
 
     def test_divergent_scale_raises(self):
         with pytest.raises((DivergentSeriesError, OverflowError)):
-            W._series_terms(WeightSpec.exponential(), math.log(float("inf")), 1e-16)
+            W._level_window(WeightSpec.exponential(), math.log(float("inf")), 1e-16)
 
 
 def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
@@ -227,6 +238,18 @@ class TestTruncation:
         monkeypatch.setattr(W, "MAX_TERMS", 64)
         with pytest.raises(DivergentSeriesError):
             truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=math.log(1e6))
+        # a peak below the cap (n ~ 49) whose upper tail runs past it
+        with pytest.raises(DivergentSeriesError):
+            truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=0.5 * math.log(50.0))
+        assert truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=0.5 * math.log(10.0)) < 64
+
+    @pytest.mark.parametrize("tail_eps", [0.3, 0.5, 0.7, 0.99])
+    def test_large_tail_eps_matches_brute_force(self, tail_eps):
+        # from 1/2 on the lower cut could pass the upper one; n_max keeps its meaning
+        for spec, ln_s in ((WeightSpec.exponential(), math.log(4.0)),
+                           (WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER)):
+            got = truncation_level(spec, tail_eps=tail_eps, ln_s=ln_s)
+            assert got == brute_force_truncation(spec, ln_s, tail_eps)
 
     @settings(max_examples=40, deadline=None)
     @given(
