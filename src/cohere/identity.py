@@ -152,9 +152,9 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     The substitution v = beta e^y centres it on its peak at y = 0:
     exp(-beta (expm1(y) - y) + c(beta)), c(beta) = beta ln beta - beta
     - ln Gamma(beta), so no terms of size beta ln beta cancel in the
-    exponent.  For beta >= 30, c(beta) = ln(beta / 2 pi)/2 less
+    exponent.  For beta >= 20, c(beta) = ln(beta / 2 pi)/2 less
     weights._stirling_tail(beta), the series the level window's ratio
-    steps read, whose first omitted term is below 3e-14.  The integrand is
+    steps read, whose first omitted term is below 1.7e-15.  The integrand is
     analytic in |Im y| < pi/2 and decays on both sides, so the trapezoid
     rule on a uniform grid converges geometrically.  The step
     h = min(0.2, 0.4/sqrt(beta)) resolves the peak of width 1/sqrt(beta),

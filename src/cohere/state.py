@@ -239,9 +239,10 @@ def autocorrelation(state: CoherentState, t) -> complex | np.ndarray:
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:
     """<a|b> combining spectral coefficients with the per-level angular
-    overlaps, summed over the levels both windows hold (0 if none)."""
-    if a.weight != b.weight:
-        raise ValueError("states must share a weight family")
+    overlaps, summed over the levels both windows hold (0 if none).  The
+    states must share the weight function exp(-u**alpha), under either label."""
+    if a.weight.alpha != b.weight.alpha:
+        raise ValueError("states must share a weight function")
     n = np.arange(max(a.coeffs.n_min, b.coeffs.n_min), min(a.coeffs.n_max, b.coeffs.n_max) + 1)
     j = n / 2.0  # level n+1 carries two spins of j = n/2
     ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(

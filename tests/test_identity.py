@@ -207,26 +207,23 @@ class TestSphereRule:
         assert np.array_equal(_azimuthal_sums(count), expected)
         assert abs(_azimuthal_sums(count)[count - 1] - 2.0 * math.pi) <= 1e-14
 
-    def test_polar_rule_computed_once_per_order(self, monkeypatch):
-        orders = []
-        leggauss = np.polynomial.legendre.leggauss
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda order: orders.append(order) or leggauss(order))
+    def test_polar_rule_computed_once_per_order(self):
         _gauss_legendre.cache_clear()
         try:
             for polar_order in (12, 16, 12):
                 results = standard_verification(n_max=2, su2_max_two_j=8, polar_order=polar_order,
                                                 azimuthal_count=24)
                 assert all(r.passed for r in results)
+            misses = _gauss_legendre.cache_info().misses
         finally:
             _gauss_legendre.cache_clear()
-        assert orders == [12, 16]
+        assert misses == 2  # orders 12 and 16, each built once
 
-    @pytest.mark.parametrize("order", [24, 176, 704])
+    @pytest.mark.parametrize("order", [24, 105, 176, 400, 704])
     def test_gauss_legendre_matches_mpmath(self, order):
-        # numpy's leggauss weights are off by 1.2e-11 relative at order 176
-        # and 2.9e-9 at 704, worst at the end nodes; the refined rule is
-        # within 2.4e-16 (measured) at the end, second and middle nodes
+        # at the end, second and middle nodes the rule is within 5e-17 on
+        # the nodes and 2.8e-16 relative on the weights (measured); at other
+        # orders the end weight can be further off (1.2e-15 at 401)
         nodes, weights = _gauss_legendre(order)
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
@@ -242,8 +239,9 @@ class TestSphereRule:
                 assert abs(float(weights[i] / w - 1)) <= 5e-16, i
 
     def test_large_spin_resolved_at_many_nodes(self):
-        # 2j = 175 is the paper's top level n = 176; with numpy's leggauss
-        # weights the m = +j edge missed by 2.2e-12 at 400 nodes
+        # 2j = 175 is the paper's top level n = 176; the m = +j edge needs
+        # the end weights: a rule whose weights were 1e-11 off there (an
+        # eigenvalue-based one) missed by 2.2e-12 at 400 nodes
         assert verify_su2_identity(175 / 2.0, 400, 400) <= SU2_TOL
 
     @pytest.mark.parametrize("two_j", [0, 1, 6, 10])

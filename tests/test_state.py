@@ -497,6 +497,15 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap(paper_state, other)
 
+    def test_exponential_state_overlaps_its_stretched_twin(self):
+        # alpha = 1 is the same weight under both labels: same levels, same bits
+        angular = AngularParams(0.3 + 0.1j, -0.2j)
+        a = build_state(WeightSpec.exponential(), 0.25, angular, ln_s=1.8)
+        b = build_state(WeightSpec.stretched(1.0), 0.25, angular, ln_s=1.8)
+        assert a.weight != b.weight and np.array_equal(a.coeffs.values, b.coeffs.values)
+        assert overlap(a, b) == self.padded_overlap(a, b)
+        assert abs(overlap(a, b) - 1.0) <= 1e-14
+
     def test_distant_angular_parameters_leave_lowest_level(self):
         spec = WeightSpec.exponential()
         a = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))

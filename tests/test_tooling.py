@@ -6,11 +6,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from cohere import cli, position
 from cohere.identity import standard_verification
 from cohere.state import build_state, solve_scale_ln
 from cohere.su2 import coupling_matrix
-from cohere.weights import WeightSpec
+from cohere.weights import WeightSpec, _gauss_legendre
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,6 +67,27 @@ def test_no_src_path_looks_up_a_coupling_table():
     assert len(frames) == 2 and rows.shape == (2, 3)
     after = coupling_matrix.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_gauss_legendre_rule_needs_no_eigensolver(monkeypatch):
+    # the rule's nodes start from Tricomi's closed form, not from numpy's
+    # Golub-Welsch leggauss or any eigenvalue solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue-based rule was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    nodes, weights = _gauss_legendre.__wrapped__(400)
+    assert nodes.size == 400 and abs(weights.sum() - 2.0) <= 1e-14
+    _gauss_legendre.cache_clear()
+    try:
+        results = standard_verification(n_max=2, su2_max_two_j=8, polar_order=12, azimuthal_count=24)
+        state = build_state(WeightSpec.stretched(0.25), 0.0,
+                            position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
+        rows = position.position_trace(state, [0.0, 1.0])
+    finally:
+        _gauss_legendre.cache_clear()
+    assert all(r.passed for r in results) and rows.shape == (2, 3)
 
 
 def test_traced_cli_writers_report_their_file_sizes(monkeypatch, tmp_path):
