@@ -22,7 +22,6 @@ if _os.environ.get("COHERE_THREADS"):
         _os.environ.setdefault(_var, _os.environ["COHERE_THREADS"])
 
 from cohere.weights import (
-    WeightFamily,
     WeightSpec,
     log_moment,
     truncation_level,

@@ -149,20 +149,30 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     v = u^alpha the ratio is the integral of the gamma density
     v^(beta-1) e^(-v) / Gamma(beta), beta = (exponent+1)/alpha.
 
+    Below beta = 1 the density's left tail decays only like e^(beta y) and
+    would take ~200/beta nodes; by parts, integral v^(beta-1) e^-v dv =
+    integral v^beta e^-v dv / beta and Gamma(beta + 1) = beta Gamma(beta), so
+    the ratio is the same rule's at beta + 1.
+
     The substitution v = beta e^y centres it on its peak at y = 0:
     exp(-beta (expm1(y) - y) + c(beta)), c(beta) = beta ln beta - beta
     - ln Gamma(beta), so no terms of size beta ln beta cancel in the
-    exponent.  For beta >= 20, c(beta) = ln(beta / 2 pi)/2 less
-    weights._stirling_tail(beta), the series the level window's ratio
-    steps read, whose first omitted term is below 1.7e-15.  The integrand is
-    analytic in |Im y| < pi/2 and decays on both sides, so the trapezoid
-    rule on a uniform grid converges geometrically.  The step
-    h = min(0.2, 0.4/sqrt(beta)) resolves the peak of width 1/sqrt(beta),
-    and the window drops tails below e^-40.  For beta >= 1 that is 52-271
-    nodes, and the ratio is within 3e-14 of 1 for every integer moment up
-    to n = 176 at alpha = 1/32, 1/3 and 1.
+    exponent.  On the peak, of width 1/sqrt(beta), expm1(y) - y cancels
+    like y^2/2, and its rounding, times beta, grows like sqrt(beta) eps;
+    so the exponent is formed in long double, which keeps the alpha =
+    1e-10 moments within 5e-15 (at alpha = 1e-20 they are 2.2e-10 off).  For beta >= 20, c(beta) =
+    ln(beta / 2 pi)/2 less weights._stirling_tail(beta), the series the
+    level window's ratio steps read, whose first omitted term is below
+    1.7e-15.  The integrand is analytic in |Im y| < pi/2 and decays on both
+    sides, so the trapezoid rule on a uniform grid converges
+    geometrically.  The step h = min(0.2, 0.4/sqrt(beta)) resolves the
+    peak, and the window drops tails below e^-40: 52-271 nodes, and the
+    ratio is within 3e-14 of 1 for every integer moment up to n = 176 at
+    alpha = 1/32, 1/3 and 1.
     """
     beta = (exponent + 1.0) / spec.alpha
+    if beta < 1:
+        beta += 1.0
     if beta >= _STIRLING_MIN:
         c = 0.5 * math.log(beta / (2.0 * math.pi)) - _stirling_tail(beta)
     else:
@@ -171,7 +181,7 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     h = min(0.2, 0.4 / root)
     lo = -40.0 / beta - 10.0 / root
     hi = math.log1p((40.0 + 10.0 * root) / beta)
-    y = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
+    y = (lo + h * np.arange(math.ceil((hi - lo) / h) + 1)).astype(np.longdouble)
     return float(h * np.sum(np.exp(c - beta * (np.expm1(y) - y))))
 
 
@@ -284,7 +294,7 @@ def report_text(results: list[CheckResult]) -> str:
 
 
 def standard_verification(
-    spec: WeightSpec | None = None,
+    spec: WeightSpec = WeightSpec.exponential(),
     n_max: int = 3,
     su2_max_two_j: int = 10,
     polar_order: int = 24,
@@ -305,8 +315,6 @@ def standard_verification(
     module docstring and ROADMAP.md item 4."""
     if n_max < 1:
         raise ValueError("need at least one level")
-    if spec is None:
-        spec = WeightSpec.exponential()
 
     spin_deviations, worst = [], 0.0
     for two_j in range(max(su2_max_two_j, n_max - 1) + 1):

@@ -36,7 +36,7 @@ from cohere import hydrogen
 from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
 # truncation_level is bound here for bench/spans.py, which wraps it
-from cohere.weights import DEFAULT_TAIL_EPS, WeightFamily, WeightSpec, _level_window, truncation_level
+from cohere.weights import DEFAULT_TAIL_EPS, WeightSpec, _level_window, truncation_level
 
 # Elements (times x levels) per autocorrelation block.  Its temporaries,
 # a 1 MB long-double product and 512 kB float64 arrays, stay in cache.
@@ -240,8 +240,8 @@ def autocorrelation(state: CoherentState, t) -> complex | np.ndarray:
 def overlap(a: CoherentState, b: CoherentState) -> complex:
     """<a|b> combining spectral coefficients with the per-level angular
     overlaps, summed over the levels both windows hold (0 if none).  The
-    states must share the weight function exp(-u**alpha), under either label."""
-    if a.weight.alpha != b.weight.alpha:
+    states must share the weight function exp(-u**alpha)."""
+    if a.weight != b.weight:
         raise ValueError("states must share a weight function")
     n = np.arange(max(a.coeffs.n_min, b.coeffs.n_min), min(a.coeffs.n_max, b.coeffs.n_max) + 1)
     j = n / 2.0  # level n+1 carries two spins of j = n/2
@@ -277,15 +277,16 @@ def _write_csv(fh, header: str, row_format: str, columns) -> None:
 def write_descriptor(path, state: CoherentState) -> None:
     """Persist the defining parameters as flat key=value lines.
 
-    The keys, in order: family, alpha (stretched family only), ln_s,
-    s_display, gamma, zeta1_re, zeta1_im, zeta2_re, zeta2_im, tail_eps.
-    ln_s is the canonical scale entry; the linear s is written for
-    display only.  No coefficients are written: read_descriptor rebuilds
-    them from these parameters.
+    The keys, in order: family, alpha unless it is 1, ln_s, s_display,
+    gamma, zeta1_re, zeta1_im, zeta2_re, zeta2_im, tail_eps.  family
+    spells alpha = 1 as exponential, any other alpha as
+    stretched_exponential.  ln_s is the canonical scale entry; the linear
+    s is written for display only.  No coefficients are written:
+    read_descriptor rebuilds them from these parameters.
     """
-    lines = [f"family={state.weight.family.value}"]
-    if state.weight.family is WeightFamily.STRETCHED_EXPONENTIAL:
-        lines.append(f"alpha={_FMT % state.weight.alpha}")
+    alpha = state.weight.alpha
+    lines = ["family=exponential"] if alpha == 1.0 else [
+        "family=stretched_exponential", f"alpha={_FMT % alpha}"]
     zeta1, zeta2 = state.angular.zeta1, state.angular.zeta2
     values = {"ln_s": state.ln_s, "s_display": state.s, "gamma": state.gamma,
               "zeta1_re": zeta1.real, "zeta1_im": zeta1.imag,
@@ -332,13 +333,12 @@ def read_descriptor(path) -> CoherentState:
     try:
         entries = parse_descriptor(path)
         family = entries["family"]
-        if family == WeightFamily.EXPONENTIAL.value:
+        if family == "exponential":  # any alpha line is ignored
             weight = WeightSpec.exponential()
-        elif family == WeightFamily.STRETCHED_EXPONENTIAL.value:
+        elif family == "stretched_exponential":
             weight = WeightSpec.stretched(float(entries["alpha"]))
         else:
-            supported = ", ".join(f.value for f in WeightFamily)
-            raise ValueError(f"unknown weight family {family!r} (supported: {supported})")
+            raise ValueError(f"unknown weight family {family!r} (supported: exponential, stretched_exponential)")
         angular = AngularParams(
             zeta1=complex(float(entries["zeta1_re"]), float(entries["zeta1_im"])),
             zeta2=complex(float(entries["zeta2_re"]), float(entries["zeta2_im"])),

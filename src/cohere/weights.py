@@ -13,8 +13,9 @@ Conventions:
     one formula behind every spec
   - its moments are rho_n = integral of u^n rho(u) du over [0, inf)
     = (1/alpha) * Gamma((n+1)/alpha)
-  - the exponential family rho(u) = exp(-u), rho_n = n!, is alpha = 1;
-    its spec stores alpha = 1.0 and keeps its own label
+  - a spec is its exponent alone: the exponential weight rho(u) = exp(-u),
+    rho_n = n!, is WeightSpec(1.0); a family name is only how a descriptor
+    (state.write_descriptor) or the CLI's --family flag spells alpha
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
     parameter.  _level_window is the one place its terms are formed, as
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -86,36 +86,24 @@ class DivergentSeriesError(ArithmeticError):
     """The configured weight/scale pair does not yield a convergent series."""
 
 
-class WeightFamily(Enum):
-    EXPONENTIAL = "exponential"
-    STRETCHED_EXPONENTIAL = "stretched_exponential"
-
-
 @dataclass(frozen=True)
 class WeightSpec:
-    """The weight rho(u) = exp(-u**alpha) under its family label.
+    """The weight rho(u) = exp(-u**alpha), fixed by its exponent alone:
+    any finite alpha > 0; the exponential weight is alpha = 1.0."""
 
-    ``alpha`` is the exponent: any positive value for the stretched
-    family, exactly 1.0 for the exponential one.
-    """
-
-    family: WeightFamily
-    alpha: float | None = None
+    alpha: float
 
     def __post_init__(self):
-        if self.family is WeightFamily.EXPONENTIAL:
-            if self.alpha != 1.0:
-                raise ValueError("the exponential family is alpha = 1.0")
-        elif self.alpha is None or not (0 < self.alpha < math.inf):
-            raise ValueError("stretched family requires a finite alpha > 0")
+        if not 0 < self.alpha < math.inf:  # false for nan as well
+            raise ValueError("a weight requires a finite alpha > 0")
 
     @classmethod
     def exponential(cls) -> "WeightSpec":
-        return cls(WeightFamily.EXPONENTIAL, alpha=1.0)
+        return cls(1.0)
 
     @classmethod
     def stretched(cls, alpha: float) -> "WeightSpec":
-        return cls(WeightFamily.STRETCHED_EXPONENTIAL, alpha=alpha)
+        return cls(alpha)
 
 
 def log_moment(spec: WeightSpec, n) -> float:

@@ -301,6 +301,23 @@ class TestRadialRule:
         # was centred on its peak, alpha = 1/32 missed by 1.14e-11 at n = 157
         assert verify_radial_identity(spec, 176) <= RADIAL_TOL
 
+    def test_small_alpha_keeps_the_peak_exponent(self):
+        # beta = (n+1)/alpha up to 1.1e11: expm1(y) - y cancels like y^2/2, and
+        # in double its rounding grew like sqrt(beta) 1e-16, to 2.8e-12
+        assert verify_radial_identity(WeightSpec.stretched(1e-10), 10) <= 1e-13
+
+    def test_large_alpha_integrates_at_beta_plus_one(self):
+        # beta = (n+1)/alpha < 1 decays like e^(beta y) to the left; integrated
+        # there, the window took ~200/beta nodes (487 MB at alpha = 1e5)
+        tracemalloc.start()
+        try:
+            deviation = verify_radial_identity(WeightSpec.stretched(1e5), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert deviation <= 1e-13
+        assert peak <= 2**20
+
 
 class TestVerifyReport:
     @pytest.mark.parametrize("orders", VERIFY_ORDERS)

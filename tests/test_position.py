@@ -309,19 +309,24 @@ class TestRadial:
             assert np.max(np.abs(gram - np.eye(rows.shape[0]))) <= 1e-8
 
     def test_default_rule_integrates_every_row(self):
+        # every degree of a level from one downward pass, as radial reads it;
         # the cutoff must hold the l = 0 tail of the top level ...
         for n in range(1, 41):
             r, w = P._radial_rule(n)
-            norms = np.array([(w * r**2) @ radial(n, l, r) ** 2 for l in range(n)])
-            assert np.max(np.abs(norms - 1.0)) <= 1e-13, n
+            norms = np.array([(w * r**2) @ rows[0] ** 2
+                              for _, rows in P._radial_by_degree(np.array([n]), r)])
+            assert norms.size == n and np.max(np.abs(norms - 1.0)) <= 1e-13, n
             # bench/spans.py counts SpatialQuadrature's nodes as the orbit trace's
             rule = SpatialQuadrature.for_levels(n)
             assert rule.r_nodes.tobytes() == r.tobytes() and rule.r_weights.tobytes() == w.tobytes()
-        # ... while the nodes near r = 0 still resolve the lowest levels
+        # ... while the nodes near r = 0 still resolve the lowest levels, all
+        # of them in the one lockstep pass the orbit trace makes
         for n_top in (10, 16, 26, 40):
             r, w = P._radial_rule(n_top)
-            norms = np.array([(w * r**2) @ radial(n, l, r) ** 2
-                              for n in range(1, n_top + 1) for l in range(n)])
+            levels = np.arange(1, n_top + 1)
+            norms = np.concatenate([rows[levels > l] ** 2 @ (w * r**2)
+                                    for l, rows in P._radial_by_degree(levels, r)])
+            assert norms.size == n_top * (n_top + 1) // 2
             assert np.max(np.abs(norms - 1.0)) <= 2e-13, n_top
 
     @pytest.mark.parametrize("n", [60, 120, 160, 176, 400])

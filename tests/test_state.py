@@ -498,11 +498,11 @@ class TestOverlap:
             overlap(paper_state, other)
 
     def test_exponential_state_overlaps_its_stretched_twin(self):
-        # alpha = 1 is the same weight under both labels: same levels, same bits
+        # alpha = 1 is one weight under both constructors: same spec, same bits
         angular = AngularParams(0.3 + 0.1j, -0.2j)
         a = build_state(WeightSpec.exponential(), 0.25, angular, ln_s=1.8)
         b = build_state(WeightSpec.stretched(1.0), 0.25, angular, ln_s=1.8)
-        assert a.weight != b.weight and np.array_equal(a.coeffs.values, b.coeffs.values)
+        assert a.weight == b.weight and np.array_equal(a.coeffs.values, b.coeffs.values)
         assert overlap(a, b) == self.padded_overlap(a, b)
         assert abs(overlap(a, b) - 1.0) <= 1e-14
 
@@ -639,6 +639,26 @@ class TestSerialization:
             "tail_eps=9.9999999999999998e-13\n"
         )
         assert read_descriptor(path).weight == WeightSpec.exponential()
+
+    def test_both_spellings_of_alpha_one_read_to_one_state(self, tmp_path):
+        # earlier writers spelled alpha = 1 either way; an exponential file
+        # ignores any alpha line
+        rest = ("ln_s=0.69314718055994529\ns_display=2\ngamma=0.5\nzeta1_re=0.25\n"
+                "zeta1_im=0.5\nzeta2_re=0.75\nzeta2_im=-0.125\ntail_eps=9.9999999999999998e-13\n")
+        heads = ["family=exponential\n", "family=stretched_exponential\nalpha=1\n",
+                 "family=exponential\nalpha=0.25\n"]
+        states = []
+        for i, head in enumerate(heads):
+            path = tmp_path / f"alpha_one_{i}.desc"
+            path.write_text(head + rest)
+            states.append(read_descriptor(path))
+        for st in states:
+            assert st.weight == WeightSpec.exponential()
+            assert (st.coeffs.n_min, st.coeffs.n_max) == (states[0].coeffs.n_min, states[0].coeffs.n_max)
+            assert st.coeffs.values.tobytes() == states[0].coeffs.values.tobytes()
+        # the writer spells it the one way
+        write_descriptor(tmp_path / "again.desc", states[1])
+        assert (tmp_path / "again.desc").read_text() == heads[0] + rest
 
     @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-1e-3"])
     def test_tail_eps_outside_the_unit_interval_is_a_descriptor_error(self, tmp_path, tail_eps):

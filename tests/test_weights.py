@@ -12,7 +12,6 @@ from scipy.special import gammaln, logsumexp
 from cohere import weights as W
 from cohere.weights import (
     DivergentSeriesError,
-    WeightFamily,
     WeightSpec,
     log_moment,
     truncation_level,
@@ -54,7 +53,7 @@ class TestLogMoment:
         assert log_moment(WeightSpec.exponential(), 5) == pytest.approx(math.log(120), rel=1e-14)
 
     def test_stretched_alpha_one_matches_exponential(self):
-        # the exponential family is the stretched one at alpha = 1, bit for bit
+        # the exponential weight is the stretched one at alpha = 1, bit for bit
         exponential, stretched = WeightSpec.exponential(), WeightSpec.stretched(1.0)
         n = np.arange(200_000)
         assert log_moment(exponential, n).tobytes() == log_moment(stretched, n).tobytes()
@@ -97,12 +96,10 @@ class TestLogMoment:
         for alpha in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 WeightSpec.stretched(alpha)
-        # the exponential family is alpha = 1.0 and nothing else
-        assert WeightSpec.exponential().alpha == 1.0
-        with pytest.raises(ValueError):
-            WeightSpec(WeightFamily.EXPONENTIAL)
-        with pytest.raises(ValueError):
-            WeightSpec(WeightFamily.EXPONENTIAL, alpha=2.0)
+            with pytest.raises(ValueError):
+                WeightSpec(alpha)
+        # a spec is its exponent alone: the exponential weight is alpha = 1.0
+        assert WeightSpec.exponential() == WeightSpec.stretched(1.0) == WeightSpec(1.0)
 
     def test_gammaln_recurrence(self):
         # log-gamma backend must satisfy Gamma(x+1) = x Gamma(x)
