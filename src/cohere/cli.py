@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve, autocorr, grid, levels, verify, weights.  Numeric
+Subcommands: solve, autocorr, grid, levels, verify.  Numeric
 output uses 17 significant digits so downstream plotting reproduces runs
 without loss; every subcommand is deterministic for a fixed configuration.
 
@@ -144,18 +144,6 @@ def _source_flags(command: argparse.ArgumentParser, config) -> list:
     return flags
 
 
-def _weight_from_args(args) -> "object":
-    from cohere.weights import WeightSpec
-
-    if args.family == "exponential":
-        if args.alpha is not None:
-            raise UsageError("--alpha requires --family stretched")
-        return WeightSpec.exponential()
-    if args.alpha is None:
-        raise UsageError("the stretched family requires --alpha")
-    return WeightSpec.stretched(float(args.alpha))
-
-
 def build_parser() -> _Parser:
     from inspect import signature
 
@@ -239,14 +227,6 @@ def build_parser() -> _Parser:
                    help="tolerance of the combined identity")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
-
-    p = sub.add_parser("weights", help="weight-function utilities")
-    wsub = p.add_subparsers(dest="weights_command", required=True)
-    m = wsub.add_parser("moments", help="log-moment table")
-    m.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
-    m.add_argument("--alpha", type=positive, default=None)
-    m.add_argument("--n-max", type=nonnegative, required=True)
-    m.add_argument("--output", "-o", default=None, help="CSV path (stdout if omitted)")
 
     return parser
 
@@ -364,10 +344,15 @@ def cmd_verify(args) -> int:
         report_text,
         standard_verification,
     )
+    from cohere.weights import WeightSpec
 
+    if args.family == "exponential" and args.alpha is not None:
+        raise UsageError("--alpha requires --family stretched")
+    if args.family == "stretched" and args.alpha is None:
+        raise UsageError("the stretched family requires --alpha")
     try:
         results = standard_verification(
-            spec=_weight_from_args(args),
+            spec=WeightSpec(1.0 if args.alpha is None else args.alpha),
             n_max=args.n_max,
             su2_max_two_j=args.su2_max_two_j,
             polar_order=args.polar_order,
@@ -382,23 +367,6 @@ def cmd_verify(args) -> int:
             fh.write(report_json(results) + "\n")
         print(f"report written to {args.output}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
-
-
-def cmd_weights_moments(args) -> int:
-    import numpy as np
-
-    from cohere.state import _FMT, _write_csv
-    from cohere.weights import log_moment
-
-    n = np.arange(args.n_max + 1)
-    table = ("n,log_moment", "%d," + _FMT, (n, log_moment(_weight_from_args(args), n)))
-    if args.output:
-        with open(args.output, "w") as fh:
-            _write_csv(fh, *table)
-        print(f"wrote {n.size} rows to {args.output}")
-    else:
-        _write_csv(sys.stdout, *table)
-    return EXIT_OK
 
 
 @lru_cache(maxsize=1)
@@ -419,7 +387,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # looked up at call time, so a wrapped cmd_* binding is the one called
         command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,
-                   "levels": cmd_levels, "verify": cmd_verify, "weights": cmd_weights_moments}
+                   "levels": cmd_levels, "verify": cmd_verify}
         return command[args.command](args)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ import numpy as np
 
 from cohere import hydrogen
 from cohere.su2 import _check_two_j, su2_amplitudes
-from cohere.weights import _STIRLING_MIN, WeightSpec, _gauss_legendre, _stirling_tail, log_moment
+from cohere.weights import _STIRLING_MIN, WeightSpec, _gauss_legendre, _stirling_tail
 
 
 #: largest level count full_identity_matrix assembles densely (dimension sum n^2 = 91)
@@ -155,20 +155,22 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     the ratio is the same rule's at beta + 1.
 
     The substitution v = beta e^y centres it on its peak at y = 0:
-    exp(-beta (expm1(y) - y) + c(beta)), c(beta) = beta ln beta - beta
+    exp(-beta (e^y - 1 - y) + c(beta)), c(beta) = beta ln beta - beta
     - ln Gamma(beta), so no terms of size beta ln beta cancel in the
-    exponent.  On the peak, of width 1/sqrt(beta), expm1(y) - y cancels
-    like y^2/2, and its rounding, times beta, grows like sqrt(beta) eps;
-    so the exponent is formed in long double, which keeps the alpha =
-    1e-10 moments within 5e-15 (at alpha = 1e-20 they are 2.2e-10 off).  For beta >= 20, c(beta) =
-    ln(beta / 2 pi)/2 less weights._stirling_tail(beta), the series the
-    level window's ratio steps read, whose first omitted term is below
-    1.7e-15.  The integrand is analytic in |Im y| < pi/2 and decays on both
-    sides, so the trapezoid rule on a uniform grid converges
-    geometrically.  The step h = min(0.2, 0.4/sqrt(beta)) resolves the
-    peak, and the window drops tails below e^-40: 52-271 nodes, and the
-    ratio is within 3e-14 of 1 for every integer moment up to n = 176 at
-    alpha = 1/32, 1/3 and 1.
+    exponent.  On the peak, of width 1/sqrt(beta), expm1(y) - y would
+    cancel like y^2/2, and its rounding, times beta, would grow like
+    sqrt(beta) eps; so for |y| < 1/4, e^y - 1 - y is y^2 times its Taylor
+    series through y^16/18! (the next term is below 1e-27 of the sum),
+    summed by Horner in long double, and elsewhere expm1(y) - y.  For
+    beta >= 20, c(beta) = ln(beta / 2 pi)/2 less
+    weights._stirling_tail(beta), the series the level window's ratio
+    steps read, whose first omitted term is below 1.7e-15.  The integrand
+    is analytic in |Im y| < pi/2 and decays on both sides, so the
+    trapezoid rule on a uniform grid converges geometrically.  The step
+    h = min(0.2, 0.4/sqrt(beta)) resolves the peak, and the window drops
+    tails below e^-40: 52-271 nodes, and the ratio is within 1.5e-14 of 1
+    for every integer moment up to n = 176 at every alpha from 1e5 down
+    to 1e-200.
     """
     beta = (exponent + 1.0) / spec.alpha
     if beta < 1:
@@ -182,7 +184,11 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     lo = -40.0 / beta - 10.0 / root
     hi = math.log1p((40.0 + 10.0 * root) / beta)
     y = (lo + h * np.arange(math.ceil((hi - lo) / h) + 1)).astype(np.longdouble)
-    return float(h * np.sum(np.exp(c - beta * (np.expm1(y) - y))))
+    series = np.longdouble(0)  # (e^y - 1 - y) / y^2 by Horner, through y^16/18!
+    for k in range(18, 1, -1):
+        series = series * y + np.longdouble(1) / math.factorial(k)
+    excess = np.where(np.abs(y) < 0.25, y * y * series, np.expm1(y) - y)
+    return float(h * np.sum(np.exp(c - beta * excess)))
 
 
 def verify_radial_identity(spec: WeightSpec, n_max: int) -> float:
@@ -202,13 +208,17 @@ def _radial_factor(spec: WeightSpec, n_a: int, n_b: int) -> float:
     """r: the combined Gram's block of levels (n_a, n_b) is
     r * phase * kron(S, S), with r the radial cross integral times the
     spectral factors n / sqrt(rho_{n-1}) and S the sphere overlap of spins
-    (n_a-1)/2 and (n_b-1)/2."""
-    # log_moment's formula at a real exponent, in an order that keeps every bit
-    exponent = (n_a + n_b) / 2.0 - 1.0
-    return math.exp(math.log(_moment_ratio_by_quadrature(spec, exponent)) - math.log(spec.alpha)
-                    + math.lgamma((exponent + 1.0) / spec.alpha)
-                    - 0.5 * (log_moment(spec, n_a - 1) + log_moment(spec, n_b - 1))
-                    + math.log(n_a) + math.log(n_b))
+    (n_a-1)/2 and (n_b-1)/2.
+
+    With m = (n_a + n_b)/2 the cross integral is the quadrature ratio at
+    exponent m - 1 times rho_{m-1} = Gamma(m/alpha)/alpha, so r is that
+    ratio times n_a n_b Gamma(m/alpha) / sqrt(Gamma(n_a/alpha) Gamma(n_b/alpha)):
+    the 1/alpha factors cancel before they are formed, and on the diagonal
+    the Gamma quotient is exactly 1, so r = ratio n^2 keeps the ratio's
+    every bit however large ln Gamma(n/alpha) is."""
+    a, mid = spec.alpha, (n_a + n_b) / 2.0
+    quotient = math.lgamma(mid / a) - 0.5 * (math.lgamma(n_a / a) + math.lgamma(n_b / a))
+    return _moment_ratio_by_quadrature(spec, mid - 1.0) * n_a * n_b * math.exp(quotient)
 
 
 def full_identity_matrix(

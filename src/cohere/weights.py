@@ -147,7 +147,7 @@ def _ratio_steps(spec: WeightSpec, ln_s: float, n: np.ndarray) -> np.ndarray:
     small = x < _STIRLING_MIN
     if small.any():  # one math.lgamma per argument k/alpha, k = n+1 .. n+2
         k = n1[small].astype(int)
-        lg = np.array([math.lgamma(v / spec.alpha) for v in range(k.min(), k.max() + 2)])
+        lg = _lgamma(np.arange(k.min(), k.max() + 2) / spec.alpha)
         moment_step[small] = lg[k - k.min() + 1] - lg[k - k.min()]
     return 2 * np.longdouble(ln_s) + 2 * log_ratio - moment_step
 

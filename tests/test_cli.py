@@ -20,7 +20,6 @@ from cohere.state import (
     read_descriptor,
     solve_scale_ln,
 )
-from cohere.weights import WeightSpec, log_moment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREAD_VARS = ("COHERE_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -280,8 +279,8 @@ class TestConfigSources:
 
 
 # One out-of-range value for each option whose type checks a range.  The
-# value comes from its flag or from a config line (weights moments takes
-# no --config); the subcommand's other options come from flags.
+# value comes from its flag or from a config line; the subcommand's other
+# options come from flags.
 RANGE_CASES = [
     ("solve", "alpha", "0"),
     ("solve", "mean", "1"),
@@ -299,11 +298,8 @@ RANGE_CASES = [
     ("verify", "n-max", "0"),
     ("verify", "su2-max-two-j", "-1"),
     ("verify", "full-tol", "-1"),
-    ("weights", "alpha", "0"),
-    ("weights", "n-max", "-1"),
 ]
-RANGE_RUNS = [(*case, source) for case in RANGE_CASES for source in ("flag", "config")
-              if not (case[0] == "weights" and source == "config")]
+RANGE_RUNS = [(*case, source) for case in RANGE_CASES for source in ("flag", "config")]
 
 
 class TestOptionRanges:
@@ -315,7 +311,6 @@ class TestOptionRanges:
             "grid": {"descriptor": str(descriptor), "width": "20", "samples": "5", "times": "0",
                      "output-prefix": "frame"},
             "verify": {"output": "report.json"},
-            "weights": {"n-max": "3", "output": "moments.csv"},
         }[command]
 
     @pytest.mark.parametrize("command, key, value, source", RANGE_RUNS,
@@ -325,8 +320,7 @@ class TestOptionRanges:
         monkeypatch.chdir(tmp_path)
         options = self.other_options(command, descriptor)
         options.pop(key, None)
-        argv = ["weights", "moments"] if command == "weights" else [command]
-        argv += [word for item in options.items() for word in (f"--{item[0]}", item[1])]
+        argv = [command] + [word for item in options.items() for word in (f"--{item[0]}", item[1])]
         config = tmp_path / "options.cfg"
         if source == "flag":
             argv += [f"--{key}", value]
@@ -382,14 +376,9 @@ class TestSolveBeyondDoubleRange:
 
 
 class TestAllocationRefusal:
-    @pytest.mark.parametrize("command", ["autocorr", "weights"])
-    def test_unallocatable_request_is_a_budget_refusal(self, descriptor, tmp_path, capsys,
-                                                      command):
+    def test_unallocatable_request_is_a_budget_refusal(self, descriptor, tmp_path, capsys):
         # 1e17 float64 values (711 PiB) fit in no address space
-        if command == "autocorr":
-            argv = autocorr_argv(descriptor, tmp_path, "--samples", "1e17")
-        else:
-            argv = ["weights", "moments", "--n-max", "1e17", "-o", str(tmp_path / "moments.csv")]
+        argv = autocorr_argv(descriptor, tmp_path, "--samples", "1e17")
         assert cli.main(argv) == cli.EXIT_BUDGET
         err = capsys.readouterr().err
         assert err.startswith("budget refusal: ") and err.count("\n") == 1
@@ -681,7 +670,6 @@ class TestAlphaNeedsTheStretchedFamily:
     @pytest.mark.parametrize("argv", [
         ["verify", "--alpha", "0.03125"],
         ["verify", "--family", "exponential", "--alpha", "0.25"],
-        ["weights", "moments", "--alpha", "0.25", "--n-max", "3"],
     ])
     def test_flag_is_a_usage_error_naming_both_options(self, tmp_path, capsys, argv):
         path = tmp_path / "out"
@@ -701,32 +689,12 @@ class TestAlphaNeedsTheStretchedFamily:
         assert not report.exists()
 
 
-class TestWeightsMoments:
-    @pytest.mark.parametrize("family, spec", [
-        ([], WeightSpec.exponential()),
-        (["--family", "stretched", "--alpha", "0.25"], WeightSpec.stretched(0.25)),
-    ])
-    def test_stdout_and_file_hold_the_log_moments(self, tmp_path, capsys, family, spec):
-        argv = ["weights", "moments", *family, "--n-max", "4"]
-        assert cli.main(argv) == cli.EXIT_OK
-        printed = capsys.readouterr().out
-        expected = "n,log_moment\n" + "".join(
-            f"{n},{'%.17g' % log_moment(spec, n)}\n" for n in range(5))
-        assert printed == expected
+class TestSubcommands:
+    def test_weights_moments_is_an_invalid_choice(self, tmp_path, capsys):
+        # the log-moment table is Python API (cohere.log_moment), not a workflow
         path = tmp_path / "moments.csv"
-        assert cli.main([*argv, "-o", str(path)]) == cli.EXIT_OK
-        assert path.read_text() == expected
-        assert str(path) in capsys.readouterr().out
-
-    @pytest.mark.parametrize("flags", [
-        ["--n-max", "-1"],
-        ["--family", "stretched", "--n-max", "3"],
-        ["--family", "stretched", "--alpha", "0", "--n-max", "2"],
-    ])
-    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, flags):
-        path = tmp_path / "moments.csv"
-        assert cli.main(["weights", "moments", *flags, "-o", str(path)]) == cli.EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        assert cli.main(["weights", "moments", "--n-max", "3", "-o", str(path)]) == cli.EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
         assert not path.exists()
 
 
@@ -890,7 +858,6 @@ class TestFreshProcess:
             "     '--times', '0', '-o', 'frame'],\n"
             "    ['verify', '--n-max', '2', '--su2-max-two-j', '2', '--polar-order', '4',\n"
             "     '--azimuthal-count', '8', '-o', 'report.json'],\n"
-            "    ['weights', 'moments', '--n-max', '3', '-o', 'moments.csv'],\n"
             "]\n"
             "for argv in calls:\n"
             "    assert main(argv) == 0, argv\n"

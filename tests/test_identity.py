@@ -306,6 +306,12 @@ class TestRadialRule:
         # in double its rounding grew like sqrt(beta) 1e-16, to 2.8e-12
         assert verify_radial_identity(WeightSpec.stretched(1e-10), 10) <= 1e-13
 
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-200])
+    def test_tiny_alpha_sums_the_peak_by_its_series(self, alpha):
+        # beta up to 1.1e201: expm1(y) - y, even in long double, was 2.2e-10
+        # off at alpha = 1e-20, and at 1e-200 the ratio read 8.3
+        assert verify_radial_identity(WeightSpec(alpha), 10) <= 1e-13
+
     def test_large_alpha_integrates_at_beta_plus_one(self):
         # beta = (n+1)/alpha < 1 decays like e^(beta y) to the left; integrated
         # there, the window took ~200/beta nodes (487 MB at alpha = 1e5)
@@ -443,6 +449,19 @@ class TestStandardVerification:
         assert sorted(calls) == sorted(spins + [(0.0, 0.5)] * (n_max >= 2))
         assert results["spin multiplet resolution"].max_deviation.hex() == expected.hex()
         assert all(r.passed for r in results.values())
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 / 32.0, 1e-6, 1e-12, 1e-20])
+    def test_combined_deviation_sees_the_radial_ratio(self, monkeypatch, alpha):
+        # a ratio 1e-9 off puts every diagonal block 1e-9 off; when r was
+        # formed from logs of size ln Gamma(n/alpha), the check read 3.7e-9 at
+        # alpha = 1e-6 and 1.1e-15 from 1e-12 down
+        ratio = identity._moment_ratio_by_quadrature
+        monkeypatch.setattr(identity, "_moment_ratio_by_quadrature",
+                            lambda spec, exponent: ratio(spec, exponent) * (1 + 1e-9))
+        results = {r.name: r for r in standard_verification(
+            spec=WeightSpec(alpha), n_max=6, su2_max_two_j=5, polar_order=24, azimuthal_count=48)}
+        combined = results["combined identity (exact-limit phase average)"].max_deviation
+        assert abs(combined - 1e-9) <= 1e-11
 
 
 class TestLevelBlocks:

@@ -26,7 +26,7 @@ from cohere.state import (
     write_trace_csv,
 )
 from cohere.su2 import AngularParams
-from cohere.weights import WeightSpec, log_moment
+from cohere.weights import WeightSpec
 
 FMT = "%.17g"
 SPECIALS = (-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0, 1e-300, -1e300)
@@ -63,11 +63,6 @@ def reference_field_binary(field) -> bytes:
 
 def reference_levels(rows) -> str:
     return "n,p_n\n" + "".join(f"{n},{FMT % p}\n" for n, p in rows)
-
-
-def reference_moments(spec, n_max) -> str:
-    lines = ["n,log_moment"] + [f"{n},{FMT % log_moment(spec, n)}" for n in range(n_max + 1)]
-    return "\n".join(lines) + "\n"
 
 
 def sample_values(rng, size, scale=1.0):
@@ -177,16 +172,3 @@ class TestCliTables:
         assert cli.main(argv) == cli.EXIT_OK
         coeffs = state.coeffs
         assert out.read_text() == reference_levels(zip(coeffs.levels, coeffs.probabilities))
-
-    @pytest.mark.parametrize("family, spec", [
-        (["--family", "exponential"], WeightSpec.exponential()),
-        (["--family", "stretched", "--alpha", "0.03125"], WeightSpec.stretched(0.03125)),
-    ])
-    def test_weights_moments_to_file_and_stdout(self, tmp_path, capsys, family, spec):
-        expected = reference_moments(spec, 40)
-        argv = ["weights", "moments", *family, "--n-max", "40"]
-        assert cli.main(argv) == cli.EXIT_OK
-        assert capsys.readouterr().out == expected
-        out = tmp_path / "moments.csv"
-        assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_OK
-        assert out.read_text() == expected
