@@ -147,7 +147,7 @@ def _source_flags(command: argparse.ArgumentParser, config) -> list:
 def build_parser() -> _Parser:
     from inspect import signature
 
-    from cohere.identity import standard_verification
+    from cohere.identity import TOLERANCE, standard_verification
     from cohere.position import DEFAULT_GRID_BUDGET
     from cohere.state import solve_scale_ln
     from cohere.weights import DEFAULT_TAIL_EPS
@@ -212,19 +212,17 @@ def build_parser() -> _Parser:
     p.add_argument("--descriptor", required=True)
     p.add_argument("--output", "-o", required=True)
 
-    p = sub.add_parser("verify", help="resolution-of-identity verification suite")
+    p = sub.add_parser("verify", help=f"resolution-of-identity checks, each held to {TOLERANCE:g}")
     p.add_argument("--family", choices=("exponential", "stretched"), default="exponential", help="weight family")
     p.add_argument("--alpha", type=positive, default=None, help="stretch exponent of the weight")
     p.add_argument("--n-max", type=_where(_integer, lambda n: n >= 1, "be at least 1"), default=verify["n_max"],
-                   help="levels 1..N of the combined identity, one level block at a time; N <= both orders")
+                   help=f"levels 1..N of the combined identity, each block to {TOLERANCE:g}; N <= both orders")
     p.add_argument("--su2-max-two-j", type=nonnegative, default=verify["su2_max_two_j"],
                    help="largest 2j of the spin checks")
     p.add_argument("--polar-order", type=_integer, default=verify["polar_order"],
                    help="polar nodes of the sphere rule")
     p.add_argument("--azimuthal-count", type=_integer, default=verify["azimuthal_count"],
                    help="azimuthal nodes of the rule")
-    p.add_argument("--full-tol", type=positive, default=verify["full_tol"],
-                   help="tolerance of the combined identity")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output", "-o", default=None, help="write the JSON report here")
 
@@ -357,7 +355,6 @@ def cmd_verify(args) -> int:
             su2_max_two_j=args.su2_max_two_j,
             polar_order=args.polar_order,
             azimuthal_count=args.azimuthal_count,
-            full_tol=args.full_tol,
         )
     except InsufficientOrderError as exc:
         raise UsageError(str(exc)) from None

@@ -1,4 +1,4 @@
-"""Numerical resolution-of-identity checks, up to the paper's levels.
+"""Numerical resolution-of-identity checks to 1e-12, up to the paper's levels.
 
 Three layers, verified separately and then composed:
 
@@ -55,9 +55,8 @@ from cohere.weights import _STIRLING_MIN, WeightSpec, _gauss_legendre, _stirling
 MAX_LEVELS = 6
 #: levels the radial moment check of standard_verification covers
 RADIAL_N_MAX = 10
-#: tolerances of the spin multiplet and radial moment checks
-SU2_TOL = 1e-12
-RADIAL_TOL = 1e-12
+#: the one tolerance every check of standard_verification holds
+TOLERANCE = 1e-12
 #: phase-window half-widths Gamma of the finite-window check
 GAMMA_HALFWIDTHS = (1e3, 1e4, 1e5)
 
@@ -170,9 +169,13 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     h = min(0.2, 0.4/sqrt(beta)) resolves the peak, and the window drops
     tails below e^-40: 52-271 nodes, and the ratio is within 1.5e-14 of 1
     for every integer moment up to n = 176 at every alpha from 1e5 down
-    to 1e-200.
+    to 1e-200.  A beta past the float range (alpha subnormal, or near 1e-308
+    and n >= 1) raises ArithmeticError; every finite beta gives a finite ratio.
     """
     beta = (exponent + 1.0) / spec.alpha
+    if not math.isfinite(beta):
+        raise ArithmeticError(f"the radial moment at exponent {exponent:g} overflows: "
+                              f"(exponent + 1)/alpha is not finite at alpha={spec.alpha!r}")
     if beta < 1:
         beta += 1.0
     if beta >= _STIRLING_MIN:
@@ -197,10 +200,7 @@ def verify_radial_identity(spec: WeightSpec, n_max: int) -> float:
         raise ValueError("n_max must be nonnegative")
     worst = 0.0
     for n in range(n_max + 1):
-        ratio = _moment_ratio_by_quadrature(spec, float(n))
-        if not math.isfinite(ratio):
-            raise ArithmeticError(f"divergent radial quadrature at moment {n}")
-        worst = max(worst, abs(ratio - 1.0))
+        worst = max(worst, abs(_moment_ratio_by_quadrature(spec, float(n)) - 1.0))
     return worst
 
 
@@ -309,11 +309,10 @@ def standard_verification(
     su2_max_two_j: int = 10,
     polar_order: int = 24,
     azimuthal_count: int = 48,
-    full_tol: float = 1e-8,
 ) -> list[CheckResult]:
-    """The default battery: spin multiplets, radial moments, combined
-    identity in exact-limit mode, and the finite-window off-diagonal
-    bound.
+    """The default battery, each check held to TOLERANCE: spin multiplets,
+    radial moments, combined identity in exact-limit mode, and the
+    finite-window off-diagonal bound.
 
     One ascending pass over 2j = 0 .. max(su2_max_two_j, n_max - 1) builds
     each same-spin sphere overlap S once; the spin check reads it for
@@ -358,14 +357,14 @@ def standard_verification(
             truncation=f"2j <= {su2_max_two_j}",
             orders={"polar": polar_order, "azimuthal": azimuthal_count},
             max_deviation=max(spin_deviations, default=0.0),
-            tolerance=SU2_TOL,
+            tolerance=TOLERANCE,
         ),
         CheckResult(
             name="radial moment identity",
             truncation=f"n <= {RADIAL_N_MAX}",
             orders={"rule": "log-trapezoid"},
             max_deviation=verify_radial_identity(spec, RADIAL_N_MAX),
-            tolerance=RADIAL_TOL,
+            tolerance=TOLERANCE,
         ),
         CheckResult(
             name="combined identity (exact-limit phase average)",
@@ -373,13 +372,13 @@ def standard_verification(
             orders={"polar": polar_order, "azimuthal": azimuthal_count,
                     "radial_rule": "log-trapezoid"},
             max_deviation=float(worst),
-            tolerance=full_tol,
+            tolerance=TOLERANCE,
         ),
         CheckResult(
             name="finite-window off-diagonal bound",
             truncation=f"levels <= {min(n_max, 2)}",
             orders={"gamma_halfwidths": list(GAMMA_HALFWIDTHS)},
             max_deviation=float(worst_excess),
-            tolerance=1e-12,
+            tolerance=TOLERANCE,
         ),
     ]

@@ -94,15 +94,6 @@ class CoherentState:
         return hydrogen.energy(self.coeffs.levels)
 
 
-def _distribution_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window indices and normalized probabilities covering 1 - tail_eps,
-    tail_eps/2 cut from each end, for tail_eps in (0, 1)."""
-    if not 0.0 < tail_eps < 1.0:
-        raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    n_lo, p = _level_window(spec, ln_s, tail_eps / 2.0)
-    return np.arange(n_lo, n_lo + p.size), p
-
-
 def build_state(
     weight: WeightSpec,
     gamma: float,
@@ -112,10 +103,10 @@ def build_state(
     ln_s: float,
 ) -> CoherentState:
     """Assemble the normalized state of scale ln_s (-inf for s = 0) over
-    its truncation window."""
-    n_values, p = _distribution_window(weight, ln_s, tail_eps)
-    phase = reduced_phases(-gamma, hydrogen.energy(n_values + 1))
-    coeffs = SpectralCoefficients(n_min=int(n_values[0]), probabilities=p, phase=phase)
+    its level window, which leaves out tail_eps of the weight."""
+    n_lo, p = _level_window(weight, ln_s, tail_eps)
+    phase = reduced_phases(-gamma, hydrogen.energy(np.arange(n_lo + 1, n_lo + p.size + 1)))
+    coeffs = SpectralCoefficients(n_min=n_lo, probabilities=p, phase=phase)
     return CoherentState(
         weight=weight,
         ln_s=ln_s,
@@ -161,8 +152,8 @@ def solve_scale_ln(
     cut to a cap of 0.5 that doubles each time it binds, so a far seed
     walks out geometrically instead of jumping to a scale whose series
     cannot be summed; a step that would leave the bracket bisects it.  If
-    the bracket collapses to rounding before tol is met, its midpoint is
-    returned.
+    rounding stops the solve before tol is met, it returns ln s once a step
+    no longer moves it, or the midpoint of a collapsed bracket.
     """
     if target_mean <= 0:
         raise ValueError("target mean must be positive")
@@ -176,7 +167,8 @@ def solve_scale_ln(
     ln_s = math.log(max(index_target, target_mean / 4.0) / alpha) / (2.0 * alpha)
     lo, hi, cap = -math.inf, math.inf, 0.5
     for _ in range(200):
-        n_values, p = _distribution_window(spec, ln_s, tail_eps)
+        n_lo, p = _level_window(spec, ln_s, tail_eps)
+        n_values = np.arange(n_lo, n_lo + p.size)
         mean = float(np.sum(n_values * p))
         miss = index_target - mean
         if abs(miss) <= tol * target_mean:
@@ -192,6 +184,8 @@ def solve_scale_ln(
         if abs(step) > cap:
             step = math.copysign(cap, step)
             cap *= 2.0
+        if ln_s + step == ln_s:  # the step is below rounding, so no later one moves
+            return ln_s
         ln_s += step
         if not lo < ln_s < hi:
             ln_s = 0.5 * (lo + hi)

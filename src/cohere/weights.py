@@ -19,8 +19,8 @@ Conventions:
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
     parameter.  _level_window is the one place its terms are formed, as
-    long-double ratio steps out of the peak, and cut: truncation_level and
-    state's level window both read it
+    long-double ratio steps out of the peak, and cut, tail_eps/2 from each
+    end: truncation_level, build_state and the scale solve all read it
   - a scale s is passed as ln_s, keyword-only, with -inf for s = 0
 """
 from __future__ import annotations
@@ -159,24 +159,24 @@ def _geometric_tail(log_term: float, step: float) -> float:
 
 def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, np.ndarray]:
     """(n_lo, p): the norm series' distribution p_n over n_lo..n_hi,
-    normalized there.  One cumulative-tail rule cuts both ends: the levels
-    go whose weight summed from that end is below tail_eps (at most
-    tail_eps at the lower end); for tail_eps >= 1/2 that may leave n_hi alone.
+    normalized there, for tail_eps in (0, 1).  One cumulative-tail rule cuts
+    each end: the levels go whose weight summed from that end is below
+    tail_eps/2 (at most tail_eps/2 at the lower end), so the median stays.
 
     The steps reach out of the leading-order peak n + 1 = alpha s^(2 alpha)
     as far as a Gaussian of variance alpha (n + 1) needs.  They decrease in
     n (ln Gamma is convex), so past an end whose step points outward-down
     the remainder is below a geometric series; the reach doubles until that
-    bound is below e^-6 tail_eps of the largest term at both ends.  A series
+    bound is below e^-6 tail_eps/2 of the largest term at both ends.  A series
     that has not turned over below MAX_TERMS raises DivergentSeriesError.
     """
-    if not (0.0 < tail_eps < 1.0):
-        raise ValueError("tail_eps must lie in (0, 1)")
+    if not 0.0 < tail_eps < 1.0:  # false for nan as well
+        raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
     log_peak = math.log(spec.alpha) + 2.0 * spec.alpha * ln_s
     if not log_peak < math.log(MAX_TERMS):  # false for nan as well
         raise DivergentSeriesError(f"no finite truncation below {MAX_TERMS} terms")
     n0 = max(0, round(math.exp(log_peak)) - 1)
-    log_cut = math.log(tail_eps) - 6.0
+    log_cut = math.log(tail_eps / 2) - 6.0
     # the Gaussian's reach to the cut, 22% wider for skew; capped where alpha (n + 1) fails
     reach = 8 + min(1024, math.ceil(math.sqrt(-3.0 * log_cut * spec.alpha * (n0 + 1))))
     lo = hi = n0
@@ -184,8 +184,6 @@ def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, 
     while True:
         new_lo, new_hi = max(0, n0 - reach), min(n0 + reach, MAX_TERMS - 1)
         fresh = _ratio_steps(spec, ln_s, np.r_[new_lo:lo, hi:new_hi])
-        if np.isnan(fresh).any():
-            raise DivergentSeriesError("non-finite series terms")
         steps = np.concatenate((fresh[: lo - new_lo], steps, fresh[lo - new_lo :]))
         lo, hi, reach = new_lo, new_hi, 2 * reach
         w = np.concatenate(([0], np.cumsum(steps)))  # ln(t_n / t_lo) for n = lo..hi
@@ -197,14 +195,14 @@ def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, 
             raise DivergentSeriesError(f"no finite truncation below {MAX_TERMS} terms")
     p = np.exp(w - w.max())
     p /= p.sum()
-    n_hi = np.count_nonzero(np.cumsum(p[::-1]) >= tail_eps) - 1
-    n_lo = min(np.count_nonzero(np.cumsum(p) <= tail_eps), n_hi)
+    n_hi = np.count_nonzero(np.cumsum(p[::-1]) >= tail_eps / 2) - 1
+    n_lo = min(np.count_nonzero(np.cumsum(p) <= tail_eps / 2), n_hi)
     p = p[n_lo : n_hi + 1]
     return lo + n_lo, (p / p.sum()).astype(float)
 
 
 def truncation_level(spec: WeightSpec, tail_eps: float = DEFAULT_TAIL_EPS, *, ln_s: float) -> int:
-    """Smallest n_max with normalized series weight beyond it below
-    tail_eps, for the scale ln_s (-inf for s = 0)."""
+    """The n_max of build_state's state with the same tail_eps: the last
+    index of the level window at the scale ln_s (-inf for s = 0)."""
     n_lo, p = _level_window(spec, ln_s, tail_eps)
     return n_lo + p.size - 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohere import cli, hydrogen
+from cohere import cli, hydrogen, identity
 from cohere.identity import MAX_LEVELS, standard_verification
 from cohere.position import GridSpec, field_on_grid, read_field_binary
 from cohere.state import (
@@ -145,7 +145,6 @@ CONFIG_CASES = [
     ("verify", "su2-max-two-j=4", {"su2_max_two_j": 4}, cli.EXIT_OK),
     ("verify", "polar-order=32", {"polar_order": 32}, cli.EXIT_OK),
     ("verify", "azimuthal-count=64", {"azimuthal_count": 64}, cli.EXIT_OK),
-    ("verify", "full-tol=1e-7", {"full_tol": 1e-7}, cli.EXIT_OK),
     ("verify", "output=from_config.json", {"output": "from_config.json"}, cli.EXIT_OK),
 ]
 
@@ -234,7 +233,7 @@ class TestConfigDefaults:
         # verify and solve repeat no library default: each is read from its one home
         commands = cli.build_parser().commands
         checks = inspect.signature(standard_verification).parameters
-        for dest in ("n_max", "su2_max_two_j", "polar_order", "azimuthal_count", "full_tol"):
+        for dest in ("n_max", "su2_max_two_j", "polar_order", "azimuthal_count"):
             assert commands["verify"].get_default(dest) == checks[dest].default, dest
         solve = inspect.signature(solve_scale_ln).parameters
         for dest in ("tol", "tail_eps"):
@@ -297,7 +296,6 @@ RANGE_CASES = [
     ("verify", "alpha", "-1"),
     ("verify", "n-max", "0"),
     ("verify", "su2-max-two-j", "-1"),
-    ("verify", "full-tol", "-1"),
 ]
 RANGE_RUNS = [(*case, source) for case in RANGE_CASES for source in ("flag", "config")]
 
@@ -660,10 +658,51 @@ class TestVerify:
         assert cli.main(["verify", "-o", str(report)]) == cli.EXIT_OK
         assert json.loads(report.read_text())["passed"] is True
 
-    def test_missed_tolerance_is_a_numerical_failure(self, tmp_path):
+    def test_missed_tolerance_is_a_numerical_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(identity, "TOLERANCE", 1e-300)
         report = tmp_path / "report.json"
-        assert cli.main(["verify", "--full-tol", "1e-300", "-o", str(report)]) == cli.EXIT_NUMERICAL
+        assert cli.main(["verify", "-o", str(report)]) == cli.EXIT_NUMERICAL
         assert json.loads(report.read_text())["passed"] is False
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_no_tolerance_option(self, tmp_path, capsys, source):
+        # every check holds identity.TOLERANCE; --full-tol is gone
+        report, config = tmp_path / "report.json", tmp_path / "verify.cfg"
+        config.write_text("full-tol=1e-3\n")
+        extra = ["--full-tol", "1e-3"] if source == "flag" else ["--config", str(config)]
+        assert cli.main(["verify", *extra, "-o", str(report)]) == cli.EXIT_USAGE
+        assert ("unrecognized arguments" if source == "flag" else "unknown config key full-tol") \
+            in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_order_past_the_float_range_is_a_numerical_failure(self, tmp_path, capsys):
+        # a subnormal alpha puts (n + 1)/alpha past the float range; the radial
+        # rule divided by a zero step ("float division by zero")
+        report = tmp_path / "report.json"
+        argv = ["verify", "--family", "stretched", "--alpha", "1e-310", "--n-max", "3", "-o", str(report)]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert "alpha=1e-310" in err
+        assert not report.exists()
+
+    def test_smallest_listed_alpha_passes(self, tmp_path):
+        report = tmp_path / "report.json"
+        argv = ["verify", "--family", "stretched", "--alpha", "1e-300", "--n-max", "3", "-o", str(report)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(report.read_text())["passed"] is True
+
+
+class TestUnexpectedErrors:
+    def test_a_fault_outside_the_exit_codes_propagates(self, descriptor, tmp_path, monkeypatch):
+        # usage, numerical and budget failures map to exit codes; any other
+        # exception is a fault in the program and keeps its traceback
+        def faulty(args):
+            raise TypeError("a fault")
+
+        monkeypatch.setattr(cli, "cmd_levels", faulty)
+        with pytest.raises(TypeError, match="a fault"):
+            cli.main(["levels", "--descriptor", str(descriptor), "-o", str(tmp_path / "levels.csv")])
 
 
 class TestAlphaNeedsTheStretchedFamily:

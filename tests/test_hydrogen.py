@@ -120,6 +120,11 @@ class TestRevival:
     def test_ratio_zero_spread(self):
         assert revival_ratio(42.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("mean, spread", [(0.0, 1.0), (4.0, -1.0)])
+    def test_ratio_invalid(self, mean, spread):
+        with pytest.raises(ValueError):
+            revival_ratio(mean, spread)
+
     def test_ratio_sqrt_mean_scaling(self):
         # spread = sqrt(mean) gives 4 pi sqrt(mean) / 3
         for mean in (9.0, 100.0, 160.0):

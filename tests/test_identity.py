@@ -17,8 +17,7 @@ from scipy.integrate import quad
 from cohere import cli, hydrogen, identity
 from cohere.identity import (
     MAX_LEVELS,
-    RADIAL_TOL,
-    SU2_TOL,
+    TOLERANCE,
     InsufficientOrderError,
     _azimuthal_sums,
     _moment_ratio_by_quadrature,
@@ -242,7 +241,7 @@ class TestSphereRule:
         # 2j = 175 is the paper's top level n = 176; the m = +j edge needs
         # the end weights: a rule whose weights were 1e-11 off there (an
         # eigenvalue-based one) missed by 2.2e-12 at 400 nodes
-        assert verify_su2_identity(175 / 2.0, 400, 400) <= SU2_TOL
+        assert verify_su2_identity(175 / 2.0, 400, 400) <= TOLERANCE
 
     @pytest.mark.parametrize("two_j", [0, 1, 6, 10])
     def test_multiplet_resolved_at_exact_order(self, two_j):
@@ -299,7 +298,7 @@ class TestRadialRule:
     def test_moments_hold_at_the_paper_levels(self, spec):
         # every moment of the paper's levels n <= 176; before the integrand
         # was centred on its peak, alpha = 1/32 missed by 1.14e-11 at n = 157
-        assert verify_radial_identity(spec, 176) <= RADIAL_TOL
+        assert verify_radial_identity(spec, 176) <= TOLERANCE
 
     def test_small_alpha_keeps_the_peak_exponent(self):
         # beta = (n+1)/alpha up to 1.1e11: expm1(y) - y cancels like y^2/2, and
@@ -311,6 +310,17 @@ class TestRadialRule:
         # beta up to 1.1e201: expm1(y) - y, even in long double, was 2.2e-10
         # off at alpha = 1e-20, and at 1e-200 the ratio read 8.3
         assert verify_radial_identity(WeightSpec(alpha), 10) <= 1e-13
+
+    @pytest.mark.parametrize("alpha, exponent", [(1e-310, 0.0), (1e-308, 1.0)])
+    def test_order_past_the_float_range_names_alpha(self, alpha, exponent):
+        # beta = (exponent + 1)/alpha is inf: the step h was 0, and the node
+        # count divided by it ("float division by zero")
+        with pytest.raises(ArithmeticError, match=f"alpha={alpha!r}"):
+            _moment_ratio_by_quadrature(WeightSpec(alpha), exponent)
+
+    def test_negative_top_moment_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_radial_identity(WeightSpec.exponential(), -1)
 
     def test_large_alpha_integrates_at_beta_plus_one(self):
         # beta = (n+1)/alpha < 1 decays like e^(beta y) to the left; integrated
@@ -426,6 +436,16 @@ class TestStandardVerification:
     def test_low_polar_order_is_insufficient(self):
         with pytest.raises(InsufficientOrderError):
             standard_verification(polar_order=3)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=["exponential", "stretched"])
+    def test_every_check_holds_the_one_tolerance(self, spec):
+        results = standard_verification(spec, n_max=2, su2_max_two_j=2)
+        assert TOLERANCE == 1e-12
+        assert [r.tolerance for r in results] == [TOLERANCE] * 4
+
+    def test_phase_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="half-width"):
+            gamma_average(0.0, hydrogen.energy(1), hydrogen.energy(2))
 
     def test_one_level_labels_its_finite_window_check(self):
         # one level has no pair of levels for the off-diagonal bound to check

@@ -379,6 +379,11 @@ class TestSphericalHarmonics:
         minus = spherical_harmonic(l, -m, theta, phi)
         assert minus == pytest.approx((-1) ** m * np.conj(plus), rel=1e-13)
 
+    @pytest.mark.parametrize("l_max, m, message", [(3, -1, "nonnegative"), (2, 3, "l_max")])
+    def test_legendre_rows_need_0_le_m_le_l_max(self, l_max, m, message):
+        with pytest.raises(ValueError, match=message):
+            legendre_normalized(l_max, m, 0.5, math.sqrt(0.75))
+
     def test_orthonormal_blocks(self):
         nodes, w = np.polynomial.legendre.leggauss(64)
         for m in (0, 1, 5, 17):

@@ -13,7 +13,6 @@ from cohere import hydrogen, state, weights
 from cohere.hydrogen import _TWO_PI_LD
 from cohere.state import (
     _BLOCK_ELEMENTS,
-    _distribution_window,
     DescriptorError,
     autocorrelation,
     build_state,
@@ -131,9 +130,9 @@ def two_pass_window(alpha, ln_s, tail_eps, around):
 def window_error(alpha, ln_s):
     """max |ln p_n - 50-digit ln p_n| over the level window at tail_eps 1e-12,
     after checking that the window is the reference's."""
-    n_values, p = _distribution_window(WeightSpec.stretched(alpha), ln_s, 1e-12)
-    n_lo, ref = two_pass_window(alpha, ln_s, 1e-12, (int(n_values[0]), int(n_values[-1])))
-    assert (int(n_values[0]), len(n_values)) == (n_lo, len(ref))
+    n_lo, p = state._level_window(WeightSpec.stretched(alpha), ln_s, 1e-12)
+    ref_lo, ref = two_pass_window(alpha, ln_s, 1e-12, (n_lo, n_lo + p.size - 1))
+    assert (n_lo, p.size) == (ref_lo, len(ref))
     with mpmath.workdps(50):
         return max(abs(mpmath.log(mpmath.mpf(x)) - r) for x, r in zip(p.tolist(), ref))
 
@@ -166,7 +165,7 @@ class TestOneScan:
             steps = weights._ratio_steps
             monkeypatch.setattr(weights, "_ratio_steps",
                                 lambda spec, ln_s, n: seen.append(n.tolist()) or steps(spec, ln_s, n))
-            _distribution_window(spec, ln_s, 1e-12)
+            state._level_window(spec, ln_s, 1e-12)
             monkeypatch.undo()
             indices = sum(seen, [])
             assert len(seen) == calls and len(indices) == len(set(indices))
@@ -189,7 +188,7 @@ class TestOneScan:
 class TestOneDistribution:
     def test_the_state_keeps_the_window_p(self, scan_case):
         spec, ln_s = scan_case
-        _, p = _distribution_window(spec, ln_s, DEFAULT_TAIL_EPS)
+        _, p = state._level_window(spec, ln_s, DEFAULT_TAIL_EPS)
         st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
         assert st.coeffs.probabilities.tobytes() == p.tobytes()
 
@@ -254,6 +253,8 @@ class TestSolveScale:
     def test_target_validation(self):
         with pytest.raises(ValueError):
             solve_scale_ln(ALPHA_PAPER, 0.0)
+        with pytest.raises(ValueError, match="principal mean target must exceed 1"):
+            solve_scale_ln(ALPHA_PAPER, 1.0)
         with pytest.raises(ValueError):
             solve_scale_ln(-1.0, 10.0)
 
@@ -295,14 +296,33 @@ class TestSolveContract:
                 assert lns == sorted(lns) and len(set(lns)) == len(lns)
 
     def test_paper_solve_takes_few_windows(self, monkeypatch):
-        from cohere import state
-
         windows = []
-        window = state._distribution_window
-        monkeypatch.setattr(state, "_distribution_window",
+        window = state._level_window
+        monkeypatch.setattr(state, "_level_window",
                             lambda *args: windows.append(args) or window(*args))
         solve_scale_ln(ALPHA_PAPER, 160.0)
         assert 1 <= len(windows) <= 5
+
+    def test_step_below_rounding_returns(self):
+        # Newton nears this root from above, so the bracket has no lower end;
+        # a step below one ulp used to "leave" it and bisect to ln s = -inf,
+        # where the slope is 0, and the solve raised
+        reachable = solve_scale_ln(4.0, 1.0001, tol=1e-18)
+        assert abs(solve_scale_ln(4.0, 1.0001, tol=1e-20) - reachable) <= 1e-15 * abs(reachable)
+
+    def test_collapsed_bracket_returns_its_midpoint(self):
+        # at the revival scan's far corner the root is bracketed from both
+        # sides, and tol = 1e-16 is below the mean's rounding there
+        ln_s = solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-16)
+        assert abs(ln_s - solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-13)) <= 1e-15 * ln_s
+        st = build_state(WeightSpec.stretched(1.0 / 64.0), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
+        assert abs(mean_level(st, principal=True) - 2000.0) <= 1e-13 * 2000.0
+
+    def test_a_window_that_never_moves_does_not_converge(self, monkeypatch):
+        # the cap doubles each step, so 200 steps end at a finite scale
+        monkeypatch.setattr(state, "_level_window", lambda spec, ln_s, tail_eps: (0, np.array([0.5, 0.5])))
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_scale_ln(0.25, 20.0)
 
 
 class TestEvolution:

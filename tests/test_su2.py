@@ -179,6 +179,10 @@ class TestStereographic:
         with pytest.raises(ValueError):
             stereographic(math.pi, 0.0)
 
+    def test_spin_expectation_needs_one_amplitude_per_m(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            spin_expectation(1.0, np.ones(2))
+
     def test_measured_orientation_is_antipodal(self):
         # the spin expectation of |j, zeta(theta, phi)> points along
         # -(sin th cos ph, sin th sin ph, cos th); pinned by measurement

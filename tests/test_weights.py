@@ -16,7 +16,8 @@ from cohere.weights import (
     log_moment,
     truncation_level,
 )
-from cohere.state import _distribution_window
+from cohere.state import build_state
+from cohere.su2 import AngularParams
 
 LN_S_PAPER = math.log(2.209e59)
 
@@ -41,7 +42,7 @@ def series_log_norm(spec: WeightSpec, ln_s: float) -> float:
     """ln N with N^2 sum_n s^{2n} (n+1)^2 / rho_n = 1, read off the level
     window whose tails are cut at 1e-16 each: the series sum is t_n / p_n at
     the window's largest p_n."""
-    n_lo, p = W._level_window(spec, ln_s, 1e-16)
+    n_lo, p = W._level_window(spec, ln_s, 2e-16)
     n = n_lo + int(np.argmax(p))
     power = 2.0 * n * ln_s if n else 0.0  # s = 0 keeps the n = 0 term alone
     log_term = power + 2.0 * math.log(n + 1.0) - log_moment(spec, n)
@@ -91,6 +92,12 @@ class TestLogMoment:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             log_moment(WeightSpec.exponential(), -1)
+
+    def test_moment_past_the_float_range_raises(self):
+        # a subnormal alpha puts (n + 1)/alpha, and so ln Gamma of it, at inf;
+        # numpy only warns of that overflow unless warnings are errors
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            log_moment(WeightSpec(1e-310), 0)
 
     def test_alpha_validation(self):
         for alpha in (0.0, float("inf"), float("nan")):
@@ -166,7 +173,7 @@ class TestNormFactor:
 
     def test_zero_scale(self):
         # s = 0 keeps only the n = 0 term, 1 / rho_0 = 1, with p_0 = 1 exactly
-        n_lo, p = W._level_window(WeightSpec.exponential(), -math.inf, 1e-16)
+        n_lo, p = W._level_window(WeightSpec.exponential(), -math.inf, 2e-16)
         assert n_lo == 0 and p.tobytes() == np.array([1.0]).tobytes()
         assert series_log_norm(WeightSpec.exponential(), -math.inf) == 0.0
 
@@ -188,17 +195,18 @@ class TestNormFactor:
 
     def test_huge_scale_is_finite_and_normalized(self):
         # s ~ 2e59: the level window's p still sums to one
-        _, p = _distribution_window(WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER, 1e-12)
+        _, p = W._level_window(WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER, 1e-12)
         assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_divergent_scale_raises(self):
         with pytest.raises((DivergentSeriesError, OverflowError)):
-            W._level_window(WeightSpec.exponential(), math.log(float("inf")), 1e-16)
+            W._level_window(WeightSpec.exponential(), math.log(float("inf")), 2e-16)
 
 
 def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
-    """Independent cumulative-sum oracle for the truncation level."""
+    """Independent cumulative-sum oracle: the last n whose weight summed
+    from the top is at least tail_eps."""
     n = np.arange(scan)
     log_d = 2 * np.log(n + 1.0)
     if ln_s == -math.inf:
@@ -219,18 +227,38 @@ class TestTruncation:
     def test_matches_brute_force_exponential(self):
         spec = WeightSpec.exponential()
         got = truncation_level(spec, tail_eps=1e-12, ln_s=math.log(4.0))
-        assert got == brute_force_truncation(spec, math.log(4.0), 1e-12)
+        assert got == brute_force_truncation(spec, math.log(4.0), 1e-12 / 2)
 
     def test_matches_brute_force_paper_scale(self):
         spec = WeightSpec.stretched(1.0 / 32.0)
         got = truncation_level(spec, tail_eps=1e-12, ln_s=LN_S_PAPER)
-        assert got == brute_force_truncation(spec, LN_S_PAPER, 1e-12)
+        assert got == brute_force_truncation(spec, LN_S_PAPER, 1e-12 / 2)
         # window centered near index 159 with spread sqrt(5) must cover 150..170
         assert got >= 170
 
     def test_bad_tail_eps(self):
-        with pytest.raises(ValueError):
-            truncation_level(WeightSpec.exponential(), tail_eps=0.0, ln_s=math.log(1.0))
+        for tail_eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"tail_eps must lie in \(0, 1\), got"):
+                truncation_level(WeightSpec.exponential(), tail_eps=tail_eps, ln_s=math.log(1.0))
+
+    @pytest.mark.parametrize("tail_eps", [1e-12, 1e-6, 0.3, 0.99])
+    @pytest.mark.parametrize("ln_s", [math.log(4.0), math.log(10.0), LN_S_PAPER],
+                             ids=["ln4", "ln10", "paper"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.25, 1.0 / 32.0])
+    def test_is_the_built_state_n_max(self, alpha, ln_s, tail_eps):
+        # one tail rule: the state leaves out tail_eps in all, tail_eps/2 from
+        # each end, and truncation_level reads the same window (the two read
+        # 53 and 54 at alpha = 1, s = 4, 1e-12 when it cut tail_eps from each end)
+        spec = WeightSpec(alpha)
+        try:
+            n_max = truncation_level(spec, tail_eps=tail_eps, ln_s=ln_s)
+        except DivergentSeriesError:  # the paper's scale at alpha = 1 and 1/4
+            with pytest.raises(DivergentSeriesError):
+                build_state(spec, 0.0, AngularParams(0.0, 0.0), tail_eps=tail_eps, ln_s=ln_s)
+            assert alpha > 1.0 / 32.0 and ln_s == LN_S_PAPER
+            return
+        state = build_state(spec, 0.0, AngularParams(0.0, 0.0), tail_eps=tail_eps, ln_s=ln_s)
+        assert state.coeffs.n_max == n_max
 
     def test_hard_cap_signals_divergence(self, monkeypatch):
         monkeypatch.setattr(W, "MAX_TERMS", 64)
@@ -243,11 +271,11 @@ class TestTruncation:
 
     @pytest.mark.parametrize("tail_eps", [0.3, 0.5, 0.7, 0.99])
     def test_large_tail_eps_matches_brute_force(self, tail_eps):
-        # from 1/2 on the lower cut could pass the upper one; n_max keeps its meaning
+        # each end cuts tail_eps/2 < 1/2, so the lower cut never passes the upper one
         for spec, ln_s in ((WeightSpec.exponential(), math.log(4.0)),
                            (WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER)):
             got = truncation_level(spec, tail_eps=tail_eps, ln_s=ln_s)
-            assert got == brute_force_truncation(spec, ln_s, tail_eps)
+            assert got == brute_force_truncation(spec, ln_s, tail_eps / 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
