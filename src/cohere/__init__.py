@@ -9,28 +9,15 @@ Subpackages by concern:
   position  wavefunctions in space, planar fields, orbit expectations
   identity  numerical resolution-of-identity verification
   cli       command-line interface
-
-COHERE_THREADS, when set, is the default for OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS and MKL_NUM_THREADS.  The BLAS libraries read those
-once, when numpy loads, so they are set here, before any submodule
-imports numpy.
 """
-import os as _os
-
-if _os.environ.get("COHERE_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["COHERE_THREADS"])
-
 from cohere.weights import (
     WeightSpec,
     log_moment,
-    truncation_level,
 )
 from cohere.su2 import (
     AngularParams,
     su2_amplitudes,
     stereographic,
-    so4_to_spherical,
 )
 from cohere.hydrogen import (
     energy,

@@ -13,9 +13,6 @@ parse or that the weight or angular parameters reject) is a usage error
 naming the file; a failure while the state is built from valid
 parameters is numerical.
 
-Environment: COHERE_THREADS caps the linear-algebra thread pools (it is
-applied when the cohere package is first imported, before numpy loads).
-
 One parse reads every option value: COHERE_GRID_BUDGET as grid's --budget
 flag, then each line of the --config file as a flag, then the command
 line.  The last value read wins, so a flag beats the config, the
@@ -248,7 +245,7 @@ def cmd_solve(args) -> int:
         angular = ellipse_to_angular(args.eccentricity)
     else:
         angular = AngularParams(0.0, 0.0)
-    state = build_state(WeightSpec.stretched(args.alpha), args.gamma, angular,
+    state = build_state(WeightSpec(args.alpha), args.gamma, angular,
                         tail_eps=args.tail_eps, ln_s=ln_s)
     mean = mean_level(state, principal=True)
     spread = level_spread(state)

@@ -35,7 +35,7 @@ clamped at 0, so 0 means every entry sits inside the envelope.  That
 excess is never positive: the pair's largest entry is r |sinc x| max|S|^2
 at x = Gamma |e_a - e_b|, |sinc x| <= 1/|x|, and r max|S|^2 < 1 (0.79 for
 the exponential weight).  So 0.000e+00 is the only value the check can
-report; a phase-average check that can fail is ROADMAP.md item 4.
+report; a phase-average check that can fail is ROADMAP.md item 7.
 """
 from __future__ import annotations
 
@@ -215,10 +215,26 @@ def _radial_factor(spec: WeightSpec, n_a: int, n_b: int) -> float:
     ratio times n_a n_b Gamma(m/alpha) / sqrt(Gamma(n_a/alpha) Gamma(n_b/alpha)):
     the 1/alpha factors cancel before they are formed, and on the diagonal
     the Gamma quotient is exactly 1, so r = ratio n^2 keeps the ratio's
-    every bit however large ln Gamma(n/alpha) is."""
+    every bit however large ln Gamma(n/alpha) is.
+
+    Off the diagonal, with x = n/alpha and x_m = (x_a + x_b)/2, Stirling's
+    series makes the log quotient -(x_a - 1/2) ln(x_a/x_m)/2
+    - (x_b - 1/2) ln(x_b/x_m)/2 plus the _stirling_tail differences, where
+    x_a/x_m = 2 n_a/(n_a + n_b): no terms of size x ln x cancel, and
+    nothing overflows while x is finite.  Below _STIRLING_MIN it is a
+    difference of math.lgamma values."""
     a, mid = spec.alpha, (n_a + n_b) / 2.0
-    quotient = math.lgamma(mid / a) - 0.5 * (math.lgamma(n_a / a) + math.lgamma(n_b / a))
-    return _moment_ratio_by_quadrature(spec, mid - 1.0) * n_a * n_b * math.exp(quotient)
+    ratio = _moment_ratio_by_quadrature(spec, mid - 1.0) * n_a * n_b
+    if n_a == n_b:
+        return ratio
+    x_a, x_b, x_m = n_a / a, n_b / a, mid / a
+    if min(x_a, x_b) < _STIRLING_MIN:
+        quotient = math.lgamma(x_m) - 0.5 * (math.lgamma(x_a) + math.lgamma(x_b))
+    else:
+        d = (n_a - n_b) / (n_a + n_b)
+        quotient = (-0.5 * ((x_a - 0.5) * math.log1p(d) + (x_b - 0.5) * math.log1p(-d))
+                    + _stirling_tail(x_m) - 0.5 * (_stirling_tail(x_a) + _stirling_tail(x_b)))
+    return ratio * math.exp(quotient)
 
 
 def full_identity_matrix(
@@ -304,7 +320,7 @@ def report_text(results: list[CheckResult]) -> str:
 
 
 def standard_verification(
-    spec: WeightSpec = WeightSpec.exponential(),
+    spec: WeightSpec = WeightSpec(1.0),
     n_max: int = 3,
     su2_max_two_j: int = 10,
     polar_order: int = 24,
@@ -321,7 +337,7 @@ def standard_verification(
     and reports its excess over the envelope clamped at 0.  Since
     |sinc x| <= 1/|x| and r max|S|^2 = 0.79 < 1 there (exponential weight),
     that excess is never positive and the check can only report 0; see the
-    module docstring and ROADMAP.md item 4."""
+    module docstring and ROADMAP.md item 7."""
     if n_max < 1:
         raise ValueError("need at least one level")
 

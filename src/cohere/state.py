@@ -161,7 +161,7 @@ def solve_scale_ln(
         raise ValueError("a principal mean target must exceed 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    spec = WeightSpec.stretched(alpha)
+    spec = WeightSpec(alpha)
     index_target = target_mean - (1.0 if principal else 0.0)
 
     ln_s = math.log(max(index_target, target_mean / 4.0) / alpha) / (2.0 * alpha)
@@ -328,9 +328,9 @@ def read_descriptor(path) -> CoherentState:
         entries = parse_descriptor(path)
         family = entries["family"]
         if family == "exponential":  # any alpha line is ignored
-            weight = WeightSpec.exponential()
+            weight = WeightSpec(1.0)
         elif family == "stretched_exponential":
-            weight = WeightSpec.stretched(float(entries["alpha"]))
+            weight = WeightSpec(float(entries["alpha"]))
         else:
             raise ValueError(f"unknown weight family {family!r} (supported: exponential, stretched_exponential)")
         angular = AngularParams(

