@@ -8,10 +8,10 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 budget
 refusal, also for a request whose arrays cannot be allocated.  A path
 that cannot be opened (missing, a directory, not permitted) is a usage
 error naming it.  A --descriptor file that cannot be read as a state (a
-malformed line, a missing key, an unknown family, a value that does not
-parse or that the weight or angular parameters reject) is a usage error
-naming the file; a failure while the state is built from valid
-parameters is numerical.
+malformed line, a missing key, an unknown family, an alpha other than 1
+under family=exponential, a value that does not parse or that the weight
+or angular parameters reject) is a usage error naming the file; a
+failure while the state is built from valid parameters is numerical.
 
 One parse reads every option value: COHERE_GRID_BUDGET as grid's --budget
 flag, then each line of the --config file as a flag, then the command
@@ -247,7 +247,7 @@ def cmd_solve(args) -> int:
         angular = AngularParams(0.0, 0.0)
     state = build_state(WeightSpec(args.alpha), args.gamma, angular,
                         tail_eps=args.tail_eps, ln_s=ln_s)
-    mean = mean_level(state, principal=True)
+    mean = mean_level(state)
     spread = level_spread(state)
     t_revival = hydrogen.revival_time(mean)
     ratio = hydrogen.revival_ratio(mean, spread)
@@ -268,7 +268,7 @@ def cmd_autocorr(args) -> int:
     from cohere.state import autocorrelation, mean_level, read_descriptor, write_trace_csv
 
     state = read_descriptor(args.descriptor)
-    t_revival = hydrogen.revival_time(mean_level(state, principal=True))
+    t_revival = hydrogen.revival_time(mean_level(state))
     if args.t_end is None:
         args.t_end = 1.1 * t_revival
     if not args.t_start < args.t_end:
@@ -310,7 +310,7 @@ def cmd_grid(args) -> int:
     if args.times is not None:
         schedule = [(f"t{i}", float(v)) for i, v in enumerate(args.times.split(","))]
     else:
-        t_revival = hydrogen.revival_time(mean_level(state, principal=True))
+        t_revival = hydrogen.revival_time(mean_level(state))
         schedule = hydrogen.fractional_revival_times(t_revival)
 
     write = write_field_csv if args.format == "csv" else write_field_binary

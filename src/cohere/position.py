@@ -388,9 +388,9 @@ def _spin_expectations(state: CoherentState) -> tuple[np.ndarray, np.ndarray]:
 
     Level n carries spins j = (n-1)/2 whose expectations are j times a
     direction that does not depend on j, so each average is the mean j,
-    half the mean summation index, times that direction.
+    (<n> - 1)/2, times that direction.
     """
-    mean_j = mean_level(state) / 2.0
+    mean_j = (mean_level(state) - 1.0) / 2.0
     return (mean_j * _spin_direction(state.angular.zeta1),
             mean_j * _spin_direction(state.angular.zeta2))
 

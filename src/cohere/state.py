@@ -4,18 +4,19 @@ A state is fixed by a weight function, a nonnegative scale s (passed as
 ln_s, -inf for s = 0), a phase parameter gamma, and the two angular
 parameters.  Its spectral side is
 
-    c_n  propto  s^n * exp(-i gamma e_{n+1}) * (n+1) / sqrt(rho_n)
+    c_n  propto  s^(n-1) * exp(-i gamma e_n) * n / sqrt(rho_(n-1))
 
-where n is the 0-based summation index, the principal quantum number is
-n+1, and the factor (n+1) is the square root of the level multiplicity
-(n+1)^2.  The window's log terms are normalized in log space before
-p_n = |c_n|^2 is formed, so the extreme scales cancel before anything is
-exponentiated; a state keeps p_n and the phases, and c_n = sqrt(p_n)
-exp(i phase_n).
+over the principal quantum numbers n = 1, 2, ..., where the factor n is
+the square root of the level multiplicity n^2.  Every level here is
+labelled by n: the paper's summation index n - 1 lives in cohere.weights
+alone, whose level window hands out principal levels.  The window's log
+terms are normalized in log space before p_n = |c_n|^2 is formed, so the
+extreme scales cancel before anything is exponentiated; a state keeps p_n
+and the phases, and c_n = sqrt(p_n) exp(i phase_n).
 
 Time evolution is closure under a shift of gamma: the state at time t has
-gamma + t, every coefficient picking up exp(-i e_{n+1} t).  Phase products
-like t * e_{n+1} are reduced mod 2 pi in extended precision by
+gamma + t, every coefficient picking up exp(-i e_n t).  Phase products
+like t * e_n are reduced mod 2 pi in extended precision by
 hydrogen.reduced_phases, which serves state assembly, evolution, the
 autocorrelation, the planar field and the spin phases of cohere.su2.
 
@@ -36,7 +37,7 @@ from cohere import hydrogen
 from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
 # truncation_level is bound here for bench/spans.py, which wraps it
-from cohere.weights import DEFAULT_TAIL_EPS, WeightSpec, _level_window, truncation_level
+from cohere.weights import DEFAULT_TAIL_EPS, WeightSpec, _level_moments, _level_window, truncation_level
 
 # Elements (times x levels) per autocorrelation block.  Its temporaries,
 # a 1 MB long-double product and 512 kB float64 arrays, stay in cache.
@@ -46,24 +47,16 @@ _BLOCK_ELEMENTS = 2**16
 @dataclass(frozen=True)
 class SpectralCoefficients:
     """The level distribution p_n and the phases over the contiguous
-    summation-index window n_min..n_max; c_n = sqrt(p_n) exp(i phase_n)."""
+    principal levels n_lo, n_lo + 1, ...; c_n = sqrt(p_n) exp(i phase_n)."""
 
-    n_min: int
+    n_lo: int
     probabilities: np.ndarray
     phase: np.ndarray
 
     @property
-    def n_max(self) -> int:
-        return self.n_min + self.probabilities.size - 1
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1)
-
-    @property
     def levels(self) -> np.ndarray:
-        """Principal quantum numbers (index + 1)."""
-        return self.indices + 1
+        """The principal quantum numbers, one per probability."""
+        return np.arange(self.n_lo, self.n_lo + self.probabilities.size)
 
     @property
     def values(self) -> np.ndarray:
@@ -105,8 +98,8 @@ def build_state(
     """Assemble the normalized state of scale ln_s (-inf for s = 0) over
     its level window, which leaves out tail_eps of the weight."""
     n_lo, p = _level_window(weight, ln_s, tail_eps)
-    phase = reduced_phases(-gamma, hydrogen.energy(np.arange(n_lo + 1, n_lo + p.size + 1)))
-    coeffs = SpectralCoefficients(n_min=n_lo, probabilities=p, phase=phase)
+    phase = reduced_phases(-gamma, hydrogen.energy(np.arange(n_lo, n_lo + p.size)))
+    coeffs = SpectralCoefficients(n_lo=n_lo, probabilities=p, phase=phase)
     return CoherentState(
         weight=weight,
         ln_s=ln_s,
@@ -117,19 +110,15 @@ def build_state(
     )
 
 
-def mean_level(state: CoherentState, principal: bool = False) -> float:
-    """Mean of the summation index (or of the principal number)."""
-    p = state.coeffs.probabilities
-    mean = float(np.sum(state.coeffs.indices * p))
-    return mean + 1.0 if principal else mean
+def mean_level(state: CoherentState) -> float:
+    """<n>: the mean principal quantum number."""
+    return _level_moments(state.coeffs.n_lo, state.coeffs.probabilities)[0]
 
 
 def level_spread(state: CoherentState) -> float:
-    """Standard deviation of the level distribution (index convention
-    irrelevant: a unit shift leaves the spread unchanged), from the
-    two-pass sum of (n - <n>)^2 p_n."""
-    c = state.coeffs
-    return math.sqrt(float(np.sum((c.indices - mean_level(state)) ** 2 * c.probabilities)))
+    """Standard deviation of the principal level, from the two-pass sum of
+    (n - <n>)^2 p_n."""
+    return math.sqrt(_level_moments(state.coeffs.n_lo, state.coeffs.probabilities)[1])
 
 
 def solve_scale_ln(
@@ -137,40 +126,33 @@ def solve_scale_ln(
     target_mean: float,
     tol: float = 1e-9,
     tail_eps: float = DEFAULT_TAIL_EPS,
-    principal: bool = True,
 ) -> float:
-    """ln s such that the exact mean level hits target_mean within tol
-    (relative).
+    """ln s such that the mean principal number <n> hits target_mean > 1
+    within tol (relative).
 
-    The target is the principal mean by default; pass principal=False to
-    aim the summation-index mean instead (the only meaningful reading for
-    targets below 1).  Seeded by inverting the leading-order mean, then
-    refined by safeguarded Newton steps in ln s.  Since ln p_n = 2n ln s +
-    (terms free of s) - ln Z, the mean's slope d<n>/d ln s is exactly
-    2 Var(n), read off the same level window.  Each evaluation narrows a
-    bracket around the root (the mean grows with the scale).  A step is
-    cut to a cap of 0.5 that doubles each time it binds, so a far seed
-    walks out geometrically instead of jumping to a scale whose series
-    cannot be summed; a step that would leave the bracket bisects it.  If
-    rounding stops the solve before tol is met, it returns ln s once a step
-    no longer moves it, or the midpoint of a collapsed bracket.
+    Seeded by inverting the leading-order mean, alpha s^(2 alpha) = <n> - 1
+    (at least <n>/4 near the ground state), then refined by safeguarded
+    Newton steps in ln s.  Since p_n = s^(2n) g_n / Z(s) with g_n free of s,
+    the mean's slope d<n>/d ln s is exactly 2 Var(n), read off the same
+    level window.  Each evaluation narrows a bracket around the root (the
+    mean grows with the scale).  A step is cut to a cap of 0.5 that doubles
+    each time it binds, so a far seed walks out geometrically instead of
+    jumping to a scale whose series cannot be summed; a step that would
+    leave the bracket bisects it.  If rounding stops the solve before tol
+    is met, it returns ln s once a step no longer moves it, or the midpoint
+    of a collapsed bracket.
     """
-    if target_mean <= 0:
-        raise ValueError("target mean must be positive")
-    if principal and target_mean <= 1.0:
+    if not target_mean > 1.0:  # false for nan as well
         raise ValueError("a principal mean target must exceed 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     spec = WeightSpec(alpha)
-    index_target = target_mean - (1.0 if principal else 0.0)
 
-    ln_s = math.log(max(index_target, target_mean / 4.0) / alpha) / (2.0 * alpha)
+    ln_s = math.log(max(target_mean - 1.0, target_mean / 4.0) / alpha) / (2.0 * alpha)
     lo, hi, cap = -math.inf, math.inf, 0.5
     for _ in range(200):
-        n_lo, p = _level_window(spec, ln_s, tail_eps)
-        n_values = np.arange(n_lo, n_lo + p.size)
-        mean = float(np.sum(n_values * p))
-        miss = index_target - mean
+        mean, var = _level_moments(*_level_window(spec, ln_s, tail_eps))
+        miss = target_mean - mean
         if abs(miss) <= tol * target_mean:
             return ln_s
         if miss > 0:
@@ -179,8 +161,7 @@ def solve_scale_ln(
             hi = ln_s
         if hi - lo < 1e-15 * max(1.0, abs(hi)):
             return 0.5 * (lo + hi)
-        slope = 2.0 * float(np.sum((n_values - mean) ** 2 * p))
-        step = miss / slope if slope > 0 else math.copysign(math.inf, miss)
+        step = miss / (2.0 * var) if var > 0 else math.copysign(math.inf, miss)
         if abs(step) > cap:
             step = math.copysign(cap, step)
             cap *= 2.0
@@ -194,7 +175,7 @@ def solve_scale_ln(
 
 def evolve(state: CoherentState, t: float) -> CoherentState:
     """The state at time t: gamma shifts by t, coefficient n picks up
-    exp(-i e_{n+1} t)."""
+    exp(-i e_n t)."""
     extra = reduced_phases(-t, state.level_energies)
     new_phase = np.mod(state.coeffs.phase + extra, 2.0 * np.pi)
     return replace(
@@ -205,7 +186,7 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
 
 
 def autocorrelation(state: CoherentState, t) -> complex | np.ndarray:
-    """<state(0)|state(t)> = sum_n p_n exp(-i e_{n+1} t).
+    """<state(0)|state(t)> = sum_n p_n exp(-i e_n t).
 
     The angular factors cancel because evolution only shifts gamma.
     Accepts a scalar t or an array of times.
@@ -237,13 +218,12 @@ def overlap(a: CoherentState, b: CoherentState) -> complex:
     states must share the weight function exp(-u**alpha)."""
     if a.weight != b.weight:
         raise ValueError("states must share a weight function")
-    n = np.arange(max(a.coeffs.n_min, b.coeffs.n_min), min(a.coeffs.n_max, b.coeffs.n_max) + 1)
-    j = n / 2.0  # level n+1 carries two spins of j = n/2
+    in_a, in_b = np.isin(a.coeffs.levels, b.coeffs.levels), np.isin(b.coeffs.levels, a.coeffs.levels)
+    j = (a.coeffs.levels[in_a] - 1) / 2.0  # level n carries two spins of j = (n-1)/2
     ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(
         j, a.angular.zeta2, b.angular.zeta2
     )
-    c_a, c_b = a.coeffs.values[n - a.coeffs.n_min], b.coeffs.values[n - b.coeffs.n_min]
-    return complex(np.sum(np.conj(c_a) * c_b * ang))
+    return complex(np.sum(np.conj(a.coeffs.values[in_a]) * b.coeffs.values[in_b] * ang))
 
 
 # --- descriptor serialization -------------------------------------------
@@ -318,16 +298,18 @@ def read_descriptor(path) -> CoherentState:
     from the parameters.  Keys outside the schema, such as the c<n>=
     coefficient lines of older files, are ignored.
 
-    A malformed line, a missing key, an unknown family, a non-finite
-    value (other than ln_s = -inf), a tail_eps outside (0, 1), or a value
-    that does not parse or that WeightSpec or AngularParams rejects raises
-    DescriptorError naming the file; failures of build_state itself
-    propagate as they are.
+    A malformed line, a missing key, an unknown family, an alpha other
+    than 1 under family=exponential, a non-finite value (other than
+    ln_s = -inf), a tail_eps outside (0, 1), or a value that does not parse
+    or that WeightSpec or AngularParams rejects raises DescriptorError
+    naming the file; failures of build_state itself propagate as they are.
     """
     try:
         entries = parse_descriptor(path)
         family = entries["family"]
-        if family == "exponential":  # any alpha line is ignored
+        if family == "exponential":  # alpha = 1, which an alpha line may repeat
+            if float(entries.get("alpha", 1.0)) != 1.0:
+                raise ValueError(f"alpha={entries['alpha']} conflicts with family=exponential (alpha=1)")
             weight = WeightSpec(1.0)
         elif family == "stretched_exponential":
             weight = WeightSpec(float(entries["alpha"]))

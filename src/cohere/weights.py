@@ -22,6 +22,9 @@ Conventions:
     parameter.  _level_window is the one place its terms are formed, as
     long-double ratio steps out of the peak, and cut, tail_eps/2 from each
     end: truncation_level, build_state and the scale solve all read it
+  - the index is this module's alone: _ratio_steps, _level_window and
+    _level_moments step over it, and they hand out the principal quantum
+    number n + 1 of each term, the one level label outside this module
   - a scale s is passed as ln_s, keyword-only, with -inf for s = 0
 """
 from __future__ import annotations
@@ -151,8 +154,9 @@ def _geometric_tail(log_term: float, step: float) -> float:
 
 
 def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, np.ndarray]:
-    """(n_lo, p): the norm series' distribution p_n over n_lo..n_hi,
-    normalized there, for tail_eps in (0, 1).  One cumulative-tail rule cuts
+    """(n_lo, p): the norm series' distribution p over the principal levels
+    n_lo, n_lo + 1, ..., normalized there, for tail_eps in (0, 1); the term
+    of summation index n is level n + 1.  One cumulative-tail rule cuts
     each end: the levels go whose weight summed from that end is below
     tail_eps/2 (at most tail_eps/2 at the lower end), so the median stays.
 
@@ -188,14 +192,24 @@ def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, 
             raise DivergentSeriesError(f"no finite truncation below {MAX_TERMS} terms")
     p = np.exp(w - w.max())
     p /= p.sum()
-    n_hi = np.count_nonzero(np.cumsum(p[::-1]) >= tail_eps / 2) - 1
-    n_lo = min(np.count_nonzero(np.cumsum(p) <= tail_eps / 2), n_hi)
-    p = p[n_lo : n_hi + 1]
-    return lo + n_lo, (p / p.sum()).astype(float)
+    last = np.count_nonzero(np.cumsum(p[::-1]) >= tail_eps / 2) - 1
+    first = min(np.count_nonzero(np.cumsum(p) <= tail_eps / 2), last)
+    p = p[first : last + 1]
+    return lo + first + 1, (p / p.sum()).astype(float)
+
+
+def _level_moments(n_lo: int, p: np.ndarray) -> tuple[float, float]:
+    """(<n>, Var n) of the distribution p over the principal levels n_lo,
+    n_lo + 1, ...: two-pass sums over the series' index n - 1, with the
+    mean shifted by 1 last.  These sums fix the last bits of every <n>,
+    spread and solved ln s that the package reports."""
+    index = np.arange(n_lo - 1, n_lo - 1 + p.size)
+    mean = float(np.sum(index * p))
+    return mean + 1.0, float(np.sum((index - mean) ** 2 * p))
 
 
 def truncation_level(spec: WeightSpec, tail_eps: float = DEFAULT_TAIL_EPS, *, ln_s: float) -> int:
-    """The n_max of build_state's state with the same tail_eps: the last
-    index of the level window at the scale ln_s (-inf for s = 0)."""
+    """The top principal level of the window at the scale ln_s (-inf for
+    s = 0): build_state(...).coeffs.levels[-1] at the same tail_eps."""
     n_lo, p = _level_window(spec, ln_s, tail_eps)
     return n_lo + p.size - 1

@@ -503,6 +503,8 @@ class TestDescriptorFaults:
         (lambda text: text.replace("stretched_exponential", "tabulated"), cli.EXIT_USAGE,
          "exponential, stretched_exponential"),
         (lambda text: text.replace("stretched_exponential", "foo"), cli.EXIT_USAGE, "'foo'"),
+        (lambda text: text.replace("stretched_exponential", "exponential"), cli.EXIT_USAGE,
+         "alpha=0.25 conflicts with family=exponential"),
         (lambda text: text.replace("alpha=", "alpha=x"), cli.EXIT_USAGE, "x0.25"),
         (lambda text: text.replace("alpha=0.25", "alpha=0"), cli.EXIT_USAGE, "alpha"),
         (lambda text: text.replace("zeta1_re=0", "zeta1_re=inf"), cli.EXIT_USAGE, "finite"),
@@ -515,7 +517,7 @@ class TestDescriptorFaults:
         (lambda text: re.sub(r"tail_eps=.*", "tail_eps=0", text), cli.EXIT_USAGE, "tail_eps=0"),
         # parameters that read cleanly but cannot build a state stay numerical failures
         (lambda text: re.sub(r"ln_s=.*", "ln_s=1e3", text), cli.EXIT_NUMERICAL, "truncation"),
-    ], ids=["missing-key", "malformed-line", "tabulated", "unknown-family", "non-numeric",
+    ], ids=["missing-key", "malformed-line", "tabulated", "unknown-family", "exponential-alpha", "non-numeric",
             "rejected-alpha", "rejected-zeta", "nan-gamma", "inf-ln-s", "inf-alpha",
             "nan-tail-eps", "tail-eps-above-1", "zero-tail-eps", "build-failure"])
     def test_exit_status_names_the_file(self, descriptor, tmp_path, capsys, command, edit,
@@ -585,7 +587,7 @@ class TestConfigReader:
 
 class TestAutocorrRefinement:
     def test_windows_stop_at_t_end(self, descriptor, tmp_path):
-        t_revival = hydrogen.revival_time(mean_level(read_descriptor(descriptor), principal=True))
+        t_revival = hydrogen.revival_time(mean_level(read_descriptor(descriptor)))
         argv = autocorr_argv(descriptor, tmp_path, "--t-end", "%.17g" % t_revival,
                              "--samples", "11", "--refine-near-revivals", "5")
         assert cli.main(argv) == cli.EXIT_OK
@@ -598,7 +600,7 @@ class TestAutocorrRefinement:
         assert set(window[window <= t_revival]) <= set(times)
 
     def test_windows_stop_at_t_start(self, descriptor, tmp_path):
-        t_revival = hydrogen.revival_time(mean_level(read_descriptor(descriptor), principal=True))
+        t_revival = hydrogen.revival_time(mean_level(read_descriptor(descriptor)))
         t_start = 0.2 * t_revival  # the first fractional revival, T_r / 5
         argv = autocorr_argv(descriptor, tmp_path, "--t-start", "%.17g" % t_start,
                              "--t-end", "%.17g" % (0.22 * t_revival),
@@ -785,7 +787,7 @@ class TestGridBinary:
         assert cli.main(argv) == cli.EXIT_OK
         state = read_descriptor(descriptor)
         schedule = hydrogen.fractional_revival_times(
-            hydrogen.revival_time(mean_level(state, principal=True)))
+            hydrogen.revival_time(mean_level(state)))
         names = ["0", "Tr_over_5", "Tr_over_4", "Tr_over_3", "Tr_over_2", "Tr"]
         assert [label for label, _ in schedule] == ["0", "Tr/5", "Tr/4", "Tr/3", "Tr/2", "Tr"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"frame_{n}.bin" for n in names)

@@ -485,7 +485,7 @@ class TestPlanarField:
     def test_frames_match_dense_oracle(self, orbit):
         st = small_orbit_state(orbit)
         assert int(st.coeffs.levels.max()) <= 10
-        t_revival = hydrogen.revival_time(mean_level(st, principal=True))
+        t_revival = hydrogen.revival_time(mean_level(st))
         times = [0.0, t_revival / 5, t_revival,
                  float(np.random.default_rng(3).uniform(0.0, t_revival))]
         grid = GridSpec(width=80.0, samples=41)
@@ -507,7 +507,7 @@ class TestPlanarField:
         # nearly orthogonal spins: T_l(s) falls like 2**-l, and unscaled Clenshaw
         # weights overflowed past l ~ 1024.  Levels 1098..1100 against the sum over
         # m (measured 2.8e-19 and 2.1e-15 of the peak)
-        coeffs = SpectralCoefficients(n_min=1097, probabilities=np.array([0.25, 0.5, 0.25]),
+        coeffs = SpectralCoefficients(n_lo=1098, probabilities=np.array([0.25, 0.5, 0.25]),
                                       phase=np.array([0.0, 1.0, 2.0]))
         st = dataclasses.replace(small_orbit_state(0.385), angular=orbit, coeffs=coeffs)
         grid = GridSpec(width=3e6, samples=5)
@@ -859,7 +859,7 @@ class TestPaperScale:
         # survives: <x> averages to -(3/2) eps sum_n p_n n(n - 1)
         n = paper_state.coeffs.levels
         reference = -1.5 * 0.385 * np.sum(paper_state.coeffs.probabilities * n * (n - 1.0))
-        period = 2.0 * math.pi * mean_level(paper_state, principal=True) ** 3
+        period = 2.0 * math.pi * mean_level(paper_state) ** 3
         times = np.random.default_rng(7).uniform(0.0, 50.0 * period, 256)
         x = position_trace(paper_state, times)[:, 0]
         standard_error = np.std(x, ddof=1) / math.sqrt(x.size)
@@ -867,7 +867,7 @@ class TestPaperScale:
         assert abs(np.mean(x) - reference) <= 4.0 * standard_error
 
     def test_trace_norm_and_initial_mirror(self, paper_state):
-        mean = mean_level(paper_state, principal=True)
+        mean = mean_level(paper_state)
         period = 2.0 * math.pi * mean**3
         times = [0.0, *np.random.default_rng(7).uniform(0.0, period, 64)]
         rows = position_trace(paper_state, times)

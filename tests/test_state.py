@@ -1,4 +1,5 @@
 """State assembly, level statistics, dynamics, serialization."""
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from cohere.hydrogen import _TWO_PI_LD
 from cohere.state import (
     _BLOCK_ELEMENTS,
     DescriptorError,
+    SpectralCoefficients,
     autocorrelation,
     build_state,
     evolve,
@@ -56,28 +58,29 @@ def paper_state():
 class TestBuild:
     def test_zero_scale_is_ground_state(self):
         st = build_state(WeightSpec(1.0), 0.7, AngularParams(0.2, 0.1j), ln_s=-math.inf)
-        assert st.coeffs.n_min == st.coeffs.n_max == 0
+        assert st.coeffs.n_lo == 1 and st.coeffs.levels.tolist() == [1]
+        assert weights.truncation_level(WeightSpec(1.0), ln_s=-math.inf) == 1
         assert st.coeffs.probabilities[0] == pytest.approx(1.0, abs=1e-15)
-        assert mean_level(st) == 0.0
+        assert mean_level(st) == 1.0
         assert level_spread(st) == 0.0
         assert st.s == 0.0
 
     def test_unit_scale_distribution(self):
-        # p_n = (n+1)^2 / n! / (5e) at s^2 = 1
+        # p_n = n^2 / (n-1)! / (5e) at s^2 = 1
         st = build_state(WeightSpec(1.0), 0.0, AngularParams(0.0, 0.0), ln_s=math.log(1.0))
         p = st.coeffs.probabilities
-        n = st.coeffs.indices
-        expected = (n + 1.0) ** 2 / np.array([math.factorial(int(k)) for k in n]) / (5 * math.e)
+        n = st.coeffs.levels
+        expected = n**2.0 / np.array([math.factorial(int(k) - 1) for k in n]) / (5 * math.e)
         np.testing.assert_allclose(p, expected, rtol=1e-12)
 
     def test_paper_state_statistics(self, paper_state):
-        assert abs(mean_level(paper_state, principal=True) - 160.0) < 0.01
+        assert abs(mean_level(paper_state) - 160.0) < 0.01
         assert abs(level_spread(paper_state) - math.sqrt(5.0)) / math.sqrt(5.0) < 0.02
 
     def test_distribution_sums_to_one(self, paper_state):
         coeffs = paper_state.coeffs
         assert coeffs.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
-        assert coeffs.levels[0] == coeffs.n_min + 1
+        assert coeffs.levels[0] == coeffs.n_lo
 
     def test_paper_window_is_levels_144_to_176(self, paper_state):
         np.testing.assert_array_equal(paper_state.coeffs.levels, np.arange(144, 177))
@@ -104,22 +107,23 @@ class TestBuild:
 
 def two_pass_window(alpha, ln_s, tail_eps, around):
     """50-digit reference window and its ln p_n.  A first pass sums the
-    terms s^{2n} (n+1)^2 / rho_n over the levels around = (n_lo, n_hi),
-    widened by the window's width on each side (clipped at 0), and cuts each
-    end by the package's rule: the levels go whose weight, summed from that
-    end, is below tail_eps/2 (at most tail_eps/2 at the lower end).  The
-    second normalizes the terms over the window that is left."""
+    terms s^{2(n-1)} n^2 / rho_{n-1} over the principal levels around =
+    (n_lo, n_hi), widened by the window's width on each side (clipped at 1),
+    and cuts each end by the package's rule: the levels go whose weight,
+    summed from that end, is below tail_eps/2 (at most tail_eps/2 at the
+    lower end).  The second normalizes the terms over the window that is
+    left."""
     width = around[1] - around[0] + 1
-    lo, hi = max(0, around[0] - width), around[1] + width
+    lo, hi = max(1, around[0] - width), around[1] + width
     with mpmath.workdps(50):
         a, ls = mpmath.mpf(alpha), mpmath.mpf(ln_s)
-        log_t = [2 * n * ls + 2 * mpmath.log(n + 1) + mpmath.log(a) - mpmath.loggamma((n + 1) / a)
+        log_t = [2 * (n - 1) * ls + 2 * mpmath.log(n) + mpmath.log(a) - mpmath.loggamma(n / a)
                  for n in range(lo, hi + 1)]
         top = max(log_t)
         t = [mpmath.exp(x - top) for x in log_t]
         total = mpmath.fsum(t)
         # the widened range holds the whole series to far below tail_eps
-        assert (lo == 0 or t[0] < 1e-30 * total) and t[-1] < 1e-30 * total
+        assert (lo == 1 or t[0] < 1e-30 * total) and t[-1] < 1e-30 * total
         cut = mpmath.mpf(tail_eps) / 2 * total
         keep = [i for i in range(len(t)) if mpmath.fsum(t[: i + 1]) > cut and mpmath.fsum(t[i:]) >= cut]
         first, last = keep[0], keep[-1]
@@ -197,21 +201,21 @@ class TestOneDistribution:
         st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
         with mpmath.workdps(50):
             terms = [(mpmath.mpf(int(n)), mpmath.mpf(float(p)))
-                     for n, p in zip(st.coeffs.indices, st.coeffs.probabilities)]
+                     for n, p in zip(st.coeffs.levels, st.coeffs.probabilities)]
             mean = mpmath.fsum(n * p for n, p in terms)
             ref = float(mpmath.sqrt(mpmath.fsum((n - mean) ** 2 * p for n, p in terms)))
         assert abs(level_spread(st) - ref) <= 1e-15 * ref
 
 
 def exponential_mean_closed_form(s_sq: float) -> float:
-    """Mean summation index for the plain exponential weight:
-    s^2 (s^4 + 5 s^2 + 4) / (s^4 + 3 s^2 + 1)."""
+    """Mean principal number for the plain exponential weight:
+    1 + s^2 (s^4 + 5 s^2 + 4) / (s^4 + 3 s^2 + 1)."""
     x = s_sq
-    return x * (x * x + 5 * x + 4) / (x * x + 3 * x + 1)
+    return 1.0 + x * (x * x + 5 * x + 4) / (x * x + 3 * x + 1)
 
 
 def exponential_variance_closed_form(s_sq: float) -> float:
-    """Index variance for the plain exponential weight:
+    """Level variance for the plain exponential weight:
     s^2 (s^8 + 6 s^6 + 14 s^4 + 10 s^2 + 4) / (s^8 + 6 s^6 + 11 s^4 + 6 s^2 + 1)."""
     x = s_sq
     num = x**4 + 6 * x**3 + 14 * x * x + 10 * x + 4
@@ -226,7 +230,8 @@ class TestClosedFormStatistics:
             st = build_state(spec, 0.0, AngularParams(0.0, 0.0), ln_s=math.log(math.sqrt(s_sq)))
             mean = mean_level(st)
             var = level_spread(st) ** 2
-            assert abs(mean - exponential_mean_closed_form(s_sq)) <= 1e-10 * max(1.0, mean)
+            closed = exponential_mean_closed_form(s_sq)
+            assert abs(mean - closed) <= 1e-10 * max(1.0, closed - 1.0)
             assert abs(var - exponential_variance_closed_form(s_sq)) <= 1e-10 * max(1.0, var)
 
     @pytest.mark.parametrize("alpha", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0])
@@ -246,48 +251,58 @@ class TestSolveScale:
         assert abs(ln_s - LN_S_PAPER) <= 0.005 * LN_S_PAPER
 
     def test_small_scale_limit(self):
-        # index mean ~ 4 s^2 for the plain exponential at small s
-        s = math.exp(solve_scale_ln(1.0, 0.04, tol=1e-10, principal=False))
+        # <n> - 1 ~ 4 s^2 for the plain exponential at small s; tol holds
+        # <n> to 1e-10 of <n> - 1 = 0.04
+        s = math.exp(solve_scale_ln(1.0, 1.04, tol=1e-10 * 0.04 / 1.04))
         assert s == pytest.approx(0.1, rel=0.01)
 
     def test_target_validation(self):
-        with pytest.raises(ValueError):
-            solve_scale_ln(ALPHA_PAPER, 0.0)
-        with pytest.raises(ValueError, match="principal mean target must exceed 1"):
-            solve_scale_ln(ALPHA_PAPER, 1.0)
+        for target in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="principal mean target must exceed 1"):
+                solve_scale_ln(ALPHA_PAPER, target)
         with pytest.raises(ValueError):
             solve_scale_ln(-1.0, 10.0)
 
     def test_scale_to_zero_with_target(self):
         # the solved scale shrinks monotonically with the target
-        lns = [solve_scale_ln(1.0, t, principal=False) for t in (1.0, 0.1, 0.01)]
+        lns = [solve_scale_ln(1.0, t) for t in (2.0, 1.1, 1.01)]
         assert lns[0] > lns[1] > lns[2]
 
 
 # Extreme exponents and targets: principal means from just above the
-# ground state to 5000, and summation-index means down to 1e-6.
+# ground state to 5000, held to 1e-9 of <n> (id suffix "n"), and means
+# <n> = 1 + x whose excess x over the ground state runs down to 1e-6, held
+# to 1e-9 of x (id suffix "index": x is the mean of the series' index).
 SOLVE_CASES = (
     [(alpha, target, True) for alpha in (1 / 128, 1 / 64, 1 / 32, 0.25, 1.0, 2.0, 4.0)
      for target in (1.0001, 1.01, 1.5, 3.0, 20.0, 160.0, 2000.0, 5000.0)]
-    + [(alpha, target, False) for alpha in (0.25, 1.0, 4.0)
-       for target in (1e-6, 1e-3, 0.04, 0.5, 5.0)]
+    + [(alpha, excess, False) for alpha in (0.25, 1.0, 4.0)
+       for excess in (1e-6, 1e-3, 0.04, 0.5, 5.0)]
 )
+
+
+def aim(case):
+    """(target <n>, the absolute bound on the solved <n>, tol)."""
+    _, value, principal = case
+    if principal:
+        return value, 1e-9 * value, 1e-9
+    return 1.0 + value, 1e-9 * value, 1e-9 * value / (1.0 + value)
 
 
 @pytest.fixture(scope="module")
 def solved():
-    """ln s for every SOLVE_CASES entry at the default tol."""
-    return {case: solve_scale_ln(case[0], case[1], principal=case[2]) for case in SOLVE_CASES}
+    """ln s for every SOLVE_CASES entry at the tol of its bound."""
+    return {case: solve_scale_ln(case[0], aim(case)[0], tol=aim(case)[2]) for case in SOLVE_CASES}
 
 
 class TestSolveContract:
     @pytest.mark.parametrize("case", SOLVE_CASES, ids=[f"{a:g}-{t:g}-{'n' if p else 'index'}"
                                                        for a, t, p in SOLVE_CASES])
     def test_solved_state_meets_the_relative_tol(self, solved, case):
-        alpha, target, principal = case
-        st = build_state(WeightSpec(alpha), 0.0, AngularParams(0.0, 0.0),
+        target, bound, _ = aim(case)
+        st = build_state(WeightSpec(case[0]), 0.0, AngularParams(0.0, 0.0),
                          ln_s=solved[case])
-        assert abs(mean_level(st, principal=principal) - target) <= 1e-9 * target
+        assert abs(mean_level(st) - target) <= bound
 
     def test_scale_grows_with_the_target(self, solved):
         for alpha in {a for a, _, _ in SOLVE_CASES}:
@@ -316,11 +331,11 @@ class TestSolveContract:
         ln_s = solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-16)
         assert abs(ln_s - solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-13)) <= 1e-15 * ln_s
         st = build_state(WeightSpec(1.0 / 64.0), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
-        assert abs(mean_level(st, principal=True) - 2000.0) <= 1e-13 * 2000.0
+        assert abs(mean_level(st) - 2000.0) <= 1e-13 * 2000.0
 
     def test_a_window_that_never_moves_does_not_converge(self, monkeypatch):
         # the cap doubles each step, so 200 steps end at a finite scale
-        monkeypatch.setattr(state, "_level_window", lambda spec, ln_s, tail_eps: (0, np.array([0.5, 0.5])))
+        monkeypatch.setattr(state, "_level_window", lambda spec, ln_s, tail_eps: (1, np.array([0.5, 0.5])))
         with pytest.raises(ArithmeticError, match="did not converge"):
             solve_scale_ln(0.25, 20.0)
 
@@ -542,21 +557,21 @@ class TestOverlap:
         a = build_state(spec, 0.0, AngularParams(1.0, 1.0), ln_s=math.log(1.0))
         b = build_state(spec, 0.0, AngularParams(-1.0, -1.0), ln_s=math.log(1.0))
         c0 = a.coeffs.values[0]
-        assert a.coeffs.n_min == 0 and abs(c0 - b.coeffs.values[0]) == 0.0
+        assert a.coeffs.n_lo == 1 and abs(c0 - b.coeffs.values[0]) == 0.0
         assert abs(overlap(a, b) - c0.conjugate() * c0) <= 1e-15
         assert abs(overlap(a, b) - 0.0736) <= 5e-5
 
     @staticmethod
     def padded_overlap(a, b):
         """Reference: both windows zero-padded to their union."""
-        lo = min(a.coeffs.n_min, b.coeffs.n_min)
-        hi = max(a.coeffs.n_max, b.coeffs.n_max)
+        lo = min(a.coeffs.n_lo, b.coeffs.n_lo)
+        hi = max(a.coeffs.levels[-1], b.coeffs.levels[-1])
         padded = []
         for st in (a, b):
             buf = np.zeros(hi - lo + 1, dtype=complex)
-            buf[st.coeffs.n_min - lo : st.coeffs.n_max - lo + 1] = st.coeffs.values
+            buf[st.coeffs.levels - lo] = st.coeffs.values
             padded.append(buf)
-        j = np.arange(lo, hi + 1) / 2.0
+        j = (np.arange(lo, hi + 1) - 1) / 2.0
         ang = su2_overlap(j, a.angular.zeta1, b.angular.zeta1) * su2_overlap(
             j, a.angular.zeta2, b.angular.zeta2)
         return complex(np.sum(np.conj(padded[0]) * padded[1] * ang))
@@ -567,9 +582,9 @@ class TestOverlap:
         a = build_state(spec, 0.25, AngularParams(0.3 + 0.1j, -0.2j), ln_s=ln_s[20.0])
         b = build_state(spec, -1.5, AngularParams(0.25, 0.1 - 0.2j), ln_s=ln_s[21.0])
         far = build_state(spec, 0.0, AngularParams(0.3 + 0.1j, -0.2j), ln_s=ln_s[160.0])
-        shared = np.arange(b.coeffs.n_min, a.coeffs.n_max + 1)
-        assert a.coeffs.n_min < b.coeffs.n_min <= a.coeffs.n_max < b.coeffs.n_max
-        assert a.coeffs.n_max < far.coeffs.n_min
+        shared = np.arange(b.coeffs.n_lo, a.coeffs.levels[-1] + 1)
+        assert a.coeffs.n_lo < b.coeffs.n_lo <= a.coeffs.levels[-1] < b.coeffs.levels[-1]
+        assert a.coeffs.levels[-1] < far.coeffs.n_lo
         reference = self.padded_overlap(a, b)
         spins = []
 
@@ -579,8 +594,27 @@ class TestOverlap:
 
         monkeypatch.setattr(state, "su2_overlap", recording)
         assert abs(overlap(a, b) - reference) <= 1e-15
-        assert all(np.array_equal(j, shared / 2.0) for j in spins) and len(spins) == 2
+        assert all(np.array_equal(j, (shared - 1) / 2.0) for j in spins) and len(spins) == 2
         assert overlap(a, far) == 0j and overlap(far, a) == 0j
+
+    def test_one_shared_level_is_its_closed_form(self):
+        # levels 3-4 against 4-5: level 4 alone is shared, with spins j = 3/2,
+        # so each spin-1/2 overlap (1 + conj(z_a) z_b) / sqrt((1 + |z_a|^2)(1 + |z_b|^2))
+        # enters cubed
+        base = build_state(WeightSpec(ALPHA_PAPER), 0.0, AngularParams(0.3 + 0.1j, -0.2j),
+                           ln_s=solve_scale_ln(ALPHA_PAPER, 20.0))
+        a = dataclasses.replace(base, coeffs=SpectralCoefficients(
+            n_lo=3, probabilities=np.array([0.75, 0.25]), phase=np.array([0.5, 1.0])))
+        b = dataclasses.replace(base, angular=AngularParams(0.25, 0.1 - 0.2j), coeffs=SpectralCoefficients(
+            n_lo=4, probabilities=np.array([0.5, 0.5]), phase=np.array([-0.25, 2.0])))
+
+        def spin_half(z_a, z_b):
+            return (1 + z_a.conjugate() * z_b) / math.sqrt((1 + abs(z_a) ** 2) * (1 + abs(z_b) ** 2))
+
+        expected = (math.sqrt(0.25 * 0.5) * np.exp(-1j * (1.0 + 0.25))
+                    * (spin_half(0.3 + 0.1j, 0.25) * spin_half(-0.2j, 0.1 - 0.2j)) ** 3)
+        assert abs(overlap(a, b) - expected) <= 1e-15
+        assert abs(overlap(b, a) - expected.conjugate()) <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -637,7 +671,7 @@ class TestSerialization:
         back = read_descriptor(path)
         assert (back.weight, back.ln_s, back.gamma, back.angular, back.tail_eps) == (
             st.weight, st.ln_s, st.gamma, st.angular, st.tail_eps)
-        assert (back.coeffs.n_min, back.coeffs.n_max) == (st.coeffs.n_min, st.coeffs.n_max)
+        assert back.coeffs.levels.tolist() == st.coeffs.levels.tolist()
         assert back.coeffs.probabilities.tobytes() == st.coeffs.probabilities.tobytes()
         assert back.coeffs.phase.tobytes() == st.coeffs.phase.tobytes()
 
@@ -662,11 +696,11 @@ class TestSerialization:
 
     def test_both_spellings_of_alpha_one_read_to_one_state(self, tmp_path):
         # earlier writers spelled alpha = 1 either way; an exponential file
-        # ignores any alpha line
+        # may repeat it as an alpha line
         rest = ("ln_s=0.69314718055994529\ns_display=2\ngamma=0.5\nzeta1_re=0.25\n"
                 "zeta1_im=0.5\nzeta2_re=0.75\nzeta2_im=-0.125\ntail_eps=9.9999999999999998e-13\n")
         heads = ["family=exponential\n", "family=stretched_exponential\nalpha=1\n",
-                 "family=exponential\nalpha=0.25\n"]
+                 "family=exponential\nalpha=1\n"]
         states = []
         for i, head in enumerate(heads):
             path = tmp_path / f"alpha_one_{i}.desc"
@@ -674,11 +708,23 @@ class TestSerialization:
             states.append(read_descriptor(path))
         for st in states:
             assert st.weight == WeightSpec(1.0)
-            assert (st.coeffs.n_min, st.coeffs.n_max) == (states[0].coeffs.n_min, states[0].coeffs.n_max)
+            assert st.coeffs.levels.tolist() == states[0].coeffs.levels.tolist()
             assert st.coeffs.values.tobytes() == states[0].coeffs.values.tobytes()
         # the writer spells it the one way
         write_descriptor(tmp_path / "again.desc", states[1])
         assert (tmp_path / "again.desc").read_text() == heads[0] + rest
+
+    @pytest.mark.parametrize("alpha", ["0.25", "2", "nan"])
+    def test_exponential_family_with_another_alpha_is_a_descriptor_error(self, tmp_path, alpha):
+        # the exponential weight has alpha = 1; the alpha line of a stretched
+        # state once read as exponential was dropped, and its levels were wrong
+        st = build_state(WeightSpec(0.25), 0.0, AngularParams(0.0, 0.0), ln_s=solve_scale_ln(0.25, 3.0))
+        path = tmp_path / "conflict.desc"
+        write_descriptor(path, st)
+        path.write_text(path.read_text().replace("family=stretched_exponential", "family=exponential")
+                        .replace("alpha=0.25", f"alpha={alpha}"))
+        with pytest.raises(DescriptorError, match=f"alpha={alpha} .*{path}"):
+            read_descriptor(path)
 
     @pytest.mark.parametrize("tail_eps", ["0", "1", "1.5", "-1e-3"])
     def test_tail_eps_outside_the_unit_interval_is_a_descriptor_error(self, tmp_path, tail_eps):
@@ -696,7 +742,7 @@ class TestSerialization:
         write_descriptor(path, st)
         back = read_descriptor(path)
         assert back.ln_s == -math.inf
-        assert back.coeffs.n_max == 0
+        assert back.coeffs.levels.tolist() == [1]
 
     def test_coefficient_lines_of_old_files_are_ignored(self, tmp_path, paper_state):
         # older descriptors could append the coefficient table as c<n>=<log_mag>,<phase>
@@ -704,10 +750,10 @@ class TestSerialization:
         write_descriptor(plain, paper_state)
         c = paper_state.coeffs
         cache = "".join(f"c{n}={0.5 * math.log(p):.17g},{ph:.17g}\n"
-                        for n, p, ph in zip(c.indices, c.probabilities, c.phase))
+                        for n, p, ph in zip(c.levels, c.probabilities, c.phase))
         cached.write_text(plain.read_text() + cache)
         back, ref = read_descriptor(cached).coeffs, read_descriptor(plain).coeffs
-        assert (back.n_min, back.n_max) == (ref.n_min, ref.n_max)
+        assert back.levels.tolist() == ref.levels.tolist()
         assert back.probabilities.tobytes() == ref.probabilities.tobytes()
         assert back.phase.tobytes() == ref.phase.tobytes()
 

@@ -40,12 +40,13 @@ def hydrogen_norm_closed_form(s: float) -> float:
 
 def series_log_norm(spec: WeightSpec, ln_s: float) -> float:
     """ln N with N^2 sum_n s^{2n} (n+1)^2 / rho_n = 1, read off the level
-    window whose tails are cut at 1e-16 each: the series sum is t_n / p_n at
-    the window's largest p_n."""
+    window whose tails are cut at 1e-16 each: the series sum is t / p_n at
+    the window's largest p_n, where level n holds the term
+    t = s^{2(n-1)} n^2 / rho_{n-1}."""
     n_lo, p = W._level_window(spec, ln_s, 2e-16)
     n = n_lo + int(np.argmax(p))
-    power = 2.0 * n * ln_s if n else 0.0  # s = 0 keeps the n = 0 term alone
-    log_term = power + 2.0 * math.log(n + 1.0) - log_moment(spec, n)
+    power = 2.0 * (n - 1) * ln_s if n > 1 else 0.0  # s = 0 keeps the ground level alone
+    log_term = power + 2.0 * math.log(n) - log_moment(spec, n - 1)
     return -0.5 * (log_term - math.log(p[n - n_lo]))
 
 
@@ -173,9 +174,9 @@ class TestNormFactor:
         assert series_log_norm(WeightSpec(1.0), math.log(1.0)) == pytest.approx(expected, abs=1e-13)
 
     def test_zero_scale(self):
-        # s = 0 keeps only the n = 0 term, 1 / rho_0 = 1, with p_0 = 1 exactly
+        # s = 0 keeps only the ground level's term 1 / rho_0 = 1, with p_1 = 1 exactly
         n_lo, p = W._level_window(WeightSpec(1.0), -math.inf, 2e-16)
-        assert n_lo == 0 and p.tobytes() == np.array([1.0]).tobytes()
+        assert n_lo == 1 and p.tobytes() == np.array([1.0]).tobytes()
         assert series_log_norm(WeightSpec(1.0), -math.inf) == 0.0
 
     def test_closed_form_values(self):
@@ -206,24 +207,25 @@ class TestNormFactor:
 
 
 def brute_force_truncation(spec, ln_s, tail_eps, scan=4000):
-    """Independent cumulative-sum oracle: the last n whose weight summed
-    from the top is at least tail_eps."""
-    n = np.arange(scan)
-    log_d = 2 * np.log(n + 1.0)
+    """Independent cumulative-sum oracle: the top principal level n whose
+    weight summed from the top is at least tail_eps, over the terms
+    s^{2(n-1)} n^2 / rho_{n-1} of levels 1..scan."""
+    n = np.arange(1, scan + 1)
+    log_d = 2 * np.log(n.astype(float))
     if ln_s == -math.inf:
-        power = np.where(n == 0, 0.0, -np.inf)
+        power = np.where(n == 1, 0.0, -np.inf)
     else:
-        power = 2 * n * ln_s
-    w = power + log_d - log_moment(spec, n)
+        power = 2 * (n - 1) * ln_s
+    w = power + log_d - log_moment(spec, n - 1)
     p = np.exp(w - logsumexp(w))
     tail = np.cumsum(p[::-1])[::-1]
     ok = np.nonzero(tail < tail_eps)[0]
-    return int(ok[0]) - 1 if ok.size else scan - 1
+    return int(n[ok[0] - 1]) if ok.size else scan
 
 
 class TestTruncation:
     def test_zero_scale(self):
-        assert truncation_level(WeightSpec(1.0), ln_s=-math.inf) == 0
+        assert truncation_level(WeightSpec(1.0), ln_s=-math.inf) == 1
 
     def test_matches_brute_force_exponential(self):
         spec = WeightSpec(1.0)
@@ -234,8 +236,8 @@ class TestTruncation:
         spec = WeightSpec(1.0 / 32.0)
         got = truncation_level(spec, tail_eps=1e-12, ln_s=LN_S_PAPER)
         assert got == brute_force_truncation(spec, LN_S_PAPER, 1e-12 / 2)
-        # window centered near index 159 with spread sqrt(5) must cover 150..170
-        assert got >= 170
+        # window centered near level 160 with spread sqrt(5) must cover 151..171
+        assert got >= 171
 
     def test_bad_tail_eps(self):
         for tail_eps in (0.0, 1.0, math.nan):
@@ -249,26 +251,27 @@ class TestTruncation:
     def test_is_the_built_state_n_max(self, alpha, ln_s, tail_eps):
         # one tail rule: the state leaves out tail_eps in all, tail_eps/2 from
         # each end, and truncation_level reads the same window (the two read
-        # 53 and 54 at alpha = 1, s = 4, 1e-12 when it cut tail_eps from each end)
+        # levels 54 and 55 at alpha = 1, s = 4, 1e-12 when it cut tail_eps from
+        # each end); its value is the built state's top level
         spec = WeightSpec(alpha)
         try:
-            n_max = truncation_level(spec, tail_eps=tail_eps, ln_s=ln_s)
+            n_top = truncation_level(spec, tail_eps=tail_eps, ln_s=ln_s)
         except DivergentSeriesError:  # the paper's scale at alpha = 1 and 1/4
             with pytest.raises(DivergentSeriesError):
                 build_state(spec, 0.0, AngularParams(0.0, 0.0), tail_eps=tail_eps, ln_s=ln_s)
             assert alpha > 1.0 / 32.0 and ln_s == LN_S_PAPER
             return
         state = build_state(spec, 0.0, AngularParams(0.0, 0.0), tail_eps=tail_eps, ln_s=ln_s)
-        assert state.coeffs.n_max == n_max
+        assert state.coeffs.levels[-1] == n_top
 
     def test_hard_cap_signals_divergence(self, monkeypatch):
         monkeypatch.setattr(W, "MAX_TERMS", 64)
         with pytest.raises(DivergentSeriesError):
             truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=math.log(1e6))
-        # a peak below the cap (n ~ 49) whose upper tail runs past it
+        # a peak below the cap (level ~ 50) whose upper tail runs past it
         with pytest.raises(DivergentSeriesError):
             truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=0.5 * math.log(50.0))
-        assert truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=0.5 * math.log(10.0)) < 64
+        assert truncation_level(WeightSpec(1.0), tail_eps=1e-12, ln_s=0.5 * math.log(10.0)) <= 64
 
     @pytest.mark.parametrize("tail_eps", [0.3, 0.5, 0.7, 0.99])
     def test_large_tail_eps_matches_brute_force(self, tail_eps):
