@@ -13,18 +13,17 @@ under family=exponential, a value that does not parse or that the weight
 or angular parameters reject) is a usage error naming the file; a
 failure while the state is built from valid parameters is numerical.
 
-One parse reads every option value: COHERE_GRID_BUDGET as grid's --budget
-flag, then each line of the --config file as a flag, then the command
-line.  The last value read wins, so a flag beats the config, the
-config beats the environment, and that beats the default that `cohere
-<command> --help` prints.  The config holds flat key=value lines, read
-as descriptors are, keyed by the long names of the subcommand's options
-(dashes or underscores), so it may give required options too; config=,
-help= and any key that names no option are usage errors.  Each value's
-option type checks it, whatever its source: a value out of range is a
-usage error naming the flag, the variable, or the file and key.  Integer
-options accept integer-valued literals such as 1e9; float options and
-each --times entry must be finite numbers.
+One parse reads every option value, and from these two sources alone:
+each line of the --config file as a flag, then the command line.  The
+last value read wins, so a flag beats the config, and that beats the
+default that `cohere <command> --help` prints.  The config holds flat
+key=value lines, read as descriptors are, keyed by the long names of the
+subcommand's options (dashes or underscores), so it may give required
+options too; config=, help= and any key that names no option are usage
+errors.  Each value's option type checks it, whatever its source: a value
+out of range is a usage error naming the flag, or the file and key.
+Integer options accept integer-valued literals such as 1e9; float options
+and each --times entry must be finite numbers.
 
 The parser is built by the first main call and shared by later calls in
 the same process.
@@ -32,7 +31,6 @@ the same process.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from functools import lru_cache
@@ -109,25 +107,22 @@ def _where(read, holds, rule: str):
     return parse
 
 
-def _source_flags(command: argparse.ArgumentParser, config) -> list:
-    """COHERE_GRID_BUDGET, then each line of the config file, as flags of
-    the subcommand; each value is checked first, so that an error names
-    its source."""
+def _config_flags(command: argparse.ArgumentParser, config) -> list:
+    """Each line of the config file as a flag of the subcommand; each value
+    is checked first, so that an error names the file and key."""
+    if not (config and "--config" in command._option_string_actions):
+        return []
+    from cohere.state import parse_descriptor
+
+    try:
+        lines = parse_descriptor(config)
+    except ValueError as exc:
+        raise UsageError(f"{exc} in {config}") from None
     options = {a.dest: a for a in command._actions
                if a.option_strings and a.dest not in ("help", "config")}
-    values = []
-    if "budget" in options and os.environ.get("COHERE_GRID_BUDGET"):
-        values.append(("COHERE_GRID_BUDGET", "budget", os.environ["COHERE_GRID_BUDGET"]))
-    if config and "--config" in command._option_string_actions:
-        from cohere.state import parse_descriptor
-
-        try:
-            lines = parse_descriptor(config)
-        except ValueError as exc:
-            raise UsageError(f"{exc} in {config}") from None
-        values += [(f"config key {key} in {config}", key, text) for key, text in lines.items()]
     flags = []
-    for source, key, text in values:
+    for key, text in lines.items():
+        source = f"config key {key} in {config}"
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise UsageError(f"unknown {source}")
@@ -161,7 +156,7 @@ def build_parser() -> _Parser:
         description="Coherent states for the hydrogen atom: solving, traces, fields, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # main reads their options to turn sources into flags
+    parser.commands = sub.choices  # main reads their options to turn config lines into flags
     # main's first parse, of the words after the subcommand: it reads the
     # config path without asking for the options that the config may give
     parser.sources = _Parser(add_help=False)
@@ -201,7 +196,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("csv", "bin"), default="csv", help="frame file format")
     p.add_argument("--budget", type=_where(_integer, lambda v: v >= 1, "be at least 1"),
                    default=DEFAULT_GRID_BUDGET,
-                   help="cap on (max level)^2 * samples^2; COHERE_GRID_BUDGET overrides the default")
+                   help="cap on (max level)^2 * samples^2")
     p.add_argument("--config", default=None, help=config_help)
     p.add_argument("--output-prefix", "-o", required=True)
 
@@ -377,7 +372,7 @@ def main(argv=None) -> int:
             first, _ = parser.sources.parse_known_args(argv[1:])
             if not first.help:
                 # ahead of the command line, so that its flags are read last and win
-                argv[1:1] = _source_flags(subcommand, first.config)
+                argv[1:1] = _config_flags(subcommand, first.config)
         args = parser.parse_args(argv)
         # looked up at call time, so a wrapped cmd_* binding is the one called
         command = {"solve": cmd_solve, "autocorr": cmd_autocorr, "grid": cmd_grid,

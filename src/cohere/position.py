@@ -47,6 +47,7 @@ c(t)^H M c(t).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.width < math.inf:  # false for nan as well
             raise ValueError(f"grid width must be positive and finite, got {self.width}")
-        if self.samples < 2:
-            raise ValueError("grid needs at least 2 samples per side")
+        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 2):
+            raise ValueError(f"grid samples per side must be an integer >= 2, got {self.samples!r}")
 
     def _offsets(self) -> tuple[np.ndarray, float]:
         """(k, h): sample i sits at k[i] * h, with the integer k = 2i - (samples - 1)

@@ -144,8 +144,6 @@ def solve_scale_ln(
     """
     if not target_mean > 1.0:  # false for nan as well
         raise ValueError("a principal mean target must exceed 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     spec = WeightSpec(alpha)
 
     ln_s = math.log(max(target_mean - 1.0, target_mean / 4.0) / alpha) / (2.0 * alpha)

@@ -176,13 +176,10 @@ def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, 
     log_cut = math.log(tail_eps / 2) - 6.0
     # the Gaussian's reach to the cut, 22% wider for skew; capped where alpha (n + 1) fails
     reach = 8 + min(1024, math.ceil(math.sqrt(-3.0 * log_cut * spec.alpha * (n0 + 1))))
-    lo = hi = n0
-    steps = np.empty(0, dtype=np.longdouble)  # ln(t_{n+1} / t_n) for n = lo..hi-1
     while True:
-        new_lo, new_hi = max(0, n0 - reach), min(n0 + reach, MAX_TERMS - 1)
-        fresh = _ratio_steps(spec, ln_s, np.r_[new_lo:lo, hi:new_hi])
-        steps = np.concatenate((fresh[: lo - new_lo], steps, fresh[lo - new_lo :]))
-        lo, hi, reach = new_lo, new_hi, 2 * reach
+        lo, hi = max(0, n0 - reach), min(n0 + reach, MAX_TERMS - 1)
+        steps = _ratio_steps(spec, ln_s, np.arange(lo, hi))  # ln(t_{n+1} / t_n) for n = lo..hi-1
+        reach *= 2
         w = np.concatenate(([0], np.cumsum(steps)))  # ln(t_n / t_lo) for n = lo..hi
         cut = w.max() + log_cut
         upper_done = _geometric_tail(w[-2], steps[-1]) < cut

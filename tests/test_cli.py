@@ -53,31 +53,20 @@ class TestGridBudget:
         config.write_text(f"budget={text}\n")
         assert cli.main(grid_argv(descriptor, tmp_path, "--config", str(config))) == status
 
+    # the package reads no environment variable: whatever COHERE_GRID_BUDGET
+    # holds, the built-in budget applies, and it admits this grid
     @pytest.mark.parametrize("text, status", [
         ("1e9", cli.EXIT_OK),
-        ("1e1", cli.EXIT_BUDGET),
-        ("0", cli.EXIT_USAGE),
-        ("1e9.5", cli.EXIT_USAGE),
-        ("inf", cli.EXIT_USAGE),
+        ("10", cli.EXIT_OK),
+        ("0", cli.EXIT_OK),
+        ("abc", cli.EXIT_OK),
+        ("-5", cli.EXIT_OK),
+        ("inf", cli.EXIT_OK),
     ])
     def test_environment(self, descriptor, tmp_path, monkeypatch, text, status):
         monkeypatch.setenv("COHERE_GRID_BUDGET", text)
         assert cli.main(grid_argv(descriptor, tmp_path)) == status
-        assert (tmp_path / "frame_t0.csv").exists() == (status == cli.EXIT_OK)
-
-    def test_malformed_environment_names_the_variable(self, descriptor, tmp_path, monkeypatch,
-                                                      capsys):
-        monkeypatch.setenv("COHERE_GRID_BUDGET", "abc")
-        assert cli.main(grid_argv(descriptor, tmp_path)) == cli.EXIT_USAGE
-        assert "COHERE_GRID_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_budget_below_one_from_the_environment_names_the_variable(
-            self, descriptor, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("COHERE_GRID_BUDGET", "-5")
-        assert cli.main(grid_argv(descriptor, tmp_path)) == cli.EXIT_USAGE
-        assert "COHERE_GRID_BUDGET must be at least 1, got '-5'" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert (tmp_path / "frame_t0.csv").exists()
 
 
 def autocorr_argv(descriptor, tmp_path, *extra):
@@ -212,9 +201,9 @@ class TestConfigDefaults:
         exponential = (tmp_path / "exponential.json").read_text()
         assert radial(report)["max_deviation"] != radial(exponential)["max_deviation"]
 
+    # a set COHERE_GRID_BUDGET changes nothing
     @pytest.mark.parametrize("flag, config, environment, status", [
         (None, None, None, cli.EXIT_OK),  # the built-in 1e9
-        (None, None, "10", cli.EXIT_BUDGET),
         (None, "1e9", "10", cli.EXIT_OK),
         (None, "10", "1e9", cli.EXIT_BUDGET),
         ("1e9", "10", "10", cli.EXIT_OK),

@@ -571,6 +571,14 @@ class TestPlanarField:
         with pytest.raises(ValueError, match="grid width"):
             GridSpec(width=width, samples=5)
 
+    @pytest.mark.parametrize("samples", [64.0, 8.5, True, "5"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError, match="grid samples"):
+            GridSpec(width=100.0, samples=samples)
+
+    def test_numpy_integer_samples_are_accepted(self):
+        assert GridSpec(width=100.0, samples=np.int64(5)).axis().tolist() == [-50, -25, 0, 25, 50]
+
 
 class TestOneEvolution:
     """Frames and traces take c(t) from evolve, so evolving first and

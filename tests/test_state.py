@@ -162,8 +162,9 @@ class TestOneScan:
         assert window_error(alpha, solve_scale_ln(alpha, mean)) <= bound
 
     def test_each_index_is_formed_once(self, scan_case, monkeypatch):
-        # every ratio t_{n+1} / t_n is formed once, also at alpha = 4, <n> = 20,
-        # where the first reach falls short and widens
+        # every ratio t_{n+1} / t_n is formed once per reach: once in all at the
+        # scan cases, and afresh for the doubled reach at alpha = 4, <n> = 20,
+        # where the first reach falls short
         for spec, ln_s, calls in (scan_case + (1,), (WeightSpec(4.0), solve_scale_ln(4.0, 20.0), 2)):
             seen = []
             steps = weights._ratio_steps
@@ -171,8 +172,9 @@ class TestOneScan:
                                 lambda spec, ln_s, n: seen.append(n.tolist()) or steps(spec, ln_s, n))
             state._level_window(spec, ln_s, 1e-12)
             monkeypatch.undo()
-            indices = sum(seen, [])
-            assert len(seen) == calls and len(indices) == len(set(indices))
+            assert len(seen) == calls
+            assert all(n == list(range(n[0], n[-1] + 1)) for n in seen)
+            assert set(seen[0]) <= set(seen[-1])
 
     def test_the_scale_is_passed_only_as_ln_s(self):
         for module in (weights, state):
@@ -260,8 +262,9 @@ class TestSolveScale:
         for target in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="principal mean target must exceed 1"):
                 solve_scale_ln(ALPHA_PAPER, target)
-        with pytest.raises(ValueError):
-            solve_scale_ln(-1.0, 10.0)
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                solve_scale_ln(alpha, 10.0)
 
     def test_scale_to_zero_with_target(self):
         # the solved scale shrinks monotonically with the target
