@@ -1,7 +1,7 @@
 """Temporally stable coherent states for energy-degenerate systems,
 specialized to the hydrogen atom.
 
-Subpackages by concern:
+Modules by concern:
   weights   log-domain weight functions, moments, normalization
   su2       spin coherent states and angular-momentum recoupling
   hydrogen  spectrum, revival-time analysis

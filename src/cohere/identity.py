@@ -48,7 +48,7 @@ import numpy as np
 
 from cohere import hydrogen
 from cohere.su2 import _check_two_j, su2_amplitudes
-from cohere.weights import _STIRLING_MIN, WeightSpec, _gauss_legendre, _stirling_tail
+from cohere.weights import WeightSpec, _gauss_legendre, _stirling_tail
 
 
 #: largest level count full_identity_matrix assembles densely (dimension sum n^2 = 91)
@@ -160,10 +160,10 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
     cancel like y^2/2, and its rounding, times beta, would grow like
     sqrt(beta) eps; so for |y| < 1/4, e^y - 1 - y is y^2 times its Taylor
     series through y^16/18! (the next term is below 1e-27 of the sum),
-    summed by Horner in long double, and elsewhere expm1(y) - y.  For
-    beta >= 20, c(beta) = ln(beta / 2 pi)/2 less
-    weights._stirling_tail(beta), the series the level window's ratio
-    steps read, whose first omitted term is below 1.7e-15.  The integrand
+    summed by Horner in long double, and elsewhere expm1(y) - y.  By
+    Stirling's formula c(beta) = ln(beta / 2 pi)/2 less
+    weights._stirling_tail(beta), ln Gamma's remainder, which the level
+    window's ratio steps read too.  The integrand
     is analytic in |Im y| < pi/2 and decays on both sides, so the
     trapezoid rule on a uniform grid converges geometrically.  The step
     h = min(0.2, 0.4/sqrt(beta)) resolves the peak, and the window drops
@@ -178,10 +178,7 @@ def _moment_ratio_by_quadrature(spec: WeightSpec, exponent: float) -> float:
                               f"(exponent + 1)/alpha is not finite at alpha={spec.alpha!r}")
     if beta < 1:
         beta += 1.0
-    if beta >= _STIRLING_MIN:
-        c = 0.5 * math.log(beta / (2.0 * math.pi)) - _stirling_tail(beta)
-    else:
-        c = beta * math.log(beta) - beta - math.lgamma(beta)
+    c = 0.5 * math.log(beta / (2.0 * math.pi)) - _stirling_tail(beta)
     root = math.sqrt(beta)
     h = min(0.2, 0.4 / root)
     lo = -40.0 / beta - 10.0 / root
@@ -218,22 +215,20 @@ def _radial_factor(spec: WeightSpec, n_a: int, n_b: int) -> float:
     every bit however large ln Gamma(n/alpha) is.
 
     Off the diagonal, with x = n/alpha and x_m = (x_a + x_b)/2, Stirling's
-    series makes the log quotient -(x_a - 1/2) ln(x_a/x_m)/2
-    - (x_b - 1/2) ln(x_b/x_m)/2 plus the _stirling_tail differences, where
+    formula makes the log quotient -(x_a - 1/2) ln(x_a/x_m)/2
+    - (x_b - 1/2) ln(x_b/x_m)/2 plus the differences of
+    weights._stirling_tail, ln Gamma's remainder, where
     x_a/x_m = 2 n_a/(n_a + n_b): no terms of size x ln x cancel, and
-    nothing overflows while x is finite.  Below _STIRLING_MIN it is a
-    difference of math.lgamma values."""
+    nothing overflows while x is finite."""
     a, mid = spec.alpha, (n_a + n_b) / 2.0
     ratio = _moment_ratio_by_quadrature(spec, mid - 1.0) * n_a * n_b
     if n_a == n_b:
         return ratio
-    x_a, x_b, x_m = n_a / a, n_b / a, mid / a
-    if min(x_a, x_b) < _STIRLING_MIN:
-        quotient = math.lgamma(x_m) - 0.5 * (math.lgamma(x_a) + math.lgamma(x_b))
-    else:
-        d = (n_a - n_b) / (n_a + n_b)
-        quotient = (-0.5 * ((x_a - 0.5) * math.log1p(d) + (x_b - 0.5) * math.log1p(-d))
-                    + _stirling_tail(x_m) - 0.5 * (_stirling_tail(x_a) + _stirling_tail(x_b)))
+    x_a, x_b = n_a / a, n_b / a
+    tail_m, tail_a, tail_b = _stirling_tail(np.array([mid / a, x_a, x_b]))
+    d = (n_a - n_b) / (n_a + n_b)
+    quotient = (-0.5 * ((x_a - 0.5) * math.log1p(d) + (x_b - 0.5) * math.log1p(-d))
+                + tail_m - 0.5 * (tail_a + tail_b))
     return ratio * math.exp(quotient)
 
 

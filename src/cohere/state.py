@@ -37,7 +37,8 @@ from cohere import hydrogen
 from cohere.hydrogen import reduced_phases
 from cohere.su2 import AngularParams, su2_overlap
 # truncation_level is bound here for bench/spans.py, which wraps it
-from cohere.weights import DEFAULT_TAIL_EPS, WeightSpec, _level_moments, _level_window, truncation_level
+from cohere.weights import DEFAULT_TAIL_EPS, MAX_TERMS, WeightSpec, truncation_level
+from cohere.weights import DivergentSeriesError, _level_moments, _level_window
 
 # Elements (times x levels) per autocorrelation block.  Its temporaries,
 # a 1 MB long-double product and 512 kB float64 arrays, stay in cache.
@@ -141,29 +142,46 @@ def solve_scale_ln(
     leave the bracket bisects it.  If rounding stops the solve before tol
     is met, it returns ln s once a step no longer moves it, or the midpoint
     of a collapsed bracket.
+
+    A scale whose series does not end below MAX_TERMS terms counts as a
+    mean above every target, so the scale shrinks: from alpha ~ 3e5 up the
+    seed puts s near 1, where it does.  A target of MAX_TERMS or more, which
+    no window holds, raises DivergentSeriesError before any window is
+    formed, as does a bracket that closes on, or a step that stalls at, a
+    scale that diverged.
     """
     if not target_mean > 1.0:  # false for nan as well
         raise ValueError("a principal mean target must exceed 1")
+    unreachable = f"no window below {MAX_TERMS} terms holds a mean principal number of {target_mean!r}"
+    if not target_mean < MAX_TERMS:  # every window's levels are at most MAX_TERMS
+        raise DivergentSeriesError(unreachable)
     spec = WeightSpec(alpha)
 
     ln_s = math.log(max(target_mean - 1.0, target_mean / 4.0) / alpha) / (2.0 * alpha)
-    lo, hi, cap = -math.inf, math.inf, 0.5
+    lo, hi, hi_mean, cap = -math.inf, math.inf, math.inf, 0.5
     for _ in range(200):
-        mean, var = _level_moments(*_level_window(spec, ln_s, tail_eps))
+        try:
+            mean, var = _level_moments(*_level_window(spec, ln_s, tail_eps))
+        except DivergentSeriesError:  # a mean above every target: the scale shrinks
+            mean, var = math.inf, 0.0
         miss = target_mean - mean
         if abs(miss) <= tol * target_mean:
             return ln_s
         if miss > 0:
             lo = ln_s
         else:
-            hi = ln_s
+            hi, hi_mean = ln_s, mean
         if hi - lo < 1e-15 * max(1.0, abs(hi)):
+            if hi_mean == math.inf:
+                raise DivergentSeriesError(unreachable)
             return 0.5 * (lo + hi)
         step = miss / (2.0 * var) if var > 0 else math.copysign(math.inf, miss)
         if abs(step) > cap:
             step = math.copysign(cap, step)
             cap *= 2.0
         if ln_s + step == ln_s:  # the step is below rounding, so no later one moves
+            if mean == math.inf:
+                raise DivergentSeriesError(unreachable)
             return ln_s
         ln_s += step
         if not lo < ln_s < hi:

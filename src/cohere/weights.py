@@ -114,37 +114,41 @@ def log_moment(spec: WeightSpec, n) -> float:
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
-#: smallest argument at which _stirling_tail stands for ln Gamma's remainder
+#: where _stirling_tail turns from math.lgamma to Stirling's series
 _STIRLING_MIN = 20.0
 
 
 def _stirling_tail(x):
-    """ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 by Stirling's series
-    (DLMF 5.11.1) through x^-7, in the dtype of x; for x >= _STIRLING_MIN
-    the first omitted term, 1/(1188 x^9), is below 1.7e-15."""
-    z2 = 1 / (x * x)
-    return (1 / 12 - z2 * (1 / 360 - z2 * (1 / 1260 - z2 / 1680))) / x
-
-
-def _ratio_steps(spec: WeightSpec, ln_s: float, n: np.ndarray) -> np.ndarray:
-    """ln(t_{n+1} / t_n) of the norm-series terms t_n = s^{2n} (n+1)^2 / rho_n,
-    in long double.  With x = (n+1)/alpha, h = 1/alpha and h/x = 1/(n+1),
-    ln(rho_{n+1}/rho_n) = (x - 1/2) log1p(1/(n+1)) + h (ln(x + h) - 1) plus
-    the difference of two Stirling tails: the algdiv form of DiDonato and
-    Morris (ACM TOMS 18, 360 (1992)), where no terms of size x ln x cancel.
-    Below x = _STIRLING_MIN it is a difference of math.lgamma values."""
-    n1 = np.asarray(n, dtype=np.longdouble) + 1
-    h = 1 / np.longdouble(spec.alpha)
-    x = n1 * h
-    log_ratio = np.log1p(1 / n1)
-    with np.errstate(all="ignore"):  # the small x are replaced below
-        moment_step = ((x - 0.5) * log_ratio + h * (np.log(x + h) - 1)
-                       + _stirling_tail(x + h) - _stirling_tail(x))
+    """ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x > 0, element by
+    element in the dtype of x.  From x = _STIRLING_MIN up it is Stirling's
+    series (DLMF 5.11.1) through x^-7, whose first omitted term,
+    1/(1188 x^9), is below 1.7e-15.  Below, it is math.lgamma less the
+    leading terms, taken in long double: within a few ulp of
+    max(1, |ln Gamma(x)|, |(x - 1/2) ln x|), math.lgamma's own error."""
+    x = np.asarray(x)
     small = x < _STIRLING_MIN
-    if small.any():  # one math.lgamma per argument k/alpha, k = n+1 .. n+2
-        k = n1[small].astype(int)
-        lg = _lgamma(np.arange(k.min(), k.max() + 2) / spec.alpha)
-        moment_step[small] = lg[k - k.min() + 1] - lg[k - k.min()]
+    z = np.where(small, _STIRLING_MIN, x)
+    with np.errstate(over="ignore"):  # z * z past the float range gives z2 = 0, the series' limit
+        z2 = 1 / (z * z)
+    tail = np.asarray((1 / 12 - z2 * (1 / 360 - z2 * (1 / 1260 - z2 / 1680))) / z)
+    v = x[small].astype(np.longdouble)
+    tail[small] = _lgamma(v) - (v - 0.5) * np.log(v) + v - math.log(2 * math.pi) / 2
+    return tail[()]
+
+
+def _ratio_steps(spec: WeightSpec, ln_s: float, lo: int, hi: int) -> np.ndarray:
+    """ln(t_{n+1} / t_n) of the norm-series terms t_n = s^{2n} (n+1)^2 / rho_n
+    for n = lo .. hi-1, in long double.  With x = (n+1)/alpha, h = 1/alpha
+    and h/x = 1/(n+1), ln(rho_{n+1}/rho_n) = (x - 1/2) log1p(1/(n+1))
+    + h (ln(x + h) - 1) plus the difference of the Stirling tails at x + h
+    and x: the algdiv form of DiDonato and Morris (ACM TOMS 18, 360 (1992)),
+    where no terms of size x ln x cancel.  The tails are one array over
+    k/alpha, k = lo+1 .. hi+1, so each argument is evaluated once."""
+    k = np.arange(lo + 1, hi + 2).astype(np.longdouble)
+    h = 1 / np.longdouble(spec.alpha)
+    tail = _stirling_tail(k * h)
+    x, log_ratio = k[:-1] * h, np.log1p(1 / k[:-1])
+    moment_step = (x - 0.5) * log_ratio + h * (np.log(x + h) - 1) + tail[1:] - tail[:-1]
     return 2 * np.longdouble(ln_s) + 2 * log_ratio - moment_step
 
 
@@ -178,7 +182,7 @@ def _level_window(spec: WeightSpec, ln_s: float, tail_eps: float) -> tuple[int, 
     reach = 8 + min(1024, math.ceil(math.sqrt(-3.0 * log_cut * spec.alpha * (n0 + 1))))
     while True:
         lo, hi = max(0, n0 - reach), min(n0 + reach, MAX_TERMS - 1)
-        steps = _ratio_steps(spec, ln_s, np.arange(lo, hi))  # ln(t_{n+1} / t_n) for n = lo..hi-1
+        steps = _ratio_steps(spec, ln_s, lo, hi)  # ln(t_{n+1} / t_n) for n = lo..hi-1
         reach *= 2
         w = np.concatenate(([0], np.cumsum(steps)))  # ln(t_n / t_lo) for n = lo..hi
         cut = w.max() + log_cut

@@ -349,6 +349,16 @@ class TestSolveMean:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "s.desc").exists()
 
+    def test_unreachable_mean_is_a_numerical_failure(self, tmp_path, capsys):
+        # no window below MAX_TERMS = 1e6 terms holds <n> = 2e6: refused before any scan
+        desc = tmp_path / "s.desc"
+        argv = ["solve", "--alpha", "0.03125", "--mean", "2e6", "-o", str(desc)]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert "mean principal number of 2000000.0" in err
+        assert not desc.exists()
+
 
 class TestSolveBeyondDoubleRange:
     def test_scale_past_double_range_prints_inf(self, tmp_path, capsys):

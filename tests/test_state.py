@@ -30,7 +30,7 @@ from cohere.state import (
     write_trace_csv,
 )
 from cohere.su2 import AngularParams, su2_overlap
-from cohere.weights import DEFAULT_TAIL_EPS, WeightSpec
+from cohere.weights import DEFAULT_TAIL_EPS, DivergentSeriesError, WeightSpec
 
 LN_S_PAPER = math.log(2.209e59)
 ALPHA_PAPER = 1.0 / 32.0
@@ -169,12 +169,11 @@ class TestOneScan:
             seen = []
             steps = weights._ratio_steps
             monkeypatch.setattr(weights, "_ratio_steps",
-                                lambda spec, ln_s, n: seen.append(n.tolist()) or steps(spec, ln_s, n))
+                                lambda spec, ln_s, lo, hi: seen.append((lo, hi)) or steps(spec, ln_s, lo, hi))
             state._level_window(spec, ln_s, 1e-12)
             monkeypatch.undo()
             assert len(seen) == calls
-            assert all(n == list(range(n[0], n[-1] + 1)) for n in seen)
-            assert set(seen[0]) <= set(seen[-1])
+            assert seen[-1][0] <= seen[0][0] < seen[0][1] <= seen[-1][1]
 
     def test_the_scale_is_passed_only_as_ln_s(self):
         for module in (weights, state):
@@ -335,6 +334,46 @@ class TestSolveContract:
         assert abs(ln_s - solve_scale_ln(1.0 / 64.0, 2000.0, tol=1e-13)) <= 1e-15 * ln_s
         st = build_state(WeightSpec(1.0 / 64.0), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
         assert abs(mean_level(st) - 2000.0) <= 1e-13 * 2000.0
+
+    def test_divergent_seed_at_large_alpha(self):
+        # from alpha ~ 3e5 up the leading-order seed puts s near 1, where the
+        # norm series needs more than MAX_TERMS terms.  That evaluation counts
+        # as a mean above the target, so the scale shrinks, to ln s ~ -1 here
+        ln_s = solve_scale_ln(1e6, 2.0)
+        assert -2.0 < ln_s < 0.0
+        st = build_state(WeightSpec(1e6), 0.0, AngularParams(0.0, 0.0), ln_s=ln_s)
+        assert abs(mean_level(st) - 2.0) <= 1e-9 * 2.0
+
+    def test_unreachable_target_is_refused_before_any_window(self, monkeypatch):
+        # every window's levels are at most MAX_TERMS, and so is its mean
+        monkeypatch.setattr(state, "_level_window", lambda *args: pytest.fail("a window was formed"))
+        for target in (weights.MAX_TERMS, 2e6, math.inf):
+            with pytest.raises(DivergentSeriesError, match="no window below 1000000 terms"):
+                solve_scale_ln(1.0 / 32.0, target)
+
+    def test_bracket_that_closes_on_a_divergent_scale_raises(self, monkeypatch):
+        # the root lies past the smallest scale that diverges, so the bracket
+        # closes on that scale from below, and its midpoint solves nothing
+        window = state._level_window
+
+        def capped(spec, ln_s, tail_eps):
+            if ln_s > 0.5:
+                raise DivergentSeriesError("past the cap")
+            return window(spec, ln_s, tail_eps)
+
+        monkeypatch.setattr(state, "_level_window", capped)
+        with pytest.raises(DivergentSeriesError, match="no window below 1000000 terms"):
+            solve_scale_ln(1.0, 10.0)
+
+    def test_step_that_stalls_on_a_divergent_scale_raises(self, monkeypatch):
+        # at alpha = 1e-20 the seed ln s ~ 2.4e21 is past 2^52 times the first
+        # step down, 0.5, so no step moves it off a scale that diverged
+        def divergent(spec, ln_s, tail_eps):
+            raise DivergentSeriesError("every scale diverges")
+
+        monkeypatch.setattr(state, "_level_window", divergent)
+        with pytest.raises(DivergentSeriesError, match="no window below 1000000 terms"):
+            solve_scale_ln(1e-20, 10.0)
 
     def test_a_window_that_never_moves_does_not_converge(self, monkeypatch):
         # the cap doubles each step, so 200 steps end at a finite scale

@@ -142,12 +142,40 @@ class TestRatioSteps:
     """The level window's steps ln(t_{n+1} / t_n) and their Stirling tail."""
 
     def test_stirling_tail_within_its_first_omitted_term(self):
-        x = np.geomspace(W._STIRLING_MIN, 1e6, 60)
+        # x log-spaced over [1e-300, 20), densest where the level window's
+        # k/alpha fall, and over [20, 1e300].  From 20 up the series is
+        # within its first omitted term, 1/(1188 x^9); below, math.lgamma's
+        # rounding, absolute near its zeros at x = 1 and 2, gives a few ulp
+        # of max(1, |ln Gamma(x)|, |(x - 1/2) ln x|) (3.7 eps measured).  A
+        # scalar gives a float64 scalar, a long double array a long double
+        # array; mpmath keeps 50 digits past the cancellation of x ln x terms
+        x = np.r_[np.geomspace(1e-300, 20, 60, endpoint=False),
+                  np.geomspace(1e-2, 20, 60, endpoint=False), np.geomspace(20, 1e300, 60)]
         got = W._stirling_tail(x.astype(np.longdouble))
-        with mpmath.workdps(50):
-            for v, g in zip(x.tolist(), got):
-                ref = mpmath.loggamma(v) - (v - 0.5) * mpmath.log(v) + v - mpmath.log(2 * mpmath.pi) / 2
-                assert abs(mpmath.mpf(str(g)) - ref) <= 1.0 / (1188.0 * v**9) + 1e-18
+        assert got.dtype == np.longdouble and got.shape == x.shape
+        eps = np.finfo(float).eps
+        for v, g in zip(x.tolist(), got):
+            scalar = W._stirling_tail(v)
+            assert isinstance(scalar, np.float64)
+            with mpmath.workdps(50 + 2 * max(0, int(math.log10(v)))):
+                mv = mpmath.mpf(v)
+                lead, lg = (mv - 0.5) * mpmath.log(mv), mpmath.loggamma(mv)
+                ref = lg - lead + mv - mpmath.log(2 * mpmath.pi) / 2
+                if v < 20:
+                    bound = 8 * eps * max(1, abs(lg), abs(lead))
+                else:
+                    bound = 1 / (1188 * mv**9) + 1e-18
+                assert abs(mpmath.mpf(str(g)) - ref) <= bound, v
+                assert abs(mpmath.mpf(float(scalar)) - ref) <= bound, v
+
+    def test_each_lgamma_argument_is_evaluated_once(self, monkeypatch):
+        # the tails are one array over k/alpha, k = lo+1 .. hi+1: of
+        # x = 4, 8, ..., 804, those below 20 reach math.lgamma, once each
+        seen = []
+        lgamma = W._lgamma
+        monkeypatch.setattr(W, "_lgamma", lambda x: seen.extend(np.ravel(x).tolist()) or lgamma(x))
+        W._ratio_steps(WeightSpec(0.25), 1.0, 0, 200)
+        assert seen == [4.0, 8.0, 12.0, 16.0]
 
     @pytest.mark.parametrize("alpha, ln_s", [(5.0, -0.3), (1.0, 1.8), (0.7, 0.5), (0.3, 12.4),
                                              (1.0 / 32.0, 136.6), (1.0 / 64.0, 376.3), (1e-5, 7.7e5)])
@@ -155,10 +183,12 @@ class TestRatioSteps:
         # both sides of x = (n+1)/alpha = 20, and far up the series.  The
         # bound covers math.lgamma's rounding below 20, the Stirling remainder
         # above, and long-double rounding of the 2 ln s that cancels against
-        # ln(rho_{n+1}/rho_n)
+        # ln(rho_{n+1}/rho_n).  The steps are formed over one range that
+        # holds every n
         n = np.unique(np.r_[0:40, np.geomspace(40, 1e5, 30).astype(int)])
-        got = W._ratio_steps(WeightSpec(alpha), ln_s, n)
-        assert got.dtype == np.longdouble
+        steps = W._ratio_steps(WeightSpec(alpha), ln_s, 0, n[-1] + 1)
+        assert steps.dtype == np.longdouble and steps.size == n[-1] + 1
+        got = steps[n]
         with mpmath.workdps(50):
             a, two_ln_s = mpmath.mpf(alpha), 2 * mpmath.mpf(ln_s)
             for k, g in zip(n.tolist(), got):

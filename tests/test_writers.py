@@ -4,8 +4,11 @@ The reference writers below format one row at a time, as the package did
 before its CSV tables were written in blocks; each output must match
 them byte for byte.
 """
+import os
 import re
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from cohere.state import (
 )
 from cohere.su2 import AngularParams
 from cohere.weights import WeightSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FMT = "%.17g"
 SPECIALS = (-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0, 1e-300, -1e300)
@@ -111,18 +116,33 @@ class TestTraceCsv:
             write_trace_csv(path, np.zeros(n_times), np.ones(n_values, dtype=complex))
         assert not path.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM")
     def test_working_set_is_bounded(self, tmp_path):
-        rng = np.random.default_rng(0)
-        times = np.sort(rng.uniform(0.0, 2e9, 200_001))
-        values = rng.random(times.size) * np.exp(1j * times)
-        tracemalloc.start()
-        try:
-            write_trace_csv(tmp_path / "trace.csv", times, values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = times.nbytes + values.nbytes + 8 * 2**20
-        assert peak <= bound, peak
+        # in a fresh process, so that its high-water mark is the writer's:
+        # VmHWM after the write less VmRSS before it, a few MiB for the block
+        # writer and ~80 MiB for one that joins the whole table
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from cohere.state import write_trace_csv\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ':'))\n"
+            "rng = np.random.default_rng(0)\n"
+            "times = np.sort(rng.uniform(0.0, 2e9, 200_001))\n"
+            "values = rng.random(times.size) * np.exp(1j * times)\n"
+            "before = status('VmRSS')\n"
+            "write_trace_csv(sys.argv[1], times, values)\n"
+            "print(status('VmHWM') - before, times.nbytes + values.nbytes)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "trace.csv")],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        grown, array_bytes = map(int, done.stdout.split())
+        bound = array_bytes + 8 * 2**20
+        assert grown <= bound, grown
         # so no string or list held the whole table: its text alone is larger
         assert (tmp_path / "trace.csv").stat().st_size > bound
 
